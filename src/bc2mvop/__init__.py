@@ -19,14 +19,14 @@ from .lie import (MsfLabel, PairParams, Weight, casimir_eigenvalue,
                   casimir_eigenvalue_ip, dualize, label_weight, weyl_dim)
 from .matrices import PolyMatrix
 from .orthogonality import gram, in_region, region_integral
-from .poly import MultiPoly, RationalFn
+from .poly import MultiPoly
 from .report import FAIL, PASS, REPORTED, CheckResult
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CheckResult", "FAIL", "L_matrices", "MatrixOP", "MsfLabel", "MultiPoly",
-    "PASS", "PairParams", "PolyMatrix", "REPORTED", "RationalFn", "Weight",
+    "PASS", "PairParams", "PolyMatrix", "REPORTED", "Weight",
     "casimir_eigenvalue", "casimir_eigenvalue_ip", "d_coeffs", "dualize",
     "gram", "in_region", "label_weight", "leading_term",
     "leading_term_matrix", "matrix_op", "phi_expansion", "poch",

@@ -3,9 +3,9 @@ r"""Radial action of the Casimir operator and the derived operator families.
 Three layers, increasingly packaged:
 
 1. ``radial_apply``: the raw radial operator acting on a length-(a+1)
-   vector of functions on the torus (component k = M-type k), computed over
-   the rational-function field in (c1, c2).  The torus derivatives and the
-   cotangent factors are rationalized eagerly via s^2 = 1 - c^2; denominators
+   vector of polynomials on the torus (component k = M-type k) in (c1, c2).
+   The torus derivatives and the cotangent factors are rationalized eagerly
+   via s^2 = 1 - c^2; the resulting denominators are fixed in advance and
    must cancel on the eigenfunction span.
 2. The scalar operator in (psi1, psi2) valid at a = b = 0, plus the
    tridiagonal first-order matrices C1, C2 that absorb the conjugation by
@@ -32,7 +32,7 @@ from .lie import (MsfLabel, PairParams, casimir_eigenvalue,
                   casimir_eigenvalue_ip, check_label, label_weight,
                   labels_up_to)
 from .matrices import PolyMatrix, solve_linear
-from .poly import MultiPoly, RationalFn
+from .poly import MultiPoly
 from .report import CheckResult, FAIL, PASS, REPORTED
 
 HALF = Fraction(1, 2)
@@ -52,12 +52,15 @@ def vertical_term(params: PairParams, k: int) -> Fraction:
     return Fraction(m * u * u - 4 * u * v + m * v * v, 2 * (m + 2))
 
 
-def radial_apply(params: PairParams, comps) -> tuple[RationalFn, ...]:
+def radial_apply(params: PairParams, comps) -> tuple[MultiPoly, ...]:
     """Apply the radial operator to an M-type vector of polynomials in (c1,c2).
 
     Component k of the output couples components k-1, k, k+1 of the input;
     out-of-range neighbours carry coefficient zero, so they are simply
-    dropped.
+    dropped.  Every term is put over the common denominator
+    2 c1^2 c2^2 (c2^2 - c1^2)^2 and the summed numerator is divided once,
+    exactly; input outside the eigenfunction span leaves a remainder and
+    raises ValueError.
     """
     m, a, b = params.m, params.a, params.b
     comps = list(comps)
@@ -73,6 +76,15 @@ def radial_apply(params: PairParams, comps) -> tuple[RationalFn, ...]:
     s2sq = one - c2 * c2
     hop_num = 2 * c1 * c2 * (2 * one - c1 * c1 - c2 * c2)
     stay_num = 2 * (c1 * c1 + c2 * c2 - 2 * c1 * c1 * c2 * c2)
+    # the common denominator, and the factor lifting each partial
+    # denominator (split, split^2, 2 c1, 2 c2, 2 c1^2, 2 c2^2) to it
+    to_split2 = 2 * c1 * c1 * c2 * c2
+    to_split = to_split2 * split
+    denom = to_split2 * split2
+    to_c1 = c1 * c2 * c2 * split2
+    to_c2 = c1 * c1 * c2 * split2
+    to_c1sq = c2 * c2 * split2
+    to_c2sq = c1 * c1 * split2
     out = []
     for k, g in enumerate(comps):
         g1, g2 = g.derive("c1"), g.derive("c2")
@@ -82,33 +94,24 @@ def radial_apply(params: PairParams, comps) -> tuple[RationalFn, ...]:
         poly = (vertical_term(params, k) * g
                 + HALF * (c1 * g1 + c2 * g2) - HALF * (s1sq * g11 + s2sq * g22)
                 + (m - 2) * (c1 * g1 + c2 * g2))
-        acc = RationalFn.from_poly(poly)
-        acc = acc + RationalFn(2 * c1 * s1sq * g1 - 2 * c2 * s2sq * g2, split)
         neighbours = MultiPoly.zero(C_VARS)
         if up:
             neighbours = neighbours + up * comps[k + 1]
         if down:
             neighbours = neighbours + down * comps[k - 1]
-        acc = acc + RationalFn(stay_num * (up + down) * g - hop_num * neighbours,
-                               split2)
-        acc = acc + RationalFn((2 * c1 * c1 - one) * g1, 2 * c1)
-        acc = acc + RationalFn((2 * c2 * c2 - one) * g2, 2 * c2)
-        acc = acc + RationalFn(Fraction((a + b - k) ** 2) * g, 2 * c1 * c1)
-        acc = acc + RationalFn(Fraction((b + k) ** 2) * g, 2 * c2 * c2)
-        out.append(acc)
-    return tuple(out)
-
-
-def radial_apply_poly(params: PairParams, comps) -> tuple[MultiPoly, ...]:
-    """radial_apply plus the assertion that every denominator cancels."""
-    out = []
-    for k, r in enumerate(radial_apply(params, comps)):
-        try:
-            out.append(r.as_poly())
-        except ValueError as exc:
+        num = (denom * poly
+               + to_split * (2 * c1 * s1sq * g1 - 2 * c2 * s2sq * g2)
+               + to_split2 * (stay_num * (up + down) * g - hop_num * neighbours)
+               + to_c1 * (2 * c1 * c1 - one) * g1
+               + to_c2 * (2 * c2 * c2 - one) * g2
+               + to_c1sq * Fraction((a + b - k) ** 2) * g
+               + to_c2sq * Fraction((b + k) ** 2) * g)
+        q = num.divide_exact(denom)
+        if q is None:
             raise ValueError(
                 f"non-polynomial residue in component {k}: the input is "
-                f"outside the eigenfunction span ({exc})") from None
+                f"outside the eigenfunction span")
+        out.append(q)
     return tuple(out)
 
 
@@ -179,8 +182,8 @@ def scalar_eigen_check(m: int) -> CheckResult:
     params = PairParams(m, 0, 0)
     pc = psi_in_c()
     f1, f2 = pc["psi1"], pc["psi2"]
-    got1 = radial_apply_poly(params, [f1])[0]
-    got2 = radial_apply_poly(params, [f2])[0]
+    got1 = radial_apply(params, [f1])[0]
+    got2 = radial_apply(params, [f2])[0]
     want1 = (2 * m + 4) * f1 - 8
     want2 = (4 * m + 4) * f2 - 2 * f1
     bad = []
@@ -198,7 +201,7 @@ def bottom_lowering_check(params: PairParams) -> CheckResult:
     drop to i-1 with coefficient -2i(b+i)."""
     name = f"bottom lowering identity {params.tag()}"
     for i in range(params.size):
-        got = radial_apply_poly(params, bottom_vector(params, i))
+        got = radial_apply(params, bottom_vector(params, i))
         c_i = casimir_eigenvalue(params, MsfLabel(i, 0, 0))
         row = bottom_vector(params, i)
         prev = bottom_vector(params, i - 1) if i else None
@@ -219,7 +222,7 @@ def general_lowering_check(params: PairParams, dmax: int) -> CheckResult:
     name = f"triangular recursion table {params.tag()} dmax={dmax}"
     count = 0
     for label in labels_up_to(params, dmax):
-        got = radial_apply_poly(params, label_vector(params, label))
+        got = radial_apply(params, label_vector(params, label))
         c_top = casimir_eigenvalue(params, label)
         want = [c_top * g for g in label_vector(params, label)]
         for target, coeff in lowering_moves(params, label).items():
@@ -300,7 +303,7 @@ def scalar_radial_agreement_check(m: int, deg: int = 3) -> CheckResult:
         for v in range(deg + 1 - u):
             mono = MultiPoly.monomial(PSI_VARS, (u, v))
             via_psi = op.apply_scalar(mono).substitute(pc, C_VARS)
-            via_c = radial_apply_poly(params, [pc["psi1"] ** u * pc["psi2"] ** v])[0]
+            via_c = radial_apply(params, [pc["psi1"] ** u * pc["psi2"] ** v])[0]
             if via_psi != via_c:
                 return CheckResult(name, FAIL,
                                    f"monomial ({u},{v}): residual {via_c - via_psi}")
@@ -331,10 +334,9 @@ def conjugation_matrices(params: PairParams) -> tuple[PolyMatrix, PolyMatrix]:
     c1m = PolyMatrix.from_rows(rows1)
     c2m = PolyMatrix.from_rows(rows2)
     for r in range(n):       # shared off-diagonals, by construction
-        if r > 0:
-            assert c1m.entry(r, r - 1) == c2m.entry(r, r - 1)
-        if r < n - 1:
-            assert c1m.entry(r, r + 1) == c2m.entry(r, r + 1)
+        for s in (r - 1, r + 1):
+            if 0 <= s < n and c1m.entry(r, s) != c2m.entry(r, s):
+                raise AssertionError(f"C1 and C2 differ off the diagonal at ({r},{s})")
     return c1m, c2m
 
 
@@ -357,13 +359,6 @@ def gradient_pairing_check(params: PairParams) -> CheckResult:
     return CheckResult(name, PASS)
 
 
-def lambda0_matrix(params: PairParams, vars: tuple[str, str]) -> PolyMatrix:
-    diag = [casimir_eigenvalue(params, MsfLabel(r, 0, 0)) for r in range(params.size)]
-    return PolyMatrix.from_scalar_rows(
-        vars, [[diag[r] if r == s else Fraction(0) for s in range(params.size)]
-               for r in range(params.size)])
-
-
 def shift_matrix(params: PairParams, vars: tuple[str, str]) -> PolyMatrix:
     n, b = params.size, params.b
     rows = [[Fraction(0)] * n for _ in range(n)]
@@ -376,9 +371,7 @@ def lambda_d_matrix(params: PairParams, d: tuple[int, int],
                     vars: tuple[str, str]) -> PolyMatrix:
     diag = [casimir_eigenvalue(params, MsfLabel(i, d[0], d[1]))
             for i in range(params.size)]
-    return PolyMatrix.from_scalar_rows(
-        vars, [[diag[r] if r == s else Fraction(0) for s in range(params.size)]
-               for r in range(params.size)])
+    return PolyMatrix.diagonal(vars, diag)
 
 
 @lru_cache(maxsize=None)
@@ -392,7 +385,8 @@ def pde_operator_psi(params: PairParams) -> MatrixDiffOp:
     first = MatrixDiffOp(PSI_VARS, {
         (1, 0): c1m.scale(Fraction(-1)),
         (0, 1): c2m.scale(Fraction(-1)),
-        (0, 0): lambda0_matrix(params, PSI_VARS) + shift_matrix(params, PSI_VARS),
+        (0, 0): (lambda_d_matrix(params, (0, 0), PSI_VARS)
+                 + shift_matrix(params, PSI_VARS)),
     })
     return scalar_radial_psi(params.m).lift(n) + first
 
@@ -463,7 +457,8 @@ def pde_operator_x(params: PairParams) -> MatrixDiffOp:
     first = MatrixDiffOp(X_VARS, {
         (1, 0): fam.cmu1.scale(Fraction(-1)),
         (0, 1): fam.cmu2.scale(Fraction(-1)),
-        (0, 0): lambda0_matrix(params, X_VARS) + shift_matrix(params, X_VARS),
+        (0, 0): (lambda_d_matrix(params, (0, 0), X_VARS)
+                 + shift_matrix(params, X_VARS)),
     })
     return fam.r0_x.lift(n) + first
 

@@ -11,9 +11,10 @@ monomial order, JSON keys are sorted, and CSV floats use the shortest
 round-trip representation, so identical invocations give identical bytes.
 
 Exit codes: 0 when no check FAILs (REPORTED discrepancies do not fail a
-run), 1 when at least one identity check fails, 2 for parameter errors.
-The only environment variable consulted is BC2MVOP_THREADS, the worker
-count for independent suite jobs.
+run), 1 when at least one identity check fails, 2 for parameter errors,
+including degenerate `verify` input such as a negative --dmax or --N, an
+empty --p list, or a selection that runs no check.  Suite jobs run
+serially, and no environment variable is read.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import casimir, expansion, leading, orthogonality
@@ -83,16 +82,6 @@ def _grid(ms: list[int], as_: list[int], bs: list[int]) -> list[PairParams]:
     return [_construction_params(m, a, b) for m in ms for a in as_ for b in bs]
 
 
-def _run_jobs(jobs):
-    workers = int(os.environ.get("BC2MVOP_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            chunks = list(ex.map(lambda job: job(), jobs))
-    else:
-        chunks = [job() for job in jobs]
-    return [r for chunk in chunks for r in chunk]
-
-
 def _write(text: str, out: str | None):
     if not text.endswith("\n"):
         text += "\n"
@@ -144,9 +133,26 @@ def _verify_jobs(args, grid: list[PairParams]):
     return jobs
 
 
+def _check_verify_args(args):
+    """Refuse input that would crash a suite or pass it vacuously."""
+    if args.dmax < 0:
+        raise ValueError(f"--dmax {args.dmax} must be non-negative")
+    if args.N is not None and args.N < 0:
+        raise ValueError(f"--N {args.N} must be non-negative")
+    if args.p is not None:
+        if not args.p:
+            raise ValueError("--p needs at least one Krawtchouk parameter")
+        for p in args.p:
+            if not 0 < p < 1:
+                raise ValueError(f"--p {p}: Krawtchouk parameters need 0 < p < 1")
+
+
 def _cmd_verify(args) -> int:
+    _check_verify_args(args)
     grid = _grid(args.m, args.a, args.b)
-    results = _run_jobs(_verify_jobs(args, grid))
+    results = [r for job in _verify_jobs(args, grid) for r in job()]
+    if not results:
+        raise ValueError("the selection runs no check")
     text = render_json(results) if args.format == "json" else render_text(results)
     _write(text, args.out)
     return exit_code(results)

@@ -1,9 +1,8 @@
 """Second-order matrix differential operators in two variables.
 
 An operator is a finite sum over derivative multi-indices
-(0,0),(1,0),(0,1),(2,0),(1,1),(0,2) of coefficient matrices. With
-side="right" (the only side used in this project) the action on a matrix
-function F is
+(0,0),(1,0),(0,1),(2,0),(1,1),(0,2) of coefficient matrices. Operators act
+on the right only: the action on a matrix function F is
 
     D(F) = sum_idx  (d^idx F) @ coeff[idx],
 
@@ -22,15 +21,13 @@ ALLOWED_IDX = frozenset({(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)})
 
 
 class MatrixDiffOp:
-    __slots__ = ("vars", "size", "side", "coeffs")
+    __slots__ = ("vars", "size", "coeffs")
 
-    def __init__(self, vars: tuple[str, str], coeffs: Mapping[tuple[int, int], PolyMatrix],
-                 side: str = "right"):
+    def __init__(self, vars: tuple[str, str],
+                 coeffs: Mapping[tuple[int, int], PolyMatrix]):
         vars = tuple(vars)
         if len(vars) != 2:
             raise ValueError("operators act in exactly two variables")
-        if side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
         clean: dict[tuple[int, int], PolyMatrix] = {}
         size = None
         for idx, mat in coeffs.items():
@@ -51,7 +48,6 @@ class MatrixDiffOp:
             raise ValueError("operator needs at least one coefficient to fix its size")
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "size", size)
-        object.__setattr__(self, "side", side)
         object.__setattr__(self, "coeffs", clean)
 
     def __setattr__(self, *a):
@@ -79,17 +75,17 @@ class MatrixDiffOp:
             out[idx] = PolyMatrix.identity(n, self.vars).scale(p)
         if not out:
             out[(0, 0)] = PolyMatrix.zeros(n, n, self.vars)
-        return MatrixDiffOp(self.vars, out, self.side)
+        return MatrixDiffOp(self.vars, out)
 
     def __add__(self, other: "MatrixDiffOp") -> "MatrixDiffOp":
-        if self.vars != other.vars or self.size != other.size or self.side != other.side:
+        if self.vars != other.vars or self.size != other.size:
             raise ValueError("incompatible operators")
         out = dict(self.coeffs)
         for idx, mat in other.coeffs.items():
             out[idx] = out[idx] + mat if idx in out else mat
         if not out:
             out[(0, 0)] = PolyMatrix.zeros(self.size, self.size, self.vars)
-        return MatrixDiffOp(self.vars, out, self.side)
+        return MatrixDiffOp(self.vars, out)
 
     def __sub__(self, other: "MatrixDiffOp") -> "MatrixDiffOp":
         return self + other.scale(Fraction(-1))
@@ -98,22 +94,16 @@ class MatrixDiffOp:
         out = {idx: mat.scale(c) for idx, mat in self.coeffs.items()}
         if not out:
             out[(0, 0)] = PolyMatrix.zeros(self.size, self.size, self.vars)
-        return MatrixDiffOp(self.vars, out, self.side)
-
-    def with_added_zero_order(self, mat: PolyMatrix) -> "MatrixDiffOp":
-        out = dict(self.coeffs)
-        out[(0, 0)] = out[(0, 0)] + mat if (0, 0) in out else mat
-        return MatrixDiffOp(self.vars, out, self.side)
+        return MatrixDiffOp(self.vars, out)
 
     def __eq__(self, other):
         if not isinstance(other, MatrixDiffOp):
             return NotImplemented
         return (self.vars == other.vars and self.size == other.size
-                and self.side == other.side and self.coeffs == other.coeffs)
+                and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.vars, self.size, self.side,
-                     frozenset(self.coeffs.items())))
+        return hash((self.vars, self.size, frozenset(self.coeffs.items())))
 
     # ---- action ----
 
@@ -129,16 +119,12 @@ class MatrixDiffOp:
     def apply(self, F: PolyMatrix) -> PolyMatrix:
         if F.vars != self.vars:
             raise VariableMismatch(f"function vars {F.vars} != operator vars {self.vars}")
-        if self.side == "right":
-            if F.cols != self.size:
-                raise ValueError(f"F has {F.cols} columns, operator size {self.size}")
-        else:
-            if F.rows != self.size:
-                raise ValueError(f"F has {F.rows} rows, operator size {self.size}")
+        if F.cols != self.size:
+            raise ValueError(f"F has {F.cols} columns, operator size {self.size}")
         acc = PolyMatrix.zeros(F.rows, F.cols, self.vars)
         for idx, mat in self.coeffs.items():
             dF = self._derive(F, idx)
-            acc = acc + (dF @ mat if self.side == "right" else mat @ dF)
+            acc = acc + dF @ mat
         return acc
 
     def apply_scalar(self, f: MultiPoly) -> MultiPoly:
@@ -190,4 +176,4 @@ class MatrixDiffOp:
                 out[new_idx] = out[new_idx] + piece if new_idx in out else piece
         if not out:
             out[(0, 0)] = PolyMatrix.zeros(self.size, self.size, new_vars)
-        return MatrixDiffOp(new_vars, out, self.side)
+        return MatrixDiffOp(new_vars, out)

@@ -181,11 +181,14 @@ def phi_expansion(params: PairParams, label: MsfLabel) -> dict[MsfLabel, Fractio
                 c_of[tgt] = casimir_eigenvalue(params, tgt)
                 todo.append(tgt)
             # the recursion must strictly lower both orders
-            assert c_of[tgt] < c_of[lab], (lab, tgt)
-            assert dominance_leq(label_weight(params, tgt),
-                                 label_weight(params, lab)), (lab, tgt)
+            if not c_of[tgt] < c_of[lab]:
+                raise AssertionError(f"move {lab} -> {tgt} does not lower the eigenvalue")
+            if not dominance_leq(label_weight(params, tgt),
+                                 label_weight(params, lab)):
+                raise AssertionError(f"move {lab} -> {tgt} does not lower the weight")
     order = sorted(c_of, key=lambda t: (-c_of[t], t.i, t.d1, t.d2))
-    assert order[0] == label and (len(order) == 1 or c_of[order[1]] < c_of[label])
+    if order[0] != label or (len(order) > 1 and c_of[order[1]] >= c_of[label]):
+        raise AssertionError(f"{label} is not the unique top of its expansion")
     e: dict[MsfLabel, Fraction] = {}
     acc: dict[MsfLabel, Fraction] = {}
     c_top = c_of[label]
@@ -194,15 +197,18 @@ def phi_expansion(params: PairParams, label: MsfLabel) -> dict[MsfLabel, Fractio
             e[lab] = Fraction(1)
         else:
             gap = c_top - c_of[lab]
-            assert gap > 0
+            if gap <= 0:
+                raise AssertionError(f"eigenvalue gap {gap} at {lab} is not positive")
             e[lab] = acc.pop(lab, Fraction(0)) / gap
         if e[lab] == 0:
             continue
         for tgt, coeff in moves[lab].items():
             acc[tgt] = acc.get(tgt, Fraction(0)) + e[lab] * coeff
-    assert not acc
+    if acc:
+        raise AssertionError(f"mass left on labels outside the order: {list(acc)}")
     total = sum(c * Fraction(2) ** lab.d1 for lab, c in e.items())
-    assert total != 0
+    if total == 0:
+        raise AssertionError(f"expansion of {label} vanishes at the identity point")
     return {lab: c / total for lab, c in e.items() if c != 0}
 
 
@@ -331,8 +337,7 @@ def pde_suite(params: PairParams, dmax: int = 2) -> list[CheckResult]:
 
 def _conjugate_op(op: MatrixDiffOp) -> MatrixDiffOp:
     return MatrixDiffOp(op.vars,
-                        {idx: conjugate_flip(mat) for idx, mat in op.coeffs.items()},
-                        op.side)
+                        {idx: conjugate_flip(mat) for idx, mat in op.coeffs.items()})
 
 
 def dual_bottom_check(params: PairParams) -> CheckResult:
@@ -376,9 +381,7 @@ def dual_pde_check(params: PairParams, dmax: int) -> CheckResult:
             diag = [casimir_eigenvalue_ip(label_weight(dual_params,
                                                        MsfLabel(i, d1, d2)))
                     for i in range(n)]
-            lam = PolyMatrix.from_scalar_rows(
-                PSI_VARS, [[diag[r] if r == s else Fraction(0)
-                            for s in range(n)] for r in range(n)])
+            lam = PolyMatrix.diagonal(PSI_VARS, diag)
             if op.apply(P) != lam @ P:
                 return CheckResult(name, FAIL, f"d=({d1},{d2})")
     return CheckResult(name, PASS)

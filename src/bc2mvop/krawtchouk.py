@@ -1,11 +1,10 @@
-r"""Krawtchouk polynomials with exact rational or symbolic parameter.
+r"""Krawtchouk polynomials with exact rational parameter.
 
 K_n(x; p, N) is evaluated by its terminating hypergeometric sum
 
     K_n(x;p,N) = sum_{k=0}^{min(n,x)} (-n)_k (-x)_k / (k! (-N)_k) p^{-k},
 
-never by recurrence: in the application p is itself a rational function,
-and the finite sum is the form that clears denominators.
+never by recurrence: the finite sum is the form the leading terms take.
 """
 
 from __future__ import annotations
@@ -13,36 +12,28 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .poly import MultiPoly, RationalFn
+from .poly import MultiPoly
 from .report import CheckResult, FAIL, PASS
 
 
 def poch(x, k: int):
     """Rising factorial x (x+1) ... (x+k-1)."""
-    out = Fraction(1) if isinstance(x, (int, Fraction)) else x ** 0
+    out = Fraction(1)
     for j in range(k):
         out = out * (x + j)
     return out
 
 
-def krawtchouk(n: int, x: int, N: int, p) -> Fraction | RationalFn:
-    """Exact K_n(x; p, N); p may be a Fraction or a RationalFn."""
+def krawtchouk(n: int, x: int, N: int, p: Fraction) -> Fraction:
+    """Exact K_n(x; p, N) at a rational parameter p."""
     if not (0 <= n <= N and 0 <= x <= N):
         raise ValueError(f"indices (n,x)=({n},{x}) out of range 0..{N}")
-    if isinstance(p, (int, Fraction)):
-        p = Fraction(p)
-        if p == 0:
-            raise ZeroDivisionError("p must be nonzero")
-        inv_p = Fraction(1) / p
-        acc = Fraction(0)
-    elif isinstance(p, RationalFn):
-        if p.is_zero:
-            raise ZeroDivisionError("p must be nonzero")
-        inv_p = p.reciprocal()
-        acc = RationalFn.const(p.vars, 0)
-    else:
-        raise TypeError(f"unsupported parameter type {type(p)!r}")
-    ppow = inv_p ** 0
+    p = Fraction(p)
+    if p == 0:
+        raise ZeroDivisionError("p must be nonzero")
+    inv_p = Fraction(1) / p
+    acc = Fraction(0)
+    ppow = Fraction(1)
     for k in range(min(n, x) + 1):
         c = poch(Fraction(-n), k) * poch(Fraction(-x), k) \
             / (factorial(k) * poch(Fraction(-N), k))

@@ -28,7 +28,7 @@ from math import comb, factorial
 from .krawtchouk import krawtchouk, poch
 from .lie import PairParams
 from .matrices import PolyMatrix, flip_matrix
-from .poly import MultiPoly, RationalFn, symmetric_reduce
+from .poly import MultiPoly, symmetric_reduce
 from .report import CheckResult, FAIL, PASS
 
 C_VARS = ("c1", "c2")
@@ -251,25 +251,30 @@ def homogeneity_check(params: PairParams) -> CheckResult:
 def krawtchouk_route_check(params: PairParams) -> CheckResult:
     """Second route to q(i,k): a Krawtchouk value with rational parameter.
 
-    q(i,k) = c1^(a+b-k) c2^(b+2i+k) K_i(k; p, a) at p = c2^2/(c2^2 - c1^2),
-    computed through the rational-function arithmetic rather than by direct
-    polynomial accumulation.
+    q(i,k) = c1^(a+b-k) c2^(b+2i+k) K_i(k; p, a) at p = c2^2/(c2^2 - c1^2).
+    Both routes give polynomials homogeneous of degree a+2b+2i, so they are
+    equal once they agree at c2 = 1 as polynomials in c1.  There
+    p = 1/(1 - c1^2) and the Krawtchouk route has c1-degree
+    a+b-k+2 min(i,k); with D the larger c1-degree of the two routes,
+    agreement at c1 = 2, 3, ..., D+2 is an exact identity.  The Krawtchouk
+    value is taken at Fraction parameters, never expanded as a polynomial.
     """
     name = f"leading term hypergeometric route {params.tag()}"
     a, b = params.a, params.b
-    c1 = MultiPoly.var(C_VARS, "c1")
-    c2 = MultiPoly.var(C_VARS, "c2")
-    p = RationalFn(c2 * c2, c2 * c2 - c1 * c1)
+    one = Fraction(1)
     for i in range(a + 1):
         for k in range(a + 1):
-            via = krawtchouk(i, k, a, p) * (c1 ** (a + b - k)) * (c2 ** (b + 2 * i + k))
-            try:
-                via_poly = via.as_poly()
-            except ValueError:
+            q = leading_term(params, i, k)
+            deg = a + 2 * b + 2 * i
+            if any(e1 + e2 != deg for e1, e2 in q.terms):
                 return CheckResult(
-                    name, FAIL, f"entry ({i},{k}): denominator did not clear")
-            if via_poly != leading_term(params, i, k):
-                return CheckResult(name, FAIL, f"routes disagree at entry ({i},{k})")
+                    name, FAIL, f"entry ({i},{k}) is not homogeneous of degree {deg}")
+            D = max([a + b - k + 2 * min(i, k)] + [e1 for e1, _ in q.terms])
+            for t in range(2, D + 3):
+                via = t ** (a + b - k) * krawtchouk(i, k, a, one / (1 - t * t))
+                if via != q.evaluate({"c1": Fraction(t), "c2": one}):
+                    return CheckResult(
+                        name, FAIL, f"routes disagree at entry ({i},{k}), c1={t}")
     return CheckResult(name, PASS)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .matrices import solve_exact
+from .matrices import solve_linear
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,7 @@ def root_coordinates(w: Weight) -> list[Fraction] | None:
     cols = _cartan_columns(m)
     n = m + 1
     A = [[Fraction(cols[j][i]) for j in range(n)] for i in range(n)]
-    return solve_exact(A, [Fraction(x) for x in w.omega])
+    return solve_linear(A, [Fraction(x) for x in w.omega])
 
 
 def dominance_leq(w1: Weight, w2: Weight) -> bool:
@@ -249,7 +249,8 @@ def weyl_dim(w: Weight) -> int:
             num *= lam[i] - lam[j] + j - i
             den *= j - i
     dim, r = divmod(num, den)
-    assert r == 0 and dim > 0, "Weyl dimension must be a positive integer"
+    if r or dim <= 0:
+        raise AssertionError(f"Weyl dimension {num}/{den} is not a positive integer")
     return dim
 
 

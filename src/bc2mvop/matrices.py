@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .poly import MultiPoly, VariableMismatch, rat_from_str, rat_to_str
+from .poly import MultiPoly, VariableMismatch
 
 
 class PolyMatrix:
@@ -53,10 +53,15 @@ class PolyMatrix:
         return cls(rows, cols, [z] * (rows * cols))
 
     @classmethod
-    def identity(cls, n: int, vars: tuple[str, ...]) -> "PolyMatrix":
+    def diagonal(cls, vars: tuple[str, ...], diag: Sequence[Fraction]) -> "PolyMatrix":
+        n = len(diag)
         z = MultiPoly.zero(vars)
-        o = MultiPoly.one(vars)
-        return cls(n, n, [o if i == j else z for i in range(n) for j in range(n)])
+        return cls(n, n, [MultiPoly.const(vars, diag[i]) if i == j else z
+                          for i in range(n) for j in range(n)])
+
+    @classmethod
+    def identity(cls, n: int, vars: tuple[str, ...]) -> "PolyMatrix":
+        return cls.diagonal(vars, [1] * n)
 
     # ---- access ----
 
@@ -199,8 +204,6 @@ def conjugate_flip(mat: PolyMatrix) -> PolyMatrix:
 # ---------------------------------------------------------------------------
 # Dense exact linear algebra on plain Fraction matrices (lists of lists).
 
-FracMatrix = list
-
 
 def frac_identity(n: int) -> list[list[Fraction]]:
     return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
@@ -208,7 +211,8 @@ def frac_identity(n: int) -> list[list[Fraction]]:
 def frac_matmul(A: Sequence[Sequence[Fraction]],
                 B: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     n, k, m = len(A), len(B), len(B[0])
-    assert len(A[0]) == k
+    if len(A[0]) != k:
+        raise ValueError(f"cannot multiply {n}x{len(A[0])} by {k}x{m}")
     return [[sum((A[i][t] * B[t][j] for t in range(k)), Fraction(0))
              for j in range(m)] for i in range(n)]
 
@@ -250,22 +254,6 @@ def nullspace_dim(A: Sequence[Sequence[Fraction]], ncols: int | None = None) -> 
         return ncols or 0
     n = ncols if ncols is not None else len(A[0])
     return n - frac_rank(A)
-
-
-def solve_exact(A: Sequence[Sequence[Fraction]],
-                b: Sequence[Fraction]) -> list[Fraction] | None:
-    """Unique solution of a square system, or None if singular."""
-    n = len(A)
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(A)]
-    M, pivots = _eliminate(aug)
-    if pivots and pivots[-1] == n:  # pivot in the constant column
-        return None
-    if len(pivots) < n:
-        return None
-    x = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        x[c] = M[r][n]
-    return x
 
 
 def solve_linear(A: Sequence[Sequence[Fraction]],

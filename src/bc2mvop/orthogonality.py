@@ -21,7 +21,7 @@ from .expansion import poly_matrix_x
 from .leading import (C_VARS, X_VARS, weight_matrix_c, weight_matrix_x,
                       det_reference_c, x_in_c)
 from .lie import MsfLabel, PairParams, label_weight, weyl_dim
-from .matrices import PolyMatrix, nullspace_dim
+from .matrices import PolyMatrix, frac_det, nullspace_dim
 from .poly import MultiPoly
 from .report import CheckResult, FAIL, PASS, REPORTED
 
@@ -223,7 +223,7 @@ def positivity_check(params: PairParams) -> CheckResult:
         point = {"c1": v1, "c2": v2}
         vals = s.evaluate(point)
         for k in range(1, n + 1):
-            minor = _det_frac([row[:k] for row in vals[:k]])
+            minor = frac_det([row[:k] for row in vals[:k]])
             if minor <= 0:
                 return CheckResult(name, FAIL,
                                    f"minor {k} at c=({v1},{v2}) is {minor}")
@@ -241,17 +241,6 @@ def positivity_check(params: PairParams) -> CheckResult:
             return CheckResult(name, FAIL, f"determinant {online} on c2=0")
         detail += " and on the c2=0 line"
     return CheckResult(name, PASS, detail)
-
-
-def _det_frac(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = Fraction(0)
-    for j in range(n):
-        sub = [r[:j] + r[j + 1:] for r in rows[1:]]
-        acc += (-1) ** j * rows[0][j] * _det_frac(sub)
-    return acc
 
 
 def indecomposability_check(params: PairParams) -> tuple[int, int]:

@@ -1,4 +1,4 @@
-"""Exact multivariate polynomials and rational functions over Q.
+"""Exact multivariate polynomials over Q.
 
 Every polynomial carries a fixed tuple of variable names. Arithmetic
 between polynomials over different variable tuples raises instead of
@@ -12,10 +12,7 @@ denominator, arbitrary precision.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Mapping
-
-Rational = Fraction
 
 
 def rat_from_str(s: str) -> Fraction:
@@ -108,16 +105,6 @@ class MultiPoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, name: str) -> int:
-        i = self._index(name)
-        if not self.terms:
-            return -1
-        return max(e[i] for e in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in descending graded-lex order (the canonical order)."""
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
@@ -130,17 +117,6 @@ class MultiPoly:
 
     def coefficient(self, exp: Iterable[int]) -> Fraction:
         return self.terms.get(tuple(exp), Fraction(0))
-
-    def content(self) -> Fraction:
-        """Positive rational c with self/c having coprime integer coefficients."""
-        if not self.terms:
-            return Fraction(1)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
 
     def _index(self, name: str) -> int:
         try:
@@ -282,11 +258,6 @@ class MultiPoly:
             acc = acc + term
         return acc
 
-    def rename_vars(self, new_vars: tuple[str, ...]) -> "MultiPoly":
-        if len(new_vars) != len(self.vars):
-            raise VariableMismatch("arity change in rename")
-        return MultiPoly(tuple(new_vars), self.terms)
-
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         missing = [v for v in self.vars if v not in point]
         if missing:
@@ -404,168 +375,3 @@ def symmetric_reduce(p: MultiPoly, out_vars: tuple[str, str]) -> MultiPoly:
         rem = rem - c * (e1p ** (alpha - beta)) * (e2p ** beta)
     result = MultiPoly(tuple(out_vars), out)
     return result
-
-
-class RationalFn:
-    """Quotient of two MultiPoly over the same variables.
-
-    Normalization: zero has denominator 1; constant denominators fold into
-    the numerator; an exact polynomial quotient is taken when possible; the
-    denominator is scaled to content 1 with positive leading coefficient.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: MultiPoly, den: MultiPoly):
-        num._check(den)
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        num, den = self._strip_monomial(num, den)
-        if num.is_zero:
-            den = MultiPoly.one(num.vars)
-        elif den.is_constant():
-            num = num / den.constant_value()
-            den = MultiPoly.one(num.vars)
-        else:
-            q = num.divide_exact(den)
-            if q is not None:
-                num = q
-                den = MultiPoly.one(num.vars)
-            else:
-                _, lead = den.leading()
-                scale = den.content()
-                if lead < 0:
-                    scale = -scale
-                den = den / scale
-                num = num / scale
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RationalFn is immutable")
-
-    @staticmethod
-    def _strip_monomial(num: MultiPoly, den: MultiPoly):
-        # remove the common monomial factor, cheap and frequent here
-        if num.is_zero:
-            return num, den
-        n = len(num.vars)
-        mins = [min(min(e[i] for e in num.terms), min(e[i] for e in den.terms))
-                for i in range(n)]
-        if not any(mins):
-            return num, den
-        shift = lambda terms: {tuple(e[i] - mins[i] for i in range(n)): c
-                               for e, c in terms.items()}
-        return (MultiPoly(num.vars, shift(num.terms)),
-                MultiPoly(den.vars, shift(den.terms)))
-
-    @classmethod
-    def from_poly(cls, p: MultiPoly) -> "RationalFn":
-        return cls(p, MultiPoly.one(p.vars))
-
-    @classmethod
-    def const(cls, vars: tuple[str, ...], c) -> "RationalFn":
-        return cls.from_poly(MultiPoly.const(vars, c))
-
-    @property
-    def vars(self):
-        return self.num.vars
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def _coerce(self, other) -> "RationalFn | None":
-        if isinstance(other, RationalFn):
-            return other
-        if isinstance(other, MultiPoly):
-            return RationalFn.from_poly(other)
-        if isinstance(other, (int, Fraction)):
-            return RationalFn.const(self.vars, other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.den == o.den:
-            return RationalFn(self.num + o.num, self.den)
-        return RationalFn(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFn(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFn(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFn(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return RationalFn(self.den, self.num) ** (-n)
-        return RationalFn(self.num ** n, self.den ** n)
-
-    def reciprocal(self) -> "RationalFn":
-        return RationalFn(self.den, self.num)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self.num * o.den - o.num * self.den).is_zero
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def as_poly(self) -> MultiPoly:
-        """The polynomial this represents; raises if the denominator
-        does not cancel."""
-        if self.den.is_constant():
-            return self.num / self.den.constant_value()
-        q = self.num.divide_exact(self.den)
-        if q is None:
-            raise ValueError(
-                f"denominator does not cancel: ({self.num}) / ({self.den})")
-        return q
-
-    def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
-        d = self.den.evaluate(point)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at the point")
-        return self.num.evaluate(point) / d
-
-    def __str__(self):
-        if self.den == MultiPoly.one(self.vars):
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-    def __repr__(self):
-        return f"RationalFn({self})"

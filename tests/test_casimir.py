@@ -9,7 +9,7 @@ from bc2mvop.casimir import (bottom_lowering_check, casimir_suite,
                              full_transform_check, general_lowering_check,
                              gradient_pairing_check, lowering_moves,
                              lowering_moves_reference, r0_transform_check,
-                             radial_apply_poly, reference_table_comparison,
+                             radial_apply, reference_table_comparison,
                              scalar_eigen_check, scalar_eigenpoly,
                              scalar_radial_agreement_check, scalar_radial_psi,
                              vertical_term, x_operator_family, xi_constants,
@@ -91,12 +91,16 @@ def test_radial_apply_is_linear_in_components():
     p = PairParams(3, 1, 0)
     v0 = bottom_vector(p, 0)
     v1 = bottom_vector(p, 1)
-    a = radial_apply_poly(p, v0)
-    b = radial_apply_poly(p, v1)
-    both = radial_apply_poly(p, tuple(x + y for x, y in zip(v0, v1)))
+    a = radial_apply(p, v0)
+    b = radial_apply(p, v1)
+    both = radial_apply(p, tuple(x + y for x, y in zip(v0, v1)))
     assert all(x + y == z for x, y, z in zip(a, b, both))
     with pytest.raises(ValueError):
-        radial_apply_poly(p, (MultiPoly.zero(C_VARS),))
+        radial_apply(p, (MultiPoly.zero(C_VARS),))
+    # c1 alone is outside the eigenfunction span: the denominators stay
+    c1 = MultiPoly.var(C_VARS, "c1")
+    with pytest.raises(ValueError, match="outside the eigenfunction span"):
+        radial_apply(p, (c1, MultiPoly.zero(C_VARS)))
 
 
 def test_operator_transform_checks():

@@ -1,7 +1,6 @@
 """Command-line interface: exit codes, payloads, determinism."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -60,6 +59,31 @@ def test_verify_json_format(capsys):
     assert payload["summary"]["fail"] == 0
     assert payload["summary"]["pass"] == 12
     assert all("identity" in r for r in payload["results"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "orthogonality", "--dmax", "-1"],
+    ["verify", "casimir", "--dmax", "-1"],
+    ["verify", "pde", "--dmax", "-1"],
+    ["verify", "krawtchouk", "--N", "-1"],
+    ["verify", "krawtchouk", "--p", ","],
+    ["verify", "krawtchouk", "--p", "0"],
+], ids=["orthogonality-dmax", "casimir-dmax", "pde-dmax", "krawtchouk-N",
+        "empty-p", "zero-p"])
+def test_verify_degenerate_input_is_parameter_error(argv, capsys):
+    code, out, err = run_cli(argv + ["--m", "3", "--a", "0", "--b", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parameter error:")
+
+
+def test_verify_run_without_checks_is_parameter_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_verify_jobs", lambda args, grid: [])
+    code, out, err = run_cli(["verify", "weight", "--m", "3", "--a", "0",
+                              "--b", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parameter error:") and "no check" in err
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):
@@ -169,15 +193,6 @@ def test_verify_deterministic_bytes(tmp_path, capsys):
     argv = ["verify", "weight", "--m", "3", "--a", "0,1", "--b", "0",
             "--format", "json"]
     code, out1, _ = run_cli(argv, capsys)
-    code2, out2, _ = run_cli(argv, capsys)
-    assert code == code2 == 0
-    assert out1 == out2
-
-
-def test_thread_env_var_does_not_change_output(capsys, monkeypatch):
-    argv = ["verify", "weight", "--m", "3", "--a", "0,1,2", "--b", "0,1"]
-    code, out1, _ = run_cli(argv, capsys)
-    monkeypatch.setenv("BC2MVOP_THREADS", "4")
     code2, out2, _ = run_cli(argv, capsys)
     assert code == code2 == 0
     assert out1 == out2

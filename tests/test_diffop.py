@@ -30,7 +30,7 @@ def test_scalar_op_with_polynomial_coefficient():
 def test_right_side_matrix_action():
     p1, p2 = psi_vars()
     C = PolyMatrix.from_scalar_rows(PV, [[0, 1], [0, 0]])
-    op = MatrixDiffOp(PV, {(1, 0): C}, side="right")
+    op = MatrixDiffOp(PV, {(1, 0): C})
     F_ = PolyMatrix.from_rows([[p1, p2], [p2, p1 * p1]])
     out = op.apply(F_)
     # rows of dF/dpsi1 are pushed into the second column

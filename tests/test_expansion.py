@@ -1,6 +1,11 @@
 """Transition matrices, triangular expansion, matrix polynomials, duality."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +86,42 @@ def test_phi_expansion_degree_zero_reproduces_transition_rows():
                 want = L[i][j]
                 got = coeffs.get(MsfLabel(j, 0, 0), F(0))
                 assert got == want, (params, i, j)
+
+
+def test_phi_expansion_invariants_survive_optimized_mode():
+    # python -O strips bare asserts; a lowering move that raises the
+    # eigenvalue must still stop the expansion
+    script = textwrap.dedent("""
+        import sys
+        from fractions import Fraction
+        from bc2mvop import expansion
+        from bc2mvop.lie import MsfLabel, PairParams
+
+        if not sys.flags.optimize:
+            sys.exit(3)
+        real = expansion.lowering_moves
+
+        def corrupted(params, label):
+            moves = dict(real(params, label))
+            if label == MsfLabel(0, 1, 0):     # a move up, to (0, 2, 0)
+                moves[MsfLabel(0, 2, 0)] = Fraction(1)
+            return moves
+
+        expansion.lowering_moves = corrupted
+        try:
+            expansion.phi_expansion(PairParams(3, 1, 0), MsfLabel(0, 1, 0))
+        except AssertionError as exc:
+            print(exc)
+            sys.exit(0)
+        sys.exit(1)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "does not lower the eigenvalue" in proc.stdout
 
 
 def test_polynomials_have_unit_row_sums_at_identity():

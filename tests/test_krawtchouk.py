@@ -8,7 +8,6 @@ from bc2mvop.krawtchouk import (determinant_check, generating_function_sweep,
                                 krawtchouk, krawtchouk_suite, orthogonality_check,
                                 poch, point_weight, self_duality_check,
                                 squared_norm, standard_suite)
-from bc2mvop.poly import MultiPoly, RationalFn
 
 
 def test_poch():
@@ -56,17 +55,6 @@ def test_determinant_value_by_hand():
     r = determinant_check(1, F(1, 2), F(1), F(1))
     assert r.status == "PASS"
     assert "det^2 = 4" in r.detail
-
-
-def test_rational_parameter_matches_pointwise_evaluation():
-    cv = ("c1", "c2")
-    c1 = MultiPoly.var(cv, "c1")
-    c2 = MultiPoly.var(cv, "c2")
-    p = RationalFn(c2 * c2, c2 * c2 - c1 * c1)
-    val = krawtchouk(2, 2, 4, p)
-    point = {"c1": F(1, 3), "c2": F(1, 2)}
-    p_num = p.evaluate(point)
-    assert val.evaluate(point) == krawtchouk(2, 2, 4, p_num)
 
 
 def test_suite_shapes():

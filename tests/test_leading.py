@@ -4,8 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from bc2mvop import leading
 from bc2mvop.leading import (C_VARS, PSI_VARS, X_VARS, det_reference_c,
-                             leading_term, leading_term_matrix,
+                             krawtchouk_route_check, leading_term,
+                             leading_term_matrix,
                              psi_reference_matrix, weight_matrix_c,
                              weight_matrix_psi, weight_matrix_x, weight_suite,
                              x_in_c, x_in_psi, x_reference_matrix, psi_in_c,
@@ -120,3 +122,32 @@ def test_q0_depends_only_on_a_and_b():
     q3 = leading_term_matrix(PairParams(3, 2, 1))
     q5 = leading_term_matrix(PairParams(5, 2, 1))
     assert q3 == q5
+
+
+def _patch_entry(monkeypatch, entry, change):
+    real = leading.leading_term
+
+    def patched(params, i, k):
+        q = real(params, i, k)
+        return change(q) if (i, k) == entry else q
+    monkeypatch.setattr(leading, "leading_term", patched)
+
+
+def test_krawtchouk_route_catches_one_perturbed_coefficient(monkeypatch):
+    params = PairParams(3, 2, 1)
+    assert krawtchouk_route_check(params).status == "PASS"
+
+    def bump(q):
+        exp, _ = q.leading()
+        return q + MultiPoly.monomial(C_VARS, exp, F(1, 7))
+    _patch_entry(monkeypatch, (1, 2), bump)
+    r = krawtchouk_route_check(params)
+    assert r.status == "FAIL"
+    assert "routes disagree at entry (1,2)" in r.detail
+
+
+def test_krawtchouk_route_fails_a_non_homogeneous_entry(monkeypatch):
+    _patch_entry(monkeypatch, (0, 1), lambda q: q + MultiPoly.one(C_VARS))
+    r = krawtchouk_route_check(PairParams(3, 2, 1))
+    assert r.status == "FAIL"
+    assert "entry (0,1) is not homogeneous" in r.detail

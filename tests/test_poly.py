@@ -1,10 +1,10 @@
-"""Exact multivariate polynomial and rational-function arithmetic."""
+"""Exact multivariate polynomial arithmetic."""
 
 from fractions import Fraction as F
 
 import pytest
 
-from bc2mvop.poly import MultiPoly, RationalFn, VariableMismatch, symmetric_reduce
+from bc2mvop.poly import MultiPoly, VariableMismatch, symmetric_reduce
 
 CV = ("c1", "c2")
 
@@ -99,40 +99,3 @@ def test_json_round_trip_is_canonical():
     assert MultiPoly.from_json(data) == p
     # serialized twice gives identical structures
     assert p.to_json() == data
-
-
-def test_rationalfn_folds_constant_denominator():
-    c1, _ = c_vars()
-    r = RationalFn(2 * c1, MultiPoly.const(CV, 4))
-    assert r.den == MultiPoly.one(CV)
-    assert r.num == F(1, 2) * c1
-
-
-def test_rationalfn_exact_quotient_detected():
-    c1, c2 = c_vars()
-    r = RationalFn(c1 * c1 - c2 * c2, c1 - c2)
-    assert r.as_poly() == c1 + c2
-
-
-def test_rationalfn_as_poly_raises_when_stuck():
-    c1, c2 = c_vars()
-    r = RationalFn(c1, c1 + c2)
-    with pytest.raises(ValueError):
-        r.as_poly()
-
-
-def test_rationalfn_arithmetic():
-    c1, c2 = c_vars()
-    r = RationalFn(c1, c2)
-    assert r + r == RationalFn(2 * c1, c2)
-    assert r * r == RationalFn(c1 * c1, c2 * c2)
-    assert (r / r).as_poly() == MultiPoly.one(CV)
-    s = r.reciprocal()
-    assert (r * s).as_poly() == MultiPoly.one(CV)
-    assert r ** 0 * r == r
-
-
-def test_rationalfn_evaluate():
-    c1, c2 = c_vars()
-    r = RationalFn(c1 + 1, c2)
-    assert r.evaluate({"c1": F(1), "c2": F(4)}) == F(1, 2)
