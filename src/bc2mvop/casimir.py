@@ -10,9 +10,10 @@ Three layers, increasingly packaged:
 2. The scalar operator in (psi1, psi2) valid at a = b = 0, plus the
    tridiagonal first-order matrices C1, C2 that absorb the conjugation by
    the leading-term matrix for general (a, b).
-3. The same family pushed to (x1, x2) by the affine change
-   x1 = 2 psi1 - 2, x2 = 4 psi2 - 2 psi1 + 1, together with stored
-   reference coefficients to compare against.
+3. The x-coordinate family: the affine image of the psi-side operator
+   under x1 = 2 psi1 - 2, x2 = 4 psi2 - 2 psi1 + 1, built by
+   ``MatrixDiffOp.change_vars_affine`` and nowhere else.  The stored
+   reference coefficients in (x1, x2) are compared against that image.
 
 All identities here are verified mechanically; disagreements between our
 construction and a stored reference closed form come out as REPORTED, with
@@ -21,7 +22,6 @@ both sides printed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -135,19 +135,13 @@ def label_vector(params: PairParams, label: MsfLabel) -> tuple[MultiPoly, ...]:
     return tuple(factor * q for q in bottom_vector(params, label.i))
 
 
-def _move_table(params: PairParams, label: MsfLabel, first_repeat: bool):
-    """The seven lowering moves out of a label with their coefficients.
-
-    first_repeat=True uses the stored reference coefficient -2 d1 (d1-1) for
-    the move (d1-2, d2+1); the derived value is -4 d1 (d1-1).  They agree
-    except when d1 >= 2.
-    """
+def lowering_moves(params: PairParams, label: MsfLabel) -> dict[MsfLabel, Fraction]:
+    """The seven lowering moves out of a label with their coefficients."""
     a, b = params.a, params.b
     i, d1, d2 = label.i, label.d1, label.d2
-    repeat = -2 * d1 * (d1 - 1) if first_repeat else -4 * d1 * (d1 - 1)
     raw = [
         ((i, d1 - 1, d2), -2 * d1 * (d1 + 4 * d2 + 3 + a + 2 * b + 2 * i)),
-        ((i, d1 - 2, d2 + 1), repeat),
+        ((i, d1 - 2, d2 + 1), -4 * d1 * (d1 - 1)),
         ((i, d1 + 1, d2 - 1), -2 * d2 * (d2 + b + i)),
         ((i - 1, d1, d2), -2 * i * (b + i + d2)),
         ((i - 1, d1 - 1, d2 + 1), -2 * i * d1),
@@ -166,14 +160,6 @@ def _move_table(params: PairParams, label: MsfLabel, first_repeat: bool):
         key = MsfLabel(ti, td1, td2)
         out[key] = out.get(key, Fraction(0)) + coeff
     return out
-
-
-def lowering_moves(params: PairParams, label: MsfLabel) -> dict[MsfLabel, Fraction]:
-    return _move_table(params, label, first_repeat=False)
-
-
-def lowering_moves_reference(params: PairParams, label: MsfLabel) -> dict[MsfLabel, Fraction]:
-    return _move_table(params, label, first_repeat=True)
 
 
 def scalar_eigen_check(m: int) -> CheckResult:
@@ -247,13 +233,14 @@ def reference_table_comparison(params: PairParams, dmax: int) -> CheckResult:
     name = f"lowering table reference comparison {params.tag()} dmax={dmax}"
     diffs = []
     for label in labels_up_to(params, dmax):
-        ours = lowering_moves(params, label)
-        ref = lowering_moves_reference(params, label)
-        for key in sorted(set(ours) | set(ref), key=lambda t: (t.i, t.d1, t.d2)):
-            o, r = ours.get(key, Fraction(0)), ref.get(key, Fraction(0))
-            if o != r:
-                diffs.append(f"{label}->({key.i},{key.d1},{key.d2}): "
-                             f"derived {o}, reference {r}")
+        if label.d1 < 2:     # no (d1-2, d2+1) move; both coefficients vanish
+            continue
+        key = MsfLabel(label.i, label.d1 - 2, label.d2 + 1)
+        o = lowering_moves(params, label).get(key, Fraction(0))
+        r = Fraction(-2 * label.d1 * (label.d1 - 1))
+        if o != r:
+            diffs.append(f"{label}->({key.i},{key.d1},{key.d2}): "
+                         f"derived {o}, reference {r}")
     if diffs:
         return CheckResult(
             name, REPORTED,
@@ -359,12 +346,12 @@ def gradient_pairing_check(params: PairParams) -> CheckResult:
     return CheckResult(name, PASS)
 
 
-def shift_matrix(params: PairParams, vars: tuple[str, str]) -> PolyMatrix:
+def shift_matrix(params: PairParams) -> PolyMatrix:
     n, b = params.size, params.b
     rows = [[Fraction(0)] * n for _ in range(n)]
     for r in range(1, n):
         rows[r][r - 1] = Fraction(-2 * r * (b + r))
-    return PolyMatrix.from_scalar_rows(vars, rows)
+    return PolyMatrix.from_scalar_rows(PSI_VARS, rows)
 
 
 def lambda_d_matrix(params: PairParams, d: tuple[int, int],
@@ -386,23 +373,9 @@ def pde_operator_psi(params: PairParams) -> MatrixDiffOp:
         (1, 0): c1m.scale(Fraction(-1)),
         (0, 1): c2m.scale(Fraction(-1)),
         (0, 0): (lambda_d_matrix(params, (0, 0), PSI_VARS)
-                 + shift_matrix(params, PSI_VARS)),
+                 + shift_matrix(params)),
     })
     return scalar_radial_psi(params.m).lift(n) + first
-
-
-_PSI_TO_X_JAC = {"psi1": {"x1": Fraction(2), "x2": Fraction(-2)},
-                 "psi2": {"x1": Fraction(0), "x2": Fraction(4)}}
-
-
-@dataclass(frozen=True)
-class XFamily:
-    r0_x: MatrixDiffOp            # scalar operator, transformed
-    cmu1: PolyMatrix              # first-order matrices, transformed
-    cmu2: PolyMatrix
-    r0_x_reference: MatrixDiffOp  # stored reference coefficients
-    cmu1_reference: PolyMatrix
-    cmu2_reference: PolyMatrix
 
 
 @lru_cache(maxsize=None)
@@ -438,36 +411,16 @@ def _cmu_reference(params: PairParams) -> tuple[PolyMatrix, PolyMatrix]:
 
 
 @lru_cache(maxsize=None)
-def x_operator_family(params: PairParams) -> XFamily:
-    r0x = scalar_radial_psi(params.m).change_vars_affine(
-        X_VARS, _PSI_TO_X_JAC, psi_in_x())
-    c1m, c2m = conjugation_matrices(params)
-    c1x = c1m.substitute(psi_in_x(), X_VARS)
-    c2x = c2m.substitute(psi_in_x(), X_VARS)
-    cmu1 = c1x.scale(Fraction(2))
-    cmu2 = c2x.scale(Fraction(4)) - c1x.scale(Fraction(2))
-    ref1, ref2 = _cmu_reference(params)
-    return XFamily(r0x, cmu1, cmu2, r0_x_reference(params.m), ref1, ref2)
-
-
-@lru_cache(maxsize=None)
 def pde_operator_x(params: PairParams) -> MatrixDiffOp:
-    n = params.size
-    fam = x_operator_family(params)
-    first = MatrixDiffOp(X_VARS, {
-        (1, 0): fam.cmu1.scale(Fraction(-1)),
-        (0, 1): fam.cmu2.scale(Fraction(-1)),
-        (0, 0): (lambda_d_matrix(params, (0, 0), X_VARS)
-                 + shift_matrix(params, X_VARS)),
-    })
-    return fam.r0_x.lift(n) + first
+    """The psi-side operator E moved to (x1, x2) by the affine change."""
+    return pde_operator_psi(params).change_vars_affine(X_VARS, psi_in_x())
 
 
 def r0_transform_check(m: int) -> CheckResult:
     """Transformed scalar operator against the stored reference, coefficient
     map against coefficient map."""
     name = f"scalar operator coordinate transform (m={m})"
-    got = scalar_radial_psi(m).change_vars_affine(X_VARS, _PSI_TO_X_JAC, psi_in_x())
+    got = scalar_radial_psi(m).change_vars_affine(X_VARS, psi_in_x())
     ref = r0_x_reference(m)
     if got == ref:
         d1 = got.coeff((1, 0)).entry(0, 0)
@@ -486,30 +439,20 @@ def cmu_reference_check(params: PairParams) -> CheckResult:
     sign discrepancy is reported, not failed.
     """
     name = f"first-order matrix transform reference {params.tag()}"
-    fam = x_operator_family(params)
-    if fam.cmu1 == fam.cmu1_reference and fam.cmu2 == fam.cmu2_reference:
+    c1m, c2m = conjugation_matrices(params)
+    moved = MatrixDiffOp(PSI_VARS, {(1, 0): c1m, (0, 1): c2m}).change_vars_affine(
+        X_VARS, psi_in_x())
+    cmu1, cmu2 = moved.coeff((1, 0)), moved.coeff((0, 1))
+    ref1, ref2 = _cmu_reference(params)
+    if cmu1 == ref1 and cmu2 == ref2:
         return CheckResult(name, PASS)
-    if (fam.cmu1.scale(Fraction(-1)) == fam.cmu1_reference
-            and fam.cmu2.scale(Fraction(-1)) == fam.cmu2_reference):
+    if cmu1.scale(Fraction(-1)) == ref1 and cmu2.scale(Fraction(-1)) == ref2:
         return CheckResult(
             name, REPORTED,
             "stored reference entries equal the negative of the affine "
             "transform of the verified psi-side matrices (global sign flip); "
             "the transform is what satisfies the eigenvalue equations")
     return CheckResult(name, FAIL, "reference is neither the transform nor its negative")
-
-
-def full_transform_check(params: PairParams) -> CheckResult:
-    """The assembled x-side operator is exactly the affine transform of the
-    assembled psi-side operator."""
-    name = f"assembled operator coordinate transform {params.tag()}"
-    moved = pde_operator_psi(params).change_vars_affine(
-        X_VARS, _PSI_TO_X_JAC, psi_in_x())
-    if moved == pde_operator_x(params):
-        return CheckResult(name, PASS)
-    bad = [str(idx) for idx in sorted(set(moved.coeffs) | set(pde_operator_x(params).coeffs))
-           if moved.coeff(idx) != pde_operator_x(params).coeff(idx)]
-    return CheckResult(name, FAIL, "coefficients differ at indices " + ", ".join(bad))
 
 
 # ---- expansion of the symmetric coordinates in scalar eigenfunctions ----

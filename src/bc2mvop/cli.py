@@ -174,6 +174,8 @@ def _polys_payload(args) -> dict:
     d = tuple(args.d)
     if min(d) < 0:
         raise ValueError(f"degree d={d} must be non-negative")
+    if args.coords == "c":
+        raise ValueError("polys are built in psi or x coordinates, not c")
     mat = (expansion.poly_matrix_psi(params, d) if args.coords == "psi"
            else expansion.poly_matrix_x(params, d))
     eigs = [str(casimir_eigenvalue_ip(label_weight(params, MsfLabel(i, d[0], d[1]))))
@@ -249,6 +251,9 @@ def _kv_csv(payload: dict) -> str:
 def _cmd_export(args) -> int:
     if args.format == "json":
         return _cmd_data(args)
+    if args.kind in ("weight", "polys") and args.coords != "x":
+        raise ValueError(f"the CSV grid is evaluated in x coordinates; "
+                         f"--coords {args.coords} has no CSV form")
     if args.kind == "weight":
         params = _construction_params(args.m, args.a, args.b)
         text = _grid_csv(params, leading.weight_matrix_x(params))

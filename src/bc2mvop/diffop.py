@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .matrices import PolyMatrix
+from .matrices import PolyMatrix, frac_invert
 from .poly import MultiPoly, VariableMismatch
 
 ALLOWED_IDX = frozenset({(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)})
@@ -135,29 +135,30 @@ class MatrixDiffOp:
     # ---- affine change of variables ----
 
     def change_vars_affine(self, new_vars: tuple[str, str],
-                           jac: Mapping[str, Mapping[str, Fraction]],
                            backsub: Mapping[str, MultiPoly]) -> "MatrixDiffOp":
         """Rewrite the operator under an affine substitution.
 
-        jac[old][new] = d(new)/d(old), constants; backsub maps each old
-        variable name to its expression as a MultiPoly in new_vars (used to
-        rewrite the coefficient matrices).
+        backsub maps each old variable name to its expression as a MultiPoly
+        in new_vars; it rewrites the coefficient matrices, and its constant
+        linear part d(old)/d(new) is inverted to give the chain rule
+        d/d(old) = sum_new d(new)/d(old) d/d(new).  A non-affine backsub
+        raises ValueError ("not a constant polynomial"), and so does a
+        singular one ("matrix is singular").
         """
         new_vars = tuple(new_vars)
-        o1, o2 = self.vars
-        n1, n2 = new_vars
-        J = [[Fraction(jac[o1][n1]), Fraction(jac[o1][n2])],
-             [Fraction(jac[o2][n1]), Fraction(jac[o2][n2])]]
+        # J[k][i] = d(new_k)/d(old_i)
+        J = frac_invert([[backsub[old].derive(new).constant_value()
+                          for new in new_vars] for old in self.vars])
 
         def first_order(i: int) -> dict[tuple[int, int], Fraction]:
-            return {(1, 0): J[i][0], (0, 1): J[i][1]}
+            return {(1, 0): J[0][i], (0, 1): J[1][i]}
 
         def second_order(i: int, j: int) -> dict[tuple[int, int], Fraction]:
             out: dict[tuple[int, int], Fraction] = {}
             for k, dk in ((0, (1, 0)), (1, (0, 1))):
                 for l, dl in ((0, (1, 0)), (1, (0, 1))):
                     idx = (dk[0] + dl[0], dk[1] + dl[1])
-                    out[idx] = out.get(idx, Fraction(0)) + J[i][k] * J[j][l]
+                    out[idx] = out.get(idx, Fraction(0)) + J[k][i] * J[l][j]
             return {k: v for k, v in out.items() if v != 0}
 
         translation = {

@@ -6,15 +6,14 @@ import pytest
 
 from bc2mvop.casimir import (bottom_lowering_check, casimir_suite,
                              cmu_reference_check, eigenvalue_agreement_check,
-                             full_transform_check, general_lowering_check,
-                             gradient_pairing_check, lowering_moves,
-                             lowering_moves_reference, r0_transform_check,
-                             radial_apply, reference_table_comparison,
-                             scalar_eigen_check, scalar_eigenpoly,
-                             scalar_radial_agreement_check, scalar_radial_psi,
-                             vertical_term, x_operator_family, xi_constants,
+                             general_lowering_check, gradient_pairing_check,
+                             lowering_moves, pde_operator_psi, pde_operator_x,
+                             r0_transform_check, radial_apply,
+                             reference_table_comparison, scalar_eigen_check,
+                             scalar_eigenpoly, scalar_radial_agreement_check,
+                             scalar_radial_psi, vertical_term, xi_constants,
                              xi_suite)
-from bc2mvop.leading import PSI_VARS, X_VARS
+from bc2mvop.leading import PSI_VARS, X_VARS, psi_in_x, x_in_psi
 from bc2mvop.lie import MsfLabel, PairParams, casimir_eigenvalue
 from bc2mvop.poly import MultiPoly
 
@@ -58,16 +57,15 @@ def test_lowering_moves_shape_and_eigenvalues():
 
 
 def test_reference_moves_differ_only_in_the_repeat_coefficient():
-    # the two tables split exactly when the first degree repeats twice or more
+    # the stored coefficient -2 d1 (d1-1) of the (d1-2, d2+1) move is half
+    # the derived one, so the comparison splits exactly when d1 >= 2
     p = PairParams(3, 1, 0)
-    lo = MsfLabel(0, 1, 0)
-    assert lowering_moves(p, lo) == lowering_moves_reference(p, lo)
-    hi = MsfLabel(0, 2, 0)
-    ours = lowering_moves(p, hi)
-    ref = lowering_moves_reference(p, hi)
-    diff = {k for k in set(ours) | set(ref) if ours.get(k) != ref.get(k)}
-    assert diff == {MsfLabel(0, 0, 1)}
-    assert ours[MsfLabel(0, 0, 1)] == 2 * ref[MsfLabel(0, 0, 1)]
+    assert MsfLabel(0, 0, 1) not in lowering_moves(p, MsfLabel(0, 1, 0))
+    assert reference_table_comparison(p, 1).status == "PASS"
+    assert lowering_moves(p, MsfLabel(0, 2, 0))[MsfLabel(0, 0, 1)] == -8
+    r = reference_table_comparison(p, 2)
+    assert r.status == "REPORTED"
+    assert "MsfLabel(i=0, d1=2, d2=0)->(0,0,1): derived -8, reference -4" in r.detail
 
 
 def test_lowering_checks_green():
@@ -108,20 +106,27 @@ def test_operator_transform_checks():
         assert r0_transform_check(m).status == "PASS"
     r = cmu_reference_check(PairParams(3, 1, 0))
     assert r.status == "REPORTED"
-    assert full_transform_check(PairParams(3, 1, 0)).status == "PASS"
-    assert full_transform_check(PairParams(4, 2, 1)).status == "PASS"
+    assert "global sign flip" in r.detail
+    # the x-side operator is the affine image of the psi side, and moving it
+    # back returns the psi-side operator
+    for p in (PairParams(3, 1, 0), PairParams(4, 2, 1)):
+        assert (pde_operator_x(p).change_vars_affine(PSI_VARS, x_in_psi())
+                == pde_operator_psi(p))
 
 
 def test_x_family_first_order_coefficients():
     # scalar part of the x-coordinate family, first-order coefficients
+    x1 = MultiPoly.var(X_VARS, "x1")
+    x2 = MultiPoly.var(X_VARS, "x2")
     for m in (3, 4, 5):
-        fam = x_operator_family(PairParams(m, 0, 0))
-        x1 = MultiPoly.var(X_VARS, "x1")
-        x2 = MultiPoly.var(X_VARS, "x2")
-        c10 = fam.r0_x.coeff((1, 0)).entry(0, 0)
-        c01 = fam.r0_x.coeff((0, 1)).entry(0, 0)
+        op = pde_operator_x(PairParams(m, 0, 0))
+        c10 = op.coeff((1, 0)).entry(0, 0)
+        c01 = op.coeff((0, 1)).entry(0, 0)
         assert c10 == 2 * ((m + 2) * x1 + 2 * m - 4)
         assert c01 == 2 * ((m - 2) * x1 + 2 + (2 * m + 2) * x2)
+        # at a = b = 0 the operator is its scalar part alone
+        r0x = scalar_radial_psi(m).change_vars_affine(X_VARS, psi_in_x())
+        assert op == r0x
 
 
 def test_scalar_eigenpolys_low_degree():

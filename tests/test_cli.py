@@ -189,6 +189,27 @@ def test_export_polys_csv(tmp_path, capsys):
     assert len(lines) == 1001
 
 
+def test_export_polys_refuses_c_coordinates(capsys):
+    # polys are built in psi or x only; c used to print the x matrix
+    code, out, err = run_cli(["export", "--kind", "polys", "--m", "3",
+                              "--coords", "c"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parameter error:")
+
+
+@pytest.mark.parametrize("kind", ["weight", "polys"])
+@pytest.mark.parametrize("coords", ["psi", "c"])
+def test_export_csv_grid_refuses_non_x_coordinates(kind, coords, tmp_path, capsys):
+    # the CSV grid is evaluated in x; any other label used to write it anyway
+    out = tmp_path / "grid.csv"
+    code, _, err = run_cli(["export", "--kind", kind, "--m", "3", "--coords",
+                            coords, "--format", "csv", "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("parameter error:")
+    assert not out.exists()
+
+
 def test_verify_deterministic_bytes(tmp_path, capsys):
     argv = ["verify", "weight", "--m", "3", "--a", "0,1", "--b", "0",
             "--format", "json"]

@@ -1,8 +1,14 @@
 """Matrix differential operators with right-side coefficient action."""
 
+import os
+import tempfile
 from fractions import Fraction as F
 
-from bc2mvop.diffop import MatrixDiffOp
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bc2mvop.diffop import ALLOWED_IDX, MatrixDiffOp
+from bc2mvop.leading import PSI_VARS, X_VARS, psi_in_x, x_in_psi
 from bc2mvop.matrices import PolyMatrix
 from bc2mvop.poly import MultiPoly
 
@@ -64,21 +70,20 @@ def test_add_and_scale():
 
 def test_affine_change_of_variables():
     # x1 = 2 psi1 - 2, x2 = 4 psi2 - 2 psi1 + 1
-    jac = {"psi1": {"x1": F(2), "x2": F(-2)}, "psi2": {"x1": F(0), "x2": F(4)}}
     x1 = MultiPoly.var(XV, "x1")
     x2 = MultiPoly.var(XV, "x2")
     one = MultiPoly.one(XV)
     backsub = {"psi1": F(1, 2) * x1 + one,
                "psi2": F(1, 4) * (x1 + x2 + one)}
     d_psi1 = MatrixDiffOp.scalar_op(PV, {(1, 0): MultiPoly.one(PV)})
-    moved = d_psi1.change_vars_affine(XV, jac, backsub)
+    moved = d_psi1.change_vars_affine(XV, backsub)
     # d/dpsi1 = 2 d/dx1 - 2 d/dx2
     assert moved.apply_scalar(x1) == MultiPoly.const(XV, 2)
     assert moved.apply_scalar(x2) == MultiPoly.const(XV, -2)
     assert moved.apply_scalar(x1 * x2) == 2 * x2 - 2 * x1
 
     d_psi2 = MatrixDiffOp.scalar_op(PV, {(0, 1): MultiPoly.one(PV)})
-    moved2 = d_psi2.change_vars_affine(XV, jac, backsub)
+    moved2 = d_psi2.change_vars_affine(XV, backsub)
     assert moved2.apply_scalar(x1).is_zero
     assert moved2.apply_scalar(x2) == MultiPoly.const(XV, 4)
 
@@ -88,3 +93,58 @@ def test_coeff_lookup():
     op = MatrixDiffOp.scalar_op(PV, {(2, 0): p1})
     assert op.coeff((2, 0)) is not None
     assert (2, 0) in op.coeffs
+
+
+# ---- properties of the affine change, on random small operators ----
+
+# hypothesis caches the constants it reads from the source files under its
+# storage directory whatever the database setting; keep that cache out of
+# the working tree
+_STORAGE = tempfile.TemporaryDirectory()
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", _STORAGE.name)
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=25)
+
+_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    max_size=3,
+).map(lambda terms: MultiPoly(PSI_VARS, terms))
+
+
+@st.composite
+def _operators(draw):
+    n = draw(st.integers(1, 2))
+    idxs = draw(st.sets(st.sampled_from(sorted(ALLOWED_IDX)), min_size=1))
+    return MatrixDiffOp(PSI_VARS, {
+        idx: PolyMatrix(n, n, draw(st.lists(_polys, min_size=n * n, max_size=n * n)))
+        for idx in idxs})
+
+
+@PROPERTY
+@given(_operators())
+def test_affine_change_then_its_inverse_is_the_identity(op):
+    there = op.change_vars_affine(X_VARS, psi_in_x())
+    assert there.change_vars_affine(PSI_VARS, x_in_psi()) == op
+
+
+@PROPERTY
+@given(_operators(), st.data())
+def test_affine_change_commutes_with_the_action(op, data):
+    rows = data.draw(st.integers(1, 2))
+    F_ = PolyMatrix(rows, op.size, data.draw(
+        st.lists(_polys, min_size=rows * op.size, max_size=rows * op.size)))
+    moved = op.change_vars_affine(X_VARS, psi_in_x())
+    assert (moved.apply(F_.substitute(psi_in_x(), X_VARS))
+            == op.apply(F_).substitute(psi_in_x(), X_VARS))
+
+
+def test_affine_change_refuses_a_non_affine_or_singular_substitution():
+    op = MatrixDiffOp.scalar_op(PV, {(1, 0): MultiPoly.one(PV)})
+    x1 = MultiPoly.var(XV, "x1")
+    x2 = MultiPoly.var(XV, "x2")
+    with pytest.raises(ValueError, match="not a constant polynomial"):
+        op.change_vars_affine(XV, {"psi1": x1 * x1, "psi2": x2})
+    with pytest.raises(ValueError, match="matrix is singular"):
+        op.change_vars_affine(XV, {"psi1": x1 + x2, "psi2": 2 * x1 + 2 * x2})
