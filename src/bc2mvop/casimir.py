@@ -29,8 +29,8 @@ from .diffop import MatrixDiffOp
 from .leading import (C_VARS, PSI_VARS, X_VARS, leading_term_matrix, psi_in_c,
                       psi_in_x)
 from .lie import (MsfLabel, PairParams, casimir_eigenvalue,
-                  casimir_eigenvalue_ip, check_label, label_weight,
-                  labels_up_to)
+                  casimir_eigenvalue_ip, check_label, degree_pairs,
+                  label_weight, labels_up_to)
 from .matrices import PolyMatrix, solve_linear
 from .poly import MultiPoly
 from .report import CheckResult, FAIL, PASS, REPORTED
@@ -279,21 +279,23 @@ def scalar_radial_psi(m: int) -> MatrixDiffOp:
     })
 
 
-def scalar_radial_agreement_check(m: int, deg: int = 3) -> CheckResult:
+AGREEMENT_DEG = 3
+
+
+def scalar_radial_agreement_check(m: int) -> CheckResult:
     """Two independent code paths for the scalar operator must agree on all
-    monomials psi1^u psi2^v with u+v <= deg."""
-    name = f"scalar operator route agreement (m={m}, deg<={deg})"
+    monomials psi1^u psi2^v with u+v <= AGREEMENT_DEG."""
+    name = f"scalar operator route agreement (m={m}, deg<={AGREEMENT_DEG})"
     params = PairParams(m, 0, 0)
     op = scalar_radial_psi(m)
     pc = psi_in_c()
-    for u in range(deg + 1):
-        for v in range(deg + 1 - u):
-            mono = MultiPoly.monomial(PSI_VARS, (u, v))
-            via_psi = op.apply_scalar(mono).substitute(pc, C_VARS)
-            via_c = radial_apply(params, [pc["psi1"] ** u * pc["psi2"] ** v])[0]
-            if via_psi != via_c:
-                return CheckResult(name, FAIL,
-                                   f"monomial ({u},{v}): residual {via_c - via_psi}")
+    for u, v in degree_pairs(AGREEMENT_DEG):
+        mono = MultiPoly.monomial(PSI_VARS, (u, v))
+        via_psi = op.apply_scalar(mono).substitute(pc, C_VARS)
+        via_c = radial_apply(params, [pc["psi1"] ** u * pc["psi2"] ** v])[0]
+        if via_psi != via_c:
+            return CheckResult(name, FAIL,
+                               f"monomial ({u},{v}): residual {via_c - via_psi}")
     return CheckResult(name, PASS)
 
 

@@ -28,8 +28,8 @@ from .diffop import MatrixDiffOp
 from .krawtchouk import poch
 from .leading import PSI_VARS, X_VARS, psi_in_x
 from .lie import (MsfLabel, PairParams, bottom_weight, casimir_eigenvalue,
-                  casimir_eigenvalue_ip, check_label, dominance_leq,
-                  dualize, label_weight, labels_up_to)
+                  casimir_eigenvalue_ip, check_label, degree_pairs,
+                  dominance_leq, dualize, label_weight, labels_up_to)
 from .matrices import (PolyMatrix, conjugate_flip, frac_identity, frac_invert,
                        frac_matmul)
 from .poly import MultiPoly
@@ -264,19 +264,18 @@ def diagonal_degree_check(params: PairParams, dmax: int) -> CheckResult:
     """Diagonal entries carry the full degree; the triangular expansion never
     raises the total degree."""
     name = f"family degree structure {params.tag()} dmax={dmax}"
-    for d1 in range(dmax + 1):
-        for d2 in range(dmax + 1 - d1):
-            P = poly_matrix_psi(params, (d1, d2))
-            for i in range(params.size):
-                if P.entry(i, i).total_degree() != d1 + d2:
-                    return CheckResult(
-                        name, FAIL,
-                        f"d=({d1},{d2}), entry ({i},{i}) has degree "
-                        f"{P.entry(i, i).total_degree()}, expected {d1 + d2}")
-                top = P.entry(i, i).coefficient((d1, d2))
-                if top == 0:
-                    return CheckResult(name, FAIL,
-                                       f"d=({d1},{d2}): vanishing top coefficient")
+    for d1, d2 in degree_pairs(dmax):
+        P = poly_matrix_psi(params, (d1, d2))
+        for i in range(params.size):
+            if P.entry(i, i).total_degree() != d1 + d2:
+                return CheckResult(
+                    name, FAIL,
+                    f"d=({d1},{d2}), entry ({i},{i}) has degree "
+                    f"{P.entry(i, i).total_degree()}, expected {d1 + d2}")
+            top = P.entry(i, i).coefficient((d1, d2))
+            if top == 0:
+                return CheckResult(name, FAIL,
+                                   f"d=({d1},{d2}): vanishing top coefficient")
     return CheckResult(name, PASS)
 
 
@@ -284,14 +283,13 @@ def normalization_check(params: PairParams, dmax: int) -> CheckResult:
     """Row sums at the identity point equal 1 for every family member."""
     name = f"identity normalization {params.tag()} dmax={dmax}"
     at_e = {"psi1": Fraction(2), "psi2": Fraction(1)}
-    for d1 in range(dmax + 1):
-        for d2 in range(dmax + 1 - d1):
-            P = poly_matrix_psi(params, (d1, d2))
-            for i in range(params.size):
-                s = sum(P.entry(i, j).evaluate(at_e) for j in range(params.size))
-                if s != 1:
-                    return CheckResult(name, FAIL,
-                                       f"d=({d1},{d2}), row {i}: sum {s}")
+    for d1, d2 in degree_pairs(dmax):
+        P = poly_matrix_psi(params, (d1, d2))
+        for i in range(params.size):
+            s = sum(P.entry(i, j).evaluate(at_e) for j in range(params.size))
+            if s != 1:
+                return CheckResult(name, FAIL,
+                                   f"d=({d1},{d2}), row {i}: sum {s}")
     return CheckResult(name, PASS)
 
 
@@ -327,9 +325,8 @@ def transition_suite(params: PairParams) -> list[CheckResult]:
 def pde_suite(params: PairParams, dmax: int = 2) -> list[CheckResult]:
     out = [diagonal_degree_check(params, dmax),
            normalization_check(params, dmax)]
-    for d1 in range(dmax + 1):
-        for d2 in range(dmax + 1 - d1):
-            out.append(pde_check(params, (d1, d2)))
+    for d in degree_pairs(dmax):
+        out.append(pde_check(params, d))
     return out
 
 
@@ -375,15 +372,14 @@ def dual_pde_check(params: PairParams, dmax: int) -> CheckResult:
     dual_params, _ = dualize(params)
     op = _conjugate_op(pde_operator_psi(params))
     n = params.size
-    for d1 in range(dmax + 1):
-        for d2 in range(dmax + 1 - d1):
-            P = conjugate_flip(poly_matrix_psi(params, (d1, d2)))
-            diag = [casimir_eigenvalue_ip(label_weight(dual_params,
-                                                       MsfLabel(i, d1, d2)))
-                    for i in range(n)]
-            lam = PolyMatrix.diagonal(PSI_VARS, diag)
-            if op.apply(P) != lam @ P:
-                return CheckResult(name, FAIL, f"d=({d1},{d2})")
+    for d1, d2 in degree_pairs(dmax):
+        P = conjugate_flip(poly_matrix_psi(params, (d1, d2)))
+        diag = [casimir_eigenvalue_ip(label_weight(dual_params,
+                                                   MsfLabel(i, d1, d2)))
+                for i in range(n)]
+        lam = PolyMatrix.diagonal(PSI_VARS, diag)
+        if op.apply(P) != lam @ P:
+            return CheckResult(name, FAIL, f"d=({d1},{d2})")
     return CheckResult(name, PASS)
 
 

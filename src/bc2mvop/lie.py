@@ -3,7 +3,9 @@ r"""Weight-lattice data for SU(m+2) and the spherical-pair bookkeeping.
 Weights are stored in fundamental-weight coordinates (a vector of m+1
 integers, the coefficients of omega_1..omega_{m+1}); every other view
 (partition coordinates, simple-root expansions) is derived from that
-single source of truth.
+single source of truth. Simple-root expansions are partial sums: in type
+A_{m+1} the k-th coordinate is lambda_1 + ... + lambda_k minus k/(m+2) of
+the total, so the dominance order needs no linear solve.
 
 The parameter triple (m, a, b) fixes the K-representation with highest
 weight a*omega_1 + b*omega_2. The supported regimes are b >= 0 and
@@ -15,9 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-
-from .matrices import solve_linear
 
 
 @dataclass(frozen=True)
@@ -127,13 +126,6 @@ def rho(m: int) -> Weight:
     return Weight((1,) * (m + 1))
 
 
-def simple_root(m: int, k: int) -> Weight:
-    """alpha_k = -omega_{k-1} + 2 omega_k - omega_{k+1}."""
-    if not 1 <= k <= m + 1:
-        raise ValueError(f"simple root index {k} out of range")
-    return fundamental(m, k) * 2 - fundamental(m, k - 1) - fundamental(m, k + 1)
-
-
 def spherical_lambda1(m: int) -> Weight:
     return fundamental(m, 1) + fundamental(m, m + 1)
 
@@ -186,29 +178,18 @@ def label_weight(params: PairParams, label: MsfLabel) -> Weight:
             + spherical_lambda1(m) * label.d1 + spherical_lambda2(m) * label.d2)
 
 
-@lru_cache(maxsize=None)
-def _cartan_columns(m: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(simple_root(m, k).omega for k in range(1, m + 2))
-
-
-def root_coordinates(w: Weight) -> list[Fraction] | None:
-    """Expansion of w in the simple-root basis, if it lies in the root lattice
-    tensored with Q (always solvable; returns exact coordinates)."""
-    m = w.m
-    cols = _cartan_columns(m)
-    n = m + 1
-    A = [[Fraction(cols[j][i]) for j in range(n)] for i in range(n)]
-    return solve_linear(A, [Fraction(x) for x in w.omega])
+def root_coordinates(w: Weight) -> list[Fraction]:
+    """Expansion of w in the simple roots alpha_k = eps_k - eps_{k+1}: for
+    lambda = w.partition(), c_k = lambda_1 + ... + lambda_k - k |lambda| / (m+2)
+    for k = 1..m+1."""
+    lam = w.partition()
+    t = Fraction(sum(lam), len(lam))
+    return [sum(lam[:k]) - k * t for k in range(1, len(lam))]
 
 
 def dominance_leq(w1: Weight, w2: Weight) -> bool:
     """True iff w2 - w1 is a non-negative integer combination of simple roots."""
-    if len(w1.omega) != len(w2.omega):
-        raise ValueError("weights for different ranks")
-    coords = root_coordinates(w2 - w1)
-    if coords is None:
-        return False
-    return all(c.denominator == 1 and c >= 0 for c in coords)
+    return all(c.denominator == 1 and c >= 0 for c in root_coordinates(w2 - w1))
 
 
 def casimir_eigenvalue(params: PairParams, label: MsfLabel) -> Fraction:
@@ -280,10 +261,14 @@ def dualize(params: PairParams) -> tuple[PairParams, DualData]:
     return dual, DualData(params)
 
 
+def degree_pairs(dmax: int) -> list[tuple[int, int]]:
+    """All degree pairs (d1, d2) with d1 + d2 <= dmax, d1 outer and d2 inner."""
+    return [(d1, d2) for d1 in range(dmax + 1) for d2 in range(dmax + 1 - d1)]
+
+
 def labels_up_to(params: PairParams, dmax: int) -> list[MsfLabel]:
     """All labels (i, d1, d2) with 0 <= i <= a and d1 + d2 <= dmax,
     in deterministic order."""
     return [MsfLabel(i, d1, d2)
             for i in range(params.a + 1)
-            for d1 in range(dmax + 1)
-            for d2 in range(dmax + 1 - d1)]
+            for d1, d2 in degree_pairs(dmax)]

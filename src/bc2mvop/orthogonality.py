@@ -20,7 +20,7 @@ from fractions import Fraction
 from .expansion import poly_matrix_x
 from .leading import (C_VARS, X_VARS, weight_matrix_c, weight_matrix_x,
                       det_reference_c, x_in_c)
-from .lie import MsfLabel, PairParams, label_weight, weyl_dim
+from .lie import MsfLabel, PairParams, degree_pairs, label_weight, weyl_dim
 from .matrices import PolyMatrix, frac_det, nullspace_dim
 from .poly import MultiPoly
 from .report import CheckResult, FAIL, PASS, REPORTED
@@ -104,10 +104,6 @@ def in_region(x1: Fraction, x2: Fraction) -> bool:
 
 # ---- Gram matrices of the family ----
 
-def _degree_pairs(dmax: int) -> list[tuple[int, int]]:
-    return [(d1, d2) for d1 in range(dmax + 1) for d2 in range(dmax + 1 - d1)]
-
-
 @functools.lru_cache(maxsize=None)
 def _gram_cached(params: PairParams, d: tuple[int, int],
                  dp: tuple[int, int]) -> tuple[tuple[Fraction, ...], ...]:
@@ -126,7 +122,7 @@ def gram(params: PairParams, d: tuple[int, int],
 def orthogonality_suite(params: PairParams, dmax: int = 2) -> list[CheckResult]:
     """Pairwise orthogonality, diagonality, and the shared norm constant."""
     out = []
-    degs = _degree_pairs(dmax)
+    degs = degree_pairs(dmax)
     tag = params.tag()
 
     ok = True
@@ -293,6 +289,9 @@ def _float_terms(p: MultiPoly) -> list[tuple[int, int, float]]:
     return [(e[0], e[1], float(c)) for e, c in p.sorted_terms()]
 
 
+QUADRATURE_RTOL = 1e-8
+
+
 def _quad_nodes(order: int):
     import numpy as np
     x, w = np.polynomial.legendre.leggauss(order)
@@ -301,8 +300,7 @@ def _quad_nodes(order: int):
 
 
 def numeric_crosscheck(params: PairParams, d: tuple[int, int],
-                       dp: tuple[int, int], order: int | None = None,
-                       rtol: float = 1e-8) -> CheckResult:
+                       dp: tuple[int, int]) -> CheckResult:
     """Gauss-Legendre quadrature of the Gram integrals in t-coordinates,
     compared against the exact rational values.
 
@@ -325,13 +323,12 @@ def numeric_crosscheck(params: PairParams, d: tuple[int, int],
         return max((max(exp) for i in range(mat.rows) for j in range(mat.cols)
                     for exp, _ in mat.entry(i, j).sorted_terms()), default=0)
 
-    if order is None:
-        # node count from the trigonometric degree per variable: polynomial
-        # part plus the density sin^(2m-3) cos (c1^2-c2^2)^2 (c1 c2)^(2b);
-        # 48 nodes hold to ~1e-11 up to degree 32, degrade past that
-        trig_degree = (pv_degree(lc) + pv_degree(sc) + pv_degree(rc)
-                       + 2 * m + 2 * b + 2)
-        order = 48 if trig_degree <= 30 else trig_degree + 32
+    # node count from the trigonometric degree per variable: polynomial
+    # part plus the density sin^(2m-3) cos (c1^2-c2^2)^2 (c1 c2)^(2b);
+    # 48 nodes hold to ~1e-11 up to degree 32, degrade past that
+    trig_degree = (pv_degree(lc) + pv_degree(sc) + pv_degree(rc)
+                   + 2 * m + 2 * b + 2)
+    order = 48 if trig_degree <= 30 else trig_degree + 32
 
     t, w = _quad_nodes(order)
     c1, c2 = np.meshgrid(np.cos(t), np.cos(t), indexing="ij")
@@ -368,15 +365,15 @@ def numeric_crosscheck(params: PairParams, d: tuple[int, int],
             ex = float(exact[i][j])
             dev = abs(num - ex) / (abs(ex) if ex != 0 else diag_scale)
             worst = max(worst, dev)
-    if worst > rtol:
-        return CheckResult(name, FAIL,
-                           f"worst relative deviation {worst:.3e} > {rtol:.0e}")
+    if worst > QUADRATURE_RTOL:
+        return CheckResult(name, FAIL, f"worst relative deviation {worst:.3e} "
+                                       f"> {QUADRATURE_RTOL:.0e}")
     return CheckResult(name, PASS, f"worst relative deviation {worst:.3e}")
 
 
 def numeric_suite(params: PairParams, dmax: int = 1) -> list[CheckResult]:
     out = []
-    degs = _degree_pairs(dmax)
+    degs = degree_pairs(dmax)
     for ia, d in enumerate(degs):
         for dp in degs[ia:]:
             out.append(numeric_crosscheck(params, d, dp))

@@ -199,6 +199,9 @@ class MultiPoly:
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its number, so it must hash like it too
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((self.vars, frozenset(self.terms.items())))
 
     # ---- calculus / composition ----

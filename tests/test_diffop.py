@@ -1,11 +1,9 @@
 """Matrix differential operators with right-side coefficient action."""
 
-import os
-import tempfile
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from bc2mvop.diffop import ALLOWED_IDX, MatrixDiffOp
 from bc2mvop.leading import PSI_VARS, X_VARS, psi_in_x, x_in_psi
@@ -97,15 +95,6 @@ def test_coeff_lookup():
 
 # ---- properties of the affine change, on random small operators ----
 
-# hypothesis caches the constants it reads from the source files under its
-# storage directory whatever the database setting; keep that cache out of
-# the working tree
-_STORAGE = tempfile.TemporaryDirectory()
-os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", _STORAGE.name)
-
-PROPERTY = settings(derandomize=True, database=None, deadline=None,
-                    max_examples=25)
-
 _polys = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)),
     st.fractions(min_value=-3, max_value=3, max_denominator=3),
@@ -122,14 +111,12 @@ def _operators(draw):
         for idx in idxs})
 
 
-@PROPERTY
 @given(_operators())
 def test_affine_change_then_its_inverse_is_the_identity(op):
     there = op.change_vars_affine(X_VARS, psi_in_x())
     assert there.change_vars_affine(PSI_VARS, x_in_psi()) == op
 
 
-@PROPERTY
 @given(_operators(), st.data())
 def test_affine_change_commutes_with_the_action(op, data):
     rows = data.draw(st.integers(1, 2))

@@ -3,12 +3,15 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bc2mvop.lie import (DualData, MsfLabel, PairParams, Weight, bottom_weight,
-                         casimir_eigenvalue, casimir_eigenvalue_ip, dominance_leq,
-                         dualize, fundamental, label_weight, labels_up_to,
-                         root_coordinates, spherical_lambda1, spherical_lambda2,
-                         tensor_fund_decomp, weyl_dim, zero_weight)
+                         casimir_eigenvalue, casimir_eigenvalue_ip, degree_pairs,
+                         dominance_leq, dualize, fundamental, label_weight,
+                         labels_up_to, root_coordinates, spherical_lambda1,
+                         spherical_lambda2, tensor_fund_decomp, weyl_dim,
+                         zero_weight)
+from bc2mvop.matrices import solve_linear
 
 
 def test_params_validation():
@@ -83,6 +86,14 @@ def test_eigenvalue_ip_works_in_far_regime():
     assert val >= 0
 
 
+def test_degree_pairs_order():
+    assert degree_pairs(0) == [(0, 0)]
+    assert degree_pairs(2) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+    p = PairParams(3, 1, 0)
+    assert labels_up_to(p, 2) == [MsfLabel(i, d1, d2) for i in range(2)
+                                  for d1, d2 in degree_pairs(2)]
+
+
 def test_label_enumeration_count():
     p = PairParams(3, 1, 0)
     labels = labels_up_to(p, 1)
@@ -136,3 +147,61 @@ def test_weight_arithmetic():
     assert w.omega == (1, 2, 0, 0)
     assert (w - w).is_zero()
     assert (-w).omega == (-1, -2, 0, 0)
+
+
+# ---- properties of the simple-root coordinates, on random weights ----
+
+def _simple_roots(m):
+    """alpha_k = 2 omega_k - omega_{k-1} - omega_{k+1}, for k = 1..m+1."""
+    return [fundamental(m, k) * 2 - fundamental(m, k - 1) - fundamental(m, k + 1)
+            for k in range(1, m + 2)]
+
+
+@st.composite
+def _weights(draw, m=None):
+    if m is None:
+        m = draw(st.integers(3, 7))
+    return Weight(tuple(draw(st.lists(st.integers(-6, 6),
+                                      min_size=m + 1, max_size=m + 1))))
+
+
+@given(_weights())
+def test_root_coordinates_solve_the_cartan_system(w):
+    # the reference route: eliminate over the Cartan matrix, one column per
+    # simple root
+    roots = _simple_roots(w.m)
+    n = w.m + 1
+    A = [[F(roots[j].omega[i]) for j in range(n)] for i in range(n)]
+    assert root_coordinates(w) == solve_linear(A, [F(x) for x in w.omega])
+
+
+@given(_weights())
+def test_root_coordinates_rebuild_the_weight(w):
+    coords = root_coordinates(w)
+    rebuilt = [sum(c * alpha.omega[i] for c, alpha in zip(coords, _simple_roots(w.m)))
+               for i in range(w.m + 1)]
+    assert rebuilt == list(w.omega)
+
+
+@given(st.integers(3, 7).flatmap(lambda m: st.tuples(
+    _weights(m), st.lists(st.integers(0, 3), min_size=m + 1, max_size=m + 1))))
+def test_dominance_is_reflexive_and_antisymmetric(case):
+    w, steps = case
+    above = w
+    for n, alpha in zip(steps, _simple_roots(w.m)):
+        above = above + alpha * n
+    assert dominance_leq(w, w)
+    assert dominance_leq(w, above)
+    assert dominance_leq(above, w) == (above == w) == (not any(steps))
+    # omega_1 has positive root coordinates, all non-integral
+    assert not dominance_leq(w, above + fundamental(w.m, 1))
+
+
+@given(_weights(), _weights())
+def test_weights_of_different_rank_are_refused(w1, w2):
+    if w1.m == w2.m:
+        w2 = Weight(w2.omega + (0,))
+    with pytest.raises(ValueError, match="different ranks"):
+        dominance_leq(w1, w2)
+    with pytest.raises(ValueError, match="different ranks"):
+        dominance_leq(w2, w1)

@@ -3,7 +3,9 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
+from bc2mvop.leading import PSI_VARS, X_VARS, psi_in_x, x_in_psi
 from bc2mvop.poly import MultiPoly, VariableMismatch, symmetric_reduce
 
 CV = ("c1", "c2")
@@ -99,3 +101,62 @@ def test_json_round_trip_is_canonical():
     assert MultiPoly.from_json(data) == p
     # serialized twice gives identical structures
     assert p.to_json() == data
+
+
+def test_constant_hashes_like_its_number():
+    for c in (0, 3, F(1, 2)):
+        p = MultiPoly.const(CV, c)
+        assert p == c
+        assert hash(p) == hash(c)
+        assert c in {p}
+        assert p in {c}
+
+
+# ---- properties on small random polynomials ----
+
+_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def _polys(vars=CV):
+    return st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                           _coeffs, max_size=4).map(lambda t: MultiPoly(vars, t))
+
+
+@given(_polys(), _polys(), _polys())
+def test_ring_laws(p, q, r):
+    zero, one = MultiPoly.zero(CV), MultiPoly.one(CV)
+    assert p + q == q + p
+    assert p * q == q * p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p + zero == p and p * one == p
+    assert (p - p).is_zero and (p * zero).is_zero
+
+
+@given(_polys(), _polys(), st.fixed_dictionaries(
+    {"c1": _polys(PSI_VARS), "c2": _polys(PSI_VARS)}), _coeffs)
+def test_substitute_is_a_ring_homomorphism(p, q, images, c):
+    def sub(f):
+        return f.substitute(images, PSI_VARS)
+    assert sub(p + q) == sub(p) + sub(q)
+    assert sub(p * q) == sub(p) * sub(q)
+    assert sub(MultiPoly.const(CV, c)) == MultiPoly.const(PSI_VARS, c)
+
+
+@given(_polys(PSI_VARS))
+def test_psi_to_x_and_back_is_the_identity(p):
+    assert p.substitute(psi_in_x(), X_VARS).substitute(x_in_psi(), PSI_VARS) == p
+
+
+@given(_polys())
+def test_json_round_trip(p):
+    assert MultiPoly.from_json(p.to_json()) == p
+
+
+@given(_polys(), _polys(), st.one_of(st.integers(-3, 3), _coeffs))
+def test_equal_values_hash_equal(p, q, c):
+    for a, b in ((p, (p + q) - q), (p, MultiPoly.from_json(p.to_json())),
+                 (MultiPoly.const(CV, c), c), (p, c)):
+        if a == b:
+            assert hash(a) == hash(b)
