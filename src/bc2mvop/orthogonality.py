@@ -5,10 +5,17 @@ Everything rational rests on one monomial rule: on [0, pi/2],
 
     int cos^(2p+1)(t) sin^(2m-3)(t) dt = p! (m-2)! / (2 (p+m-1)!).
 
-Region integrals pull back through the 2:1 trigonometric cover, where the
+A region integral pulls back through the 2:1 trigonometric cover, where the
 half-integer weight factor and the Jacobian combine into the square
-(c1^2 - c2^2)^2, so no splitting or radicals ever appear.  A floating-point
-Gauss-Legendre path recomputes the same integrals independently.
+(c1^2 - c2^2)^2, so no splitting or radicals ever appear.
+
+The scalar weight depends on (m, b) only, so every Gram integral is a linear
+function of the monomial moments int x1^i x2^j.  `moment` computes each of
+them once per (m, b) by that pull-back and caches it, and a Gram matrix
+G = int R_d S R_d'^T contracts the coefficients of R_d, S and R_d' against
+the table, with no product polynomial and no per-entry pull-back.  A
+floating-point Gauss-Legendre path recomputes the same integrals
+independently of the table.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from .expansion import poly_matrix_x
 from .leading import (C_VARS, X_VARS, weight_matrix_c, weight_matrix_x,
                       det_reference_c, x_in_c)
 from .lie import MsfLabel, PairParams, degree_pairs, label_weight, weyl_dim
-from .matrices import PolyMatrix, frac_det, nullspace_dim
+from .matrices import frac_det, nullspace_dim
 from .poly import MultiPoly
 from .report import CheckResult, FAIL, PASS, REPORTED
 
@@ -69,9 +76,13 @@ def region_integral(params: PairParams, M: MultiPoly) -> Fraction:
     return Fraction(2) ** (2 * m + 2 * b - 1) * integrate_against_delta(params, pulled)
 
 
-def region_integral_matrix(params: PairParams, M: PolyMatrix) -> list[list[Fraction]]:
-    return [[region_integral(params, M.entry(i, j)) for j in range(M.cols)]
-            for i in range(M.rows)]
+@functools.lru_cache(maxsize=None)
+def moment(m: int, b: int, i: int, j: int) -> Fraction:
+    """Region integral of the monomial x1^i x2^j for the weight of (m, b).
+
+    The weight depends on (m, b) only, so the cache is the moment table that
+    every Gram matrix of those parameters is contracted against."""
+    return region_integral(PairParams(m, 0, b), MultiPoly.monomial(X_VARS, (i, j)))
 
 
 def total_mass_check(m: int) -> CheckResult:
@@ -104,12 +115,45 @@ def in_region(x1: Fraction, x2: Fraction) -> bool:
 
 # ---- Gram matrices of the family ----
 
+def _moment_vector(m: int, b: int, p: MultiPoly,
+                   support: set[tuple[int, int]]) -> dict[tuple[int, int], Fraction]:
+    """The integral of x^e p for every exponent e in the support."""
+    terms = p.terms.items()
+    return {(e1, e2): sum((c * moment(m, b, e1 + g1, e2 + g2)
+                           for (g1, g2), c in terms), Fraction(0))
+            for (e1, e2) in support}
+
+
 @functools.lru_cache(maxsize=None)
 def _gram_cached(params: PairParams, d: tuple[int, int],
                  dp: tuple[int, int]) -> tuple[tuple[Fraction, ...], ...]:
-    s0 = weight_matrix_x(PairParams(params.m, params.a, 0))
-    prod = poly_matrix_x(params, d) @ s0 @ poly_matrix_x(params, dp).transpose()
-    return tuple(tuple(row) for row in region_integral_matrix(params, prod))
+    m, b, n = params.m, params.b, params.size
+    left = poly_matrix_x(params, d)
+    s0 = weight_matrix_x(PairParams(m, params.a, 0))
+    right = poly_matrix_x(params, dp)
+    # G_ij = sum_{k,l} sum_{e,f,g} left_ik[e] s0_kl[f] right_jl[g] moment(e+f+g),
+    # contracted from the right: first the integrals of x^(e+f) right_jl,
+    # then outer[j][k][e] = the integral of x^e (s0 right^T)_kj, then left
+    exps = [set().union(*(left.entry(i, k).terms for i in range(n)))
+            for k in range(n)]
+    outer = [[dict.fromkeys(exps[k], Fraction(0)) for k in range(n)]
+             for _ in range(n)]
+    for l in range(n):
+        shifted = {(e1 + f1, e2 + f2) for k in range(n) for (e1, e2) in exps[k]
+                   for (f1, f2) in s0.entry(k, l).terms}
+        for j in range(n):
+            inner = _moment_vector(m, b, right.entry(j, l), shifted)
+            for k in range(n):
+                sterms = s0.entry(k, l).terms.items()
+                for (e1, e2) in exps[k]:
+                    outer[j][k][e1, e2] += sum(
+                        (c * inner[e1 + f1, e2 + f2] for (f1, f2), c in sterms),
+                        Fraction(0))
+    return tuple(
+        tuple(sum((c * outer[j][k][e] for k in range(n)
+                   for e, c in left.entry(i, k).terms.items()), Fraction(0))
+              for j in range(n))
+        for i in range(n))
 
 
 def gram(params: PairParams, d: tuple[int, int],

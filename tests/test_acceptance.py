@@ -8,6 +8,8 @@ to appear where expected.
 
 from fractions import Fraction
 
+import pytest
+
 from bc2mvop.casimir import (casimir_suite, cmu_reference_check,
                              r0_transform_check, scalar_radial_psi,
                              xi_constants, xi_suite)
@@ -102,6 +104,15 @@ def test_orthogonality_and_shared_norm_constant():
         reported = [r for r in results if r.status == REPORTED]
         assert len(reported) == 1, p.tag()
         assert "norm constant stored closed form" in reported[0].name
+
+
+@pytest.mark.parametrize("point, dmax", [((5, 3, 2), 3), ((6, 4, 2), 2)])
+def test_orthogonality_at_higher_degree_and_larger_matrices(point, dmax):
+    results = orthogonality_suite(PairParams(*point), dmax=dmax)
+    assert_no_fail(results)
+    reported = [r for r in results if r.status == REPORTED]
+    assert len(reported) == 1
+    assert "norm constant stored closed form" in reported[0].name
 
 
 def test_weight_commutant_is_trivial():

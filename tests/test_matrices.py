@@ -2,6 +2,8 @@
 
 from fractions import Fraction as F
 
+from hypothesis import given, strategies as st
+
 from bc2mvop.matrices import (PolyMatrix, conjugate_flip, flip_matrix, frac_det,
                               frac_identity, frac_invert, frac_matmul, frac_rank,
                               nullspace_dim, solve_linear)
@@ -100,3 +102,51 @@ def test_polymatrix_json_round_trip():
     M = PolyMatrix.from_rows([[x1 * x2, MultiPoly.zero(V)],
                               [MultiPoly.const(V, F(5, 7)), x1 ** 3]])
     assert PolyMatrix.from_json(M.to_json()) == M
+
+
+# ---- properties on small random polynomial matrices ----
+
+_polys = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 1)),
+    st.fractions(min_value=-2, max_value=2, max_denominator=2),
+    max_size=2).map(lambda t: MultiPoly(V, t))
+
+
+def _matrices(rows, cols):
+    return st.lists(_polys, min_size=rows * cols, max_size=rows * cols).map(
+        lambda entries: PolyMatrix(rows, cols, entries))
+
+
+def _square_pairs():
+    return st.integers(2, 3).flatmap(lambda n: st.tuples(_matrices(n, n),
+                                                         _matrices(n, n)))
+
+
+def _any_shape():
+    return st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+        lambda shape: _matrices(*shape))
+
+
+@given(_square_pairs())
+def test_det_is_multiplicative(pair):
+    A, B = pair
+    assert (A @ B).det() == A.det() * B.det()
+
+
+@given(_any_shape())
+def test_polymatrix_json_round_trip_property(M):
+    assert PolyMatrix.from_json(M.to_json()) == M
+
+
+@given(_any_shape(), _any_shape())
+def test_polymatrix_equal_values_hash_equal(M, N):
+    same_shape = (M.rows, M.cols) == (N.rows, N.cols)
+    pairs = [(M, PolyMatrix.from_json(M.to_json())),
+             (M, M.transpose().transpose()), (M, N)]
+    if same_shape:
+        pairs.append((M, (M + N) - N))
+    for a, b in pairs:
+        if a == b:
+            assert hash(a) == hash(b)
+    if same_shape:
+        assert (M + N) - N == M

@@ -1,18 +1,22 @@
 """Exact integration, Gram matrices, positivity, indecomposability, numerics."""
 
 from fractions import Fraction as F
+from math import comb, factorial
 
 import pytest
 
-from bc2mvop.leading import C_VARS, X_VARS
+from bc2mvop import orthogonality
+from bc2mvop.expansion import poly_matrix_x
+from bc2mvop.leading import C_VARS, X_VARS, weight_matrix_x
 from bc2mvop.lie import MsfLabel, PairParams, label_weight, weyl_dim
 from bc2mvop.orthogonality import (beta_moment, gram, in_region,
                                    indecomposability_check,
                                    indecomposability_suite,
-                                   integrate_against_delta, numeric_crosscheck,
-                                   numeric_suite, orthogonality_suite,
-                                   positivity_check, region_grid,
-                                   region_integral, total_mass_check)
+                                   integrate_against_delta, moment,
+                                   numeric_crosscheck, numeric_suite,
+                                   orthogonality_suite, positivity_check,
+                                   region_grid, region_integral,
+                                   total_mass_check)
 from bc2mvop.poly import MultiPoly
 
 
@@ -41,6 +45,83 @@ def test_delta_integral_even_monomial():
 
 def test_region_integral_of_one():
     assert region_integral(PairParams(3, 0, 0), MultiPoly.one(X_VARS)) == F(8, 9)
+
+
+# ---- the moment table against Koornwinder's coordinates ----
+#
+# With u = cos 2t1, v = cos 2t2 one has x1 = u + v, x2 = uv, and the region
+# weight becomes Koornwinder's BC2 Jacobi weight with (alpha, beta, gamma) =
+# (m-2, b, 1/2): half of (u-v)^2 w(u) w(v) over the square [-1, 1]^2, with
+# w(u) = (1-u)^(m-2) (1+u)^b.  The moments below use only 1-D Beta
+# integrals, and share no code with the pull-back through (c1, c2).
+
+def _jacobi_moment(k, alpha, beta):
+    """int_{-1}^{1} u^k (1-u)^alpha (1+u)^beta du, from u^k = ((1+u) - 1)^k
+    and int (1-u)^p (1+u)^q du = 2^(p+q+1) p! q! / (p+q+1)!."""
+    return sum(comb(k, r) * (-1) ** (k - r)
+               * F(2 ** (alpha + beta + r + 1) * factorial(alpha)
+                   * factorial(beta + r), factorial(alpha + beta + r + 1))
+               for r in range(k + 1))
+
+
+def _koornwinder_moment(m, b, i, j):
+    """1/2 of int (u+v)^i (uv)^j (u-v)^2 w(u) w(v) du dv over [-1, 1]^2."""
+    total = F(0)
+    for s in range(i + 1):
+        # (u-v)^2 = u^2 - 2uv + v^2
+        for p, q, c in ((2, 0, 1), (1, 1, -2), (0, 2, 1)):
+            total += (comb(i, s) * c
+                      * _jacobi_moment(s + j + p, m - 2, b)
+                      * _jacobi_moment(i - s + j + q, m - 2, b))
+    return total / 2
+
+
+def test_moment_table_matches_koornwinder_coordinates():
+    for m in range(3, 7):
+        for b in range(4):
+            for i in range(7):
+                for j in range(7 - i):
+                    assert moment(m, b, i, j) == _koornwinder_moment(m, b, i, j), \
+                        (m, b, i, j)
+
+
+def _gram_by_entry(params, d, dp):
+    """The Gram matrix with every entry of R_d S R_d'^T pulled back on its own."""
+    s0 = weight_matrix_x(PairParams(params.m, params.a, 0))
+    prod = poly_matrix_x(params, d) @ s0 @ poly_matrix_x(params, dp).transpose()
+    return [[region_integral(params, prod.entry(i, j)) for j in range(prod.cols)]
+            for i in range(prod.rows)]
+
+
+@pytest.mark.parametrize("a", [0, 3])
+@pytest.mark.parametrize("b", [0, 2])
+def test_gram_contraction_matches_entrywise_pull_back(a, b):
+    p = PairParams(3, a, b)
+    for d, dp in (((1, 0), (1, 0)), ((0, 1), (0, 1)), ((1, 0), (0, 1)),
+                  ((0, 0), (1, 0))):
+        assert gram(p, d, dp) == _gram_by_entry(p, d, dp), (d, dp)
+
+
+@pytest.fixture
+def corrupted_moment(monkeypatch):
+    """One moment of the table, x1 against the weight, off by a factor 1 + 1e-3."""
+    true_moment = orthogonality.moment
+
+    def corrupt(m, b, i, j):
+        value = true_moment(m, b, i, j)
+        return value * F(1001, 1000) if (i, j) == (1, 0) else value
+
+    orthogonality._gram_cached.cache_clear()
+    monkeypatch.setattr(orthogonality, "moment", corrupt)
+    yield
+    orthogonality._gram_cached.cache_clear()
+
+
+def test_corrupted_moment_fails_exact_and_numeric_checks(corrupted_moment):
+    p = PairParams(3, 1, 0)
+    assert any(r.status == "FAIL" for r in orthogonality_suite(p, 1))
+    # the quadrature reads no moment, so it now disagrees with the exact Gram
+    assert numeric_crosscheck(p, (0, 0), (0, 0)).status == "FAIL"
 
 
 def test_total_mass_reported_with_reciprocal():
