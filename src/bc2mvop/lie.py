@@ -235,15 +235,6 @@ def weyl_dim(w: Weight) -> int:
     return dim
 
 
-def tensor_fund_decomp(m: int, i: int, j: int) -> list[Weight]:
-    """Irreducible pieces of omega_i tensor omega_j for i <= j (both minuscule):
-    [omega_{i-r} + omega_{j+r} for r = 0..min(i, m+2-j)]."""
-    if not 1 <= i <= j <= m + 1:
-        raise ValueError(f"need 1 <= i <= j <= m+1, got ({i},{j})")
-    return [fundamental(m, i - r) + fundamental(m, j + r)
-            for r in range(min(i, m + 2 - j) + 1)]
-
-
 @dataclass(frozen=True)
 class DualData:
     params: PairParams

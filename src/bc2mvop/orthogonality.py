@@ -182,7 +182,7 @@ def orthogonality_suite(params: PairParams, dmax: int = 2) -> list[CheckResult]:
                     f"d={d}, d'={dp}, entry {bad[0]}",
                     data={"residual": str(G[i][j])}))
                 ok = False
-    if ok:
+    if ok and len(degs) > 1:     # at dmax 0 there is no pair to compare
         out.append(CheckResult(f"orthogonality of distinct degrees {tag}",
                                PASS, f"{len(degs)} degrees, dmax={dmax}"))
 
@@ -213,7 +213,8 @@ def orthogonality_suite(params: PairParams, dmax: int = 2) -> list[CheckResult]:
                 norm_ok = False
     if diag_ok:
         out.append(CheckResult(f"diagonality of squared norms {tag}", PASS))
-    if norm_ok:
+    # a single degree at a = 0 gives one value and nothing to compare
+    if norm_ok and len(degs) * params.size > 1:
         out.append(CheckResult(
             f"norm constant independence {tag}", PASS,
             f"{witness} across all degrees and rows, dmax={dmax}"))

@@ -3,18 +3,23 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
+from bc2mvop import casimir, cli
 from bc2mvop.casimir import (bottom_lowering_check, casimir_suite,
                              cmu_reference_check, eigenvalue_agreement_check,
                              general_lowering_check, gradient_pairing_check,
                              lowering_moves, pde_operator_psi, pde_operator_x,
                              r0_transform_check, radial_apply,
                              reference_table_comparison, scalar_eigen_check,
-                             scalar_eigenpoly, scalar_radial_agreement_check,
-                             scalar_radial_psi, vertical_term, xi_constants,
-                             xi_suite)
-from bc2mvop.leading import PSI_VARS, X_VARS, psi_in_x, x_in_psi
+                             radial_denominator, scalar_eigenpoly,
+                             scalar_radial_agreement_check, scalar_radial_psi,
+                             vertical_term, xi_constants, xi_suite)
+from bc2mvop.diffop import MatrixDiffOp
+from bc2mvop.leading import (C_VARS, PSI_VARS, X_VARS, psi_in_c, psi_in_x,
+                             x_in_psi)
 from bc2mvop.lie import MsfLabel, PairParams, casimir_eigenvalue
+from bc2mvop.matrices import PolyMatrix
 from bc2mvop.poly import MultiPoly
 
 
@@ -99,6 +104,67 @@ def test_radial_apply_is_linear_in_components():
     c1 = MultiPoly.var(C_VARS, "c1")
     with pytest.raises(ValueError, match="outside the eigenfunction span"):
         radial_apply(p, (c1, MultiPoly.zero(C_VARS)))
+
+
+_PSI_EXPS = [(u, v) for u in range(6) for v in range(6 - u)]
+
+
+@given(st.integers(3, 6),
+       st.dictionaries(st.sampled_from(_PSI_EXPS), st.integers(-9, 9),
+                       min_size=1, max_size=6))
+def test_radial_operator_matches_scalar_psi_operator(m, coeffs):
+    # at a = b = 0 the c-side operator on f(psi(c)) is the psi-side scalar
+    # operator on f, pulled back; degrees reach 5, past AGREEMENT_DEG
+    f = MultiPoly(PSI_VARS, coeffs)
+    pc = psi_in_c()
+    got = radial_apply(PairParams(m, 0, 0), [f.substitute(pc, C_VARS)])[0]
+    assert got == scalar_radial_psi(m).apply_scalar(f).substitute(pc, C_VARS)
+
+
+def _perturb_first_order(monkeypatch, extra: MultiPoly):
+    """Add extra times the identity to the (1,0) coefficient of the radial
+    numerator operator."""
+    real = casimir.radial_operator_c
+
+    def perturbed(params):
+        bump = PolyMatrix.identity(params.size, C_VARS).scale(extra)
+        return real(params) + MatrixDiffOp(C_VARS, {(1, 0): bump})
+    monkeypatch.setattr(casimir, "radial_operator_c", perturbed)
+
+
+def _fail_lines(capsys):
+    code = cli.main(["verify", "casimir", "--m", "3", "--a", "1", "--b", "0",
+                     "--dmax", "1"])
+    out = capsys.readouterr().out
+    return code, [line for line in out.splitlines() if line.startswith("FAIL")]
+
+
+RADIAL_CHECKS = ("radial action on symmetric coordinates",
+                 "scalar operator route agreement",
+                 "bottom lowering identity", "triangular recursion table")
+
+
+def test_operator_remainder_fails_each_check(monkeypatch, capsys):
+    # c1 / denominator is no polynomial: each check reports the remainder
+    # as a FAIL with its label and component, not as a parameter error
+    _perturb_first_order(monkeypatch, MultiPoly.var(C_VARS, "c1"))
+    code, fails = _fail_lines(capsys)
+    assert code == 1
+    for check in RADIAL_CHECKS:
+        line = next(f for f in fails if check in f)
+        assert "non-polynomial residue in component" in line
+    assert "label MsfLabel(" in next(f for f in fails if RADIAL_CHECKS[3] in f)
+
+
+def test_exactly_dividing_operator_defect_fails(monkeypatch, capsys):
+    # denominator * c1 divides exactly, so only the comparisons catch it
+    _perturb_first_order(monkeypatch,
+                         radial_denominator() * MultiPoly.var(C_VARS, "c1"))
+    code, fails = _fail_lines(capsys)
+    assert code == 1
+    for check in RADIAL_CHECKS[2:]:
+        line = next(f for f in fails if check in f)
+        assert "non-polynomial" not in line
 
 
 def test_operator_transform_checks():

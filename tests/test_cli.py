@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, payloads, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -217,6 +218,24 @@ def test_verify_deterministic_bytes(tmp_path, capsys):
     code2, out2, _ = run_cli(argv, capsys)
     assert code == code2 == 0
     assert out1 == out2
+
+
+# sha256 of the casimir suite report on a 2x2x2 grid at dmax 2, pinned
+# byte for byte: any change to the radial operator that alters a single
+# line, a count or a REPORTED detail shows here
+CASIMIR_DIGESTS = {
+    "text": "9f408cf2a6793db27590113d59143a638a214f72eab04685f6a33c89cd59c8ea",
+    "json": "e3e292c8dd1fd0b5e0605626f2e6c9eb0ce1daad35cc27e8a3e3bfdd1e30df09",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(CASIMIR_DIGESTS))
+def test_verify_casimir_report_is_pinned(fmt, capsys):
+    code, out, _ = run_cli(["verify", "casimir", "--m", "3,5", "--a", "1,3",
+                            "--b", "0,2", "--dmax", "2", "--format", fmt],
+                           capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CASIMIR_DIGESTS[fmt]
 
 
 def test_console_script_installed():

@@ -9,8 +9,7 @@ from bc2mvop.lie import (DualData, MsfLabel, PairParams, Weight, bottom_weight,
                          casimir_eigenvalue, casimir_eigenvalue_ip, degree_pairs,
                          dominance_leq, dualize, fundamental, label_weight,
                          labels_up_to, root_coordinates, spherical_lambda1,
-                         spherical_lambda2, tensor_fund_decomp, weyl_dim,
-                         zero_weight)
+                         spherical_lambda2, weyl_dim, zero_weight)
 from bc2mvop.matrices import solve_linear
 
 
@@ -41,14 +40,6 @@ def test_weyl_dim_small_cases():
     assert weyl_dim(fundamental(3, 1)) == 5
     assert weyl_dim(spherical_lambda1(3)) == 24
     assert weyl_dim(zero_weight(3)) == 1
-
-
-def test_tensor_decomposition_dimensions_add_up():
-    for m in (3, 4):
-        for i, j in ((1, 1), (1, 2), (2, 2), (1, m + 1), (2, m + 1)):
-            total = weyl_dim(fundamental(m, i)) * weyl_dim(fundamental(m, j))
-            parts = tensor_fund_decomp(m, i, j)
-            assert sum(weyl_dim(w) for w in parts) == total
 
 
 def test_spherical_eigenvalues():

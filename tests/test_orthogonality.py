@@ -168,6 +168,18 @@ def test_orthogonality_suite_statuses():
     assert len(by_status.get("REPORTED", [])) == 1
 
 
+def test_no_comparison_line_without_anything_to_compare():
+    def names(a, dmax):
+        return " ".join(r.name for r in orthogonality_suite(PairParams(3, a, 0), dmax))
+    # dmax 0 has no pair of distinct degrees; at a = 0 it has one norm value
+    assert "orthogonality of distinct degrees" not in names(0, 0)
+    assert "norm constant independence" not in names(0, 0)
+    assert "orthogonality of distinct degrees" not in names(1, 0)
+    assert "norm constant independence" in names(1, 0)
+    assert "orthogonality of distinct degrees" in names(0, 1)
+    assert "norm constant independence" in names(0, 1)
+
+
 def test_positivity():
     for params in (PairParams(3, 1, 0), PairParams(3, 2, 1), PairParams(4, 1, 2)):
         assert positivity_check(params).status == "PASS"
