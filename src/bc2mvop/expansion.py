@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from types import MappingProxyType
 
 from .casimir import (lambda_d_matrix, lowering_moves, pde_operator_psi,
                       pde_operator_x)
@@ -157,59 +158,54 @@ def inverse_reference_check(params: PairParams) -> CheckResult:
 
 # ---- triangular eigenfunction expansion ----
 
+@lru_cache(maxsize=None)
+def _lowering_graph(params: PairParams, n: int):
+    """Read-only (eigenvalue, moves, order) over the labels of degree <= n:
+    each move is checked once against both orders it must lower, and order
+    is descending eigenvalue, ties by (i, d1, d2)."""
+    labels = labels_up_to(params, n)
+    c_of = {lab: casimir_eigenvalue(params, lab) for lab in labels}
+    weight = {lab: label_weight(params, lab) for lab in labels}
+    moves = {lab: MappingProxyType(lowering_moves(params, lab)) for lab in labels}
+    for lab in labels:
+        for tgt in moves[lab]:
+            if tgt not in c_of or not c_of[tgt] < c_of[lab]:
+                raise AssertionError(f"move {lab} -> {tgt} does not lower the eigenvalue")
+            if not dominance_leq(weight[tgt], weight[lab]):
+                raise AssertionError(f"move {lab} -> {tgt} does not lower the weight")
+    order = tuple(sorted(labels, key=lambda t: (-c_of[t], t.i, t.d1, t.d2)))
+    return MappingProxyType(c_of), MappingProxyType(moves), order
+
+
 def phi_expansion(params: PairParams, label: MsfLabel) -> dict[MsfLabel, Fraction]:
     """Expansion of the spherical vector at the label over the monomial
     basis psi1^d1' psi2^d2' (bottom row i').
 
     Every lower coefficient is forced: collecting the basis coefficient in
     the eigenvalue equation gives e = (incoming contributions)/(eigenvalue
-    difference).  Strict monotonicity of the eigenvalue along lowering moves
-    keeps all denominators positive; rescaling enforces value 1 at the
-    identity point (psi1, psi2) = (2, 1).
+    difference).  Moves strictly lower the eigenvalue, so one sweep in
+    descending eigenvalue order meets each label after its sources, with a
+    positive denominator; rescaling enforces value 1 at (psi1, psi2) = (2, 1).
     """
     check_label(params, label)
-    c_of: dict[MsfLabel, Fraction] = {label: casimir_eigenvalue(params, label)}
-    moves: dict[MsfLabel, dict[MsfLabel, Fraction]] = {}
-    todo = [label]
-    while todo:
-        lab = todo.pop()
-        if lab in moves:
-            continue
-        moves[lab] = lowering_moves(params, lab)
-        for tgt in moves[lab]:
-            if tgt not in c_of:
-                c_of[tgt] = casimir_eigenvalue(params, tgt)
-                todo.append(tgt)
-            # the recursion must strictly lower both orders
-            if not c_of[tgt] < c_of[lab]:
-                raise AssertionError(f"move {lab} -> {tgt} does not lower the eigenvalue")
-            if not dominance_leq(label_weight(params, tgt),
-                                 label_weight(params, lab)):
-                raise AssertionError(f"move {lab} -> {tgt} does not lower the weight")
-    order = sorted(c_of, key=lambda t: (-c_of[t], t.i, t.d1, t.d2))
-    if order[0] != label or (len(order) > 1 and c_of[order[1]] >= c_of[label]):
-        raise AssertionError(f"{label} is not the unique top of its expansion")
-    e: dict[MsfLabel, Fraction] = {}
-    acc: dict[MsfLabel, Fraction] = {}
-    c_top = c_of[label]
+    c_of, moves, order = _lowering_graph(params, label.d1 + label.d2)
+    e = {label: Fraction(1)}
+    acc = dict(moves[label])
     for lab in order:
-        if lab == label:
-            e[lab] = Fraction(1)
-        else:
-            gap = c_top - c_of[lab]
-            if gap <= 0:
-                raise AssertionError(f"eigenvalue gap {gap} at {lab} is not positive")
-            e[lab] = acc.pop(lab, Fraction(0)) / gap
-        if e[lab] == 0:
+        if lab not in acc:
             continue
-        for tgt, coeff in moves[lab].items():
-            acc[tgt] = acc.get(tgt, Fraction(0)) + e[lab] * coeff
+        coeff = acc.pop(lab) / (c_of[label] - c_of[lab])
+        if coeff == 0:
+            continue
+        e[lab] = coeff
+        for tgt, w in moves[lab].items():
+            acc[tgt] = acc.get(tgt, 0) + coeff * w
     if acc:
         raise AssertionError(f"mass left on labels outside the order: {list(acc)}")
-    total = sum(c * Fraction(2) ** lab.d1 for lab, c in e.items())
+    total = sum(c * 2 ** lab.d1 for lab, c in e.items())
     if total == 0:
         raise AssertionError(f"expansion of {label} vanishes at the identity point")
-    return {lab: c / total for lab, c in e.items() if c != 0}
+    return {lab: c / total for lab, c in e.items()}
 
 
 @dataclass(frozen=True)
@@ -226,11 +222,10 @@ def poly_matrix_psi(params: PairParams, d: tuple[int, int]) -> PolyMatrix:
     n = params.size
     rows = []
     for i in range(n):
-        table = phi_expansion(params, MsfLabel(i, d[0], d[1]))
-        row = [MultiPoly.zero(PSI_VARS) for _ in range(n)]
-        for lab, c in table.items():
-            row[lab.i] = row[lab.i] + MultiPoly.monomial(PSI_VARS, (lab.d1, lab.d2), c)
-        rows.append(row)
+        terms = [{} for _ in range(n)]
+        for lab, c in phi_expansion(params, MsfLabel(i, d[0], d[1])).items():
+            terms[lab.i][(lab.d1, lab.d2)] = c
+        rows.append([MultiPoly(PSI_VARS, t) for t in terms])
     return PolyMatrix.from_rows(rows)
 
 

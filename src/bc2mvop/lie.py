@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,10 @@ class Weight:
     omega: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", tuple(int(x) for x in self.omega))
+        try:
+            object.__setattr__(self, "omega", tuple(map(index, self.omega)))
+        except TypeError:
+            raise ValueError(f"non-integral weight coordinates {self.omega}") from None
 
     @property
     def m(self) -> int:

@@ -71,9 +71,6 @@ class PolyMatrix:
     def row(self, i: int) -> list[MultiPoly]:
         return list(self.entries[i * self.cols:(i + 1) * self.cols])
 
-    def to_rows(self) -> list[list[MultiPoly]]:
-        return [self.row(i) for i in range(self.rows)]
-
     # ---- algebra ----
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":

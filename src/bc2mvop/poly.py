@@ -12,6 +12,7 @@ denominator, arbitrary precision.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 from typing import Iterable, Mapping
 
 
@@ -44,16 +45,17 @@ class MultiPoly:
         clean: dict[tuple[int, ...], Fraction] = {}
         n = len(vars)
         for exp, coeff in terms.items():
-            exp = tuple(int(e) for e in exp)
+            try:
+                exp = tuple(map(index, exp))
+            except TypeError:
+                raise ValueError(f"non-integral exponent in {exp}") from None
             if len(exp) != n:
                 raise ValueError(f"exponent {exp} has arity {len(exp)}, expected {n}")
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent in {exp}")
             c = Fraction(coeff)
             if c != 0:
-                clean[exp] = clean.get(exp, Fraction(0)) + c
-                if clean[exp] == 0:
-                    del clean[exp]
+                clean[exp] = c
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "terms", clean)
 

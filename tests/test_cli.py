@@ -220,22 +220,31 @@ def test_verify_deterministic_bytes(tmp_path, capsys):
     assert out1 == out2
 
 
-# sha256 of the casimir suite report on a 2x2x2 grid at dmax 2, pinned
-# byte for byte: any change to the radial operator that alters a single
-# line, a count or a REPORTED detail shows here
-CASIMIR_DIGESTS = {
-    "text": "9f408cf2a6793db27590113d59143a638a214f72eab04685f6a33c89cd59c8ea",
-    "json": "e3e292c8dd1fd0b5e0605626f2e6c9eb0ce1daad35cc27e8a3e3bfdd1e30df09",
+# sha256 of the casimir and pde suite reports on a 2x2x2 grid at dmax 2,
+# pinned byte for byte: any change to the radial operator or to the
+# triangular expansion that alters a single line, a count or a REPORTED
+# detail shows here
+REPORT_DIGESTS = {
+    ("casimir", "text"):
+        "9f408cf2a6793db27590113d59143a638a214f72eab04685f6a33c89cd59c8ea",
+    ("casimir", "json"):
+        "e3e292c8dd1fd0b5e0605626f2e6c9eb0ce1daad35cc27e8a3e3bfdd1e30df09",
+    ("pde", "text"):
+        "fdc887c5ffd77fc6efc0f66c9e6a7217bc150c8f710a8351623954c6c5c10cd5",
+    ("pde", "json"):
+        "e761ecbab15f1c4a5b3d798cedb18cc95e99e5ceb603943715146eceab2741db",
 }
 
 
-@pytest.mark.parametrize("fmt", sorted(CASIMIR_DIGESTS))
-def test_verify_casimir_report_is_pinned(fmt, capsys):
-    code, out, _ = run_cli(["verify", "casimir", "--m", "3,5", "--a", "1,3",
+@pytest.mark.parametrize("suite, fmt", [
+    pytest.param(suite, fmt, id=fmt if suite == "casimir" else f"{suite}-{fmt}")
+    for suite, fmt in sorted(REPORT_DIGESTS)])
+def test_verify_casimir_report_is_pinned(suite, fmt, capsys):
+    code, out, _ = run_cli(["verify", suite, "--m", "3,5", "--a", "1,3",
                             "--b", "0,2", "--dmax", "2", "--format", fmt],
                            capsys)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == CASIMIR_DIGESTS[fmt]
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[suite, fmt]
 
 
 def test_console_script_installed():

@@ -74,6 +74,13 @@ def test_phi_expansion_scalar_case_by_hand():
     p = PairParams(3, 0, 0)
     coeffs = phi_expansion(p, MsfLabel(0, 1, 0))
     assert coeffs == {MsfLabel(0, 1, 0): F(5, 6), MsfLabel(0, 0, 0): F(-2, 3)}
+    # the lowering graph behind it is cached: editing a result changes
+    # nothing in the next call
+    coeffs.clear()
+    assert phi_expansion(p, MsfLabel(0, 1, 0)) == \
+        {MsfLabel(0, 1, 0): F(5, 6), MsfLabel(0, 0, 0): F(-2, 3)}
+    assert list(phi_expansion(p, MsfLabel(0, 1, 0))) == \
+        [MsfLabel(0, 1, 0), MsfLabel(0, 0, 0)]
 
 
 def test_phi_expansion_degree_zero_reproduces_transition_rows():
@@ -88,10 +95,19 @@ def test_phi_expansion_degree_zero_reproduces_transition_rows():
                 assert got == want, (params, i, j)
 
 
-def test_phi_expansion_invariants_survive_optimized_mode():
-    # python -O strips bare asserts; a lowering move that raises the
-    # eigenvalue must still stop the expansion
-    script = textwrap.dedent("""
+@pytest.mark.parametrize("source, target, message", [
+    # a move up, to a label outside the degree-1 graph
+    pytest.param((0, 1, 0), (0, 2, 0), "does not lower the eigenvalue",
+                 id="eigenvalue"),
+    # lowers the eigenvalue, but (1,2,0) is not below (0,0,2) in dominance
+    pytest.param((0, 0, 2), (1, 2, 0), "does not lower the weight",
+                 id="weight"),
+])
+def test_phi_expansion_invariants_survive_optimized_mode(source, target,
+                                                         message):
+    # python -O strips bare asserts; a lowering move that breaks either
+    # order must still stop the expansion
+    script = textwrap.dedent(f"""
         import sys
         from fractions import Fraction
         from bc2mvop import expansion
@@ -103,13 +119,13 @@ def test_phi_expansion_invariants_survive_optimized_mode():
 
         def corrupted(params, label):
             moves = dict(real(params, label))
-            if label == MsfLabel(0, 1, 0):     # a move up, to (0, 2, 0)
-                moves[MsfLabel(0, 2, 0)] = Fraction(1)
+            if label == MsfLabel{source}:
+                moves[MsfLabel{target}] = Fraction(1)
             return moves
 
         expansion.lowering_moves = corrupted
         try:
-            expansion.phi_expansion(PairParams(3, 1, 0), MsfLabel(0, 1, 0))
+            expansion.phi_expansion(PairParams(3, 1, 0), MsfLabel{source})
         except AssertionError as exc:
             print(exc)
             sys.exit(0)
@@ -121,7 +137,7 @@ def test_phi_expansion_invariants_survive_optimized_mode():
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "does not lower the eigenvalue" in proc.stdout
+    assert message in proc.stdout
 
 
 def test_polynomials_have_unit_row_sums_at_identity():

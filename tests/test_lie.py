@@ -140,6 +140,16 @@ def test_weight_arithmetic():
     assert (-w).omega == (-1, -2, 0, 0)
 
 
+def test_non_integral_weight_coordinates_are_refused():
+    # truncating would turn (0.9, 0, 0, 0) into the zero weight
+    with pytest.raises(ValueError, match="non-integral"):
+        Weight((0.9, 0, 0, 0))
+    with pytest.raises(ValueError, match="non-integral"):
+        Weight((F(1, 2), 0, 0, 0))
+    with pytest.raises(ValueError, match="non-integral"):
+        fundamental(3, 1) * F(1, 2)
+
+
 # ---- properties of the simple-root coordinates, on random weights ----
 
 def _simple_roots(m):

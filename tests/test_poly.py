@@ -103,6 +103,19 @@ def test_json_round_trip_is_canonical():
     assert p.to_json() == data
 
 
+def test_non_integral_exponents_are_refused():
+    # truncating 1.5 to 1 would merge the two terms into 5*x1
+    data = {"vars": ["x1", "x2"],
+            "terms": [{"exp": [1.5, 0], "coeff": "2/1"},
+                      {"exp": [1, 0], "coeff": "3/1"}]}
+    with pytest.raises(ValueError, match="non-integral"):
+        MultiPoly.from_json(data)
+    with pytest.raises(ValueError, match="non-integral"):
+        MultiPoly(CV, {(F(1, 2), 0): 1})
+    with pytest.raises(ValueError, match="non-integral"):
+        MultiPoly(CV, {(0.5, 0): 1})
+
+
 def test_constant_hashes_like_its_number():
     for c in (0, 3, F(1, 2)):
         p = MultiPoly.const(CV, c)
