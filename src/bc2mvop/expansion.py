@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import index
 from types import MappingProxyType
 
 from .casimir import (lambda_d_matrix, lowering_moves, pde_operator_psi,
@@ -235,7 +236,10 @@ def poly_matrix_x(params: PairParams, d: tuple[int, int]) -> PolyMatrix:
 
 
 def matrix_op(params: PairParams, d: tuple[int, int]) -> MatrixOP:
-    d = (int(d[0]), int(d[1]))
+    try:
+        d = (index(d[0]), index(d[1]))
+    except TypeError:
+        raise ValueError(f"non-integral degree pair {d}") from None
     if d[0] < 0 or d[1] < 0:
         raise ValueError("degree pair must be non-negative")
     return MatrixOP(params, d, poly_matrix_psi(params, d), poly_matrix_x(params, d))

@@ -24,6 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from types import MappingProxyType
+from typing import Mapping
 
 from .krawtchouk import krawtchouk, poch
 from .lie import PairParams
@@ -59,10 +61,12 @@ def psi_in_x() -> dict[str, MultiPoly]:
     return {"psi1": half * x1 + one, "psi2": quarter * (x1 + x2 + one)}
 
 
-def x_in_c() -> dict[str, MultiPoly]:
-    # composition of x_in_psi with psi_in_c
+@lru_cache(maxsize=None)
+def x_in_c() -> Mapping[str, MultiPoly]:
+    """Composition of x_in_psi with psi_in_c, built once and read-only."""
     pc = psi_in_c()
-    return {name: poly.substitute(pc, C_VARS) for name, poly in x_in_psi().items()}
+    return MappingProxyType({name: poly.substitute(pc, C_VARS)
+                             for name, poly in x_in_psi().items()})
 
 
 def _require_weight_regime(params: PairParams):

@@ -27,6 +27,13 @@ class PairParams:
     b: int
 
     def __post_init__(self):
+        try:
+            values = tuple(map(index, (self.m, self.a, self.b)))
+        except TypeError:
+            raise ValueError(f"non-integral parameters m={self.m}, a={self.a}, "
+                             f"b={self.b}") from None
+        for name, value in zip(("m", "a", "b"), values):
+            object.__setattr__(self, name, value)
         if self.m <= 2:
             raise ValueError("m must be at least 3")
         if self.a < 0:

@@ -94,12 +94,16 @@ class PolyMatrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by "
                              f"{other.rows}x{other.cols}")
+        zero = MultiPoly.zero(self.vars)
+        cols = [other.entries[j::other.cols] for j in range(other.cols)]
         out = []
         for i in range(self.rows):
-            for j in range(other.cols):
-                acc = MultiPoly.zero(self.vars)
-                for k in range(self.cols):
-                    acc = acc + self.entry(i, k) * other.entry(k, j)
+            row = self.entries[i * self.cols:(i + 1) * self.cols]
+            for col in cols:
+                acc = zero
+                for a, b in zip(row, col):
+                    if a.terms and b.terms:
+                        acc = acc + a * b
                 out.append(acc)
         return PolyMatrix(self.rows, other.cols, out)
 
@@ -240,10 +244,26 @@ def _eliminate(A: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], l
 
 
 def frac_rank(A: Sequence[Sequence[Fraction]]) -> int:
-    if not A:
-        return 0
-    _, pivots = _eliminate(A)
-    return len(pivots)
+    """Rank by forward elimination over the distinct nonzero rows: a
+    repeated or zero row never changes the rank."""
+    rows = list(dict.fromkeys(tuple(map(Fraction, row)) for row in A if any(row)))
+    ncols = len(rows[0]) if rows else 0
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        inv = 1 / top[c]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][c]:
+                f = rows[i][c] * inv
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], top)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
 
 
 def nullspace_dim(A: Sequence[Sequence[Fraction]], ncols: int | None = None) -> int:

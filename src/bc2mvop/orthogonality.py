@@ -11,7 +11,13 @@ half-integer weight factor and the Jacobian combine into the square
 
 The scalar weight depends on (m, b) only, so every Gram integral is a linear
 function of the monomial moments int x1^i x2^j.  `moment` computes each of
-them once per (m, b) by that pull-back and caches it, and a Gram matrix
+them once per (m, b) by that pull-back and caches it.  The pull-back of
+x1^i x2^j to (c1, c2) does not depend on (m, b) at all: `_pulled_monomial`
+is one shared, cached table of them, each entry one product from its
+predecessor, so `region_integral` reads the pull-back of every monomial of
+its integrand from that table instead of substituting.  The table relies on
+callers never mutating an entry, which holds because MultiPoly is
+immutable.  A Gram matrix
 G = int R_d S R_d'^T contracts the coefficients of R_d, S and R_d' against
 the table, with no product polynomial and no per-entry pull-back.  A
 floating-point Gauss-Legendre path recomputes the same integrals
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 from .expansion import poly_matrix_x
@@ -41,6 +48,7 @@ def beta_moment(m: int, p: int) -> Fraction:
                     2 * math.factorial(p + m - 1))
 
 
+@functools.lru_cache(maxsize=None)
 def _split_factor() -> MultiPoly:
     c1 = MultiPoly.var(C_VARS, "c1")
     c2 = MultiPoly.var(C_VARS, "c2")
@@ -63,16 +71,27 @@ def integrate_against_delta(params: PairParams, p: MultiPoly) -> Fraction:
     return 4 * acc
 
 
+@functools.lru_cache(maxsize=None)
+def _pulled_monomial(i: int, j: int) -> MultiPoly:
+    """x1^i x2^j pulled back to (c1, c2): one product from its predecessor
+    (i, j-1), or (i-1, 0) on the j = 0 column."""
+    if j:
+        return _pulled_monomial(i, j - 1) * x_in_c()["x2"]
+    if i:
+        return _pulled_monomial(i - 1, 0) * x_in_c()["x1"]
+    return MultiPoly.one(C_VARS)
+
+
 def region_integral(params: PairParams, M: MultiPoly) -> Fraction:
     """Integral of M(x1, x2) over the parabolic region against the scalar
     weight (1-x1+x2)^(m-2) (1+x1+x2)^b (x1^2-4x2)^(1/2)."""
     if M.vars != X_VARS:
         raise ValueError("integrand must be a polynomial in (x1, x2)")
     m, b = params.m, params.b
-    pulled = M.substitute(x_in_c(), C_VARS)
-    c1 = MultiPoly.var(C_VARS, "c1")
-    c2 = MultiPoly.var(C_VARS, "c2")
-    pulled = pulled * (c1 * c1) ** b * (c2 * c2) ** b
+    pulled = MultiPoly.zero(C_VARS)
+    for (i, j), c in M.terms.items():
+        pulled = pulled + _pulled_monomial(i, j) * c
+    pulled = pulled * MultiPoly.monomial(C_VARS, (2 * b, 2 * b))
     return Fraction(2) ** (2 * m + 2 * b - 1) * integrate_against_delta(params, pulled)
 
 
@@ -292,26 +311,23 @@ def indecomposability_check(params: PairParams) -> tuple[int, int]:
     split into smaller blocks."""
     s = weight_matrix_c(params)
     n = s.rows
-    support = sorted({e for i in range(n) for j in range(n)
-                      for e in s.entry(i, j).terms})
 
     def rows_for(sign: int, transpose: bool) -> list[list[Fraction]]:
-        # coefficient matching of T S - sign * (S T or S T^T) = 0
-        rows = []
+        # coefficient matching of T S - sign * (S T or S T^T) = 0: one row
+        # per entry (i, j) and monomial present in it, built from the terms
+        rows: dict[tuple, list[Fraction]] = defaultdict(
+            lambda: [Fraction(0)] * (n * n))
         for i in range(n):
             for j in range(n):
-                for exp in support:
-                    row = [Fraction(0)] * (n * n)
-                    for k in range(n):
-                        # (T S)_{ij} term through T_{ik}
-                        row[i * n + k] += s.entry(k, j).coefficient(exp)
-                        # (S T)_{ij} through T_{kj}, or (S T^T)_{ij} through T_{jk}
-                        if transpose:
-                            row[j * n + k] -= sign * s.entry(i, k).coefficient(exp)
-                        else:
-                            row[k * n + j] -= sign * s.entry(i, k).coefficient(exp)
-                    rows.append(row)
-        return rows
+                for k in range(n):
+                    # (T S)_{ij} term through T_{ik}
+                    for exp, c in s.entry(k, j).terms.items():
+                        rows[i, j, exp][i * n + k] += c
+                    # (S T)_{ij} through T_{kj}, or (S T^T)_{ij} through T_{jk}
+                    col = j * n + k if transpose else k * n + j
+                    for exp, c in s.entry(i, k).terms.items():
+                        rows[i, j, exp][col] -= sign * c
+        return list(rows.values())
 
     dim_comm = nullspace_dim(rows_for(+1, False), n * n)
     dim_sym = nullspace_dim(rows_for(+1, True), n * n)

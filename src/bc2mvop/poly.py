@@ -7,12 +7,23 @@ systems cannot be mixed by accident.
 
 Coefficients are fractions.Fraction throughout: reduced, positive
 denominator, arbitrary precision.
+
+The public constructor `MultiPoly(vars, terms)` (and `from_json`) checks
+outside input: every exponent is converted with `operator.index`, must have
+the arity of `vars` and no negative entry, and every coefficient is wrapped
+in `Fraction`.  The results of arithmetic are built by the private trusted
+constructor `MultiPoly._trusted`, which only drops zero coefficients.  It
+relies on one condition: its terms come from valid polynomials over the same
+variable tuple, so every key is already a tuple of non-negative ints of the
+right arity (a sum or difference of such tuples that was checked to stay
+non-negative) and every value is already a Fraction (sums, products and
+quotients of Fractions and ints are Fractions).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import index
+from operator import add, index, sub
 from typing import Iterable, Mapping
 
 
@@ -58,6 +69,16 @@ class MultiPoly:
                 clean[exp] = c
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, vars: tuple[str, ...],
+                 terms: dict[tuple[int, ...], Fraction]) -> "MultiPoly":
+        """Result of arithmetic on valid polynomials: drops zero
+        coefficients and checks nothing else (see the module docstring)."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "vars", vars)
+        object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
+        return p
 
     def __setattr__(self, *a):  # immutable after construction
         raise AttributeError("MultiPoly is immutable")
@@ -138,15 +159,19 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + c
-        return MultiPoly(self.vars, out)
+            out[exp] = out[exp] + c if exp in out else c
+        return MultiPoly._trusted(self.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -161,18 +186,17 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            if c == 0:
-                return MultiPoly.zero(self.vars)
-            return MultiPoly(self.vars, {e: k * c for e, k in self.terms.items()})
+            return MultiPoly._trusted(self.vars, {e: k * c for e, k in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
         out: dict[tuple[int, ...], Fraction] = {}
+        right = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(self.vars, out)
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+        return MultiPoly._trusted(self.vars, out)
 
     __rmul__ = __mul__
 
@@ -217,9 +241,8 @@ class MultiPoly:
             e = list(exp)
             k = e[i]
             e[i] = k - 1
-            e = tuple(e)
-            out[e] = out.get(e, Fraction(0)) + c * k
-        return MultiPoly(self.vars, out)
+            out[tuple(e)] = c * k
+        return MultiPoly._trusted(self.vars, out)
 
     def substitute(self, images: Mapping[str, "MultiPoly"],
                    out_vars: tuple[str, ...] | None = None) -> "MultiPoly":
@@ -246,7 +269,8 @@ class MultiPoly:
             else:
                 full[v] = MultiPoly.var(out_vars, v)
         # cache powers of each image
-        pows: dict[str, list[MultiPoly]] = {v: [MultiPoly.one(out_vars)] for v in self.vars}
+        one = MultiPoly.one(out_vars)
+        pows: dict[str, list[MultiPoly]] = {v: [one] for v in self.vars}
 
         def power(v: str, k: int) -> MultiPoly:
             lst = pows[v]
@@ -254,14 +278,15 @@ class MultiPoly:
                 lst.append(lst[-1] * full[v])
             return lst[k]
 
-        acc = MultiPoly.zero(out_vars)
+        acc: dict[tuple[int, ...], Fraction] = {}
         for exp, c in self.terms.items():
-            term = MultiPoly.const(out_vars, c)
+            term = one
             for v, k in zip(self.vars, exp):
                 if k:
-                    term = term * power(v, k)
-            acc = acc + term
-        return acc
+                    term = power(v, k) if term is one else term * power(v, k)
+            for e, t in term.terms.items():
+                acc[e] = acc[e] + c * t if e in acc else c * t
+        return MultiPoly._trusted(out_vars, acc)
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         missing = [v for v in self.vars if v not in point]
@@ -286,18 +311,25 @@ class MultiPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if divisor.is_constant():
             return self / divisor.constant_value()
-        rem = self
-        quo = MultiPoly.zero(self.vars)
+        rem = dict(self.terms)
+        quo: dict[tuple[int, ...], Fraction] = {}
         dexp, dc = divisor.leading()
-        while not rem.is_zero:
-            rexp, rc = rem.leading()
-            qexp = tuple(r - d for r, d in zip(rexp, dexp))
+        dterms = divisor.terms.items()
+        while rem:
+            rexp = max(rem, key=_grlex_key)
+            qexp = tuple(map(sub, rexp, dexp))
             if any(e < 0 for e in qexp):
                 return None
-            qterm = MultiPoly.monomial(self.vars, qexp, rc / dc)
-            quo = quo + qterm
-            rem = rem - qterm * divisor
-        return quo
+            q = quo[qexp] = rem[rexp] / dc
+            # rem -= q x^qexp divisor, dropping what cancels
+            for e, c in dterms:
+                e = tuple(map(add, qexp, e))
+                r = rem[e] - q * c if e in rem else -q * c
+                if r:
+                    rem[e] = r
+                else:
+                    del rem[e]
+        return MultiPoly._trusted(self.vars, quo)
 
     # ---- serialization / printing ----
 

@@ -220,10 +220,14 @@ def test_verify_deterministic_bytes(tmp_path, capsys):
     assert out1 == out2
 
 
-# sha256 of the casimir and pde suite reports on a 2x2x2 grid at dmax 2,
-# pinned byte for byte: any change to the radial operator or to the
-# triangular expansion that alters a single line, a count or a REPORTED
-# detail shows here
+# sha256 of suite reports, pinned byte for byte: the casimir, pde and
+# orthogonality suites on a 2x2x2 grid at dmax 2, and the indecomposability
+# suite on the default grid.  Any change to the radial operator, the
+# triangular expansion, the Gram integrals or the exact rank that alters a
+# single line, a count or a REPORTED detail shows here
+SMALL_GRID = ["--m", "3,5", "--a", "1,3", "--b", "0,2", "--dmax", "2"]
+REPORT_GRIDS = {"casimir": SMALL_GRID, "pde": SMALL_GRID,
+                "orthogonality": SMALL_GRID, "indecomposable": []}
 REPORT_DIGESTS = {
     ("casimir", "text"):
         "9f408cf2a6793db27590113d59143a638a214f72eab04685f6a33c89cd59c8ea",
@@ -233,6 +237,14 @@ REPORT_DIGESTS = {
         "fdc887c5ffd77fc6efc0f66c9e6a7217bc150c8f710a8351623954c6c5c10cd5",
     ("pde", "json"):
         "e761ecbab15f1c4a5b3d798cedb18cc95e99e5ceb603943715146eceab2741db",
+    ("orthogonality", "text"):
+        "0328e6d8222c404f851b85c86ae948e954ea08ef47fe3125c4db1f22677620bb",
+    ("orthogonality", "json"):
+        "a8526e973e32b4ad89f2911fcbcd291a2ad202724bf15d548bb730a7d23fa015",
+    ("indecomposable", "text"):
+        "0c0003c47284fae6c48743f19ca0b66576898088dc3c6ad08f5270c8dbcb2716",
+    ("indecomposable", "json"):
+        "b68e1fc4a72a1ba7cee323ebee9f562a511f930614271cd2a73906dc55fb1938",
 }
 
 
@@ -240,9 +252,8 @@ REPORT_DIGESTS = {
     pytest.param(suite, fmt, id=fmt if suite == "casimir" else f"{suite}-{fmt}")
     for suite, fmt in sorted(REPORT_DIGESTS)])
 def test_verify_casimir_report_is_pinned(suite, fmt, capsys):
-    code, out, _ = run_cli(["verify", suite, "--m", "3,5", "--a", "1,3",
-                            "--b", "0,2", "--dmax", "2", "--format", fmt],
-                           capsys)
+    code, out, _ = run_cli(["verify", suite, *REPORT_GRIDS[suite],
+                            "--format", fmt], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[suite, fmt]
 

@@ -187,6 +187,14 @@ def test_matrix_op_bundle():
     assert op.psi.rows == 2 and op.x.rows == 2
 
 
+def test_non_integral_degree_pair_is_refused():
+    # truncating turned (1.5, 0.7) into the degree (1, 0)
+    p = PairParams(3, 1, 0)
+    for d in ((1.5, 0.7), (F(1, 2), 0), (1, 0.0)):
+        with pytest.raises(ValueError, match="non-integral"):
+            matrix_op(p, d)
+
+
 def test_duality_checks():
     for params in (PairParams(3, 1, 0), PairParams(3, 2, 1)):
         assert dual_bottom_check(params).status == "PASS"

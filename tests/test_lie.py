@@ -150,6 +150,14 @@ def test_non_integral_weight_coordinates_are_refused():
         fundamental(3, 1) * F(1, 2)
 
 
+def test_non_integral_parameters_are_refused():
+    # truncating would tag (m=3.5,a=1,b=0) and cache it beside (3, 1, 0)
+    for args in ((3.5, 1, 0), (3, F(1, 2), 0), (3, 1, 0.0)):
+        with pytest.raises(ValueError, match="non-integral"):
+            PairParams(*args)
+    assert PairParams(3, 1, 0).tag() == "(m=3,a=1,b=0)"
+
+
 # ---- properties of the simple-root coordinates, on random weights ----
 
 def _simple_roots(m):

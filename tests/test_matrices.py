@@ -2,11 +2,12 @@
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, strategies as st
 
-from bc2mvop.matrices import (PolyMatrix, conjugate_flip, flip_matrix, frac_det,
-                              frac_identity, frac_invert, frac_matmul, frac_rank,
-                              nullspace_dim, solve_linear)
+from bc2mvop.matrices import (PolyMatrix, _eliminate, conjugate_flip, flip_matrix,
+                              frac_det, frac_identity, frac_invert, frac_matmul,
+                              frac_rank, nullspace_dim, solve_linear)
 from bc2mvop.poly import MultiPoly
 
 V = ("x1", "x2")
@@ -85,6 +86,9 @@ def test_frac_det_and_rank():
     assert frac_rank([[F(1), F(2)], [F(2), F(4)]]) == 1
     assert nullspace_dim([[F(1), F(2)], [F(2), F(4)]]) == 1
     assert nullspace_dim([[F(1), F(0)], [F(0), F(1)]]) == 0
+    assert frac_rank([]) == 0
+    assert frac_rank([[F(0), F(0)], [F(0), F(0)]]) == 0
+    assert frac_rank([[1, 2, 3], [1, 2, 3], [0, 0, 0], [2, 4, 7]]) == 2
 
 
 def test_solve_linear_unique_and_degenerate():
@@ -150,3 +154,65 @@ def test_polymatrix_equal_values_hash_equal(M, N):
             assert hash(a) == hash(b)
     if same_shape:
         assert (M + N) - N == M
+
+
+# zero-heavy entries: the empty dictionary is drawn often, and half of the
+# draws are the zero polynomial outright
+_sparse_polys = st.one_of(st.just(MultiPoly.zero(V)), _polys)
+
+
+def _sparse_products():
+    return st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)).flatmap(
+        lambda s: st.tuples(
+            st.lists(_sparse_polys, min_size=s[0] * s[1], max_size=s[0] * s[1]).map(
+                lambda e: PolyMatrix(s[0], s[1], e)),
+            st.lists(_sparse_polys, min_size=s[1] * s[2], max_size=s[1] * s[2]).map(
+                lambda e: PolyMatrix(s[1], s[2], e))))
+
+
+def _reference_product_terms(A, B, i, j):
+    """sum_k A_ik B_kj as a dict of terms, from the coefficients alone."""
+    terms = {}
+    for k in range(A.cols):
+        for (a1, a2), x in A.entry(i, k).terms.items():
+            for (b1, b2), y in B.entry(k, j).terms.items():
+                e = (a1 + b1, a2 + b2)
+                terms[e] = terms.get(e, 0) + x * y
+    return {e: c for e, c in terms.items() if c != 0}
+
+
+@given(_sparse_products())
+def test_matmul_with_zero_factors_matches_the_entrywise_sum(pair):
+    A, B = pair
+    P = A @ B
+    if (P.rows, P.cols) != (A.rows, B.cols):
+        pytest.fail(f"shape {(P.rows, P.cols)}")
+    for i in range(P.rows):
+        for j in range(P.cols):
+            entry = P.entry(i, j)
+            # dict equality: a zero coefficient left in the entry shows
+            if entry.vars != V or entry.terms != _reference_product_terms(A, B, i, j):
+                pytest.fail(f"entry ({i},{j}) = {entry.terms}")
+
+
+_rank_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _rank_matrices(draw):
+    """Random rows plus repeats, scaled copies and zero rows, shuffled."""
+    ncols = draw(st.integers(0, 4))
+    base = draw(st.lists(st.lists(_rank_fracs, min_size=ncols, max_size=ncols),
+                         max_size=4))
+    rows = list(base)
+    for row in base:
+        for _ in range(draw(st.integers(0, 2))):
+            scale = draw(st.sampled_from([F(1), F(-1), F(2), F(-1, 3)]))
+            rows.append([scale * x for x in row])
+    rows += [[F(0)] * ncols] * draw(st.integers(0, 2))
+    return draw(st.permutations(rows))
+
+
+@given(_rank_matrices())
+def test_rank_matches_the_full_elimination(A):
+    assert frac_rank(A) == len(_eliminate(A)[1])

@@ -9,6 +9,7 @@ from bc2mvop import orthogonality
 from bc2mvop.expansion import poly_matrix_x
 from bc2mvop.leading import C_VARS, X_VARS, weight_matrix_x
 from bc2mvop.lie import MsfLabel, PairParams, label_weight, weyl_dim
+from bc2mvop.matrices import PolyMatrix
 from bc2mvop.orthogonality import (beta_moment, gram, in_region,
                                    indecomposability_check,
                                    indecomposability_suite,
@@ -191,6 +192,24 @@ def test_indecomposability_dimensions():
     assert indecomposability_check(PairParams(4, 2, 0)) == (1, 1)
     results = indecomposability_suite(PairParams(3, 1, 0))
     assert all(r.status == "PASS" for r in results)
+
+
+def test_split_weight_fails_indecomposability(monkeypatch):
+    # diag(c1^2, c2^2) splits into two 1x1 blocks: the commutant and the
+    # symmetric real solutions are the diagonal matrices (2 each), and the
+    # antisymmetric equation Y S = -S Y^T has only Y = 0
+    params = PairParams(3, 1, 0)
+    split = PolyMatrix.from_rows(
+        [[MultiPoly.monomial(C_VARS, (2, 0)), MultiPoly.zero(C_VARS)],
+         [MultiPoly.zero(C_VARS), MultiPoly.monomial(C_VARS, (0, 2))]])
+    true_weight = orthogonality.weight_matrix_c
+    monkeypatch.setattr(orthogonality, "weight_matrix_c",
+                        lambda p: split if p == params else true_weight(p))
+    assert indecomposability_check(params) == (2, 2)
+    [result] = indecomposability_suite(params)
+    assert result.status == "FAIL"
+    assert "dimensions (2, 2), expected (1, 1)" in result.detail
+    assert indecomposability_check(PairParams(3, 2, 1)) == (1, 1)
 
 
 def test_numeric_crosscheck_diag_and_offdiag():

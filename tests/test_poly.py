@@ -173,3 +173,61 @@ def test_equal_values_hash_equal(p, q, c):
                  (MultiPoly.const(CV, c), c), (p, c)):
         if a == b:
             assert hash(a) == hash(b)
+
+
+# ---- every arithmetic result is a valid polynomial ----
+
+def _kernel_violations(p):
+    """Ways in which p differs from what the validating public constructor
+    builds from its own terms.  Explicit checks, not assert statements, so
+    they run under python -O as well."""
+    out = []
+    if p.terms != MultiPoly(p.vars, p.terms).terms:
+        out.append("terms differ from MultiPoly(p.vars, p.terms)")
+    for exp, c in p.terms.items():
+        if type(c) is not F:
+            out.append(f"coefficient {c!r} at {exp} is not a Fraction")
+        elif not c:
+            out.append(f"zero coefficient at {exp}")
+        if (type(exp) is not tuple or len(exp) != len(p.vars)
+                or any(type(k) is not int or k < 0 for k in exp)):
+            out.append(f"exponent {exp!r} is not a tuple of {len(p.vars)} "
+                       f"non-negative ints")
+    return out
+
+
+def _require_valid(results):
+    for name, r in results.items():
+        problems = _kernel_violations(r)
+        if problems:
+            pytest.fail(f"{name}: {problems}")
+
+
+def test_cancellation_leaves_no_zero_coefficient():
+    c1, c2 = c_vars()
+    _require_valid({
+        "c1 + c2 - c2": c1 + c2 - c2,
+        "(c1 + c2) * (c1 - c2)": (c1 + c2) * (c1 - c2),
+        "(c1 + 1) * 0": (c1 + 1) * 0,
+        "-(c1 - c1)": -(c1 - c1),
+    })
+
+
+@given(_polys(), _polys(), _coeffs, st.integers(-3, 3), st.integers(0, 3),
+       st.fixed_dictionaries({"c1": _polys(PSI_VARS), "c2": _polys(PSI_VARS)}))
+def test_arithmetic_results_are_valid_polynomials(p, q, c, k, n, images):
+    results = {
+        "p + q": p + q, "p - q": p - q, "p + k": p + k, "k - p": k - p,
+        "p + (-p)": p + (-p), "-p": -p,
+        "p * q": p * q, "(p + q) * (p - q)": (p + q) * (p - q),
+        "c * p": c * p, "p * k": p * k, "p ** n": p ** n,
+        "d/dc1 p": p.derive("c1"), "d/dc2 p": p.derive("c2"),
+        "p(images)": p.substitute(images, PSI_VARS),
+    }
+    if c:
+        results["p / c"] = p / c
+    if not q.is_zero:
+        results["p * q / q"] = (p * q).divide_exact(q)
+    _require_valid(results)
+    if not q.is_zero and results["p * q / q"] != p:
+        pytest.fail(f"(p * q) / q = {results['p * q / q']}, p = {p}")
