@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import index
 from types import MappingProxyType
 
 from .casimir import (lambda_d_matrix, lowering_moves, pde_operator_psi,
@@ -30,8 +29,9 @@ from .diffop import MatrixDiffOp
 from .krawtchouk import poch
 from .leading import PSI_VARS, X_VARS, psi_in_x
 from .lie import (MsfLabel, PairParams, bottom_weight, casimir_eigenvalue,
-                  casimir_eigenvalue_ip, check_label, degree_pairs,
-                  dominance_leq, dualize, label_weight, labels_up_to)
+                  casimir_eigenvalue_ip, check_label, degree_pair,
+                  degree_pairs, dominance_leq, dualize, label_weight,
+                  labels_up_to)
 from .matrices import (PolyMatrix, conjugate_flip, frac_identity, frac_invert,
                        frac_matmul)
 from .poly import MultiPoly
@@ -236,12 +236,7 @@ def poly_matrix_x(params: PairParams, d: tuple[int, int]) -> PolyMatrix:
 
 
 def matrix_op(params: PairParams, d: tuple[int, int]) -> MatrixOP:
-    try:
-        d = (index(d[0]), index(d[1]))
-    except TypeError:
-        raise ValueError(f"non-integral degree pair {d}") from None
-    if d[0] < 0 or d[1] < 0:
-        raise ValueError("degree pair must be non-negative")
+    d = degree_pair(d)
     return MatrixOP(params, d, poly_matrix_psi(params, d), poly_matrix_x(params, d))
 
 

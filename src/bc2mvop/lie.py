@@ -263,6 +263,20 @@ def dualize(params: PairParams) -> tuple[PairParams, DualData]:
     return dual, DualData(params)
 
 
+def degree_pair(d) -> tuple[int, int]:
+    """d as a pair of ints (d1, d2); a pair that is not two non-negative
+    integers raises ValueError."""
+    try:
+        pair = tuple(map(index, d))
+    except TypeError:
+        raise ValueError(f"non-integral degree pair {d}") from None
+    if len(pair) != 2:
+        raise ValueError(f"degree pair {d} must have two entries")
+    if pair[0] < 0 or pair[1] < 0:
+        raise ValueError("degree pair must be non-negative")
+    return pair
+
+
 def degree_pairs(dmax: int) -> list[tuple[int, int]]:
     """All degree pairs (d1, d2) with d1 + d2 <= dmax, d1 outer and d2 inner."""
     return [(d1, d2) for d1 in range(dmax + 1) for d2 in range(dmax + 1 - d1)]

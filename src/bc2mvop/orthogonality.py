@@ -8,6 +8,10 @@ Everything rational rests on one monomial rule: on [0, pi/2],
 A region integral pulls back through the 2:1 trigonometric cover, where the
 half-integer weight factor and the Jacobian combine into the square
 (c1^2 - c2^2)^2, so no splitting or radicals ever appear.
+`integrate_against_delta` never forms that product: the square expands at
+the exponent level into three shifted Beta products, and each term is
+summed against a cached table of integer Beta numerators B(m, p) D over
+one denominator D per (m, top p).
 
 The scalar weight depends on (m, b) only, so every Gram integral is a linear
 function of the monomial moments int x1^i x2^j.  `moment` computes each of
@@ -17,11 +21,21 @@ is one shared, cached table of them, each entry one product from its
 predecessor, so `region_integral` reads the pull-back of every monomial of
 its integrand from that table instead of substituting.  The table relies on
 callers never mutating an entry, which holds because MultiPoly is
-immutable.  A Gram matrix
-G = int R_d S R_d'^T contracts the coefficients of R_d, S and R_d' against
-the table, with no product polynomial and no per-entry pull-back.  A
-floating-point Gauss-Legendre path recomputes the same integrals
-independently of the table.
+immutable.  A Gram matrix G = int R_d S R_d'^T contracts the coefficients of
+R_d, S and R_d' against the moments it reads, with no product polynomial
+and no per-entry pull-back.
+
+Both routes run on Python integers.  R_d, S, R_d' and the moments a Gram
+matrix reads are each put over one common denominator (and so is the
+integrand of `integrate_against_delta`); the integer numerators are
+contracted, and each Gram entry or integral is one Fraction of the integer
+sum over the product of the denominators.  This relies on every input
+coefficient being a Fraction (or an int), and on each denominator being
+multiplied back exactly once; the results are the same exact rationals as
+a contraction in Fractions.
+
+A floating-point Gauss-Legendre path recomputes the same integrals
+independently of the moments.
 """
 
 from __future__ import annotations
@@ -34,8 +48,9 @@ from fractions import Fraction
 from .expansion import poly_matrix_x
 from .leading import (C_VARS, X_VARS, weight_matrix_c, weight_matrix_x,
                       det_reference_c, x_in_c)
-from .lie import MsfLabel, PairParams, degree_pairs, label_weight, weyl_dim
-from .matrices import frac_det, nullspace_dim
+from .lie import (MsfLabel, PairParams, degree_pair, degree_pairs,
+                  label_weight, weyl_dim)
+from .matrices import PolyMatrix, frac_det, nullspace_dim
 from .poly import MultiPoly
 from .report import CheckResult, FAIL, PASS, REPORTED
 
@@ -49,10 +64,13 @@ def beta_moment(m: int, p: int) -> Fraction:
 
 
 @functools.lru_cache(maxsize=None)
-def _split_factor() -> MultiPoly:
-    c1 = MultiPoly.var(C_VARS, "c1")
-    c2 = MultiPoly.var(C_VARS, "c2")
-    return (c1 * c1 - c2 * c2) ** 2
+def _beta_numerators(m: int, top: int) -> tuple[int, tuple[int, ...]]:
+    """One denominator D = 2 (top+m-1)!/(m-2)! and the integers
+    beta_moment(m, p) * D = p! (top+m-1)!/(p+m-1)! for p = 0..top."""
+    high = math.factorial(top + m - 1)
+    return (2 * high // math.factorial(m - 2),
+            tuple(math.factorial(p) * (high // math.factorial(p + m - 1))
+                  for p in range(top + 1)))
 
 
 def integrate_against_delta(params: PairParams, p: MultiPoly) -> Fraction:
@@ -64,11 +82,18 @@ def integrate_against_delta(params: PairParams, p: MultiPoly) -> Fraction:
         if exp[0] % 2 or exp[1] % 2:
             raise ValueError(f"odd cosine exponent {exp}: integrand must be "
                              "even in both variables")
-    m = params.m
-    acc = Fraction(0)
-    for (e1, e2), coeff in (p * _split_factor()).terms.items():
-        acc += coeff * beta_moment(m, e1 // 2) * beta_moment(m, e2 // 2)
-    return 4 * acc
+    # c1^(2i) c2^(2j) (c1^2 - c2^2)^2 integrates to
+    # B(i+2) B(j) - 2 B(i+1) B(j+1) + B(i) B(j+2)
+    top = max((max(exp) for exp in p.terms), default=0) // 2 + 2
+    den, beta = _beta_numerators(params.m, top)
+    pden = math.lcm(*(c.denominator for c in p.terms.values()))
+    acc = 0
+    for (e1, e2), c in p.terms.items():
+        i, j = e1 // 2, e2 // 2
+        acc += c.numerator * (pden // c.denominator) * (
+            beta[i + 2] * beta[j] - 2 * beta[i + 1] * beta[j + 1]
+            + beta[i] * beta[j + 2])
+    return Fraction(4 * acc, pden * den * den)
 
 
 @functools.lru_cache(maxsize=None)
@@ -134,43 +159,52 @@ def in_region(x1: Fraction, x2: Fraction) -> bool:
 
 # ---- Gram matrices of the family ----
 
-def _moment_vector(m: int, b: int, p: MultiPoly,
-                   support: set[tuple[int, int]]) -> dict[tuple[int, int], Fraction]:
-    """The integral of x^e p for every exponent e in the support."""
-    terms = p.terms.items()
-    return {(e1, e2): sum((c * moment(m, b, e1 + g1, e2 + g2)
-                           for (g1, g2), c in terms), Fraction(0))
-            for (e1, e2) in support}
+def _integer_view(mat: PolyMatrix) -> tuple[int, list[list[dict]]]:
+    """The entries of mat as integer numerators over one common denominator."""
+    rows, cols = range(mat.rows), range(mat.cols)
+    den = math.lcm(*(c.denominator for i in rows for j in cols
+                     for c in mat.entry(i, j).terms.values()))
+    return den, [[{e: c.numerator * (den // c.denominator)
+                   for e, c in mat.entry(i, j).terms.items()}
+                  for j in cols] for i in rows]
 
 
 @functools.lru_cache(maxsize=None)
 def _gram_cached(params: PairParams, d: tuple[int, int],
                  dp: tuple[int, int]) -> tuple[tuple[Fraction, ...], ...]:
     m, b, n = params.m, params.b, params.size
-    left = poly_matrix_x(params, d)
-    s0 = weight_matrix_x(PairParams(m, params.a, 0))
-    right = poly_matrix_x(params, dp)
+    lden, left = _integer_view(poly_matrix_x(params, d))
+    sden, s0 = _integer_view(weight_matrix_x(PairParams(m, params.a, 0)))
+    rden, right = _integer_view(poly_matrix_x(params, dp))
     # G_ij = sum_{k,l} sum_{e,f,g} left_ik[e] s0_kl[f] right_jl[g] moment(e+f+g),
     # contracted from the right: first the integrals of x^(e+f) right_jl,
     # then outer[j][k][e] = the integral of x^e (s0 right^T)_kj, then left
-    exps = [set().union(*(left.entry(i, k).terms for i in range(n)))
-            for k in range(n)]
-    outer = [[dict.fromkeys(exps[k], Fraction(0)) for k in range(n)]
-             for _ in range(n)]
+    exps = [set().union(*(left[i][k] for i in range(n))) for k in range(n)]
+    shifted = [{(e1 + f1, e2 + f2) for k in range(n) for (e1, e2) in exps[k]
+                for (f1, f2) in s0[k][l]} for l in range(n)]
+    needed = {(h1 + g1, h2 + g2) for l in range(n) for (h1, h2) in shifted[l]
+              for j in range(n) for (g1, g2) in right[j][l]}
+    # every moment the contraction reads, through `moment` on each call
+    moments = {e: moment(m, b, *e) for e in needed}
+    mden = math.lcm(*(v.denominator for v in moments.values()))
+    mom = {e: v.numerator * (mden // v.denominator) for e, v in moments.items()}
+    outer = [[dict.fromkeys(exps[k], 0) for k in range(n)] for _ in range(n)]
     for l in range(n):
-        shifted = {(e1 + f1, e2 + f2) for k in range(n) for (e1, e2) in exps[k]
-                   for (f1, f2) in s0.entry(k, l).terms}
         for j in range(n):
-            inner = _moment_vector(m, b, right.entry(j, l), shifted)
+            rterms = right[j][l].items()
+            inner = {(h1, h2): sum(c * mom[h1 + g1, h2 + g2]
+                                   for (g1, g2), c in rterms)
+                     for (h1, h2) in shifted[l]}
             for k in range(n):
-                sterms = s0.entry(k, l).terms.items()
+                sterms = s0[k][l].items()
+                row = outer[j][k]
                 for (e1, e2) in exps[k]:
-                    outer[j][k][e1, e2] += sum(
-                        (c * inner[e1 + f1, e2 + f2] for (f1, f2), c in sterms),
-                        Fraction(0))
+                    row[e1, e2] += sum(c * inner[e1 + f1, e2 + f2]
+                                       for (f1, f2), c in sterms)
+    den = lden * sden * rden * mden
     return tuple(
-        tuple(sum((c * outer[j][k][e] for k in range(n)
-                   for e, c in left.entry(i, k).terms.items()), Fraction(0))
+        tuple(Fraction(sum(c * outer[j][k][e] for k in range(n)
+                           for e, c in left[i][k].items()), den)
               for j in range(n))
         for i in range(n))
 
@@ -179,7 +213,8 @@ def gram(params: PairParams, d: tuple[int, int],
          dp: tuple[int, int]) -> list[list[Fraction]]:
     """G(d, d') = region integral of R_d S R_d'^T entrywise, with the
     b-dependence in the scalar weight and S taken at (a, 0)."""
-    return [list(row) for row in _gram_cached(params, tuple(d), tuple(dp))]
+    return [list(row) for row in _gram_cached(params, degree_pair(d),
+                                              degree_pair(dp))]
 
 
 def orthogonality_suite(params: PairParams, dmax: int = 2) -> list[CheckResult]:
@@ -353,11 +388,23 @@ def _float_terms(p: MultiPoly) -> list[tuple[int, int, float]]:
 QUADRATURE_RTOL = 1e-8
 
 
+@functools.lru_cache(maxsize=None)
 def _quad_nodes(order: int):
+    """Gauss-Legendre nodes and weights on [0, pi/2], built once per order
+    and read-only."""
     import numpy as np
     x, w = np.polynomial.legendre.leggauss(order)
     half = math.pi / 4
-    return half * (x + 1.0), half * w
+    t, w = half * (x + 1.0), half * w
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
+@functools.lru_cache(maxsize=None)
+def _poly_matrix_c(params: PairParams, d: tuple[int, int]) -> PolyMatrix:
+    """R_d pulled back to (c1, c2), for the quadrature only: it reads no
+    moment."""
+    return poly_matrix_x(params, d).substitute(x_in_c(), C_VARS)
 
 
 def numeric_crosscheck(params: PairParams, d: tuple[int, int],
@@ -372,12 +419,12 @@ def numeric_crosscheck(params: PairParams, d: tuple[int, int],
     """
     import numpy as np
 
+    d, dp = degree_pair(d), degree_pair(dp)
     name = (f"numeric quadrature agreement {params.tag()} "
             f"d=({d[0]},{d[1]}) d'=({dp[0]},{dp[1]})")
     m, b = params.m, params.b
     exact = gram(params, d, dp)
-    lc = poly_matrix_x(params, d).substitute(x_in_c(), C_VARS)
-    rc = poly_matrix_x(params, dp).substitute(x_in_c(), C_VARS)
+    lc, rc = _poly_matrix_c(params, d), _poly_matrix_c(params, dp)
     sc = weight_matrix_c(PairParams(m, params.a, 0))
 
     def pv_degree(mat):

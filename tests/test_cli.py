@@ -221,13 +221,17 @@ def test_verify_deterministic_bytes(tmp_path, capsys):
 
 
 # sha256 of suite reports, pinned byte for byte: the casimir, pde and
-# orthogonality suites on a 2x2x2 grid at dmax 2, and the indecomposability
-# suite on the default grid.  Any change to the radial operator, the
-# triangular expansion, the Gram integrals or the exact rank that alters a
-# single line, a count or a REPORTED detail shows here
+# orthogonality suites on a 2x2x2 grid at dmax 2, the indecomposability
+# suite on the default grid, and the orthogonality suite on the default grid
+# at dmax 3 (key "orthogonality-dmax3").  Any change to the radial operator,
+# the triangular expansion, the Gram integrals or the exact rank that alters
+# a single line, a count or a REPORTED detail shows here
 SMALL_GRID = ["--m", "3,5", "--a", "1,3", "--b", "0,2", "--dmax", "2"]
-REPORT_GRIDS = {"casimir": SMALL_GRID, "pde": SMALL_GRID,
-                "orthogonality": SMALL_GRID, "indecomposable": []}
+REPORT_GRIDS = {"casimir": ("casimir", SMALL_GRID),
+                "pde": ("pde", SMALL_GRID),
+                "orthogonality": ("orthogonality", SMALL_GRID),
+                "indecomposable": ("indecomposable", []),
+                "orthogonality-dmax3": ("orthogonality", ["--dmax", "3"])}
 REPORT_DIGESTS = {
     ("casimir", "text"):
         "9f408cf2a6793db27590113d59143a638a214f72eab04685f6a33c89cd59c8ea",
@@ -245,17 +249,21 @@ REPORT_DIGESTS = {
         "0c0003c47284fae6c48743f19ca0b66576898088dc3c6ad08f5270c8dbcb2716",
     ("indecomposable", "json"):
         "b68e1fc4a72a1ba7cee323ebee9f562a511f930614271cd2a73906dc55fb1938",
+    ("orthogonality-dmax3", "text"):
+        "e777e13ac624da2e59e4f1a28bbdb6f9ec50ca6863b19c49d4a65979cd6e2dbe",
+    ("orthogonality-dmax3", "json"):
+        "156a42fedc05998c82ad76ddc6d644652dd46d1c3233d43d8525d3bf8d977da7",
 }
 
 
-@pytest.mark.parametrize("suite, fmt", [
-    pytest.param(suite, fmt, id=fmt if suite == "casimir" else f"{suite}-{fmt}")
-    for suite, fmt in sorted(REPORT_DIGESTS)])
-def test_verify_casimir_report_is_pinned(suite, fmt, capsys):
-    code, out, _ = run_cli(["verify", suite, *REPORT_GRIDS[suite],
-                            "--format", fmt], capsys)
+@pytest.mark.parametrize("key, fmt", [
+    pytest.param(key, fmt, id=fmt if key == "casimir" else f"{key}-{fmt}")
+    for key, fmt in sorted(REPORT_DIGESTS)])
+def test_verify_casimir_report_is_pinned(key, fmt, capsys):
+    suite, grid = REPORT_GRIDS[key]
+    code, out, _ = run_cli(["verify", suite, *grid, "--format", fmt], capsys)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[suite, fmt]
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[key, fmt]
 
 
 def test_console_script_installed():

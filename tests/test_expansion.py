@@ -195,6 +195,13 @@ def test_non_integral_degree_pair_is_refused():
             matrix_op(p, d)
 
 
+def test_degree_pair_of_wrong_length_or_sign_is_refused():
+    p = PairParams(3, 1, 0)
+    for d in ((1,), (1, 0, 0), (-1, 0), 1):
+        with pytest.raises(ValueError, match="degree pair"):
+            matrix_op(p, d)
+
+
 def test_duality_checks():
     for params in (PairParams(3, 1, 0), PairParams(3, 2, 1)):
         assert dual_bottom_check(params).status == "PASS"

@@ -1,17 +1,18 @@
 """Exact integration, Gram matrices, positivity, indecomposability, numerics."""
 
 from fractions import Fraction as F
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from bc2mvop import orthogonality
 from bc2mvop.expansion import poly_matrix_x
 from bc2mvop.leading import C_VARS, X_VARS, weight_matrix_x
 from bc2mvop.lie import MsfLabel, PairParams, label_weight, weyl_dim
 from bc2mvop.matrices import PolyMatrix
-from bc2mvop.orthogonality import (beta_moment, gram, in_region,
-                                   indecomposability_check,
+from bc2mvop.orthogonality import (_beta_numerators, beta_moment, gram,
+                                   in_region, indecomposability_check,
                                    indecomposability_suite,
                                    integrate_against_delta, moment,
                                    numeric_crosscheck, numeric_suite,
@@ -42,6 +43,42 @@ def test_delta_integral_even_monomial():
     assert integrate_against_delta(p, (c1 ** 2) * (c2 ** 4)) == F(1, 720)
     with pytest.raises(ValueError):
         integrate_against_delta(p, c1)
+
+
+def test_beta_numerators_match_beta_moment():
+    for m in range(3, 9):
+        for top in range(12):
+            den, nums = _beta_numerators(m, top)
+            assert all(type(v) is int for v in (den, *nums))
+            assert [F(v, den) for v in nums] == \
+                [beta_moment(m, p) for p in range(top + 1)], (m, top)
+
+
+def _delta_reference(m, p):
+    """4 times the sum of coeff B(i) B(j) over the terms c1^(2i) c2^(2j) of
+    the product p (c1^2 - c2^2)^2, all in Fractions."""
+    c1 = MultiPoly.var(C_VARS, "c1")
+    c2 = MultiPoly.var(C_VARS, "c2")
+    product = p * (c1 * c1 - c2 * c2) ** 2
+    return 4 * sum((c * beta_moment(m, e1 // 2) * beta_moment(m, e2 // 2)
+                    for (e1, e2), c in product.terms.items()), F(0))
+
+
+_even_polys = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    max_size=6).map(lambda terms: MultiPoly(
+        C_VARS, {(2 * i, 2 * j): c for (i, j), c in terms.items()}))
+
+
+@given(st.integers(3, 7), _even_polys)
+@example(3, MultiPoly.zero(C_VARS))
+@example(5, MultiPoly(C_VARS, {(0, 0): F(1, 2), (2, 0): F(-2, 3),
+                               (2, 4): F(5, 7), (6, 2): F(3)}))
+def test_integrate_against_delta_matches_fraction_reference(m, p):
+    got = integrate_against_delta(PairParams(m, 0, 0), p)
+    assert type(got) is F
+    assert got == _delta_reference(m, p)
 
 
 def test_region_integral_of_one():
@@ -94,13 +131,28 @@ def _gram_by_entry(params, d, dp):
             for i in range(prod.rows)]
 
 
-@pytest.mark.parametrize("a", [0, 3])
-@pytest.mark.parametrize("b", [0, 2])
-def test_gram_contraction_matches_entrywise_pull_back(a, b):
-    p = PairParams(3, a, b)
-    for d, dp in (((1, 0), (1, 0)), ((0, 1), (0, 1)), ((1, 0), (0, 1)),
-                  ((0, 0), (1, 0))):
-        assert gram(p, d, dp) == _gram_by_entry(p, d, dp), (d, dp)
+_LOW_PAIRS = (((1, 0), (1, 0)), ((0, 1), (0, 1)), ((1, 0), (0, 1)),
+              ((0, 0), (1, 0)))
+
+
+@pytest.mark.parametrize("params, pairs", [
+    *(pytest.param(PairParams(3, a, b), _LOW_PAIRS, id=f"{b}-{a}")
+      for b in (0, 2) for a in (0, 3)),
+    # the entries of R_(2,1) lie over many different denominators
+    pytest.param(PairParams(5, 3, 2), (((2, 1), (2, 1)),), id="5-3-2-d21")])
+def test_gram_contraction_matches_entrywise_pull_back(params, pairs):
+    for d, dp in pairs:
+        assert gram(params, d, dp) == _gram_by_entry(params, d, dp), (d, dp)
+
+
+def test_family_entries_lie_over_unequal_denominators():
+    # the premise of the (5, 3, 2) case above: R_d has no one denominator
+    # that the integer contraction could take for granted
+    R = poly_matrix_x(PairParams(5, 3, 2), (2, 1))
+    dens = {lcm(*(c.denominator for c in R.entry(i, j).terms.values()))
+            for i in range(R.rows) for j in range(R.cols)
+            if not R.entry(i, j).is_zero}
+    assert len(dens) > 1
 
 
 @pytest.fixture
@@ -116,6 +168,17 @@ def corrupted_moment(monkeypatch):
     monkeypatch.setattr(orthogonality, "moment", corrupt)
     yield
     orthogonality._gram_cached.cache_clear()
+
+
+@pytest.mark.parametrize("bad", [(1.5, 0), (1,), (1, 0, 0), (-1, 0),
+                                 (1.0, 0), (F(1), 0)])
+def test_bad_degree_pairs_are_refused(bad):
+    p = PairParams(3, 1, 0)
+    for call in (lambda: gram(p, bad, (0, 0)), lambda: gram(p, (0, 0), bad),
+                 lambda: numeric_crosscheck(p, bad, (0, 0)),
+                 lambda: numeric_crosscheck(p, (0, 0), bad)):
+        with pytest.raises(ValueError, match="degree pair"):
+            call()
 
 
 def test_corrupted_moment_fails_exact_and_numeric_checks(corrupted_moment):
