@@ -7,21 +7,33 @@ on the right only: the action on a matrix function F is
     D(F) = sum_idx  (d^idx F) @ coeff[idx],
 
 i.e. coefficient matrices multiply from the right.
+
+The action runs on Python integers.  Each operator puts all its coefficient
+matrices over one common denominator once, on its first application, and
+keeps that integer view; F is put over one denominator per call.  Each
+output entry is accumulated as one integer numerator per monomial, with
+derivatives taken as falling factorials of the exponents, and becomes one
+reduced Fraction at the end.  This relies on one condition: the coefficient
+matrices never change after construction (``coeffs`` is a read-only
+mapping of immutable PolyMatrix values), so the stored view stays the
+operator's own.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping
 
 from .matrices import PolyMatrix, frac_invert
-from .poly import MultiPoly, VariableMismatch
+from .poly import MultiPoly, VariableMismatch, integer_view
 
 ALLOWED_IDX = frozenset({(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)})
 
 
 class MatrixDiffOp:
-    __slots__ = ("vars", "size", "coeffs")
+    __slots__ = ("vars", "size", "coeffs", "_view")
 
     def __init__(self, vars: tuple[str, str],
                  coeffs: Mapping[tuple[int, int], PolyMatrix]):
@@ -48,7 +60,8 @@ class MatrixDiffOp:
             raise ValueError("operator needs at least one coefficient to fix its size")
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "size", size)
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "coeffs", MappingProxyType(clean))
+        object.__setattr__(self, "_view", None)
 
     def __setattr__(self, *a):
         raise AttributeError("MatrixDiffOp is immutable")
@@ -107,25 +120,57 @@ class MatrixDiffOp:
 
     # ---- action ----
 
-    def _derive(self, F: PolyMatrix, idx: tuple[int, int]) -> PolyMatrix:
-        u, v = self.vars
-        out = F
-        for _ in range(idx[0]):
-            out = out.map_entries(lambda e: e.derive(u))
-        for _ in range(idx[1]):
-            out = out.map_entries(lambda e: e.derive(v))
-        return out
+    def _integer_view(self) -> tuple[int, tuple]:
+        """One denominator for every coefficient matrix, and per row k of
+        the coefficients the nonzero entries (idx, j, numerator terms) of
+        coeff[idx][k, j]; built on the first call and kept."""
+        if self._view is None:
+            n = self.size
+            mats = list(self.coeffs.items())
+            den, nums = integer_view(e for _, mat in mats for e in mat.entries)
+            rows = [[] for _ in range(n)]
+            for t, (idx, _) in enumerate(mats):
+                for k in range(n):
+                    for j in range(n):
+                        terms = nums[(t * n + k) * n + j]
+                        if terms:
+                            rows[k].append((idx, j, tuple(terms.items())))
+            object.__setattr__(self, "_view", (den, tuple(map(tuple, rows))))
+        return self._view
 
     def apply(self, F: PolyMatrix) -> PolyMatrix:
         if F.vars != self.vars:
             raise VariableMismatch(f"function vars {F.vars} != operator vars {self.vars}")
         if F.cols != self.size:
             raise ValueError(f"F has {F.cols} columns, operator size {self.size}")
-        acc = PolyMatrix.zeros(F.rows, F.cols, self.vars)
-        for idx, mat in self.coeffs.items():
-            dF = self._derive(F, idx)
-            acc = acc + dF @ mat
-        return acc
+        n = self.size
+        oden, op_rows = self._integer_view()
+        fden, fnums = integer_view(F.entries)
+        out = []
+        for r in range(F.rows):
+            # acc[j][exp]: numerator of sum_idx sum_k d^idx F[r,k] coeff[idx][k,j]
+            acc = [{} for _ in range(n)]
+            for k in range(n):
+                fterms = fnums[r * n + k]
+                if not fterms:
+                    continue
+                derived = {}
+                for (i1, i2), j, cterms in op_rows[k]:
+                    dF = derived.get((i1, i2))
+                    if dF is None:
+                        # d^idx x^e = (e1)_i1 (e2)_i2 x^(e - idx)
+                        dF = derived[i1, i2] = [
+                            (e1 - i1, e2 - i2,
+                             c * math.perm(e1, i1) * math.perm(e2, i2))
+                            for (e1, e2), c in fterms.items()
+                            if e1 >= i1 and e2 >= i2]
+                    row = acc[j]
+                    for a1, a2, x in dF:
+                        for (g1, g2), y in cterms:
+                            e = (a1 + g1, a2 + g2)
+                            row[e] = row[e] + x * y if e in row else x * y
+            out.extend(MultiPoly._over(self.vars, nums, oden * fden) for nums in acc)
+        return PolyMatrix(F.rows, n, out)
 
     def apply_scalar(self, f: MultiPoly) -> MultiPoly:
         if self.size != 1:

@@ -19,20 +19,21 @@ them once per (m, b) by that pull-back and caches it.  The pull-back of
 x1^i x2^j to (c1, c2) does not depend on (m, b) at all: `_pulled_monomial`
 is one shared, cached table of them, each entry one product from its
 predecessor, so `region_integral` reads the pull-back of every monomial of
-its integrand from that table instead of substituting.  The table relies on
+its integrand from that table instead of substituting, and takes the factor
+(c1 c2)^(2b) of the weight as a shift of the exponents.  The table relies on
 callers never mutating an entry, which holds because MultiPoly is
 immutable.  A Gram matrix G = int R_d S R_d'^T contracts the coefficients of
 R_d, S and R_d' against the moments it reads, with no product polynomial
 and no per-entry pull-back.
 
 Both routes run on Python integers.  R_d, S, R_d' and the moments a Gram
-matrix reads are each put over one common denominator (and so is the
-integrand of `integrate_against_delta`); the integer numerators are
-contracted, and each Gram entry or integral is one Fraction of the integer
-sum over the product of the denominators.  This relies on every input
-coefficient being a Fraction (or an int), and on each denominator being
-multiplied back exactly once; the results are the same exact rationals as
-a contraction in Fractions.
+matrix reads are each put over one common denominator by
+`poly.integer_view` (and so is the integrand of `integrate_against_delta`);
+the integer numerators are contracted, and each Gram entry or integral is
+one Fraction of the integer sum over the product of the denominators.
+This relies on every input coefficient being a Fraction (or an int), and
+on each denominator being multiplied back exactly once; the results are the
+same exact rationals as a contraction in Fractions.
 
 A floating-point Gauss-Legendre path recomputes the same integrals
 independently of the moments.
@@ -51,7 +52,7 @@ from .leading import (C_VARS, X_VARS, weight_matrix_c, weight_matrix_x,
 from .lie import (MsfLabel, PairParams, degree_pair, degree_pairs,
                   label_weight, weyl_dim)
 from .matrices import PolyMatrix, frac_det, nullspace_dim
-from .poly import MultiPoly
+from .poly import MultiPoly, integer_view
 from .report import CheckResult, FAIL, PASS, REPORTED
 
 
@@ -86,13 +87,12 @@ def integrate_against_delta(params: PairParams, p: MultiPoly) -> Fraction:
     # B(i+2) B(j) - 2 B(i+1) B(j+1) + B(i) B(j+2)
     top = max((max(exp) for exp in p.terms), default=0) // 2 + 2
     den, beta = _beta_numerators(params.m, top)
-    pden = math.lcm(*(c.denominator for c in p.terms.values()))
+    pden, (nums,) = integer_view([p])
     acc = 0
-    for (e1, e2), c in p.terms.items():
+    for (e1, e2), c in nums.items():
         i, j = e1 // 2, e2 // 2
-        acc += c.numerator * (pden // c.denominator) * (
-            beta[i + 2] * beta[j] - 2 * beta[i + 1] * beta[j + 1]
-            + beta[i] * beta[j + 2])
+        acc += c * (beta[i + 2] * beta[j] - 2 * beta[i + 1] * beta[j + 1]
+                    + beta[i] * beta[j + 2])
     return Fraction(4 * acc, pden * den * den)
 
 
@@ -113,11 +113,14 @@ def region_integral(params: PairParams, M: MultiPoly) -> Fraction:
     if M.vars != X_VARS:
         raise ValueError("integrand must be a polynomial in (x1, x2)")
     m, b = params.m, params.b
-    pulled = MultiPoly.zero(C_VARS)
+    # the pull-back of M times c1^(2b) c2^(2b): shifted exponents, no product
+    pulled: dict[tuple[int, int], Fraction] = {}
     for (i, j), c in M.terms.items():
-        pulled = pulled + _pulled_monomial(i, j) * c
-    pulled = pulled * MultiPoly.monomial(C_VARS, (2 * b, 2 * b))
-    return Fraction(2) ** (2 * m + 2 * b - 1) * integrate_against_delta(params, pulled)
+        for (e1, e2), t in _pulled_monomial(i, j).terms.items():
+            e = (e1 + 2 * b, e2 + 2 * b)
+            pulled[e] = pulled[e] + c * t if e in pulled else c * t
+    return (Fraction(2) ** (2 * m + 2 * b - 1)
+            * integrate_against_delta(params, MultiPoly._trusted(C_VARS, pulled)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -159,31 +162,22 @@ def in_region(x1: Fraction, x2: Fraction) -> bool:
 
 # ---- Gram matrices of the family ----
 
-def _integer_view(mat: PolyMatrix) -> tuple[int, list[list[dict]]]:
-    """The entries of mat as integer numerators over one common denominator."""
-    rows, cols = range(mat.rows), range(mat.cols)
-    den = math.lcm(*(c.denominator for i in rows for j in cols
-                     for c in mat.entry(i, j).terms.values()))
-    return den, [[{e: c.numerator * (den // c.denominator)
-                   for e, c in mat.entry(i, j).terms.items()}
-                  for j in cols] for i in rows]
-
-
 @functools.lru_cache(maxsize=None)
 def _gram_cached(params: PairParams, d: tuple[int, int],
                  dp: tuple[int, int]) -> tuple[tuple[Fraction, ...], ...]:
     m, b, n = params.m, params.b, params.size
-    lden, left = _integer_view(poly_matrix_x(params, d))
-    sden, s0 = _integer_view(weight_matrix_x(PairParams(m, params.a, 0)))
-    rden, right = _integer_view(poly_matrix_x(params, dp))
+    # entries in row-major order: left[i * n + k] is (R_d)_ik
+    lden, left = integer_view(poly_matrix_x(params, d).entries)
+    sden, s0 = integer_view(weight_matrix_x(PairParams(m, params.a, 0)).entries)
+    rden, right = integer_view(poly_matrix_x(params, dp).entries)
     # G_ij = sum_{k,l} sum_{e,f,g} left_ik[e] s0_kl[f] right_jl[g] moment(e+f+g),
     # contracted from the right: first the integrals of x^(e+f) right_jl,
     # then outer[j][k][e] = the integral of x^e (s0 right^T)_kj, then left
-    exps = [set().union(*(left[i][k] for i in range(n))) for k in range(n)]
+    exps = [set().union(*(left[i * n + k] for i in range(n))) for k in range(n)]
     shifted = [{(e1 + f1, e2 + f2) for k in range(n) for (e1, e2) in exps[k]
-                for (f1, f2) in s0[k][l]} for l in range(n)]
+                for (f1, f2) in s0[k * n + l]} for l in range(n)]
     needed = {(h1 + g1, h2 + g2) for l in range(n) for (h1, h2) in shifted[l]
-              for j in range(n) for (g1, g2) in right[j][l]}
+              for j in range(n) for (g1, g2) in right[j * n + l]}
     # every moment the contraction reads, through `moment` on each call
     moments = {e: moment(m, b, *e) for e in needed}
     mden = math.lcm(*(v.denominator for v in moments.values()))
@@ -191,12 +185,12 @@ def _gram_cached(params: PairParams, d: tuple[int, int],
     outer = [[dict.fromkeys(exps[k], 0) for k in range(n)] for _ in range(n)]
     for l in range(n):
         for j in range(n):
-            rterms = right[j][l].items()
+            rterms = right[j * n + l].items()
             inner = {(h1, h2): sum(c * mom[h1 + g1, h2 + g2]
                                    for (g1, g2), c in rterms)
                      for (h1, h2) in shifted[l]}
             for k in range(n):
-                sterms = s0[k][l].items()
+                sterms = s0[k * n + l].items()
                 row = outer[j][k]
                 for (e1, e2) in exps[k]:
                     row[e1, e2] += sum(c * inner[e1 + f1, e2 + f2]
@@ -204,7 +198,7 @@ def _gram_cached(params: PairParams, d: tuple[int, int],
     den = lden * sden * rden * mden
     return tuple(
         tuple(Fraction(sum(c * outer[j][k][e] for k in range(n)
-                           for e, c in left[i][k].items()), den)
+                           for e, c in left[i * n + k].items()), den)
               for j in range(n))
         for i in range(n))
 

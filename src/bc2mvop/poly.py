@@ -18,10 +18,18 @@ variable tuple, so every key is already a tuple of non-negative ints of the
 right arity (a sum or difference of such tuples that was checked to stay
 non-negative) and every value is already a Fraction (sums, products and
 quotients of Fractions and ints are Fractions).
+
+`substitute` and `divide_exact` run on Python integers.  `integer_view` puts
+polynomials over one common denominator as integer numerators; the kernel
+works on those, and `MultiPoly._over` turns each resulting numerator into
+one reduced Fraction over the final denominator.  This relies on one
+condition: each denominator is multiplied back exactly once, so the results
+are the same exact rationals as the same computation in Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add, index, sub
 from typing import Iterable, Mapping
@@ -44,6 +52,26 @@ def _grlex_key(exp: tuple[int, ...]) -> tuple:
 
 class VariableMismatch(ValueError):
     pass
+
+
+def integer_view(polys: Iterable["MultiPoly"]) -> tuple[int, list[dict]]:
+    """The polynomials as integer numerators over one common denominator:
+    (den, [{exp: int}, ...]), each polynomial equal to its numerators / den."""
+    polys = list(polys)
+    den = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return den, [{e: c.numerator * (den // c.denominator)
+                  for e, c in p.terms.items()} for p in polys]
+
+
+def _mul_numerators(a: dict, b: dict) -> dict:
+    """Product of two polynomials given as {exp: int}."""
+    out: dict[tuple[int, ...], int] = {}
+    right = b.items()
+    for e1, c1 in a.items():
+        for e2, c2 in right:
+            e = tuple(map(add, e1, e2))
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return out
 
 
 class MultiPoly:
@@ -79,6 +107,13 @@ class MultiPoly:
         object.__setattr__(p, "vars", vars)
         object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
         return p
+
+    @classmethod
+    def _over(cls, vars: tuple[str, ...], nums: Mapping[tuple[int, ...], int],
+              den: int) -> "MultiPoly":
+        """The polynomial with integer numerators nums over den: one reduced
+        Fraction per coefficient (see the module docstring)."""
+        return cls._trusted(vars, {e: Fraction(c, den) for e, c in nums.items()})
 
     def __setattr__(self, *a):  # immutable after construction
         raise AttributeError("MultiPoly is immutable")
@@ -268,25 +303,39 @@ class MultiPoly:
                 full[v] = img
             else:
                 full[v] = MultiPoly.var(out_vars, v)
-        # cache powers of each image
-        one = MultiPoly.one(out_vars)
-        pows: dict[str, list[MultiPoly]] = {v: [one] for v in self.vars}
+        # each image over its own denominator, its powers as numerators
+        sden, (snum,) = integer_view([self])
+        views = [integer_view([full[v]]) for v in self.vars]
+        dens = [den for den, _ in views]
+        imgs = [img for _, (img,) in views]
+        tops = [max((e[i] for e in snum), default=0) for i in range(len(dens))]
+        unit = {(0,) * len(out_vars): 1}
+        pows = [[unit] for _ in dens]
+        # lifts[i][k] = den_i^(top_i - k) takes a term with x_i^k to the
+        # common denominator sden * prod den_i^top_i
+        lifts = [[den ** (top - k) for k in range(top + 1)]
+                 for den, top in zip(dens, tops)]
 
-        def power(v: str, k: int) -> MultiPoly:
-            lst = pows[v]
+        def power(i: int, k: int) -> dict:
+            lst = pows[i]
             while len(lst) <= k:
-                lst.append(lst[-1] * full[v])
+                lst.append(_mul_numerators(lst[-1], imgs[i]))
             return lst[k]
 
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for exp, c in self.terms.items():
-            term = one
-            for v, k in zip(self.vars, exp):
+        acc: dict[tuple[int, ...], int] = {}
+        for exp, c in snum.items():
+            term = unit
+            for i, k in enumerate(exp):
+                c *= lifts[i][k]
                 if k:
-                    term = power(v, k) if term is one else term * power(v, k)
-            for e, t in term.terms.items():
+                    term = (power(i, k) if term is unit
+                            else _mul_numerators(term, power(i, k)))
+            for e, t in term.items():
                 acc[e] = acc[e] + c * t if e in acc else c * t
-        return MultiPoly._trusted(out_vars, acc)
+        den = sden
+        for vden, top in zip(dens, tops):
+            den *= vden ** top
+        return MultiPoly._over(out_vars, acc, den)
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         missing = [v for v in self.vars if v not in point]
@@ -305,22 +354,39 @@ class MultiPoly:
     # ---- division ----
 
     def divide_exact(self, divisor: "MultiPoly") -> "MultiPoly | None":
-        """Quotient if divisor divides self exactly, else None."""
+        """Quotient if divisor divides self exactly, else None.
+
+        Long division on integer numerators: when a step's leading numerator
+        is not a multiple of the divisor's, remainder and quotient are scaled
+        by the missing cofactor, and the quotient is divided by the product
+        of those cofactors once, at the end."""
         self._check(divisor)
         if divisor.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
         if divisor.is_constant():
             return self / divisor.constant_value()
-        rem = dict(self.terms)
-        quo: dict[tuple[int, ...], Fraction] = {}
-        dexp, dc = divisor.leading()
-        dterms = divisor.terms.items()
+        # numerators: scale * self = quo * divisor + rem at every step
+        pden, (rem,) = integer_view([self])
+        dden, (dnum,) = integer_view([divisor])
+        dexp = max(dnum, key=_grlex_key)
+        dc = dnum[dexp]
+        dterms = dnum.items()
+        quo: dict[tuple[int, ...], int] = {}
+        scale = 1
         while rem:
             rexp = max(rem, key=_grlex_key)
             qexp = tuple(map(sub, rexp, dexp))
             if any(e < 0 for e in qexp):
                 return None
-            q = quo[qexp] = rem[rexp] / dc
+            q, r = divmod(rem[rexp], dc)
+            if r:
+                # scale by the cofactor that makes this step exact
+                f = abs(dc) // math.gcd(rem[rexp], dc)
+                rem = {e: c * f for e, c in rem.items()}
+                quo = {e: c * f for e, c in quo.items()}
+                scale *= f
+                q = rem[rexp] // dc
+            quo[qexp] = q
             # rem -= q x^qexp divisor, dropping what cancels
             for e, c in dterms:
                 e = tuple(map(add, qexp, e))
@@ -329,7 +395,9 @@ class MultiPoly:
                     rem[e] = r
                 else:
                     del rem[e]
-        return MultiPoly._trusted(self.vars, quo)
+        # self / divisor = (quo / scale) (dden / pden)
+        return MultiPoly._over(self.vars, {e: c * dden for e, c in quo.items()},
+                               pden * scale)
 
     # ---- serialization / printing ----
 

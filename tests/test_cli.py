@@ -222,8 +222,9 @@ def test_verify_deterministic_bytes(tmp_path, capsys):
 
 # sha256 of suite reports, pinned byte for byte: the casimir, pde and
 # orthogonality suites on a 2x2x2 grid at dmax 2, the indecomposability
-# suite on the default grid, and the orthogonality suite on the default grid
-# at dmax 3 (key "orthogonality-dmax3").  Any change to the radial operator,
+# suite on the default grid, and the orthogonality, casimir and pde suites
+# on the default grid at dmax 3 (keys "orthogonality-dmax3",
+# "casimir-dmax3", "pde-dmax3").  Any change to the radial operator,
 # the triangular expansion, the Gram integrals or the exact rank that alters
 # a single line, a count or a REPORTED detail shows here
 SMALL_GRID = ["--m", "3,5", "--a", "1,3", "--b", "0,2", "--dmax", "2"]
@@ -231,7 +232,9 @@ REPORT_GRIDS = {"casimir": ("casimir", SMALL_GRID),
                 "pde": ("pde", SMALL_GRID),
                 "orthogonality": ("orthogonality", SMALL_GRID),
                 "indecomposable": ("indecomposable", []),
-                "orthogonality-dmax3": ("orthogonality", ["--dmax", "3"])}
+                "orthogonality-dmax3": ("orthogonality", ["--dmax", "3"]),
+                "casimir-dmax3": ("casimir", ["--dmax", "3"]),
+                "pde-dmax3": ("pde", ["--dmax", "3"])}
 REPORT_DIGESTS = {
     ("casimir", "text"):
         "9f408cf2a6793db27590113d59143a638a214f72eab04685f6a33c89cd59c8ea",
@@ -253,6 +256,14 @@ REPORT_DIGESTS = {
         "e777e13ac624da2e59e4f1a28bbdb6f9ec50ca6863b19c49d4a65979cd6e2dbe",
     ("orthogonality-dmax3", "json"):
         "156a42fedc05998c82ad76ddc6d644652dd46d1c3233d43d8525d3bf8d977da7",
+    ("casimir-dmax3", "text"):
+        "9af98ec2f73411136f4154012dbe6e99e117c0519b418e110ab26093e845b6cf",
+    ("casimir-dmax3", "json"):
+        "9a7f306660266bc15c2972e70fa4e5fcad96189542b5139512806539b9b876b2",
+    ("pde-dmax3", "text"):
+        "1e6ee674b281d77bf8dc69071f0b9b47fee264972180272df049f65b235e43c2",
+    ("pde-dmax3", "json"):
+        "f80fa0012cc35c60e14ccb5e5be3a2f59267f94887ae6dd83ddc29c20e943e2f",
 }
 
 

@@ -3,10 +3,12 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from bc2mvop.casimir import radial_operator_c
 from bc2mvop.diffop import ALLOWED_IDX, MatrixDiffOp
 from bc2mvop.leading import PSI_VARS, X_VARS, psi_in_x, x_in_psi
+from bc2mvop.lie import PairParams
 from bc2mvop.matrices import PolyMatrix
 from bc2mvop.poly import MultiPoly
 
@@ -93,6 +95,18 @@ def test_coeff_lookup():
     assert (2, 0) in op.coeffs
 
 
+def test_cached_operator_coefficients_are_read_only():
+    # radial_operator_c is cached per parameter triple: an assignment into
+    # its coefficients would change the operator for every later caller
+    op = radial_operator_c(PairParams(3, 1, 0))
+    before = op.apply(PolyMatrix(1, 2, [MultiPoly.var(op.vars, "c1")] * 2))
+    with pytest.raises(TypeError):
+        op.coeffs[(0, 0)] = PolyMatrix.zeros(2, 2, op.vars)
+    with pytest.raises(TypeError):
+        del op.coeffs[(2, 0)]
+    assert op.apply(PolyMatrix(1, 2, [MultiPoly.var(op.vars, "c1")] * 2)) == before
+
+
 # ---- properties of the affine change, on random small operators ----
 
 _polys = st.dictionaries(
@@ -135,3 +149,64 @@ def test_affine_change_refuses_a_non_affine_or_singular_substitution():
         op.change_vars_affine(XV, {"psi1": x1 * x1, "psi2": x2})
     with pytest.raises(ValueError, match="matrix is singular"):
         op.change_vars_affine(XV, {"psi1": x1 + x2, "psi2": 2 * x1 + 2 * x2})
+
+
+# ---- the integer action against a Fraction reference ----
+
+def _reference_apply(op, F_):
+    """sum_idx (d^idx F) @ coeff[idx], in Fraction arithmetic."""
+    u, v = op.vars
+    acc = PolyMatrix.zeros(F_.rows, F_.cols, op.vars)
+    for (i1, i2), mat in op.coeffs.items():
+        dF = F_
+        for name, times in ((u, i1), (v, i2)):
+            for _ in range(times):
+                dF = dF.map_entries(lambda e, name=name: e.derive(name))
+        acc = acc + dF @ mat
+    return acc
+
+
+# exponents up to 3, so second derivatives keep terms, and denominators up
+# to 12, so entries lie over unequal denominators; an empty dict is a zero
+_wide_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    max_size=4,
+).map(lambda terms: MultiPoly(PSI_VARS, terms))
+
+
+@st.composite
+def _operators_and_functions(draw):
+    n = draw(st.integers(1, 3))
+    op = MatrixDiffOp(PSI_VARS, {
+        idx: PolyMatrix(n, n, draw(st.lists(_wide_polys, min_size=n * n,
+                                            max_size=n * n)))
+        for idx in sorted(ALLOWED_IDX)})
+    rows = draw(st.integers(1, 2))
+    F_ = PolyMatrix(rows, n, draw(st.lists(_wide_polys, min_size=rows * n,
+                                           max_size=rows * n)))
+    return op, F_
+
+
+def _mono(exp, c):
+    return MultiPoly.monomial(PSI_VARS, exp, c)
+
+
+_ZERO = MultiPoly.zero(PSI_VARS)
+
+
+@given(_operators_and_functions())
+@example((  # a 1x3 row as radial_apply passes it, over unequal denominators
+    MatrixDiffOp(PSI_VARS, {
+        (2, 0): PolyMatrix(3, 3, [_mono((1, 0), F(1, 3)), _ZERO, _ZERO,
+                                  _ZERO, _mono((0, 2), F(-2, 5)), _ZERO,
+                                  _ZERO, _ZERO, _mono((0, 0), F(7, 4))]),
+        (1, 1): PolyMatrix(3, 3, [_ZERO, _mono((2, 1), F(5, 6)), _ZERO,
+                                  _mono((0, 0), F(1, 9)), _ZERO, _ZERO,
+                                  _ZERO, _ZERO, _ZERO]),
+        (0, 0): PolyMatrix(3, 3, [_mono((0, 0), F(3, 7))] * 9)}),
+    PolyMatrix(1, 3, [_mono((3, 2), F(2, 11)) + _mono((1, 1), F(5, 8)),
+                      _ZERO, _mono((2, 3), F(-4, 3))])))
+def test_apply_matches_the_fraction_reference(op_and_F):
+    op, F_ = op_and_F
+    assert op.apply(F_) == _reference_apply(op, F_)

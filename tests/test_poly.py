@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bc2mvop.leading import PSI_VARS, X_VARS, psi_in_x, x_in_psi
 from bc2mvop.poly import MultiPoly, VariableMismatch, symmetric_reduce
@@ -130,9 +130,9 @@ def test_constant_hashes_like_its_number():
 _coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
-def _polys(vars=CV):
+def _polys(vars=CV, coeffs=_coeffs):
     return st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
-                           _coeffs, max_size=4).map(lambda t: MultiPoly(vars, t))
+                           coeffs, max_size=4).map(lambda t: MultiPoly(vars, t))
 
 
 @given(_polys(), _polys(), _polys())
@@ -147,14 +147,66 @@ def test_ring_laws(p, q, r):
     assert (p - p).is_zero and (p * zero).is_zero
 
 
-@given(_polys(), _polys(), st.fixed_dictionaries(
-    {"c1": _polys(PSI_VARS), "c2": _polys(PSI_VARS)}), _coeffs)
+# denominators up to 12: the images of c1 and c2 lie over different ones
+_wide_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+_UNEQUAL_IMAGES = {
+    "c1": MultiPoly(PSI_VARS, {(1, 0): F(1, 2), (0, 0): F(1, 3)}),
+    "c2": MultiPoly(PSI_VARS, {(0, 2): F(2, 5), (1, 1): F(-1, 7)})}
+
+
+@given(_polys(coeffs=_wide_coeffs), _polys(), st.fixed_dictionaries(
+    {"c1": _polys(PSI_VARS, _wide_coeffs), "c2": _polys(PSI_VARS, _wide_coeffs)}),
+    _coeffs)
+@example(MultiPoly(CV, {(2, 1): F(3, 4), (0, 2): F(-5, 6), (0, 0): F(1, 9)}),
+         MultiPoly(CV, {(1, 0): F(2, 3), (0, 1): F(1, 2)}), _UNEQUAL_IMAGES,
+         F(-7, 2))
 def test_substitute_is_a_ring_homomorphism(p, q, images, c):
     def sub(f):
         return f.substitute(images, PSI_VARS)
     assert sub(p + q) == sub(p) + sub(q)
     assert sub(p * q) == sub(p) * sub(q)
     assert sub(MultiPoly.const(CV, c)) == MultiPoly.const(PSI_VARS, c)
+    # and it is the composition: evaluating agrees with evaluating the images
+    point = {"psi1": F(2, 3), "psi2": F(-3, 5)}
+    at_images = {v: img.evaluate(point) for v, img in images.items()}
+    assert sub(p).evaluate(point) == p.evaluate(at_images)
+
+
+# a quotient p = p_int / k and a divisor q = (k / j) q_int whose leading
+# coefficient k lead / j is neither +-1 nor integral.  In p * q the factor k
+# cancels, so the quotient's numerators are not multiples of the divisor's:
+# the division has to scale by cofactors.  q_int has total degree at most 4
+# below its leading c1^3 c2^2
+_int_polys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                             st.integers(-5, 5), max_size=4)
+
+
+@st.composite
+def _quotients_and_divisors(draw):
+    k, j = draw(st.integers(2, 6)), draw(st.integers(2, 7))
+    lead = draw(st.integers(1, 5).filter(lambda c: k * c % j))
+    q_int = MultiPoly(CV, draw(_int_polys)) + MultiPoly.monomial(CV, (3, 2), lead)
+    return (MultiPoly(CV, draw(_int_polys)) * F(1, k), q_int * F(k, j))
+
+
+@given(_quotients_and_divisors())
+@example((MultiPoly(CV, {(1, 0): F(1, 2), (0, 0): F(1, 4)}),
+          MultiPoly(CV, {(3, 2): F(4, 3), (1, 0): F(2), (0, 0): F(2, 3)})))
+def test_divide_exact_recovers_the_quotient(pq):
+    p, q = pq
+    assert q.leading()[1].denominator > 1
+    assert (p * q).divide_exact(q) == p
+
+
+@given(_quotients_and_divisors(),
+       _polys(coeffs=_wide_coeffs).filter(lambda r: not r.is_zero))
+@example((MultiPoly(CV, {(1, 1): F(1, 2)}),
+          MultiPoly(CV, {(3, 2): F(4, 9), (0, 0): F(1, 6)})),
+         MultiPoly(CV, {(0, 0): F(1, 7)}))
+def test_divide_exact_refuses_a_remainder(pq, r):
+    # r is nonzero and of lower total degree than q, so no multiple of q
+    p, q = pq
+    assert (p * q + r).divide_exact(q) is None
 
 
 @given(_polys(PSI_VARS))
