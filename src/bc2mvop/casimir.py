@@ -212,16 +212,24 @@ def general_lowering_check(params: PairParams, dmax: int) -> CheckResult:
     """Triangular recursion: radial operator on a general label equals the
     eigenvalue term plus the seven-move table, exactly."""
     name = f"triangular recursion table {params.tag()} dmax={dmax}"
+    vectors: dict[MsfLabel, tuple[MultiPoly, ...]] = {}
+
+    def vector(label: MsfLabel) -> tuple[MultiPoly, ...]:
+        # each label's vector is built once per call
+        if label not in vectors:
+            vectors[label] = label_vector(params, label)
+        return vectors[label]
+
     count = 0
     for label in labels_up_to(params, dmax):
         try:
-            got = radial_apply(params, label_vector(params, label))
+            got = radial_apply(params, vector(label))
         except ValueError as exc:
             return CheckResult(name, FAIL, f"label {label}: {exc}")
         c_top = casimir_eigenvalue(params, label)
-        want = [c_top * g for g in label_vector(params, label)]
+        want = [c_top * g for g in vector(label)]
         for target, coeff in lowering_moves(params, label).items():
-            tv = label_vector(params, target)
+            tv = vector(target)
             want = [w + coeff * t for w, t in zip(want, tv)]
         for k in range(params.size):
             if got[k] != want[k]:

@@ -25,21 +25,25 @@ def poch(x, k: int):
 
 
 def krawtchouk(n: int, x: int, N: int, p: Fraction) -> Fraction:
-    """Exact K_n(x; p, N) at a rational parameter p."""
+    """Exact K_n(x; p, N) at a rational parameter p = P/Q.
+
+    Term k is (-n)_k (-x)_k Q^k / (k! (-N)_k P^k), so every term is an
+    integer numerator over the one denominator top! (-N)_top P^top,
+    top = min(n, x).  The sum is taken in nested form from the last term
+    down: each step multiplies the denominator by (k+1)(k-N)P, and only the
+    final value is a Fraction."""
     if not (0 <= n <= N and 0 <= x <= N):
         raise ValueError(f"indices (n,x)=({n},{x}) out of range 0..{N}")
     p = Fraction(p)
     if p == 0:
         raise ZeroDivisionError("p must be nonzero")
-    inv_p = Fraction(1) / p
-    acc = Fraction(0)
-    ppow = Fraction(1)
-    for k in range(min(n, x) + 1):
-        c = poch(Fraction(-n), k) * poch(Fraction(-x), k) \
-            / (factorial(k) * poch(Fraction(-N), k))
-        acc = acc + c * ppow
-        ppow = ppow * inv_p
-    return acc
+    P, Q = p.numerator, p.denominator
+    num = den = 1
+    for k in reversed(range(min(n, x))):
+        step = (k + 1) * (k - N) * P
+        num = step * den + (k - n) * (k - x) * Q * num
+        den *= step
+    return Fraction(num, den)
 
 
 def point_weight(x: int, N: int, p: Fraction) -> Fraction:

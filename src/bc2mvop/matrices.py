@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -243,10 +245,31 @@ def _eliminate(A: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], l
     return M, pivots
 
 
+def _primitive_row(row: Sequence[Fraction]) -> tuple[int, ...]:
+    """A nonzero row scaled to coprime integers with a positive leading
+    entry: times the lcm of its denominators, over the gcd of the result."""
+    den = math.lcm(*map(operator.attrgetter("denominator"), row))
+    ints = ([x.numerator * (den // x.denominator) for x in row] if den > 1
+            else list(map(int, row)))
+    g = math.gcd(*ints)
+    if next(filter(None, ints)) < 0:
+        g = -g
+    return tuple(ints) if g == 1 else tuple(x // g for x in ints)
+
+
 def frac_rank(A: Sequence[Sequence[Fraction]]) -> int:
-    """Rank by forward elimination over the distinct nonzero rows: a
-    repeated or zero row never changes the rank."""
-    rows = list(dict.fromkeys(tuple(map(Fraction, row)) for row in A if any(row)))
+    """Rank of a matrix of Fractions or ints, on primitive integer rows.
+
+    Scaling a row by a nonzero rational does not change the row space, so
+    each nonzero row is made a primitive integer vector first; rows that
+    are rational multiples of each other then coincide and count once.
+    Elimination is fraction-free: each reduced row is the integer
+    combination p * row - f * pivot (p the pivot entry), again a nonzero
+    multiple of the rational reduction, divided by its gcd to keep the
+    entries small.
+    """
+    rows = list(dict.fromkeys(_primitive_row(row)
+                              for row in dict.fromkeys(map(tuple, A)) if any(row)))
     ncols = len(rows[0]) if rows else 0
     rank = 0
     for c in range(ncols):
@@ -255,11 +278,18 @@ def frac_rank(A: Sequence[Sequence[Fraction]]) -> int:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         top = rows[rank]
-        inv = 1 / top[c]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][c]:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], top)]
+        p = top[c]
+        rest = []
+        for row in rows[rank + 1:]:
+            f = row[c]
+            if f:
+                row = [p * x - f * y if y else p * x for x, y in zip(row, top)]
+                g = math.gcd(*row)
+                if not g:
+                    continue
+                row = [x // g for x in row]
+            rest.append(row)
+        rows[rank + 1:] = rest
         rank += 1
         if rank == len(rows):
             break

@@ -36,7 +36,12 @@ on each denominator being multiplied back exactly once; the results are the
 same exact rationals as a contraction in Fractions.
 
 A floating-point Gauss-Legendre path recomputes the same integrals
-independently of the moments.
+independently of the moments.  It evaluates each factor R_d and S on the
+node mesh once per parameter point, and the pairs of that point share the
+values; `numeric_suite` drops them when the point is done, so values are
+held for one point only.  Each value is made by the same numpy operations,
+in the same order, as a per-pair evaluation, and the products are summed in
+the same order, so the printed deviations do not depend on the sharing.
 """
 
 from __future__ import annotations
@@ -340,21 +345,23 @@ def indecomposability_check(params: PairParams) -> tuple[int, int]:
     split into smaller blocks."""
     s = weight_matrix_c(params)
     n = s.rows
+    # S over one denominator: a common scale of every row, so the integer
+    # numerators give the same solution spaces
+    _, num = integer_view(s.entries)
 
-    def rows_for(sign: int, transpose: bool) -> list[list[Fraction]]:
+    def rows_for(sign: int, transpose: bool) -> list[list[int]]:
         # coefficient matching of T S - sign * (S T or S T^T) = 0: one row
         # per entry (i, j) and monomial present in it, built from the terms
-        rows: dict[tuple, list[Fraction]] = defaultdict(
-            lambda: [Fraction(0)] * (n * n))
+        rows: dict[tuple, list[int]] = defaultdict(lambda: [0] * (n * n))
         for i in range(n):
             for j in range(n):
                 for k in range(n):
                     # (T S)_{ij} term through T_{ik}
-                    for exp, c in s.entry(k, j).terms.items():
+                    for exp, c in num[k * n + j].items():
                         rows[i, j, exp][i * n + k] += c
                     # (S T)_{ij} through T_{kj}, or (S T^T)_{ij} through T_{jk}
                     col = j * n + k if transpose else k * n + j
-                    for exp, c in s.entry(i, k).terms.items():
+                    for exp, c in num[i * n + k].items():
                         rows[i, j, exp][col] -= sign * c
         return list(rows.values())
 
@@ -401,8 +408,44 @@ def _poly_matrix_c(params: PairParams, d: tuple[int, int]) -> PolyMatrix:
     return poly_matrix_x(params, d).substitute(x_in_c(), C_VARS)
 
 
+def _node_mesh(m: int, b: int, order: int):
+    """The (c1, c2) node mesh, the product weights and the density of
+    (m, b) on it, each read-only."""
+    import numpy as np
+    t, w = _quad_nodes(order)
+    c1, c2 = np.meshgrid(np.cos(t), np.cos(t), indexing="ij")
+    s1, s2 = np.meshgrid(np.sin(t), np.sin(t), indexing="ij")
+    ww = w[:, None] * w[None, :]
+    density = (4.0 * s1 ** (2 * m - 3) * s2 ** (2 * m - 3) * c1 * c2
+               * (c1 ** 2 - c2 ** 2) ** 2 * (c1 * c2) ** (2 * b))
+    for arr in (c1, c2, ww, density):
+        arr.flags.writeable = False
+    return c1, c2, ww, density
+
+
+def _mesh_values(mat: PolyMatrix, c1, c2) -> list[list]:
+    """Each entry of mat on the node mesh, summed term by term in canonical
+    order, read-only."""
+    import numpy as np
+    out = [[None] * mat.cols for _ in range(mat.rows)]
+    for i in range(mat.rows):
+        for j in range(mat.cols):
+            vals = np.zeros_like(c1)
+            for (e1, e2, coeff) in _float_terms(mat.entry(i, j)):
+                vals += coeff * c1 ** e1 * c2 ** e2
+            vals.flags.writeable = False
+            out[i][j] = vals
+    return out
+
+
+def _degree(mat: PolyMatrix) -> int:
+    """The largest exponent of either variable in mat."""
+    return max((max(exp) for e in mat.entries for exp in e.terms), default=0)
+
+
 def numeric_crosscheck(params: PairParams, d: tuple[int, int],
-                       dp: tuple[int, int]) -> CheckResult:
+                       dp: tuple[int, int],
+                       values: dict | None = None) -> CheckResult:
     """Gauss-Legendre quadrature of the Gram integrals in t-coordinates,
     compared against the exact rational values.
 
@@ -410,59 +453,55 @@ def numeric_crosscheck(params: PairParams, d: tuple[int, int],
     multiplied in floating point: expanding the product first produces
     coefficients orders of magnitude above the integral values, and the
     cancellation caps the achievable relative accuracy near 1e-7.
+    `values` holds the mesh and the factor values of one parameter point,
+    for the pairs that share them; without it each call evaluates its own.
     """
     import numpy as np
 
     d, dp = degree_pair(d), degree_pair(dp)
     name = (f"numeric quadrature agreement {params.tag()} "
             f"d=({d[0]},{d[1]}) d'=({dp[0]},{dp[1]})")
-    m, b = params.m, params.b
+    m, a, b = params.m, params.a, params.b
+    values = {} if values is None else values
     exact = gram(params, d, dp)
     lc, rc = _poly_matrix_c(params, d), _poly_matrix_c(params, dp)
-    sc = weight_matrix_c(PairParams(m, params.a, 0))
-
-    def pv_degree(mat):
-        return max((max(exp) for i in range(mat.rows) for j in range(mat.cols)
-                    for exp, _ in mat.entry(i, j).sorted_terms()), default=0)
+    sc = weight_matrix_c(PairParams(m, a, 0))
 
     # node count from the trigonometric degree per variable: polynomial
     # part plus the density sin^(2m-3) cos (c1^2-c2^2)^2 (c1 c2)^(2b);
     # 48 nodes hold to ~1e-11 up to degree 32, degrade past that
-    trig_degree = (pv_degree(lc) + pv_degree(sc) + pv_degree(rc)
-                   + 2 * m + 2 * b + 2)
+    trig_degree = _degree(lc) + _degree(sc) + _degree(rc) + 2 * m + 2 * b + 2
     order = 48 if trig_degree <= 30 else trig_degree + 32
 
-    t, w = _quad_nodes(order)
-    c1, c2 = np.meshgrid(np.cos(t), np.cos(t), indexing="ij")
-    s1, s2 = np.meshgrid(np.sin(t), np.sin(t), indexing="ij")
-    ww = w[:, None] * w[None, :]
-    density = (4.0 * s1 ** (2 * m - 3) * s2 ** (2 * m - 3) * c1 * c2
-               * (c1 ** 2 - c2 ** 2) ** 2 * (c1 * c2) ** (2 * b))
+    if ("mesh", m, b, order) not in values:
+        values["mesh", m, b, order] = _node_mesh(m, b, order)
+    c1, c2, ww, density = values["mesh", m, b, order]
     scale = 2.0 ** (2 * m + 2 * b - 1)
 
-    def mesh_eval(mat):
-        out = [[None] * mat.cols for _ in range(mat.rows)]
-        for i in range(mat.rows):
-            for j in range(mat.cols):
-                vals = np.zeros_like(c1)
-                for (e1, e2, coeff) in _float_terms(mat.entry(i, j)):
-                    vals += coeff * c1 ** e1 * c2 ** e2
-                out[i][j] = vals
-        return out
+    def on_mesh(key, mat):
+        # each factor is evaluated once per point; the pairs share it
+        if key not in values:
+            values[key] = _mesh_values(mat, c1, c2)
+        return values[key]
 
-    lv, sv, rv = mesh_eval(lc), mesh_eval(sc), mesh_eval(rc)
+    lv = on_mesh((params, d, order), lc)
+    sv = on_mesh((m, a, order), sc)
+    rv = on_mesh((params, dp, order), rc)
 
     # zero targets (off-diagonal, distinct degrees) are judged against the
     # size of the corresponding diagonal norms
     diag_scale = max(abs(float(gram(params, e, e)[k][k]))
                      for e in {d, dp} for k in range(params.size))
     worst = 0.0
+    n = params.size
     for i in range(lc.rows):
+        # the products (R_d)_ik S_kl, formed once for every j
+        left = [[lv[i][k] * sv[k][l] for l in range(n)] for k in range(n)]
         for j in range(rc.rows):
             vals = np.zeros_like(c1)
-            for k in range(params.size):
-                for l in range(params.size):
-                    vals += lv[i][k] * sv[k][l] * rv[j][l]
+            for k in range(n):
+                for l in range(n):
+                    vals += left[k][l] * rv[j][l]
             num = scale * float(np.sum(ww * vals * density))
             ex = float(exact[i][j])
             dev = abs(num - ex) / (abs(ex) if ex != 0 else diag_scale)
@@ -474,12 +513,12 @@ def numeric_crosscheck(params: PairParams, d: tuple[int, int],
 
 
 def numeric_suite(params: PairParams, dmax: int = 1) -> list[CheckResult]:
-    out = []
+    """Every pair of degrees up to dmax, sharing one table of mesh values
+    that is dropped when the point is done."""
+    values: dict = {}
     degs = degree_pairs(dmax)
-    for ia, d in enumerate(degs):
-        for dp in degs[ia:]:
-            out.append(numeric_crosscheck(params, d, dp))
-    return out
+    return [numeric_crosscheck(params, d, dp, values)
+            for ia, d in enumerate(degs) for dp in degs[ia:]]
 
 
 def region_grid(params: PairParams, nx: int = 40, ny: int = 25, mat=None):

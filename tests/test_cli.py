@@ -234,7 +234,9 @@ REPORT_GRIDS = {"casimir": ("casimir", SMALL_GRID),
                 "indecomposable": ("indecomposable", []),
                 "orthogonality-dmax3": ("orthogonality", ["--dmax", "3"]),
                 "casimir-dmax3": ("casimir", ["--dmax", "3"]),
-                "pde-dmax3": ("pde", ["--dmax", "3"])}
+                "pde-dmax3": ("pde", ["--dmax", "3"]),
+                "orthogonality-numeric": ("orthogonality",
+                                          ["--numeric", "--dmax", "1"])}
 REPORT_DIGESTS = {
     ("casimir", "text"):
         "9f408cf2a6793db27590113d59143a638a214f72eab04685f6a33c89cd59c8ea",
@@ -264,6 +266,10 @@ REPORT_DIGESTS = {
         "1e6ee674b281d77bf8dc69071f0b9b47fee264972180272df049f65b235e43c2",
     ("pde-dmax3", "json"):
         "f80fa0012cc35c60e14ccb5e5be3a2f59267f94887ae6dd83ddc29c20e943e2f",
+    ("orthogonality-numeric", "text"):
+        "f8e040d5d833fad9a26651441a4c6197bf441f52c6a46c88a9a916177677f6fe",
+    ("orthogonality-numeric", "json"):
+        "ff54207d1024ce982b72a50053c30077458edac51559667e84abb0d817be0c26",
 }
 
 

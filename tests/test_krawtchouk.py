@@ -65,3 +65,30 @@ def test_suite_shapes():
     # three sizes, four identities each
     assert len(sweep) == 12
     assert all(r.status == "PASS" for r in sweep)
+
+
+def _hypergeometric_sum(n, x, N, p):
+    """Reference K_n(x; p, N): the 2F1 sum term by term in Fractions."""
+    total = F(0)
+    for k in range(min(n, x) + 1):
+        term = F(1)
+        for j in range(k):
+            term = term * F((j - n) * (j - x), (j + 1) * (j - N))
+        total += term / F(p) ** k
+    return total
+
+
+# negative (1/(1 - t^2) at t = 2, 3, as the leading-term route uses it,
+# and two more), inside (0, 1), and above 1
+_PARAMETERS = [F(-1, 3), F(-1, 8), F(-7, 2), F(-5), F(1, 4), F(2, 3),
+               F(5, 7), F(3, 2), F(9, 4), F(7)]
+
+
+@pytest.mark.parametrize("p", _PARAMETERS)
+def test_krawtchouk_matches_the_hypergeometric_sum(p):
+    for N in range(11):
+        for n in range(N + 1):
+            for x in range(N + 1):
+                got, want = krawtchouk(n, x, N, p), _hypergeometric_sum(n, x, N, p)
+                if got != want:
+                    pytest.fail(f"K_{n}({x}; {p}, {N}) = {got}, sum gives {want}")

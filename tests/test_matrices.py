@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bc2mvop.matrices import (PolyMatrix, _eliminate, conjugate_flip, flip_matrix,
                               frac_det, frac_identity, frac_invert, frac_matmul,
@@ -216,3 +216,54 @@ def _rank_matrices(draw):
 @given(_rank_matrices())
 def test_rank_matches_the_full_elimination(A):
     assert frac_rank(A) == len(_eliminate(A)[1])
+
+
+def _gauss_rank(A):
+    """Reference rank: Gauss elimination over Fractions, row by row."""
+    M = [[F(x) for x in row] for row in A]
+    ncols = len(M[0]) if M else 0
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(M)) if M[i][c]), None)
+        if piv is None:
+            continue
+        M[rank], M[piv] = M[piv], M[rank]
+        for i in range(rank + 1, len(M)):
+            f = M[i][c] / M[rank][c]
+            M[i] = [x - f * y for x, y in zip(M[i], M[rank])]
+        rank += 1
+    return rank
+
+
+_wide_fracs = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                           max_denominator=10 ** 9)
+
+
+@st.composite
+def _rational_row_matrices(draw):
+    """Rows over large denominators plus duplicates, negative rational
+    multiples, sums of two rows and zero rows, shuffled."""
+    ncols = draw(st.integers(1, 5))
+    base = draw(st.lists(st.lists(_wide_fracs, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=4))
+    rows = list(base)
+    for row in base:
+        for _ in range(draw(st.integers(0, 2))):
+            scale = -draw(st.fractions(min_value=F(1, 10 ** 6), max_value=10 ** 6,
+                                       max_denominator=10 ** 6))
+            rows.append([scale * x for x in row])
+        rows.append(list(row))
+    if len(base) > 1:
+        rows.append([x + y for x, y in zip(base[0], base[1])])
+    rows += [[F(0)] * ncols] * draw(st.integers(0, 2))
+    return draw(st.permutations(rows))
+
+
+@given(_rational_row_matrices())
+@example([[F(1, 3), F(2, 3)], [F(-1, 6), F(-1, 3)], [F(1, 2), F(1, 5)]])
+@example([[F(1, 3), F(1, 7), 0], [0, 0, 0], [F(2, 3), F(2, 7), 0], [1, 2, 3]])
+def test_rank_matches_the_fraction_gauss_reference(A):
+    got = frac_rank(A)
+    want = _gauss_rank(A)
+    if got != want:
+        pytest.fail(f"rank {got}, reference {want}")

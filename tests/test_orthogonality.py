@@ -1,5 +1,7 @@
 """Exact integration, Gram matrices, positivity, indecomposability, numerics."""
 
+import gc
+import weakref
 from fractions import Fraction as F
 from math import comb, factorial, lcm
 
@@ -296,3 +298,35 @@ def test_region_grid_shape():
     assert inside in (True, False)
     assert any(r[3] for r in rows)
     assert not all(r[3] for r in rows)
+
+
+@pytest.mark.parametrize("m, a, b", [(8, 6, 3), (3, 6, 0)])
+def test_indecomposability_at_the_wide_grid_corners(m, a, b):
+    assert indecomposability_check(PairParams(m, a, b)) == (1, 1)
+
+
+def test_numeric_suite_mesh_values_are_read_only_and_dropped(monkeypatch):
+    made = []
+    calls = []
+
+    def spy(real):
+        def wrapper(*args):
+            out = real(*args)
+            calls.append(real.__name__)
+            arrays = (out if real is node_mesh
+                      else [v for row in out for v in row])
+            made.extend(weakref.ref(v) for v in arrays)
+            if any(v.flags.writeable for v in arrays):
+                pytest.fail(f"{real.__name__} returned a writeable array")
+            return out
+        return wrapper
+
+    node_mesh, mesh_values = orthogonality._node_mesh, orthogonality._mesh_values
+    monkeypatch.setattr(orthogonality, "_node_mesh", spy(node_mesh))
+    monkeypatch.setattr(orthogonality, "_mesh_values", spy(mesh_values))
+    results = numeric_suite(PairParams(3, 1, 1), 1)
+    assert all(r.status == "PASS" for r in results)
+    # one mesh and one evaluation per factor (three R_d and S) at the point
+    assert sorted(calls) == ["_mesh_values"] * 4 + ["_node_mesh"]
+    gc.collect()
+    assert made and not any(ref() is not None for ref in made)
