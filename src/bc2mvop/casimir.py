@@ -485,7 +485,7 @@ def scalar_eigenpoly(m: int, d: tuple[int, int]) -> MultiPoly:
     target = casimir_eigenvalue(PairParams(m, 0, 0), MsfLabel(0, d[0], d[1]))
     op = scalar_radial_psi(m)
     images = [op.apply_scalar(MultiPoly.monomial(PSI_VARS, e)) for e in basis]
-    support = sorted({e for img in images for e in img.terms} | set(basis))
+    support = sorted({e for img in images for e in img.nums} | set(basis))
     rows = []
     rhs = []
     for exp in support:
@@ -508,7 +508,7 @@ def _in_eigenbasis(m: int, poly: MultiPoly, degrees: list[tuple[int, int]]):
     """Coordinates of poly in the basis {1} + eigenfunctions of the listed
     degrees, solved exactly."""
     basis = [MultiPoly.one(PSI_VARS)] + [scalar_eigenpoly(m, d) for d in degrees]
-    support = sorted({e for p in basis for e in p.terms} | set(poly.terms))
+    support = sorted({e for p in basis for e in p.nums} | set(poly.nums))
     rows = [[p.coefficient(exp) for p in basis] for exp in support]
     rhs = [poly.coefficient(exp) for exp in support]
     sol = solve_linear(rows, rhs)

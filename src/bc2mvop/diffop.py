@@ -8,15 +8,15 @@ on the right only: the action on a matrix function F is
 
 i.e. coefficient matrices multiply from the right.
 
-The action runs on Python integers.  Each operator puts all its coefficient
-matrices over one common denominator once, on its first application, and
-keeps that integer view; F is put over one denominator per call.  Each
-output entry is accumulated as one integer numerator per monomial, with
-derivatives taken as falling factorials of the exponents, and becomes one
-reduced Fraction at the end.  This relies on one condition: the coefficient
-matrices never change after construction (``coeffs`` is a read-only
-mapping of immutable PolyMatrix values), so the stored view stays the
-operator's own.
+The action runs on the integer numerators the polynomials store.  Each
+operator rescales the numerators of all its coefficient matrices to their
+common denominator once, on its first application, and keeps them; the
+entries of F are rescaled to theirs on each call.  Each output entry is
+accumulated as one integer numerator per monomial, with derivatives taken
+as falling factorials of the exponents, over the product of the two
+denominators.  This relies on one condition: the coefficient matrices never
+change after construction (``coeffs`` is a read-only mapping of immutable
+PolyMatrix values), so the stored numerators stay the operator's own.
 """
 
 from __future__ import annotations

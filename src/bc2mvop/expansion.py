@@ -160,22 +160,26 @@ def inverse_reference_check(params: PairParams) -> CheckResult:
 # ---- triangular eigenfunction expansion ----
 
 @lru_cache(maxsize=None)
-def _lowering_graph(params: PairParams, n: int):
-    """Read-only (eigenvalue, moves, order) over the labels of degree <= n:
-    each move is checked once against both orders it must lower, and order
-    is descending eigenvalue, ties by (i, d1, d2)."""
-    labels = labels_up_to(params, n)
-    c_of = {lab: casimir_eigenvalue(params, lab) for lab in labels}
-    weight = {lab: label_weight(params, lab) for lab in labels}
-    moves = {lab: MappingProxyType(lowering_moves(params, lab)) for lab in labels}
-    for lab in labels:
-        for tgt in moves[lab]:
-            if tgt not in c_of or not c_of[tgt] < c_of[lab]:
-                raise AssertionError(f"move {lab} -> {tgt} does not lower the eigenvalue")
-            if not dominance_leq(weight[tgt], weight[lab]):
-                raise AssertionError(f"move {lab} -> {tgt} does not lower the weight")
-    order = tuple(sorted(labels, key=lambda t: (-c_of[t], t.i, t.d1, t.d2)))
-    return MappingProxyType(c_of), MappingProxyType(moves), order
+def _graph_node(params: PairParams, lab: MsfLabel):
+    """(eigenvalue, read-only moves) of a label: the lowering graph of a
+    parameter triple, built once per label, each move checked once against
+    both orders it must lower."""
+    c, weight = casimir_eigenvalue(params, lab), label_weight(params, lab)
+    moves = lowering_moves(params, lab)
+    for tgt in moves:
+        if not casimir_eigenvalue(params, tgt) < c:
+            raise AssertionError(f"move {lab} -> {tgt} does not lower the eigenvalue")
+        if not dominance_leq(label_weight(params, tgt), weight):
+            raise AssertionError(f"move {lab} -> {tgt} does not lower the weight")
+    return c, MappingProxyType(moves)
+
+
+@lru_cache(maxsize=None)
+def _sweep_order(params: PairParams, n: int) -> tuple:
+    """(label, eigenvalue, moves) for the labels of degree <= n, in
+    descending eigenvalue order, ties by (i, d1, d2)."""
+    nodes = [(lab, *_graph_node(params, lab)) for lab in labels_up_to(params, n)]
+    return tuple(sorted(nodes, key=lambda t: (-t[1], t[0].i, t[0].d1, t[0].d2)))
 
 
 def phi_expansion(params: PairParams, label: MsfLabel) -> dict[MsfLabel, Fraction]:
@@ -189,17 +193,17 @@ def phi_expansion(params: PairParams, label: MsfLabel) -> dict[MsfLabel, Fractio
     positive denominator; rescaling enforces value 1 at (psi1, psi2) = (2, 1).
     """
     check_label(params, label)
-    c_of, moves, order = _lowering_graph(params, label.d1 + label.d2)
+    top, moves = _graph_node(params, label)
     e = {label: Fraction(1)}
-    acc = dict(moves[label])
-    for lab in order:
+    acc = dict(moves)
+    for lab, c, lab_moves in _sweep_order(params, label.d1 + label.d2):
         if lab not in acc:
             continue
-        coeff = acc.pop(lab) / (c_of[label] - c_of[lab])
+        coeff = acc.pop(lab) / (top - c)
         if coeff == 0:
             continue
         e[lab] = coeff
-        for tgt, w in moves[lab].items():
+        for tgt, w in lab_moves.items():
             acc[tgt] = acc.get(tgt, 0) + coeff * w
     if acc:
         raise AssertionError(f"mass left on labels outside the order: {list(acc)}")

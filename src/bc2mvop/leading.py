@@ -239,11 +239,12 @@ def homogeneity_check(params: PairParams) -> CheckResult:
     fixed parity: c1 carries a+b-k mod 2 and c2 carries b+k mod 2."""
     name = f"leading term homogeneity and parity {params.tag()}"
     a, b = params.a, params.b
+    q0 = leading_term_matrix(params)
     bad = []
     for i in range(a + 1):
         for k in range(a + 1):
             deg = a + 2 * b + 2 * i
-            for (e1, e2) in leading_term(params, i, k).terms:
+            for (e1, e2) in q0.entry(i, k).nums:
                 if e1 + e2 != deg or (e1 - (a + b - k)) % 2 or (e2 - (b + k)) % 2:
                     bad.append((i, k))
                     break
@@ -266,14 +267,15 @@ def krawtchouk_route_check(params: PairParams) -> CheckResult:
     name = f"leading term hypergeometric route {params.tag()}"
     a, b = params.a, params.b
     one = Fraction(1)
+    q0 = leading_term_matrix(params)
     for i in range(a + 1):
         for k in range(a + 1):
-            q = leading_term(params, i, k)
+            q = q0.entry(i, k)
             deg = a + 2 * b + 2 * i
-            if any(e1 + e2 != deg for e1, e2 in q.terms):
+            if any(e1 + e2 != deg for e1, e2 in q.nums):
                 return CheckResult(
                     name, FAIL, f"entry ({i},{k}) is not homogeneous of degree {deg}")
-            D = max([a + b - k + 2 * min(i, k)] + [e1 for e1, _ in q.terms])
+            D = max([a + b - k + 2 * min(i, k)] + [e1 for e1, _ in q.nums])
             for t in range(2, D + 3):
                 via = t ** (a + b - k) * krawtchouk(i, k, a, one / (1 - t * t))
                 if via != q.evaluate({"c1": Fraction(t), "c2": one}):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import index
 
 
@@ -182,6 +183,7 @@ def bottom_weight(params: PairParams, i: int) -> Weight:
             + fundamental(m, m + 1) * i)
 
 
+@lru_cache(maxsize=None)
 def label_weight(params: PairParams, label: MsfLabel) -> Weight:
     check_label(params, label)
     m = params.m

@@ -104,7 +104,7 @@ class PolyMatrix:
             for col in cols:
                 acc = zero
                 for a, b in zip(row, col):
-                    if a.terms and b.terms:
+                    if a.nums and b.nums:
                         acc = acc + a * b
                 out.append(acc)
         return PolyMatrix(self.rows, other.cols, out)

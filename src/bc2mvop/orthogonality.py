@@ -26,14 +26,13 @@ immutable.  A Gram matrix G = int R_d S R_d'^T contracts the coefficients of
 R_d, S and R_d' against the moments it reads, with no product polynomial
 and no per-entry pull-back.
 
-Both routes run on Python integers.  R_d, S, R_d' and the moments a Gram
-matrix reads are each put over one common denominator by
-`poly.integer_view` (and so is the integrand of `integrate_against_delta`);
-the integer numerators are contracted, and each Gram entry or integral is
-one Fraction of the integer sum over the product of the denominators.
-This relies on every input coefficient being a Fraction (or an int), and
-on each denominator being multiplied back exactly once; the results are the
-same exact rationals as a contraction in Fractions.
+Both routes run on the integer numerators the polynomials store.  The
+entries of R_d, of S and of R_d' are rescaled to one common denominator per
+matrix, and the moments a Gram matrix reads to theirs; the integer
+numerators are contracted, and each Gram entry or integral is one Fraction
+of the integer sum over the product of the denominators.  Each denominator
+is multiplied back exactly once, so the results are the same exact
+rationals as a contraction in Fractions.
 
 A floating-point Gauss-Legendre path recomputes the same integrals
 independently of the moments.  It evaluates each factor R_d and S on the
@@ -84,21 +83,20 @@ def integrate_against_delta(params: PairParams, p: MultiPoly) -> Fraction:
     4 s1^(2m-3) s2^(2m-3) c1 c2 (c1^2-c2^2)^2 over [0, pi/2]^2."""
     if p.vars != C_VARS:
         raise ValueError("integrand must be a polynomial in (c1, c2)")
-    for exp in p.terms:
+    for exp in p.nums:
         if exp[0] % 2 or exp[1] % 2:
             raise ValueError(f"odd cosine exponent {exp}: integrand must be "
                              "even in both variables")
     # c1^(2i) c2^(2j) (c1^2 - c2^2)^2 integrates to
     # B(i+2) B(j) - 2 B(i+1) B(j+1) + B(i) B(j+2)
-    top = max((max(exp) for exp in p.terms), default=0) // 2 + 2
+    top = max((max(exp) for exp in p.nums), default=0) // 2 + 2
     den, beta = _beta_numerators(params.m, top)
-    pden, (nums,) = integer_view([p])
     acc = 0
-    for (e1, e2), c in nums.items():
+    for (e1, e2), c in p.nums.items():
         i, j = e1 // 2, e2 // 2
         acc += c * (beta[i + 2] * beta[j] - 2 * beta[i + 1] * beta[j + 1]
                     + beta[i] * beta[j + 2])
-    return Fraction(4 * acc, pden * den * den)
+    return Fraction(4 * acc, p.den * den * den)
 
 
 @functools.lru_cache(maxsize=None)
@@ -119,13 +117,14 @@ def region_integral(params: PairParams, M: MultiPoly) -> Fraction:
         raise ValueError("integrand must be a polynomial in (x1, x2)")
     m, b = params.m, params.b
     # the pull-back of M times c1^(2b) c2^(2b): shifted exponents, no product
-    pulled: dict[tuple[int, int], Fraction] = {}
-    for (i, j), c in M.terms.items():
-        for (e1, e2), t in _pulled_monomial(i, j).terms.items():
+    pden, monos = integer_view(_pulled_monomial(i, j) for i, j in M.nums)
+    pulled: dict[tuple[int, int], int] = {}
+    for c, mono in zip(M.nums.values(), monos):
+        for (e1, e2), t in mono.items():
             e = (e1 + 2 * b, e2 + 2 * b)
             pulled[e] = pulled[e] + c * t if e in pulled else c * t
-    return (Fraction(2) ** (2 * m + 2 * b - 1)
-            * integrate_against_delta(params, MultiPoly._trusted(C_VARS, pulled)))
+    return (Fraction(2) ** (2 * m + 2 * b - 1) * integrate_against_delta(
+        params, MultiPoly._over(C_VARS, pulled, M.den * pden)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -383,7 +382,10 @@ def indecomposability_suite(params: PairParams) -> list[CheckResult]:
 # ---- floating-point cross-check ----
 
 def _float_terms(p: MultiPoly) -> list[tuple[int, int, float]]:
-    return [(e[0], e[1], float(c)) for e, c in p.sorted_terms()]
+    """(e1, e2, coefficient) in canonical order; num / den on Python ints is
+    the correctly rounded float of the exact coefficient."""
+    return [(e1, e2, p.nums[e1, e2] / p.den) for e1, e2 in
+            sorted(p.nums, key=lambda e: (e[0] + e[1], e), reverse=True)]
 
 
 QUADRATURE_RTOL = 1e-8
@@ -440,7 +442,7 @@ def _mesh_values(mat: PolyMatrix, c1, c2) -> list[list]:
 
 def _degree(mat: PolyMatrix) -> int:
     """The largest exponent of either variable in mat."""
-    return max((max(exp) for e in mat.entries for exp in e.terms), default=0)
+    return max((max(exp) for e in mat.entries for exp in e.nums), default=0)
 
 
 def numeric_crosscheck(params: PairParams, d: tuple[int, int],

@@ -5,26 +5,28 @@ between polynomials over different variable tuples raises instead of
 merging positionally, so quantities living in different coordinate
 systems cannot be mixed by accident.
 
-Coefficients are fractions.Fraction throughout: reduced, positive
-denominator, arbitrary precision.
+A polynomial is stored as integer numerators over one denominator: `nums`
+maps exponent tuples to nonzero ints and `den` is an int >= 1, the
+polynomial being sum nums[e] x^e / den.  The form is in lowest terms,
+gcd(den, *nums) == 1, so `den` is the lcm of the coefficient denominators
+and equality is a comparison of vars, den and nums.  `terms` is a read-only
+view mapping each exponent to its coefficient Fraction(num, den), for
+printing, serialization and callers that want rationals.
 
 The public constructor `MultiPoly(vars, terms)` (and `from_json`) checks
 outside input: every exponent is converted with `operator.index`, must have
 the arity of `vars` and no negative entry, and every coefficient is wrapped
-in `Fraction`.  The results of arithmetic are built by the private trusted
-constructor `MultiPoly._trusted`, which only drops zero coefficients.  It
-relies on one condition: its terms come from valid polynomials over the same
-variable tuple, so every key is already a tuple of non-negative ints of the
-right arity (a sum or difference of such tuples that was checked to stay
-non-negative) and every value is already a Fraction (sums, products and
-quotients of Fractions and ints are Fractions).
+in `Fraction`.  The results of arithmetic are built from ints by the private
+constructor `MultiPoly._over`, which drops zero numerators, divides by the
+common gcd once and makes the denominator positive.  It checks nothing else
+and relies on one condition: its keys come from valid polynomials over the
+same variable tuple, so every key is already a tuple of non-negative ints of
+the right arity (a sum or difference of such tuples that was checked to
+stay non-negative).
 
-`substitute` and `divide_exact` run on Python integers.  `integer_view` puts
-polynomials over one common denominator as integer numerators; the kernel
-works on those, and `MultiPoly._over` turns each resulting numerator into
-one reduced Fraction over the final denominator.  This relies on one
-condition: each denominator is multiplied back exactly once, so the results
-are the same exact rationals as the same computation in Fractions.
+No routine mutates a stored `nums`: every result is a new dict, and a kernel
+that edits a working dict in place (the remainder of `divide_exact`) copies
+it first.  `integer_view` also hands out new dicts, never `p.nums` itself.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add, index, sub
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 
@@ -56,11 +59,11 @@ class VariableMismatch(ValueError):
 
 def integer_view(polys: Iterable["MultiPoly"]) -> tuple[int, list[dict]]:
     """The polynomials as integer numerators over one common denominator:
-    (den, [{exp: int}, ...]), each polynomial equal to its numerators / den."""
+    (den, [{exp: int}, ...]), each polynomial equal to its numerators / den.
+    The dicts are new, so a caller may edit them."""
     polys = list(polys)
-    den = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    return den, [{e: c.numerator * (den // c.denominator)
-                  for e, c in p.terms.items()} for p in polys]
+    den = math.lcm(*(p.den for p in polys))
+    return den, [{e: c * (den // p.den) for e, c in p.nums.items()} for p in polys]
 
 
 def _mul_numerators(a: dict, b: dict) -> dict:
@@ -75,9 +78,9 @@ def _mul_numerators(a: dict, b: dict) -> dict:
 
 
 class MultiPoly:
-    """Sparse polynomial: map from exponent tuples to nonzero Fractions."""
+    """Sparse polynomial: nonzero integer numerators over one denominator."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "nums", "den")
 
     def __init__(self, vars: tuple[str, ...], terms: Mapping[tuple[int, ...], Fraction]):
         vars = tuple(vars)
@@ -95,25 +98,26 @@ class MultiPoly:
             c = Fraction(coeff)
             if c != 0:
                 clean[exp] = c
+        # over the lcm of reduced denominators the numerators have gcd 1
+        den = math.lcm(*(c.denominator for c in clean.values()))
         object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def _trusted(cls, vars: tuple[str, ...],
-                 terms: dict[tuple[int, ...], Fraction]) -> "MultiPoly":
-        """Result of arithmetic on valid polynomials: drops zero
-        coefficients and checks nothing else (see the module docstring)."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "vars", vars)
-        object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
-        return p
+        object.__setattr__(self, "nums", {e: c.numerator * (den // c.denominator)
+                                          for e, c in clean.items()})
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def _over(cls, vars: tuple[str, ...], nums: Mapping[tuple[int, ...], int],
               den: int) -> "MultiPoly":
-        """The polynomial with integer numerators nums over den: one reduced
-        Fraction per coefficient (see the module docstring)."""
-        return cls._trusted(vars, {e: Fraction(c, den) for e, c in nums.items()})
+        """The polynomial nums / den in lowest terms (see the module
+        docstring).  nums is not kept: the result holds a new dict."""
+        g = math.gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        p = object.__new__(cls)
+        object.__setattr__(p, "vars", vars)
+        object.__setattr__(p, "nums", {e: c // g for e, c in nums.items() if c})
+        object.__setattr__(p, "den", den // g)
+        return p
 
     def __setattr__(self, *a):  # immutable after construction
         raise AttributeError("MultiPoly is immutable")
@@ -122,11 +126,12 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, vars: tuple[str, ...]) -> "MultiPoly":
-        return cls(vars, {})
+        return cls._over(tuple(vars), {}, 1)
 
     @classmethod
     def const(cls, vars: tuple[str, ...], c) -> "MultiPoly":
-        return cls(vars, {tuple([0] * len(vars)): Fraction(c)})
+        c = Fraction(c)
+        return cls._over(tuple(vars), {(0,) * len(vars): c.numerator}, c.denominator)
 
     @classmethod
     def one(cls, vars: tuple[str, ...]) -> "MultiPoly":
@@ -146,35 +151,41 @@ class MultiPoly:
     # ---- predicates / views ----
 
     @property
+    def terms(self) -> Mapping[tuple[int, ...], Fraction]:
+        """Read-only view: each exponent with its coefficient as a Fraction."""
+        den = self.den
+        return MappingProxyType({e: Fraction(c, den) for e, c in self.nums.items()})
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self.nums)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self.terms.get(tuple([0] * len(self.vars)), Fraction(0))
+        return Fraction(self.nums.get(tuple([0] * len(self.vars)), 0), self.den)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.nums:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.nums)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in descending graded-lex order (the canonical order)."""
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
-        if not self.terms:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=_grlex_key)
-        return exp, self.terms[exp]
+        exp = max(self.nums, key=_grlex_key)
+        return exp, Fraction(self.nums[exp], self.den)
 
     def coefficient(self, exp: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
+        return Fraction(self.nums.get(tuple(exp), 0), self.den)
 
     def _index(self, name: str) -> int:
         try:
@@ -194,19 +205,23 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
-        if not other.terms:
+        if not other.nums:
             return self
-        if not self.terms:
+        if not self.nums:
             return other
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            out[exp] = out[exp] + c if exp in out else c
-        return MultiPoly._trusted(self.vars, out)
+        # both over the lcm of the denominators
+        g = math.gcd(self.den, other.den)
+        f, h = other.den // g, self.den // g
+        out = {e: c * f for e, c in self.nums.items()}
+        for exp, c in other.nums.items():
+            out[exp] = out[exp] + c * h if exp in out else c * h
+        return MultiPoly._over(self.vars, out, self.den * f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._over(self.vars, {e: -c for e, c in self.nums.items()},
+                               self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -220,18 +235,14 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return MultiPoly._trusted(self.vars, {e: k * c for e, k in self.terms.items()})
+            p = other.numerator
+            return MultiPoly._over(self.vars, {e: c * p for e, c in self.nums.items()},
+                                   self.den * other.denominator)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        right = other.terms.items()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in right:
-                e = tuple(map(add, e1, e2))
-                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
-        return MultiPoly._trusted(self.vars, out)
+        return MultiPoly._over(self.vars, _mul_numerators(self.nums, other.nums),
+                               self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -257,27 +268,27 @@ class MultiPoly:
             other = MultiPoly.const(self.vars, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return (self.vars == other.vars and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
         # a constant equals its number, so it must hash like it too
         if self.is_constant():
             return hash(self.constant_value())
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, self.den, frozenset(self.nums.items())))
 
     # ---- calculus / composition ----
 
     def derive(self, name: str) -> "MultiPoly":
         i = self._index(name)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exp, c in self.terms.items():
-            if exp[i] == 0:
-                continue
-            e = list(exp)
-            k = e[i]
-            e[i] = k - 1
-            out[tuple(e)] = c * k
-        return MultiPoly._trusted(self.vars, out)
+        out: dict[tuple[int, ...], int] = {}
+        for exp, c in self.nums.items():
+            k = exp[i]
+            if k:
+                e = list(exp)
+                e[i] = k - 1
+                out[tuple(e)] = c * k
+        return MultiPoly._over(self.vars, out, self.den)
 
     def substitute(self, images: Mapping[str, "MultiPoly"],
                    out_vars: tuple[str, ...] | None = None) -> "MultiPoly":
@@ -293,26 +304,25 @@ class MultiPoly:
             else:
                 out_vars = self.vars
         out_vars = tuple(out_vars)
-        full: dict[str, MultiPoly] = {}
+        full: list[MultiPoly] = []
         for v in self.vars:
             if v in images:
                 img = images[v]
                 if img.vars != out_vars:
                     raise VariableMismatch(
                         f"image of {v!r} has vars {img.vars}, expected {out_vars}")
-                full[v] = img
+                full.append(img)
             else:
-                full[v] = MultiPoly.var(out_vars, v)
+                full.append(MultiPoly.var(out_vars, v))
         # each image over its own denominator, its powers as numerators
-        sden, (snum,) = integer_view([self])
-        views = [integer_view([full[v]]) for v in self.vars]
-        dens = [den for den, _ in views]
-        imgs = [img for _, (img,) in views]
+        snum = self.nums
+        dens = [img.den for img in full]
+        imgs = [img.nums for img in full]
         tops = [max((e[i] for e in snum), default=0) for i in range(len(dens))]
         unit = {(0,) * len(out_vars): 1}
         pows = [[unit] for _ in dens]
         # lifts[i][k] = den_i^(top_i - k) takes a term with x_i^k to the
-        # common denominator sden * prod den_i^top_i
+        # common denominator self.den * prod den_i^top_i
         lifts = [[den ** (top - k) for k in range(top + 1)]
                  for den, top in zip(dens, tops)]
 
@@ -332,7 +342,7 @@ class MultiPoly:
                             else _mul_numerators(term, power(i, k)))
             for e, t in term.items():
                 acc[e] = acc[e] + c * t if e in acc else c * t
-        den = sden
+        den = self.den
         for vden, top in zip(dens, tops):
             den *= vden ** top
         return MultiPoly._over(out_vars, acc, den)
@@ -342,14 +352,17 @@ class MultiPoly:
         if missing:
             raise VariableMismatch(f"no value for {missing}")
         vals = [Fraction(point[v]) for v in self.vars]
-        acc = Fraction(0)
-        for exp, c in self.terms.items():
-            t = c
-            for val, k in zip(vals, exp):
-                if k:
-                    t *= val ** k
-            acc += t
-        return acc
+        # each value p/q enters as p^k q^(top-k) over the denominator q^top
+        tops = [max((e[i] for e in self.nums), default=0) for i in range(len(vals))]
+        acc = 0
+        for exp, c in self.nums.items():
+            for val, k, top in zip(vals, exp, tops):
+                c *= val.numerator ** k * val.denominator ** (top - k)
+            acc += c
+        den = self.den
+        for val, top in zip(vals, tops):
+            den *= val.denominator ** top
+        return Fraction(acc, den)
 
     # ---- division ----
 
@@ -365,9 +378,10 @@ class MultiPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if divisor.is_constant():
             return self / divisor.constant_value()
-        # numerators: scale * self = quo * divisor + rem at every step
-        pden, (rem,) = integer_view([self])
-        dden, (dnum,) = integer_view([divisor])
+        # numerators: scale * self = quo * divisor + rem at every step; rem
+        # is edited in place, so it starts as a copy of self.nums
+        rem = dict(self.nums)
+        dnum = divisor.nums
         dexp = max(dnum, key=_grlex_key)
         dc = dnum[dexp]
         dterms = dnum.items()
@@ -395,9 +409,10 @@ class MultiPoly:
                     rem[e] = r
                 else:
                     del rem[e]
-        # self / divisor = (quo / scale) (dden / pden)
-        return MultiPoly._over(self.vars, {e: c * dden for e, c in quo.items()},
-                               pden * scale)
+        # self / divisor = (quo / scale) (divisor.den / self.den)
+        return MultiPoly._over(self.vars,
+                               {e: c * divisor.den for e, c in quo.items()},
+                               self.den * scale)
 
     # ---- serialization / printing ----
 
@@ -455,24 +470,24 @@ def symmetric_reduce(p: MultiPoly, out_vars: tuple[str, str]) -> MultiPoly:
     """
     if len(p.vars) != 2:
         raise VariableMismatch("symmetric_reduce expects a 2-variable polynomial")
-    for (e1, e2) in p.terms:
+    for (e1, e2) in p.nums:
         if e1 % 2 or e2 % 2:
             raise ValueError(f"odd exponent pair ({e1},{e2}): not a function of the squares")
-    for (e1, e2), c in p.terms.items():
-        if p.terms.get((e2, e1), Fraction(0)) != c:
+    for (e1, e2), c in p.nums.items():
+        if p.nums.get((e2, e1), 0) != c:
             raise ValueError(f"not swap-symmetric at exponents ({e1},{e2})")
     # work on q(s,t) = p with s=u^2, t=v^2
-    q = {(e1 // 2, e2 // 2): c for (e1, e2), c in p.terms.items()}
-    out: dict[tuple[int, int], Fraction] = {}
     sv = ("_s", "_t")
+    rem = MultiPoly._over(sv, {(e1 // 2, e2 // 2): c for (e1, e2), c in p.nums.items()},
+                          p.den)
+    out: dict[tuple[int, int], Fraction] = {}
     e1p = MultiPoly(sv, {(1, 0): Fraction(1), (0, 1): Fraction(1)})
     e2p = MultiPoly(sv, {(1, 1): Fraction(1)})
-    rem = MultiPoly(sv, q)
     while not rem.is_zero:
         # lex-leading term has alpha >= beta by symmetry
-        exp = max(rem.terms, key=lambda e: e)
+        exp = max(rem.nums)
         alpha, beta = exp
-        c = rem.terms[exp]
+        c = Fraction(rem.nums[exp], rem.den)
         if alpha < beta:
             raise AssertionError("symmetric reduction invariant broken")
         key = (alpha - beta, beta)

@@ -283,6 +283,61 @@ def test_verify_casimir_report_is_pinned(key, fmt, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[key, fmt]
 
 
+# sha256 of the JSON exports of the built objects at m = 4, b = 1, pinned
+# byte for byte: R_(2,1) in psi and x and the weight S in c, psi and x, at
+# a = 0, 2 and 3, and one moment.  A change to the polynomial kernel, the
+# recursion or the leading terms that alters one coefficient shows here
+EXPORT_DIGESTS = {
+    ("polys", "psi", 0):
+        "91d099b7d65cb23a3461b9bd1f4379f15e0ebb680a75935f6b3d1b91163d16ab",
+    ("polys", "x", 0):
+        "bce55bd7f39765c0c363eb598eab3f86fe12a1b3915c8c6f5dfd75ebba699cb8",
+    ("weight", "c", 0):
+        "ece4052dc94ca423f3d600afad4b2d244666b486be9946dfc648f4ec5e116301",
+    ("weight", "psi", 0):
+        "864416c09772da8d76bf85a0ebccdd246c9e7a3afe91c529c9ddde217fba00d8",
+    ("weight", "x", 0):
+        "3a41ef4353b0a806a7f092fe96481547276525d7d0c231b0b581ca25345f7e80",
+    ("polys", "psi", 2):
+        "c800c46be92b615764567832f4ff093589815c863aad79b2363c4b6b83885388",
+    ("polys", "x", 2):
+        "c2176c41769967d986c4b8becbc3cd45df7d789e1a3ca4f1a4c9fef22fb84179",
+    ("weight", "c", 2):
+        "7e8ee8b1693e6ba8d33edfef550158a76d5ed38eef04262cb01c3cf391908cbe",
+    ("weight", "psi", 2):
+        "8796b2aa9b39be5278a02aa69d9537698823d55e9b7be7dc4de5e8c974bf7cef",
+    ("weight", "x", 2):
+        "ba1a1c9d756ba1b420c0c3197bad303220f911116e2f94bfc2d46e249094034a",
+    ("polys", "psi", 3):
+        "8d93c5bb963fd669264b5c56de5d2c769193e070ceba7b5ea0e67e5daaa35b18",
+    ("polys", "x", 3):
+        "85b1916a51ccd06c2e0dc8345b6b943eb125d7b35f31b944069aff97899eb4a5",
+    ("weight", "c", 3):
+        "f0a377b8f5a8a0629717be966a97d532c59702e094d77dc2ea5d82e2afe1e6bc",
+    ("weight", "psi", 3):
+        "319af78ec63e1f6c3fb651c04c3d3ea965ede88bba250f7c8a221b5f718c10fc",
+    ("weight", "x", 3):
+        "123bdd57c758c5f3e11e59a98f26ef705db5807983fc406b815f3ec8a6d2352a",
+}
+MOMENTS_DIGEST = "094951a853a747196221a9b7aa5b953e0332e1359aede7466860d580355c71a5"
+
+
+@pytest.mark.parametrize("kind, coords, a", sorted(EXPORT_DIGESTS),
+                         ids=lambda v: str(v))
+def test_export_is_pinned(kind, coords, a, capsys):
+    extra = ["--d", "2,1"] if kind == "polys" else []
+    code, out, _ = run_cli([kind, "--m", "4", "--a", str(a), "--b", "1",
+                            "--coords", coords, *extra], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPORT_DIGESTS[kind, coords, a]
+
+
+def test_moments_export_is_pinned(capsys):
+    code, out, _ = run_cli(["moments", "--m", "4", "--monomial", "3,2"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MOMENTS_DIGEST
+
+
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "bc2mvop.cli", "dims", "--m",
                            "3", "--a", "1", "--b", "0", "--label", "1,0,0"],

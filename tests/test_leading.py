@@ -13,6 +13,7 @@ from bc2mvop.leading import (C_VARS, PSI_VARS, X_VARS, det_reference_c,
                              x_in_c, x_in_psi, x_reference_matrix, psi_in_c,
                              psi_in_x)
 from bc2mvop.lie import PairParams
+from bc2mvop.matrices import PolyMatrix
 from bc2mvop.poly import MultiPoly
 
 SAMPLE = [PairParams(3, 0, 0), PairParams(3, 1, 0), PairParams(3, 1, 2),
@@ -125,12 +126,15 @@ def test_q0_depends_only_on_a_and_b():
 
 
 def _patch_entry(monkeypatch, entry, change):
-    real = leading.leading_term
+    # the checks read Q0 from the cached leading_term_matrix
+    real = leading.leading_term_matrix
 
-    def patched(params, i, k):
-        q = real(params, i, k)
-        return change(q) if (i, k) == entry else q
-    monkeypatch.setattr(leading, "leading_term", patched)
+    def patched(params):
+        q0 = real(params)
+        return PolyMatrix.from_rows(
+            [[change(q0.entry(i, k)) if (i, k) == entry else q0.entry(i, k)
+              for k in range(q0.cols)] for i in range(q0.rows)])
+    monkeypatch.setattr(leading, "leading_term_matrix", patched)
 
 
 def test_krawtchouk_route_catches_one_perturbed_coefficient(monkeypatch):
@@ -151,3 +155,12 @@ def test_krawtchouk_route_fails_a_non_homogeneous_entry(monkeypatch):
     r = krawtchouk_route_check(PairParams(3, 2, 1))
     assert r.status == "FAIL"
     assert "entry (0,1) is not homogeneous" in r.detail
+
+
+def test_homogeneity_check_catches_a_non_homogeneous_entry(monkeypatch):
+    params = PairParams(3, 2, 1)
+    assert leading.homogeneity_check(params).status == "PASS"
+    _patch_entry(monkeypatch, (0, 1), lambda q: q + MultiPoly.one(C_VARS))
+    r = leading.homogeneity_check(params)
+    assert r.status == "FAIL"
+    assert "(0, 1)" in r.detail

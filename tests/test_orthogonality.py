@@ -330,3 +330,16 @@ def test_numeric_suite_mesh_values_are_read_only_and_dropped(monkeypatch):
     assert sorted(calls) == ["_mesh_values"] * 4 + ["_node_mesh"]
     gc.collect()
     assert made and not any(ref() is not None for ref in made)
+
+
+def test_float_terms_are_the_correctly_rounded_coefficients():
+    # 2^60 + 19 and 3^40 are both above 2^53: rounding each to a float
+    # before dividing gives a different last bit than rounding the quotient
+    c = F(2 ** 60 + 19, 3 ** 40)
+    if float(c.numerator) / float(c.denominator) == float(c):
+        pytest.fail("the example no longer separates the two roundings")
+    p = MultiPoly(X_VARS, {(1, 0): c, (0, 2): F(-1, 3), (0, 0): F(2)})
+    got = orthogonality._float_terms(p)
+    want = [(0, 2, float(F(-1, 3))), (1, 0, float(c)), (0, 0, 2.0)]
+    if got != want:
+        pytest.fail(f"_float_terms {got}, want {want}")

@@ -1,12 +1,13 @@
 """Exact multivariate polynomial arithmetic."""
 
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from bc2mvop.leading import PSI_VARS, X_VARS, psi_in_x, x_in_psi
-from bc2mvop.poly import MultiPoly, VariableMismatch, symmetric_reduce
+from bc2mvop.poly import MultiPoly, VariableMismatch, integer_view, symmetric_reduce
 
 CV = ("c1", "c2")
 
@@ -230,17 +231,26 @@ def test_equal_values_hash_equal(p, q, c):
 # ---- every arithmetic result is a valid polynomial ----
 
 def _kernel_violations(p):
-    """Ways in which p differs from what the validating public constructor
-    builds from its own terms.  Explicit checks, not assert statements, so
-    they run under python -O as well."""
+    """Ways in which p breaks the stored form: nonzero int numerators over
+    an int denominator >= 1 in lowest terms, with `terms` its Fraction view,
+    as the validating public constructor builds it from its own terms.
+    Explicit checks, not assert statements, so they run under python -O as
+    well."""
     out = []
-    if p.terms != MultiPoly(p.vars, p.terms).terms:
-        out.append("terms differ from MultiPoly(p.vars, p.terms)")
-    for exp, c in p.terms.items():
-        if type(c) is not F:
-            out.append(f"coefficient {c!r} at {exp} is not a Fraction")
+    if type(p.den) is not int or p.den < 1:
+        out.append(f"denominator {p.den!r} is not an int >= 1")
+    elif gcd(p.den, *p.nums.values()) != 1:
+        out.append(f"not in lowest terms: gcd {gcd(p.den, *p.nums.values())}")
+    if p.terms != {e: F(c, p.den) for e, c in p.nums.items()}:
+        out.append("terms differ from {e: Fraction(num, den)}")
+    rebuilt = MultiPoly(p.vars, p.terms)
+    if (rebuilt.den, rebuilt.nums) != (p.den, p.nums):
+        out.append("stored form differs from MultiPoly(p.vars, p.terms)")
+    for exp, c in p.nums.items():
+        if type(c) is not int:
+            out.append(f"numerator {c!r} at {exp} is not an int")
         elif not c:
-            out.append(f"zero coefficient at {exp}")
+            out.append(f"zero numerator at {exp}")
         if (type(exp) is not tuple or len(exp) != len(p.vars)
                 or any(type(k) is not int or k < 0 for k in exp)):
             out.append(f"exponent {exp!r} is not a tuple of {len(p.vars)} "
@@ -283,3 +293,71 @@ def test_arithmetic_results_are_valid_polynomials(p, q, c, k, n, images):
     _require_valid(results)
     if not q.is_zero and results["p * q / q"] != p:
         pytest.fail(f"(p * q) / q = {results['p * q / q']}, p = {p}")
+
+
+def test_public_constructor_stores_lowest_terms():
+    p = MultiPoly(CV, {(1, 0): F(1, 6), (0, 1): F(-3, 4), (0, 0): 0})
+    if (p.den, p.nums) != (12, {(1, 0): 2, (0, 1): -9}):
+        pytest.fail(f"stored {p.den}, {p.nums}")
+    _require_valid({"p": p, "zero": MultiPoly.zero(CV), "2 p": 2 * p,
+                    "p + p / 3": p + p / 3, "6 p - 6 p": 6 * p - 6 * p})
+
+
+# ---- no operation changes its operands ----
+
+def _snapshot(p):
+    return p.vars, p.den, dict(p.nums), hash(p)
+
+
+@given(_polys(coeffs=_wide_coeffs), _polys(coeffs=_wide_coeffs), _coeffs,
+       st.integers(0, 3),
+       st.fixed_dictionaries({"c1": _polys(PSI_VARS, _wide_coeffs),
+                              "c2": _polys(PSI_VARS, _wide_coeffs)}))
+@example(MultiPoly(CV, {(2, 1): F(3, 4), (1, 1): F(1, 6)}),
+         MultiPoly(CV, {(1, 0): F(2, 3), (0, 1): F(1, 2)}), F(-7, 2), 2,
+         _UNEQUAL_IMAGES)
+# p / q cancels the leading term of p in its first step and then fails
+@example(MultiPoly(CV, {(2, 0): 1, (0, 1): F(1, 2)}),
+         MultiPoly(CV, {(1, 0): F(1, 3)}), F(1, 3), 1, _UNEQUAL_IMAGES)
+def test_operations_leave_their_operands_unchanged(p, q, c, n, images):
+    operands = [p, q, *images.values()]
+    before = [_snapshot(x) for x in operands]
+    results = [p + q, p - q, -p, p * q, c * p, p ** n, p.derive("c1"),
+               p.substitute(images, PSI_VARS), integer_view([p, q]),
+               (p * q).divide_exact(q) if not q.is_zero else None,
+               (p * q + p).divide_exact(q) if not q.is_zero else None,
+               p.divide_exact(q) if not q.is_zero else None,
+               q.divide_exact(q) if not q.is_zero else None,
+               p.evaluate({"c1": F(1, 3), "c2": F(-2)})]
+    _, views = results[8]
+    for view in views:            # the view is the caller's to edit
+        view.clear()
+    after = [_snapshot(x) for x in operands]
+    if after != before:
+        pytest.fail(f"operands changed: {before} -> {after}")
+
+
+# ---- integer_view against a Fraction reference ----
+
+def _reference_integer_view(polys):
+    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return den, [{e: c.numerator * (den // c.denominator)
+                  for e, c in p.terms.items()} for p in polys]
+
+
+@given(st.lists(_polys(coeffs=_wide_coeffs), max_size=4))
+@example([MultiPoly(CV, {(1, 0): F(1, 4)}), MultiPoly.zero(CV),
+          MultiPoly(CV, {(0, 1): F(5, 6), (0, 0): F(-1, 9)})])
+def test_integer_view_matches_a_fraction_reference(polys):
+    got = integer_view(polys)
+    want = _reference_integer_view(polys)
+    if got != want:
+        pytest.fail(f"integer_view {got}, reference {want}")
+
+
+@given(_polys(coeffs=_wide_coeffs), _wide_coeffs, _wide_coeffs)
+def test_evaluate_matches_a_fraction_reference(p, x, y):
+    want = sum((c * x ** e1 * y ** e2 for (e1, e2), c in p.terms.items()), F(0))
+    got = p.evaluate({"c1": x, "c2": y})
+    if type(got) is not F or got != want:
+        pytest.fail(f"evaluate {got!r}, reference {want!r}")
