@@ -13,8 +13,9 @@ round-trip representation, so identical invocations give identical bytes.
 Exit codes: 0 when no check FAILs (REPORTED discrepancies do not fail a
 run), 1 when at least one identity check fails, 2 for parameter errors,
 including degenerate `verify` input such as a negative --dmax or --N, an
-empty --p list, or a selection that runs no check.  Suite jobs run
-serially, and no environment variable is read.
+empty --p list, a grid value listed twice, or a selection that runs no
+check, and an --out path that cannot be written.  Suites run serially,
+and no environment variable is read.
 """
 
 from __future__ import annotations
@@ -79,6 +80,10 @@ def _construction_params(m: int, a: int, b: int) -> PairParams:
 def _grid(ms: list[int], as_: list[int], bs: list[int]) -> list[PairParams]:
     if not (ms and as_ and bs):
         raise ValueError("empty parameter grid")
+    for axis, values in (("m", ms), ("a", as_), ("b", bs)):
+        for i, v in enumerate(values):
+            if v in values[:i]:
+                raise ValueError(f"--{axis} lists {v} twice")
     return [_construction_params(m, a, b) for m in ms for a in as_ for b in bs]
 
 
@@ -86,51 +91,49 @@ def _write(text: str, out: str | None):
     if not text.endswith("\n"):
         text += "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise ValueError(f"cannot write --out {out}: {err.strerror or err}")
     else:
         sys.stdout.write(text)
 
 
 # ---- verify ----
 
-def _verify_jobs(args, grid: list[PairParams]):
-    suite = args.suite
-    want = lambda s: suite in ("all", s)
-    jobs = []
+def _verify_results(args, grid: list[PairParams]):
+    """The selected suites' results: Krawtchouk, then each grid point, then
+    each distinct m."""
+    want = lambda s: args.suite in ("all", s)
+    results = []
     if want("krawtchouk"):
-        nmax = 6 if args.N is None else args.N
-        ps = tuple(args.p) if args.p else STANDARD_PS
-        jobs.append(lambda nmax=nmax, ps=ps: standard_suite(nmax, ps))
-    for params in grid:
+        results += standard_suite(6 if args.N is None else args.N,
+                                  tuple(args.p) if args.p else STANDARD_PS)
+    for q in grid:
         if want("weight"):
-            jobs.append(lambda q=params: leading.weight_suite(q))
+            results += leading.weight_suite(q)
         if want("casimir"):
-            jobs.append(lambda q=params: casimir.casimir_suite(q, args.dmax))
+            results += casimir.casimir_suite(q, args.dmax)
         if want("transition"):
-            jobs.append(lambda q=params: expansion.transition_suite(q))
+            results += expansion.transition_suite(q)
         if want("pde"):
-            jobs.append(lambda q=params: expansion.pde_suite(q, args.dmax))
+            results += expansion.pde_suite(q, args.dmax)
         if want("orthogonality"):
-            jobs.append(lambda q=params: [orthogonality.positivity_check(q)]
-                        + orthogonality.orthogonality_suite(q, args.dmax))
+            results.append(orthogonality.positivity_check(q))
+            results += orthogonality.orthogonality_suite(q, args.dmax)
             if args.numeric:
-                jobs.append(
-                    lambda q=params: orthogonality.numeric_suite(q, args.dmax))
+                results += orthogonality.numeric_suite(q, args.dmax)
         if want("indecomposable"):
-            jobs.append(lambda q=params: orthogonality.indecomposability_suite(q))
+            results += orthogonality.indecomposability_suite(q)
         if want("duality"):
-            jobs.append(lambda q=params: expansion.duality_suite(q, args.dmax))
-    seen = []
-    for params in grid:
-        if params.m not in seen:
-            seen.append(params.m)
-    for m in seen:
+            results += expansion.duality_suite(q, args.dmax)
+    for m in dict.fromkeys(q.m for q in grid):
         if want("orthogonality"):
-            jobs.append(lambda mm=m: [orthogonality.total_mass_check(mm)])
+            results.append(orthogonality.total_mass_check(m))
         if want("xi"):
-            jobs.append(lambda mm=m: casimir.xi_suite(mm))
-    return jobs
+            results += casimir.xi_suite(m)
+    return results
 
 
 def _check_verify_args(args):
@@ -150,7 +153,7 @@ def _check_verify_args(args):
 def _cmd_verify(args) -> int:
     _check_verify_args(args)
     grid = _grid(args.m, args.a, args.b)
-    results = [r for job in _verify_jobs(args, grid) for r in job()]
+    results = _verify_results(args, grid)
     if not results:
         raise ValueError("the selection runs no check")
     text = render_json(results) if args.format == "json" else render_text(results)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
+from .matrices import frac_det
 from .poly import MultiPoly
 from .report import CheckResult, FAIL, PASS
 
@@ -144,7 +145,6 @@ def determinant_check(N: int, p: Fraction, s: Fraction, t: Fraction) -> CheckRes
     Compared on squares, which sidesteps the sign ambiguity of the
     determinant itself.
     """
-    from .matrices import frac_det
     p, s, t = Fraction(p), Fraction(s), Fraction(t)
     M = [[t ** n * s ** x * krawtchouk(n, x, N, p) for x in range(N + 1)]
          for n in range(N + 1)]

@@ -1,4 +1,9 @@
-"""Matrices of polynomials, plus exact linear algebra over Fraction."""
+"""Matrices of polynomials, plus exact linear algebra over Fraction.
+
+The linear algebra runs on integer rows through one fraction-free echelon,
+`_echelon`: rank, determinant, solve and inverse each read their answer
+from its result.
+"""
 
 from __future__ import annotations
 
@@ -220,87 +225,97 @@ def frac_matmul(A: Sequence[Sequence[Fraction]],
              for j in range(m)] for i in range(n)]
 
 
-def _eliminate(A: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Row echelon form; returns (matrix, pivot column list)."""
-    M = [[Fraction(x) for x in row] for row in A]
-    nrows = len(M)
-    ncols = len(M[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if M[i][c] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = Fraction(1) / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(nrows):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return M, pivots
-
-
-def _primitive_row(row: Sequence[Fraction]) -> tuple[int, ...]:
-    """A nonzero row scaled to coprime integers with a positive leading
-    entry: times the lcm of its denominators, over the gcd of the result."""
+def _primitive_row(row: Sequence[Fraction]) -> tuple[tuple[int, ...], int, int]:
+    """(ints, p, g): a nonzero row times p, the lcm of its denominators,
+    over g, the gcd of the products signed so that the leading entry of
+    the coprime integers ints is positive."""
     den = math.lcm(*map(operator.attrgetter("denominator"), row))
     ints = ([x.numerator * (den // x.denominator) for x in row] if den > 1
             else list(map(int, row)))
     g = math.gcd(*ints)
     if next(filter(None, ints)) < 0:
         g = -g
-    return tuple(ints) if g == 1 else tuple(x // g for x in ints)
+    return (tuple(ints) if g == 1 else tuple(x // g for x in ints)), den, g
 
 
-def frac_rank(A: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a matrix of Fractions or ints, on primitive integer rows.
+def _echelon(A: Sequence[Sequence[Fraction]]) -> tuple[list[tuple], int]:
+    """Row echelon form of a matrix of Fractions or ints, fraction-free.
 
-    Scaling a row by a nonzero rational does not change the row space, so
-    each nonzero row is made a primitive integer vector first; rows that
-    are rational multiples of each other then coincide and count once.
-    Elimination is fraction-free: each reduced row is the integer
-    combination p * row - f * pivot (p the pivot entry), again a nonzero
-    multiple of the rational reduction, divided by its gcd to keep the
-    entries small.
+    Nonzero rows are made primitive integer vectors, and rows that are then
+    equal (rational multiples of each other) count once. A reduced row is
+    q * row - f * pivot row (q the pivot entry) over its gcd; rows that
+    reduce to zero drop. Returns (rows, sign): sign is that of the row
+    swaps, and each (row, p, g) is p / g times an input row plus a
+    combination of the rows above it, where p is the product of the factors
+    the row was multiplied by and g of those it was divided by.
     """
-    rows = list(dict.fromkeys(_primitive_row(row)
-                              for row in dict.fromkeys(map(tuple, A)) if any(row)))
-    ncols = len(rows[0]) if rows else 0
+    prim = (_primitive_row(row) for row in dict.fromkeys(map(tuple, A)) if any(row))
+    rows = list({r[0]: r for r in prim}.values())
+    ncols = len(rows[0][0]) if rows else 0
+    sign = 1
     rank = 0
     for c in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        piv = next((i for i in range(rank, len(rows)) if rows[i][0][c]), None)
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        top = rows[rank]
-        p = top[c]
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            sign = -sign
+        top = rows[rank][0]
+        q = top[c]
         rest = []
-        for row in rows[rank + 1:]:
+        for r in rows[rank + 1:]:
+            row = r[0]
             f = row[c]
             if f:
-                row = [p * x - f * y if y else p * x for x, y in zip(row, top)]
-                g = math.gcd(*row)
-                if not g:
+                row = [q * x - f * y if y else q * x for x, y in zip(row, top)]
+                h = math.gcd(*row)
+                if not h:
                     continue
-                row = [x // g for x in row]
-            rest.append(row)
+                r = ([x // h for x in row], r[1] * q, r[2] * h)
+            rest.append(r)
         rows[rank + 1:] = rest
         rank += 1
         if rank == len(rows):
             break
-    return rank
+    return rows, sign
 
 
-def nullspace_dim(A: Sequence[Sequence[Fraction]], ncols: int | None = None) -> int:
+def frac_rank(A: Sequence[Sequence[Fraction]]) -> int:
+    """Rank of a matrix of Fractions or ints: its number of echelon rows."""
+    return len(_echelon(A)[0])
+
+
+def frac_det(A: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Determinant: 0 unless all n echelon rows survive, each with its
+    pivot on the diagonal; then sign times each pivot * g / p."""
+    rows, sign = _echelon(A)
+    if len(rows) < len(A):
+        return Fraction(0)
+    num, den = sign, 1
+    for i, (row, p, g) in enumerate(rows):
+        num *= row[i] * g
+        den *= p
+    return Fraction(num, den)
+
+
+def _solve(A: Sequence[Sequence[Fraction]],
+           B: Sequence[Sequence[Fraction]]) -> list[list[Fraction]] | None:
+    """The unique X with A X = B, by back-substitution over the echelon of
+    [A | B]; None when there is none or more than one, that is unless the
+    echelon has exactly one row per column of A, with its pivot there."""
     if not A:
-        return ncols or 0
-    n = ncols if ncols is not None else len(A[0])
-    return n - frac_rank(A)
+        return None
+    n = len(A[0])
+    rows, _ = _echelon([[*a, *b] for a, b in zip(A, B)])
+    if len(rows) != n or not all(row[i] for i, (row, _, _) in enumerate(rows)):
+        return None
+    X: list[list[Fraction]] = [[]] * n
+    for i in reversed(range(n)):
+        row = rows[i][0]
+        X[i] = [Fraction(b - sum(row[t] * X[t][j] for t in range(i + 1, n)), row[i])
+                for j, b in enumerate(row[n:])]
+    return X
 
 
 def solve_linear(A: Sequence[Sequence[Fraction]],
@@ -309,46 +324,12 @@ def solve_linear(A: Sequence[Sequence[Fraction]],
 
     Returns None when the system is inconsistent or underdetermined.
     """
-    if not A:
-        return None
-    ncols = len(A[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(A)]
-    M, pivots = _eliminate(aug)
-    if ncols in pivots:
-        return None
-    if len(pivots) < ncols:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = M[r][ncols]
-    return x
+    X = _solve(A, [[x] for x in b])
+    return None if X is None else [row[0] for row in X]
 
 
 def frac_invert(A: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    n = len(A)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(A)]
-    M, pivots = _eliminate(aug)
-    if pivots[:n] != list(range(n)):
+    X = _solve(A, frac_identity(len(A)))
+    if X is None:
         raise ValueError("matrix is singular")
-    return [row[n:] for row in M[:n]]
-
-
-def frac_det(A: Sequence[Sequence[Fraction]]) -> Fraction:
-    M = [[Fraction(x) for x in row] for row in A]
-    n = len(M)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if M[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            det = -det
-        det *= M[c][c]
-        inv = Fraction(1) / M[c][c]
-        for i in range(c + 1, n):
-            if M[i][c] != 0:
-                f = M[i][c] * inv
-                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
-    return det
+    return X

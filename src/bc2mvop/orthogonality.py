@@ -55,7 +55,7 @@ from .leading import (C_VARS, X_VARS, weight_matrix_c, weight_matrix_x,
                       det_reference_c, x_in_c)
 from .lie import (MsfLabel, PairParams, degree_pair, degree_pairs,
                   label_weight, weyl_dim)
-from .matrices import PolyMatrix, frac_det, nullspace_dim
+from .matrices import PolyMatrix, frac_det, frac_rank
 from .poly import MultiPoly, integer_view
 from .report import CheckResult, FAIL, PASS, REPORTED
 
@@ -364,9 +364,9 @@ def indecomposability_check(params: PairParams) -> tuple[int, int]:
                         rows[i, j, exp][col] -= sign * c
         return list(rows.values())
 
-    dim_comm = nullspace_dim(rows_for(+1, False), n * n)
-    dim_sym = nullspace_dim(rows_for(+1, True), n * n)
-    dim_anti = nullspace_dim(rows_for(-1, True), n * n)
+    dim_comm = n * n - frac_rank(rows_for(+1, False))
+    dim_sym = n * n - frac_rank(rows_for(+1, True))
+    dim_anti = n * n - frac_rank(rows_for(-1, True))
     return dim_comm, dim_sym + dim_anti
 
 

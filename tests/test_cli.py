@@ -69,17 +69,43 @@ def test_verify_json_format(capsys):
     ["verify", "krawtchouk", "--N", "-1"],
     ["verify", "krawtchouk", "--p", ","],
     ["verify", "krawtchouk", "--p", "0"],
+    ["verify", "weight", "--m", "3,4,3"],
 ], ids=["orthogonality-dmax", "casimir-dmax", "pde-dmax", "krawtchouk-N",
-        "empty-p", "zero-p"])
+        "empty-p", "zero-p", "repeated-m"])
 def test_verify_degenerate_input_is_parameter_error(argv, capsys):
-    code, out, err = run_cli(argv + ["--m", "3", "--a", "0", "--b", "0"], capsys)
+    # the case's own options come last, so they override the base point
+    code, out, err = run_cli(argv[:2] + ["--m", "3", "--a", "0", "--b", "0"]
+                             + argv[2:], capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("parameter error:")
 
 
+def test_verify_repeated_grid_value_names_axis_and_value(capsys):
+    code, out, err = run_cli(["verify", "weight", "--m", "3", "--a", "0",
+                              "--b", "2,0,2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "parameter error: --b lists 2 twice\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "weight", "--m", "3", "--a", "0", "--b", "0"],
+    ["weight", "--m", "3", "--a", "0", "--b", "0"],
+    ["export", "--kind", "weight", "--m", "3", "--format", "csv"],
+], ids=["verify", "data", "export"])
+def test_unwritable_out_is_parameter_error(argv, tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run_cli(argv + ["--out", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parameter error:") and err.count("\n") == 1
+    assert "Traceback" not in err and str(target) in err
+    assert not target.exists()
+
+
 def test_verify_run_without_checks_is_parameter_error(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_verify_jobs", lambda args, grid: [])
+    monkeypatch.setattr(cli, "_verify_results", lambda args, grid: [])
     code, out, err = run_cli(["verify", "weight", "--m", "3", "--a", "0",
                               "--b", "0"], capsys)
     assert code == 2
