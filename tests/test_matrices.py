@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, strategies as st
 
-from bc2mvop.matrices import (PolyMatrix, conjugate_flip, flip_matrix, frac_det,
+from bc2mvop.matrices import (PolyMatrix, _echelon, conjugate_flip, flip_matrix, frac_det,
                               frac_identity, frac_invert, frac_matmul, frac_rank,
                               solve_linear)
 from bc2mvop.poly import MultiPoly
@@ -212,6 +212,18 @@ def _rank_matrices(draw):
             rows.append([scale * x for x in row])
     rows += [[F(0)] * ncols] * draw(st.integers(0, 2))
     return draw(st.permutations(rows))
+
+
+@given(_rank_matrices())
+def test_rank_matches_the_full_elimination(A):
+    """frac_rank counts the rows of the full echelon; those rows have
+    strictly increasing pivot columns, and they span every input row."""
+    rows = [row for row, _, _ in _echelon(A)[0]]
+    assert frac_rank(A) == len(rows)
+    pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
+    assert pivots == sorted(set(pivots))
+    for a in A:
+        assert _gauss_rank([*rows, a]) == len(rows)
 
 
 def _gauss_rank(A):
