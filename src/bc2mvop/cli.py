@@ -13,9 +13,10 @@ round-trip representation, so identical invocations give identical bytes.
 Exit codes: 0 when no check FAILs (REPORTED discrepancies do not fail a
 run), 1 when at least one identity check fails, 2 for parameter errors,
 including degenerate `verify` input such as a negative --dmax or --N, an
-empty --p list, a grid value listed twice, or a selection that runs no
-check, and an --out path that cannot be written.  Suites run serially,
-and no environment variable is read.
+empty --p list, a grid value listed twice, a selection that runs no check
+or none that reads a given --N, --p or --numeric, and an --out path that
+cannot be written.  Suites run serially, and no environment variable is
+read.
 """
 
 from __future__ import annotations
@@ -137,7 +138,14 @@ def _verify_results(args, grid: list[PairParams]):
 
 
 def _check_verify_args(args):
-    """Refuse input that would crash a suite or pass it vacuously."""
+    """Refuse input that would crash a suite, pass it vacuously, or be
+    ignored by the selected suites."""
+    for opt, given, suite in (("N", args.N is not None, "krawtchouk"),
+                              ("p", args.p is not None, "krawtchouk"),
+                              ("numeric", args.numeric, "orthogonality")):
+        if given and args.suite not in ("all", suite):
+            raise ValueError(f"--{opt} is read only by the {suite} suite, "
+                             f"which verify {args.suite} does not run")
     if args.dmax < 0:
         raise ValueError(f"--dmax {args.dmax} must be non-negative")
     if args.N is not None and args.N < 0:

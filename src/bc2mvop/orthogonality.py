@@ -286,14 +286,15 @@ def orthogonality_suite(params: PairParams, dmax: int = 2) -> list[CheckResult]:
                                f"kappa = {kappa}"))
     else:
         square = Fraction(m * m * (m * m - 1), 32) ** 2
-        ratio = printed / kappa
-        extra = ("; the ratio is the square of the mass constant "
-                 "m^2(m^2-1)/32" if ratio == square else "")
+        relation = printed == square * kappa
         out.append(CheckResult(
-            f"norm constant stored closed form {tag}", REPORTED,
+            f"norm constant stored closed form {tag}",
+            REPORTED if relation else FAIL,
             f"computed kappa = {kappa}; stored closed form "
-            f"2^(2m+2b-10) m^2 (m^2-1) (a+1)^2 = {printed}; ratio "
-            f"stored/computed = {ratio}{extra}"))
+            f"2^(2m+2b-10) m^2 (m^2-1) (a+1)^2 = {printed}; "
+            + (f"ratio stored/computed = {square}; the ratio is"
+               if relation else "the ratio stored/computed is not")
+            + " the square of the mass constant m^2(m^2-1)/32"))
     return out
 
 

@@ -17,13 +17,14 @@ from fractions import Fraction
 
 import pytest
 
-from bc2mvop.casimir import (casimir_suite, cmu_reference_check,
-                             r0_transform_check, scalar_radial_psi,
-                             xi_constants, xi_suite)
+from bc2mvop.casimir import (casimir_suite, conjugation_matrices,
+                             scalar_radial_psi, xi_constants, xi_suite)
+from bc2mvop.diffop import MatrixDiffOp
 from bc2mvop.expansion import duality_suite, pde_suite, transition_suite
 from bc2mvop.krawtchouk import standard_suite
-from bc2mvop.leading import X_VARS, psi_in_x, weight_suite
+from bc2mvop.leading import PSI_VARS, X_VARS, psi_in_x, weight_suite
 from bc2mvop.lie import PairParams
+from bc2mvop.matrices import PolyMatrix
 from bc2mvop.orthogonality import (indecomposability_suite, numeric_suite,
                                    orthogonality_suite, total_mass_check)
 from bc2mvop.poly import MultiPoly
@@ -73,27 +74,53 @@ def test_casimir_radial_action_identities():
         [f"lowering table reference comparison {p.tag()} dmax=2" for p in GRID]
 
 
-def test_operator_change_of_coordinates():
-    for m in (3, 4, 5):
-        r = r0_transform_check(m)
-        assert r.status == PASS, f"{r.name}: {r.detail}"
-    # the stored first-order references are the negative of the transform;
-    # at a = b = 0 both sides vanish and agree
-    for p in GRID:
-        r = cmu_reference_check(p)
-        if p.a == p.b == 0:
-            assert r.status == PASS, f"{r.name}: {r.detail}"
-        else:
-            assert r.status == REPORTED, f"{r.name}: {r.status} {r.detail}"
-            assert "global sign flip" in r.detail
+def _printed_scalar_operator_x(m: int) -> MatrixDiffOp:
+    """The source's scalar radial operator in (x1, x2), as printed."""
     x1 = MultiPoly.var(X_VARS, "x1")
     x2 = MultiPoly.var(X_VARS, "x2")
+    return MatrixDiffOp.scalar_op(X_VARS, {
+        (2, 0): 2 * x1 * x1 - 4 * x2 - 4,
+        (0, 2): -2 * x1 * x1 + 4 * x2 * x2 + 4 * x2,
+        (1, 1): 4 * x1 * x2 - 4 * x1,
+        (1, 0): 2 * (m + 2) * x1 + 4 * m - 8,
+        (0, 1): 2 * (m - 2) * x1 + (4 * m + 4) * x2 + 4,
+    })
+
+
+def _printed_first_order_x(p: PairParams) -> tuple[PolyMatrix, PolyMatrix]:
+    """The source's first-order matrices in (x1, x2), as printed: both are
+    tridiagonal and share their off-diagonals."""
+    a, b, n = p.a, p.b, p.size
+    x1 = MultiPoly.var(X_VARS, "x1")
+    x2 = MultiPoly.var(X_VARS, "x2")
+    rows1 = [[MultiPoly.zero(X_VARS)] * n for _ in range(n)]
+    rows2 = [[MultiPoly.zero(X_VARS)] * n for _ in range(n)]
+    for r in range(n):
+        rows1[r][r] = 2 * (a + b + r) * x1 - (4 * b + 4 * r)
+        rows2[r][r] = -2 * (b + r) * x1 + (2 * a + 4 * b + 4 * r) * x2 + 2 * a
+        if r > 0:
+            rows1[r][r - 1] = rows2[r][r - 1] = -r * (x1 + x2 + 1)
+        if r < n - 1:
+            rows1[r][r + 1] = rows2[r][r + 1] = MultiPoly.const(X_VARS, -4 * (a - r))
+    return PolyMatrix.from_rows(rows1), PolyMatrix.from_rows(rows2)
+
+
+def test_operator_change_of_coordinates():
+    # the printed scalar operator is the affine image of the psi-side one
     for m in (3, 4, 5):
-        r0x = scalar_radial_psi(m).change_vars_affine(X_VARS, psi_in_x())
-        assert r0x.coeff((1, 0)).entry(0, 0) == \
-            (2 * m + 4) * x1 + (4 * m - 8)
-        assert r0x.coeff((0, 1)).entry(0, 0) == \
-            (2 * m - 4) * x1 + (4 * m + 4) * x2 + 4
+        assert (scalar_radial_psi(m).change_vars_affine(X_VARS, psi_in_x())
+                == _printed_scalar_operator_x(m))
+    # the printed first-order matrices are the exact negative of the affine
+    # image of (C1, C2), a global sign flip that `verify` does not print; at
+    # a = b = 0 both sides vanish and agree
+    for p in GRID:
+        c1m, c2m = conjugation_matrices(p)
+        moved = MatrixDiffOp(PSI_VARS, {(1, 0): c1m, (0, 1): c2m}
+                             ).change_vars_affine(X_VARS, psi_in_x())
+        image = (moved.coeff((1, 0)), moved.coeff((0, 1)))
+        printed = _printed_first_order_x(p)
+        assert tuple(c.scale(Fraction(-1)) for c in image) == printed, p
+        assert (image == printed) == (p.a == p.b == 0), p
 
 
 def test_eigenvalue_equation_satisfied():

@@ -1,5 +1,6 @@
 """Radial Casimir action: lowering moves, operator families, eigenfunctions."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -7,10 +8,9 @@ from hypothesis import given, strategies as st
 
 from bc2mvop import casimir, cli
 from bc2mvop.casimir import (bottom_lowering_check, casimir_suite,
-                             cmu_reference_check, eigenvalue_agreement_check,
-                             general_lowering_check, gradient_pairing_check,
-                             lowering_moves, pde_operator_psi, pde_operator_x,
-                             r0_transform_check, radial_apply,
+                             eigenvalue_agreement_check, general_lowering_check,
+                             gradient_pairing_check, lowering_moves,
+                             pde_operator_psi, pde_operator_x, radial_apply,
                              reference_table_comparison, scalar_eigen_check,
                              radial_denominator, scalar_eigenpoly,
                              scalar_radial_agreement_check, scalar_radial_psi,
@@ -88,6 +88,17 @@ def test_reference_table_comparison_reports():
     assert r1.status == "PASS"
 
 
+def test_lowering_table_off_the_documented_factor_fails(monkeypatch):
+    # REPORTED means derived = 2 x reference; a derived table at 6 x the
+    # reference is a FAIL naming the move
+    real = casimir.lowering_moves
+    monkeypatch.setattr(casimir, "lowering_moves", lambda p, label: {
+        t: 3 * c for t, c in real(p, label).items()})
+    r = reference_table_comparison(PairParams(3, 1, 0), 2)
+    assert r.status == "FAIL"
+    assert "derived -24, reference -4, not twice the reference" in r.detail
+
+
 def test_radial_apply_is_linear_in_components():
     from bc2mvop.casimir import bottom_vector
     from bc2mvop.leading import C_VARS
@@ -139,6 +150,12 @@ def _fail_lines(capsys):
     return code, [line for line in out.splitlines() if line.startswith("FAIL")]
 
 
+def _json_results(capsys):
+    cli.main(["verify", "casimir", "--m", "3", "--a", "1", "--b", "0",
+              "--dmax", "1", "--format", "json"])
+    return json.loads(capsys.readouterr().out)["results"]
+
+
 RADIAL_CHECKS = ("radial action on symmetric coordinates",
                  "scalar operator route agreement",
                  "bottom lowering identity", "triangular recursion table")
@@ -162,17 +179,19 @@ def test_exactly_dividing_operator_defect_fails(monkeypatch, capsys):
                          radial_denominator() * MultiPoly.var(C_VARS, "c1"))
     code, fails = _fail_lines(capsys)
     assert code == 1
-    for check in RADIAL_CHECKS[2:]:
+    for check in RADIAL_CHECKS:
         line = next(f for f in fails if check in f)
         assert "non-polynomial" not in line
+        assert ", component " in line
+    # each of the four carries the residual of its first differing component
+    results = _json_results(capsys)
+    for check in RADIAL_CHECKS:
+        r = next(r for r in results if check in r["identity"])
+        assert r["status"] == "FAIL"
+        assert r["residual"] not in ("", "0")
 
 
 def test_operator_transform_checks():
-    for m in (3, 4):
-        assert r0_transform_check(m).status == "PASS"
-    r = cmu_reference_check(PairParams(3, 1, 0))
-    assert r.status == "REPORTED"
-    assert "global sign flip" in r.detail
     # the x-side operator is the affine image of the psi side, and moving it
     # back returns the psi-side operator
     for p in (PairParams(3, 1, 0), PairParams(4, 2, 1)):
@@ -190,6 +209,11 @@ def test_x_family_first_order_coefficients():
         c01 = op.coeff((0, 1)).entry(0, 0)
         assert c10 == 2 * ((m + 2) * x1 + 2 * m - 4)
         assert c01 == 2 * ((m - 2) * x1 + 2 + (2 * m + 2) * x2)
+        # and the second-order coefficients, which do not depend on m
+        assert op.coeff((2, 0)).entry(0, 0) == 2 * x1 * x1 - 4 * x2 - 4
+        assert op.coeff((0, 2)).entry(0, 0) == \
+            -2 * x1 * x1 + 4 * x2 * x2 + 4 * x2
+        assert op.coeff((1, 1)).entry(0, 0) == 4 * x1 * x2 - 4 * x1
         # at a = b = 0 the operator is its scalar part alone
         r0x = scalar_radial_psi(m).change_vars_affine(X_VARS, psi_in_x())
         assert op == r0x
@@ -222,6 +246,26 @@ def test_xi_suite_statuses():
     statuses = [r.status for r in xi_suite(4)]
     assert statuses.count("FAIL") == 0
     assert statuses.count("REPORTED") == 2
+
+
+def _xi_status(monkeypatch, key, mutate, name):
+    real = casimir.xi_references
+    monkeypatch.setattr(casimir, "xi_references",
+                        lambda m: {**real(m), key: mutate(real(m)[key])})
+    return next(r.status for r in xi_suite(4) if r.name.startswith(name))
+
+
+def test_second_constants_reference_summing_to_one_fails(monkeypatch):
+    # REPORTED means the derived constants sum to 1 and the stored ones do
+    # not; a stored triple that sums to 1 and still differs is a FAIL
+    assert _xi_status(monkeypatch, "psi2", lambda ref: (F(0), F(0), F(1)),
+                      "second coordinate expansion constants") == "FAIL"
+
+
+def test_first_inversion_reference_off_by_other_factor_fails(monkeypatch):
+    # REPORTED means the stored inversion is twice the solved one
+    assert _xi_status(monkeypatch, "phi1", lambda ref: 3 * ref / 2,
+                      "first eigenfunction inversion") == "FAIL"
 
 
 @pytest.mark.parametrize("params,dmax", [(PairParams(3, 0, 0), 2),

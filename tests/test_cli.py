@@ -70,8 +70,13 @@ def test_verify_json_format(capsys):
     ["verify", "krawtchouk", "--p", ","],
     ["verify", "krawtchouk", "--p", "0"],
     ["verify", "weight", "--m", "3,4,3"],
+    ["verify", "weight", "--p", "1/2"],
+    ["verify", "orthogonality", "--N", "3"],
+    ["verify", "casimir", "--numeric"],
+    ["verify", "krawtchouk", "--numeric"],
 ], ids=["orthogonality-dmax", "casimir-dmax", "pde-dmax", "krawtchouk-N",
-        "empty-p", "zero-p", "repeated-m"])
+        "empty-p", "zero-p", "repeated-m", "unread-p", "unread-N",
+        "unread-numeric", "krawtchouk-numeric"])
 def test_verify_degenerate_input_is_parameter_error(argv, capsys):
     # the case's own options come last, so they override the base point
     code, out, err = run_cli(argv[:2] + ["--m", "3", "--a", "0", "--b", "0"]
@@ -79,6 +84,7 @@ def test_verify_degenerate_input_is_parameter_error(argv, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("parameter error:")
+    assert argv[2] in err      # the message names the offending option
 
 
 def test_verify_repeated_grid_value_names_axis_and_value(capsys):

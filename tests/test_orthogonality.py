@@ -234,6 +234,18 @@ def test_orthogonality_suite_statuses():
     assert len(by_status.get("REPORTED", [])) == 1
 
 
+def test_norm_constant_off_the_documented_ratio_fails(monkeypatch):
+    # REPORTED means stored/computed = (m^2(m^2-1)/32)^2; doubling every
+    # Gram matrix halves that ratio, and the stored form then FAILs
+    real = orthogonality.gram
+    monkeypatch.setattr(orthogonality, "gram", lambda params, d, dp: [
+        [2 * v for v in row] for row in real(params, d, dp)])
+    r = next(r for r in orthogonality_suite(PairParams(3, 1, 0), 1)
+             if r.name.startswith("norm constant stored closed form"))
+    assert r.status == "FAIL"
+    assert "is not the square of the mass constant" in r.detail
+
+
 def test_no_comparison_line_without_anything_to_compare():
     def names(a, dmax):
         return " ".join(r.name for r in orthogonality_suite(PairParams(3, a, 0), dmax))
