@@ -94,12 +94,16 @@ def radial_operator_c(params: PairParams) -> MatrixDiffOp:
     return scalar.lift(n) + MatrixDiffOp(C_VARS, {(0, 0): PolyMatrix.from_rows(rows)})
 
 
+class RadialResidue(ValueError):
+    """Raised by ``radial_apply`` with the undivided component as ``image``."""
+
+
 def radial_apply(params: PairParams, comps) -> tuple[MultiPoly, ...]:
     """Apply the radial operator to an M-type vector of polynomials in (c1,c2).
 
     ``radial_operator_c`` acts once on the row vector and each component is
     divided by the common denominator exactly; input outside the
-    eigenfunction span leaves a remainder and raises ValueError.
+    eigenfunction span leaves a remainder and raises RadialResidue.
     """
     comps = list(comps)
     if len(comps) != params.size:
@@ -111,21 +115,23 @@ def radial_apply(params: PairParams, comps) -> tuple[MultiPoly, ...]:
     out = tuple(e.divide_exact(radial_denominator()) for e in row.row(0))
     for k, q in enumerate(out):
         if q is None:
-            raise ValueError(
-                f"non-polynomial residue in component {k}: the input is "
-                f"outside the eigenfunction span")
+            err = RadialResidue(f"non-polynomial residue in component {k}: "
+                                "the input is outside the eigenfunction span")
+            err.image = row.entry(0, k)
+            raise err
     return out
 
 
 def _radial_mismatch(name: str, place: str, params: PairParams, comps,
                      want) -> CheckResult | None:
     """None when the radial operator sends comps to want exactly, else the
-    FAIL at place: a non-polynomial residue, or the first component that
-    differs, with its residual (image minus want) in ``data``."""
+    FAIL at place with its residual in ``data``: the undivided image of a
+    non-polynomial component, or image minus want at the first differing one."""
     try:
         got = radial_apply(params, comps)
-    except ValueError as exc:
-        return CheckResult(name, FAIL, f"{place}: {exc}")
+    except RadialResidue as exc:
+        return CheckResult(name, FAIL, f"{place}: {exc}",
+                           data={"residual": str(exc.image)})
     for k, (g, w) in enumerate(zip(got, want)):
         if g != w:
             return CheckResult(name, FAIL, f"{place}, component {k}",

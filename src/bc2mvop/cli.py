@@ -14,9 +14,9 @@ Exit codes: 0 when no check FAILs (REPORTED discrepancies do not fail a
 run), 1 when at least one identity check fails, 2 for parameter errors,
 including degenerate `verify` input such as a negative --dmax or --N, an
 empty --p list, a grid value listed twice, a selection that runs no check
-or none that reads a given --N, --p or --numeric, and an --out path that
-cannot be written.  Suites run serially, and no environment variable is
-read.
+or none that reads a given --N, --p, --numeric or --dmax, and an --out
+path that cannot be written.  Suites run serially, and no environment
+variable is read.
 """
 
 from __future__ import annotations
@@ -107,6 +107,7 @@ def _verify_results(args, grid: list[PairParams]):
     """The selected suites' results: Krawtchouk, then each grid point, then
     each distinct m."""
     want = lambda s: args.suite in ("all", s)
+    dmax = 2 if args.dmax is None else args.dmax
     results = []
     if want("krawtchouk"):
         results += standard_suite(6 if args.N is None else args.N,
@@ -115,20 +116,20 @@ def _verify_results(args, grid: list[PairParams]):
         if want("weight"):
             results += leading.weight_suite(q)
         if want("casimir"):
-            results += casimir.casimir_suite(q, args.dmax)
+            results += casimir.casimir_suite(q, dmax)
         if want("transition"):
             results += expansion.transition_suite(q)
         if want("pde"):
-            results += expansion.pde_suite(q, args.dmax)
+            results += expansion.pde_suite(q, dmax)
         if want("orthogonality"):
             results.append(orthogonality.positivity_check(q))
-            results += orthogonality.orthogonality_suite(q, args.dmax)
+            results += orthogonality.orthogonality_suite(q, dmax)
             if args.numeric:
-                results += orthogonality.numeric_suite(q, args.dmax)
+                results += orthogonality.numeric_suite(q, dmax)
         if want("indecomposable"):
             results += orthogonality.indecomposability_suite(q)
         if want("duality"):
-            results += expansion.duality_suite(q, args.dmax)
+            results += expansion.duality_suite(q, dmax)
     for m in dict.fromkeys(q.m for q in grid):
         if want("orthogonality"):
             results.append(orthogonality.total_mass_check(m))
@@ -140,13 +141,15 @@ def _verify_results(args, grid: list[PairParams]):
 def _check_verify_args(args):
     """Refuse input that would crash a suite, pass it vacuously, or be
     ignored by the selected suites."""
-    for opt, given, suite in (("N", args.N is not None, "krawtchouk"),
-                              ("p", args.p is not None, "krawtchouk"),
-                              ("numeric", args.numeric, "orthogonality")):
-        if given and args.suite not in ("all", suite):
-            raise ValueError(f"--{opt} is read only by the {suite} suite, "
-                             f"which verify {args.suite} does not run")
-    if args.dmax < 0:
+    for opt, given, suites in (("N", args.N is not None, ["krawtchouk"]),
+                               ("p", args.p is not None, ["krawtchouk"]),
+                               ("numeric", args.numeric, ["orthogonality"]),
+                               ("dmax", args.dmax is not None, ["casimir", "pde",
+                                "orthogonality", "duality"])):
+        if given and args.suite not in ["all", *suites]:
+            raise ValueError(f"--{opt} is read only by verify {'/'.join(suites)}"
+                             f" and verify all, not by verify {args.suite}")
+    if args.dmax is not None and args.dmax < 0:
         raise ValueError(f"--dmax {args.dmax} must be non-negative")
     if args.N is not None and args.N < 0:
         raise ValueError(f"--N {args.N} must be non-negative")
@@ -302,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated list, default 0,1,2,3")
     v.add_argument("--b", type=_int_list, default=[0, 1, 2],
                    help="comma-separated list, default 0,1,2")
-    v.add_argument("--dmax", type=int, default=2)
+    v.add_argument("--dmax", type=int, help="largest degree d1+d2, default 2")
     v.add_argument("--numeric", action="store_true",
                    help="add the floating-point quadrature cross-check")
     v.add_argument("--N", type=int, default=None,

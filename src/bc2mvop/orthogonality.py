@@ -22,17 +22,13 @@ predecessor, so `region_integral` reads the pull-back of every monomial of
 its integrand from that table instead of substituting, and takes the factor
 (c1 c2)^(2b) of the weight as a shift of the exponents.  The table relies on
 callers never mutating an entry, which holds because MultiPoly is
-immutable.  A Gram matrix G = int R_d S R_d'^T contracts the coefficients of
-R_d, S and R_d' against the moments it reads, with no product polynomial
-and no per-entry pull-back.
-
-Both routes run on the integer numerators the polynomials store.  The
-entries of R_d, of S and of R_d' are rescaled to one common denominator per
-matrix, and the moments a Gram matrix reads to theirs; the integer
-numerators are contracted, and each Gram entry or integral is one Fraction
-of the integer sum over the product of the denominators.  Each denominator
-is multiplied back exactly once, so the results are the same exact
-rationals as a contraction in Fractions.
+immutable.  A Gram matrix G(d, d') = int R_d S R_d'^T reads one table per
+parameter point and degree d', `_weighted_moments`: the integrals of
+x^e (S R_d'^T)_kj for every e with e1 + e2 <= |d'|.  For |d| <= |d'| each
+entry of G is one integer dot product of R_d's coefficients with it; for
+|d| > |d'|, G is the transpose of G(d', d), as S is symmetric.  Both routes
+contract integer numerators over one common denominator per matrix or set
+of moments, so each integral or Gram entry is one Fraction.
 
 A floating-point Gauss-Legendre path recomputes the same integrals
 independently of the moments.  It evaluates each factor R_d and S on the
@@ -167,44 +163,39 @@ def in_region(x1: Fraction, x2: Fraction) -> bool:
 # ---- Gram matrices of the family ----
 
 @functools.lru_cache(maxsize=None)
-def _gram_cached(params: PairParams, d: tuple[int, int],
-                 dp: tuple[int, int]) -> tuple[tuple[Fraction, ...], ...]:
-    m, b, n = params.m, params.b, params.size
-    # entries in row-major order: left[i * n + k] is (R_d)_ik
-    lden, left = integer_view(poly_matrix_x(params, d).entries)
-    sden, s0 = integer_view(weight_matrix_x(PairParams(m, params.a, 0)).entries)
-    rden, right = integer_view(poly_matrix_x(params, dp).entries)
-    # G_ij = sum_{k,l} sum_{e,f,g} left_ik[e] s0_kl[f] right_jl[g] moment(e+f+g),
-    # contracted from the right: first the integrals of x^(e+f) right_jl,
-    # then outer[j][k][e] = the integral of x^e (s0 right^T)_kj, then left
-    exps = [set().union(*(left[i * n + k] for i in range(n))) for k in range(n)]
-    shifted = [{(e1 + f1, e2 + f2) for k in range(n) for (e1, e2) in exps[k]
-                for (f1, f2) in s0[k * n + l]} for l in range(n)]
-    needed = {(h1 + g1, h2 + g2) for l in range(n) for (h1, h2) in shifted[l]
-              for j in range(n) for (g1, g2) in right[j * n + l]}
-    # every moment the contraction reads, through `moment` on each call
-    moments = {e: moment(m, b, *e) for e in needed}
+def _weighted_moments(params: PairParams, dp: tuple[int, int]) -> tuple:
+    """(den, U): U[j][k][e] / den is the integral of x^e (S R_d'^T)_kj for
+    each exponent e of total degree at most |d'|.  Read-only."""
+    m, b, n, top = params.m, params.b, params.size, sum(dp)
+    wden, ws = integer_view((weight_matrix_x(PairParams(m, params.a, 0))
+                             @ poly_matrix_x(params, dp).transpose()).entries)
+    exps = [(e1, e2) for e1 in range(top + 1) for e2 in range(top + 1 - e1)]
+    # every moment the table reads, through `moment` on each call
+    moments = {e: moment(m, b, *e) for e in {
+        (e1 + f1, e2 + f2) for e1, e2 in exps for wkj in ws for f1, f2 in wkj}}
     mden = math.lcm(*(v.denominator for v in moments.values()))
     mom = {e: v.numerator * (mden // v.denominator) for e, v in moments.items()}
-    outer = [[dict.fromkeys(exps[k], 0) for k in range(n)] for _ in range(n)]
-    for l in range(n):
-        for j in range(n):
-            rterms = right[j * n + l].items()
-            inner = {(h1, h2): sum(c * mom[h1 + g1, h2 + g2]
-                                   for (g1, g2), c in rterms)
-                     for (h1, h2) in shifted[l]}
-            for k in range(n):
-                sterms = s0[k * n + l].items()
-                row = outer[j][k]
-                for (e1, e2) in exps[k]:
-                    row[e1, e2] += sum(c * inner[e1 + f1, e2 + f2]
-                                       for (f1, f2), c in sterms)
-    den = lden * sden * rden * mden
-    return tuple(
-        tuple(Fraction(sum(c * outer[j][k][e] for k in range(n)
-                           for e, c in left[i * n + k].items()), den)
-              for j in range(n))
-        for i in range(n))
+    return wden * mden, tuple(
+        tuple({(e1, e2): sum(c * mom[e1 + f1, e2 + f2]
+                             for (f1, f2), c in ws[k * n + j].items())
+               for e1, e2 in exps} for k in range(n))
+        for j in range(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _gram_cached(params: PairParams, d: tuple[int, int],
+                 dp: tuple[int, int]) -> tuple[tuple[Fraction, ...], ...]:
+    if sum(d) > sum(dp):
+        # S = S^T, so G(d, d') = G(d', d)^T, read from the higher degree's table
+        return tuple(zip(*_gram_cached(params, dp, d)))
+    n = params.size
+    lden, left = integer_view(poly_matrix_x(params, d).entries)
+    tden, table = _weighted_moments(params, dp)
+    # G_ij = sum_k sum_e left[i*n+k][e] U[j][k][e]; a missing e raises
+    return tuple(tuple(Fraction(sum(c * table[j][k][e] for k in range(n)
+                                    for e, c in left[i * n + k].items()),
+                                lden * tden) for j in range(n))
+                 for i in range(n))
 
 
 def gram(params: PairParams, d: tuple[int, int],

@@ -161,6 +161,14 @@ RADIAL_CHECKS = ("radial action on symmetric coordinates",
                  "bottom lowering identity", "triangular recursion table")
 
 
+def _assert_each_check_carries_a_residual(capsys):
+    results = _json_results(capsys)
+    for check in RADIAL_CHECKS:
+        r = next(r for r in results if check in r["identity"])
+        assert r["status"] == "FAIL"
+        assert r["residual"] not in ("", "0")
+
+
 def test_operator_remainder_fails_each_check(monkeypatch, capsys):
     # c1 / denominator is no polynomial: each check reports the remainder
     # as a FAIL with its label and component, not as a parameter error
@@ -171,6 +179,8 @@ def test_operator_remainder_fails_each_check(monkeypatch, capsys):
         line = next(f for f in fails if check in f)
         assert "non-polynomial residue in component" in line
     assert "label MsfLabel(" in next(f for f in fails if RADIAL_CHECKS[3] in f)
+    # each of the four carries the undivided image of that component
+    _assert_each_check_carries_a_residual(capsys)
 
 
 def test_exactly_dividing_operator_defect_fails(monkeypatch, capsys):
@@ -184,11 +194,7 @@ def test_exactly_dividing_operator_defect_fails(monkeypatch, capsys):
         assert "non-polynomial" not in line
         assert ", component " in line
     # each of the four carries the residual of its first differing component
-    results = _json_results(capsys)
-    for check in RADIAL_CHECKS:
-        r = next(r for r in results if check in r["identity"])
-        assert r["status"] == "FAIL"
-        assert r["residual"] not in ("", "0")
+    _assert_each_check_carries_a_residual(capsys)
 
 
 def test_operator_transform_checks():

@@ -74,9 +74,10 @@ def test_verify_json_format(capsys):
     ["verify", "orthogonality", "--N", "3"],
     ["verify", "casimir", "--numeric"],
     ["verify", "krawtchouk", "--numeric"],
+    ["verify", "weight", "--dmax", "7"],
 ], ids=["orthogonality-dmax", "casimir-dmax", "pde-dmax", "krawtchouk-N",
         "empty-p", "zero-p", "repeated-m", "unread-p", "unread-N",
-        "unread-numeric", "krawtchouk-numeric"])
+        "unread-numeric", "krawtchouk-numeric", "unread-dmax"])
 def test_verify_degenerate_input_is_parameter_error(argv, capsys):
     # the case's own options come last, so they override the base point
     code, out, err = run_cli(argv[:2] + ["--m", "3", "--a", "0", "--b", "0"]

@@ -125,16 +125,17 @@ def test_moment_table_matches_koornwinder_coordinates():
                         (m, b, i, j)
 
 
-def _gram_by_entry(params, d, dp):
+def _gram_by_entry(params, d, dp, family=poly_matrix_x):
     """The Gram matrix with every entry of R_d S R_d'^T pulled back on its own."""
     s0 = weight_matrix_x(PairParams(params.m, params.a, 0))
-    prod = poly_matrix_x(params, d) @ s0 @ poly_matrix_x(params, dp).transpose()
+    prod = family(params, d) @ s0 @ family(params, dp).transpose()
     return [[region_integral(params, prod.entry(i, j)) for j in range(prod.cols)]
             for i in range(prod.rows)]
 
 
+# the last two have the higher degree on the left, read as a transpose
 _LOW_PAIRS = (((1, 0), (1, 0)), ((0, 1), (0, 1)), ((1, 0), (0, 1)),
-              ((0, 0), (1, 0)))
+              ((0, 0), (1, 0)), ((2, 0), (0, 1)), ((1, 1), (1, 0)))
 
 
 @pytest.mark.parametrize("params, pairs", [
@@ -157,6 +158,15 @@ def test_family_entries_lie_over_unequal_denominators():
     assert len(dens) > 1
 
 
+def _clear_module_caches():
+    """Empty every cache defined in the orthogonality module, so that
+    nothing cached outlives a patched moment or family."""
+    for obj in vars(orthogonality).values():
+        if (hasattr(obj, "cache_clear")
+                and obj.__module__ == orthogonality.__name__):
+            obj.cache_clear()
+
+
 @pytest.fixture
 def corrupted_moment(monkeypatch):
     """One moment of the table, x1 against the weight, off by a factor 1 + 1e-3."""
@@ -166,10 +176,38 @@ def corrupted_moment(monkeypatch):
         value = true_moment(m, b, i, j)
         return value * F(1001, 1000) if (i, j) == (1, 0) else value
 
-    orthogonality._gram_cached.cache_clear()
+    _clear_module_caches()
     monkeypatch.setattr(orthogonality, "moment", corrupt)
     yield
-    orthogonality._gram_cached.cache_clear()
+    _clear_module_caches()
+
+
+@pytest.fixture
+def skewed_family(monkeypatch):
+    """Every R_d plus x1^|d| N for one matrix N that is not symmetric, so
+    that the Gram matrices of distinct degrees are neither zero nor
+    symmetric."""
+    shift = PolyMatrix.from_scalar_rows(X_VARS, [[0, 1, 0], [0, 0, 2], [0, 0, 0]])
+
+    def skewed(params, d):
+        power = MultiPoly.monomial(X_VARS, (sum(d), 0))
+        return poly_matrix_x(params, d) + shift.scale(power)
+
+    _clear_module_caches()
+    monkeypatch.setattr(orthogonality, "poly_matrix_x", skewed)
+    yield skewed
+    _clear_module_caches()
+
+
+def test_transposed_gram_matches_entrywise_pull_back_off_the_family(
+        skewed_family):
+    # on the family, distinct degrees integrate to 0 either way round, so
+    # only a family that is not orthogonal shows a missing transpose
+    params = PairParams(3, 2, 1)
+    for d, dp in (((2, 0), (0, 1)), ((1, 1), (1, 0))):
+        G = gram(params, d, dp)
+        assert G != [list(row) for row in zip(*G)], (d, dp)
+        assert G == _gram_by_entry(params, d, dp, skewed_family), (d, dp)
 
 
 @pytest.mark.parametrize("bad", [(1.5, 0), (1,), (1, 0, 0), (-1, 0),
@@ -232,6 +270,14 @@ def test_orthogonality_suite_statuses():
     assert "FAIL" not in by_status, by_status.get("FAIL")
     # exactly one reported item: the stored norm-constant closed form
     assert len(by_status.get("REPORTED", [])) == 1
+
+
+def test_orthogonality_suite_builds_one_table_per_degree():
+    _clear_module_caches()
+    orthogonality_suite(PairParams(3, 1, 0), 3)
+    # ten degrees at dmax 3: each table serves every pair it is the higher
+    # factor of, and is built once
+    assert orthogonality._weighted_moments.cache_info().misses == 10
 
 
 def test_norm_constant_off_the_documented_ratio_fails(monkeypatch):
