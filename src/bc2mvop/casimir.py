@@ -35,7 +35,7 @@ from .lie import (MsfLabel, PairParams, casimir_eigenvalue,
                   casimir_eigenvalue_ip, check_label, degree_pairs,
                   label_weight, labels_up_to)
 from .matrices import PolyMatrix, solve_linear
-from .poly import MultiPoly
+from .poly import MultiPoly, linear_combination
 from .report import CheckResult, FAIL, PASS, REPORTED
 
 
@@ -159,8 +159,9 @@ def label_vector(params: PairParams, label: MsfLabel) -> tuple[MultiPoly, ...]:
     return tuple(factor * q for q in bottom_vector(params, label.i))
 
 
-def lowering_moves(params: PairParams, label: MsfLabel) -> dict[MsfLabel, Fraction]:
-    """The seven lowering moves out of a label with their coefficients."""
+def lowering_moves(params: PairParams, label: MsfLabel) -> dict[MsfLabel, int]:
+    """The seven lowering moves out of a label with their integer
+    coefficients."""
     a, b = params.a, params.b
     i, d1, d2 = label.i, label.d1, label.d2
     raw = [
@@ -172,7 +173,7 @@ def lowering_moves(params: PairParams, label: MsfLabel) -> dict[MsfLabel, Fracti
         ((i + 1, d1 - 1, d2), -2 * (a - i) * d1),
         ((i + 1, d1, d2 - 1), -2 * (a - i) * d2),
     ]
-    out: dict[MsfLabel, Fraction] = {}
+    out: dict[MsfLabel, int] = {}
     for (ti, td1, td2), coeff in raw:
         valid = 0 <= ti <= a and td1 >= 0 and td2 >= 0
         if coeff == 0:
@@ -182,7 +183,7 @@ def lowering_moves(params: PairParams, label: MsfLabel) -> dict[MsfLabel, Fracti
                 f"nonzero lowering coefficient {coeff} aims at invalid label "
                 f"({ti},{td1},{td2}) from {label}")
         key = MsfLabel(ti, td1, td2)
-        out[key] = out.get(key, Fraction(0)) + coeff
+        out[key] = out.get(key, 0) + coeff
     return out
 
 
@@ -200,16 +201,23 @@ def scalar_eigen_check(m: int) -> CheckResult:
     return CheckResult(name, PASS)
 
 
+def _combine(terms) -> list[MultiPoly]:
+    """The M-type vector sum c v over the (c, v) pairs, each component one
+    integer combination over one denominator."""
+    return [linear_combination((c, v[k]) for c, v in terms)
+            for k in range(len(terms[0][1]))]
+
+
 def bottom_lowering_check(params: PairParams) -> CheckResult:
     """Radial operator on bottom vector i: eigenvalue c_{nu_i} plus a single
     drop to i-1 with coefficient -2i(b+i)."""
     name = f"bottom lowering identity {params.tag()}"
     for i in range(params.size):
         row = bottom_vector(params, i)
-        want = [casimir_eigenvalue(params, MsfLabel(i, 0, 0)) * g for g in row]
+        terms = [(casimir_eigenvalue(params, MsfLabel(i, 0, 0)), row)]
         if i:
-            drop = -2 * i * (params.b + i)
-            want = [w + drop * g for w, g in zip(want, bottom_vector(params, i - 1))]
+            terms.append((-2 * i * (params.b + i), bottom_vector(params, i - 1)))
+        want = _combine(terms)
         fail = _radial_mismatch(name, f"i={i}", params, row, want)
         if fail:
             return fail
@@ -230,10 +238,10 @@ def general_lowering_check(params: PairParams, dmax: int) -> CheckResult:
 
     count = 0
     for label in labels_up_to(params, dmax):
-        c_top = casimir_eigenvalue(params, label)
-        want = [c_top * g for g in vector(label)]
-        for target, coeff in lowering_moves(params, label).items():
-            want = [w + coeff * t for w, t in zip(want, vector(target))]
+        terms = [(casimir_eigenvalue(params, label), vector(label))]
+        terms += [(coeff, vector(target))
+                  for target, coeff in lowering_moves(params, label).items()]
+        want = _combine(terms)
         fail = _radial_mismatch(name, f"label {label}", params, vector(label), want)
         if fail:
             return fail

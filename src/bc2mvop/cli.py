@@ -126,6 +126,7 @@ def _verify_results(args, grid: list[PairParams]):
             results += orthogonality.orthogonality_suite(q, dmax)
             if args.numeric:
                 results += orthogonality.numeric_suite(q, dmax)
+            orthogonality.drop_point_tables()
         if want("indecomposable"):
             results += orthogonality.indecomposability_suite(q)
         if want("duality"):

@@ -29,6 +29,9 @@ from typing import Mapping
 from .matrices import PolyMatrix, frac_invert
 from .poly import MultiPoly, VariableMismatch, integer_view
 
+_SHIFT = 32
+_MASK = (1 << _SHIFT) - 1
+
 ALLOWED_IDX = frozenset({(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)})
 
 
@@ -123,7 +126,8 @@ class MatrixDiffOp:
     def _integer_view(self) -> tuple[int, tuple]:
         """One denominator for every coefficient matrix, and per row k of
         the coefficients the nonzero entries (idx, j, numerator terms) of
-        coeff[idx][k, j]; built on the first call and kept."""
+        coeff[idx][k, j], each exponent packed into one int (see `apply`);
+        built on the first call and kept."""
         if self._view is None:
             n = self.size
             mats = list(self.coeffs.items())
@@ -134,11 +138,15 @@ class MatrixDiffOp:
                     for j in range(n):
                         terms = nums[(t * n + k) * n + j]
                         if terms:
-                            rows[k].append((idx, j, tuple(terms.items())))
+                            rows[k].append((idx, j, tuple(
+                                (e1 << _SHIFT | e2, c) for (e1, e2), c in terms.items())))
             object.__setattr__(self, "_view", (den, tuple(map(tuple, rows))))
         return self._view
 
     def apply(self, F: PolyMatrix) -> PolyMatrix:
+        """D(F), accumulated on exponents packed as e1 << _SHIFT | e2, so
+        that adding two packed exponents adds them coordinatewise (no
+        exponent reaches 2^_SHIFT)."""
         if F.vars != self.vars:
             raise VariableMismatch(f"function vars {F.vars} != operator vars {self.vars}")
         if F.cols != self.size:
@@ -160,16 +168,18 @@ class MatrixDiffOp:
                     if dF is None:
                         # d^idx x^e = (e1)_i1 (e2)_i2 x^(e - idx)
                         dF = derived[i1, i2] = [
-                            (e1 - i1, e2 - i2,
+                            ((e1 - i1) << _SHIFT | (e2 - i2),
                              c * math.perm(e1, i1) * math.perm(e2, i2))
                             for (e1, e2), c in fterms.items()
                             if e1 >= i1 and e2 >= i2]
                     row = acc[j]
-                    for a1, a2, x in dF:
-                        for (g1, g2), y in cterms:
-                            e = (a1 + g1, a2 + g2)
+                    for a, x in dF:
+                        for g, y in cterms:
+                            e = a + g
                             row[e] = row[e] + x * y if e in row else x * y
-            out.extend(MultiPoly._over(self.vars, nums, oden * fden) for nums in acc)
+            out.extend(MultiPoly._over(self.vars, {(e >> _SHIFT, e & _MASK): c
+                                                   for e, c in nums.items()},
+                                       oden * fden) for nums in acc)
         return PolyMatrix(F.rows, n, out)
 
     def apply_scalar(self, f: MultiPoly) -> MultiPoly:

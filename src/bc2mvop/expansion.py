@@ -17,19 +17,20 @@ The chain implemented here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
-from .casimir import (lambda_d_matrix, lowering_moves, pde_operator_psi,
-                      pde_operator_x)
+from .casimir import lowering_moves, pde_operator_psi, pde_operator_x
 from .diffop import MatrixDiffOp
 from .krawtchouk import poch
 from .leading import PSI_VARS, X_VARS, psi_in_x
 from .lie import (MsfLabel, PairParams, bottom_weight, casimir_eigenvalue,
-                  casimir_eigenvalue_ip, check_label, degree_pair,
+                  casimir_eigenvalue_ip, casimir_numerator, check_label, degree_pair,
                   degree_pairs, dominance_leq, dualize, label_weight,
                   labels_up_to)
 from .matrices import (PolyMatrix, conjugate_flip, frac_identity, frac_invert,
@@ -161,25 +162,45 @@ def inverse_reference_check(params: PairParams) -> CheckResult:
 
 @lru_cache(maxsize=None)
 def _graph_node(params: PairParams, lab: MsfLabel):
-    """(eigenvalue, read-only moves) of a label: the lowering graph of a
-    parameter triple, built once per label, each move checked once against
-    both orders it must lower."""
-    c, weight = casimir_eigenvalue(params, lab), label_weight(params, lab)
+    """(eigenvalue numerator, read-only moves) of a label: the lowering graph
+    of a parameter triple, built once per label, each move checked once
+    against both orders it must lower."""
+    num, weight = casimir_numerator(params, lab), label_weight(params, lab)
     moves = lowering_moves(params, lab)
     for tgt in moves:
-        if not casimir_eigenvalue(params, tgt) < c:
+        if not casimir_numerator(params, tgt) < num:
             raise AssertionError(f"move {lab} -> {tgt} does not lower the eigenvalue")
         if not dominance_leq(label_weight(params, tgt), weight):
             raise AssertionError(f"move {lab} -> {tgt} does not lower the weight")
-    return c, MappingProxyType(moves)
+    return num, MappingProxyType(moves)
+
+
+class LoweringGraph(NamedTuple):
+    """The labels of degree <= n in sweep order (descending eigenvalue, ties
+    by (i, d1, d2)) and, by position: each label's eigenvalue numerator
+    (m+2) c and its moves as (target position, int weight) pairs."""
+    labels: tuple[MsfLabel, ...]
+    position: Mapping[MsfLabel, int]
+    nums: tuple[int, ...]
+    moves: tuple[tuple[tuple[int, int], ...], ...]
 
 
 @lru_cache(maxsize=None)
-def _sweep_order(params: PairParams, n: int) -> tuple:
-    """(label, eigenvalue, moves) for the labels of degree <= n, in
-    descending eigenvalue order, ties by (i, d1, d2)."""
-    nodes = [(lab, *_graph_node(params, lab)) for lab in labels_up_to(params, n)]
-    return tuple(sorted(nodes, key=lambda t: (-t[1], t[0].i, t[0].d1, t[0].d2)))
+def _lowering_graph(params: PairParams, n: int) -> LoweringGraph:
+    nodes = sorted(((lab, *_graph_node(params, lab))
+                    for lab in labels_up_to(params, n)),
+                   key=lambda t: (-t[1], t[0].i, t[0].d1, t[0].d2))
+    labels = tuple(lab for lab, _, _ in nodes)
+    position = {lab: p for p, lab in enumerate(labels)}
+    for lab, _, moves in nodes:
+        for tgt in moves:
+            if tgt not in position:
+                raise AssertionError(
+                    f"move {lab} -> {tgt} leaves the degree-{n} lowering graph")
+    return LoweringGraph(labels, MappingProxyType(position),
+                         tuple(num for _, num, _ in nodes),
+                         tuple(tuple((position[t], w) for t, w in moves.items())
+                               for _, _, moves in nodes))
 
 
 def phi_expansion(params: PairParams, label: MsfLabel) -> dict[MsfLabel, Fraction]:
@@ -188,29 +209,45 @@ def phi_expansion(params: PairParams, label: MsfLabel) -> dict[MsfLabel, Fractio
 
     Every lower coefficient is forced: collecting the basis coefficient in
     the eigenvalue equation gives e = (incoming contributions)/(eigenvalue
-    difference).  Moves strictly lower the eigenvalue, so one sweep in
-    descending eigenvalue order meets each label after its sources, with a
-    positive denominator; rescaling enforces value 1 at (psi1, psi2) = (2, 1).
+    difference).  Moves strictly lower the eigenvalue, so one sweep down
+    the lowering graph meets each label after its sources, with a positive
+    difference (N_top - N)/(m+2) of eigenvalue numerators.
+
+    The sweep runs on integers: ``vals`` holds the coefficients met so far
+    and the incoming sums still pending, all as numerators over one
+    implicit common denominator.  At a label with pending sum s its
+    coefficient is x / D for x = s (m+2) and D = N_top - N; when D does not
+    divide x, every value is first multiplied by D / gcd(x, D), which keeps
+    them all over one denominator, and then the coefficient x / gcd(x, D)
+    is an integer.  Rescaling to value 1 at (psi1, psi2) = (2, 1) divides
+    every numerator by the same integer, their sum at that point, so the
+    implicit denominator cancels.
     """
     check_label(params, label)
-    top, moves = _graph_node(params, label)
-    e = {label: Fraction(1)}
-    acc = dict(moves)
-    for lab, c, lab_moves in _sweep_order(params, label.d1 + label.d2):
-        if lab not in acc:
+    graph = _lowering_graph(params, label.d1 + label.d2)
+    start, m2 = graph.position[label], params.m + 2
+    top = graph.nums[start]
+    vals = [0] * len(graph.labels)
+    vals[start] = 1
+    for p in range(start, len(vals)):
+        x = vals[p] * m2
+        if not x:
             continue
-        coeff = acc.pop(lab) / (top - c)
-        if coeff == 0:
-            continue
-        e[lab] = coeff
-        for tgt, w in lab_moves.items():
-            acc[tgt] = acc.get(tgt, 0) + coeff * w
-    if acc:
-        raise AssertionError(f"mass left on labels outside the order: {list(acc)}")
-    total = sum(c * 2 ** lab.d1 for lab, c in e.items())
+        if p > start:
+            diff = top - graph.nums[p]
+            g = math.gcd(x, diff)
+            if g != diff:
+                f = diff // g
+                vals[start:] = [v * f for v in vals[start:]]
+            vals[p] = x // g
+        v = vals[p]
+        for t, w in graph.moves[p]:
+            vals[t] += v * w
+    total = sum(v << graph.labels[p].d1 for p, v in enumerate(vals) if v)
     if total == 0:
         raise AssertionError(f"expansion of {label} vanishes at the identity point")
-    return {lab: c / total for lab, c in e.items()}
+    return {graph.labels[p]: Fraction(v, total)
+            for p, v in enumerate(vals) if v}
 
 
 @dataclass(frozen=True)
@@ -227,10 +264,13 @@ def poly_matrix_psi(params: PairParams, d: tuple[int, int]) -> PolyMatrix:
     n = params.size
     rows = []
     for i in range(n):
-        terms = [{} for _ in range(n)]
-        for lab, c in phi_expansion(params, MsfLabel(i, d[0], d[1])).items():
-            terms[lab.i][(lab.d1, lab.d2)] = c
-        rows.append([MultiPoly(PSI_VARS, t) for t in terms])
+        coeffs = phi_expansion(params, MsfLabel(i, d[0], d[1]))
+        # the row's numerators over one denominator, reduced per entry
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        nums = [{} for _ in range(n)]
+        for lab, c in coeffs.items():
+            nums[lab.i][lab.d1, lab.d2] = c.numerator * (den // c.denominator)
+        rows.append([MultiPoly._over(PSI_VARS, t, den) for t in nums])
     return PolyMatrix.from_rows(rows)
 
 
@@ -295,10 +335,12 @@ def pde_check(params: PairParams, d: tuple[int, int]) -> CheckResult:
     """The assembled operator has the family member as eigenfunction with the
     diagonal eigenvalue matrix, in both coordinate systems."""
     name = f"matrix differential equation {params.tag()} d=({d[0]},{d[1]})"
+    eigenvalues = [casimir_eigenvalue(params, MsfLabel(i, *d))
+                   for i in range(params.size)]
     for vars, P, op in ((PSI_VARS, poly_matrix_psi(params, d), pde_operator_psi(params)),
                         (X_VARS, poly_matrix_x(params, d), pde_operator_x(params))):
         lhs = op.apply(P)
-        rhs = lambda_d_matrix(params, d, vars) @ P
+        rhs = P.scale_rows(eigenvalues)
         if lhs != rhs:
             res = lhs - rhs
             bad = next((i, j) for i in range(params.size)
@@ -375,8 +417,7 @@ def dual_pde_check(params: PairParams, dmax: int) -> CheckResult:
         diag = [casimir_eigenvalue_ip(label_weight(dual_params,
                                                    MsfLabel(i, d1, d2)))
                 for i in range(n)]
-        lam = PolyMatrix.diagonal(PSI_VARS, diag)
-        if op.apply(P) != lam @ P:
+        if op.apply(P) != P.scale_rows(diag):
             return CheckResult(name, FAIL, f"d=({d1},{d2})")
     return CheckResult(name, PASS)
 

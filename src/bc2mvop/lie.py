@@ -118,7 +118,7 @@ class Weight:
         w = other.partition()
         n = len(v)
         dot = sum(x * y for x, y in zip(v, w))
-        return Fraction(dot) - Fraction(sum(v) * sum(w), n)
+        return Fraction(n * dot - sum(v) * sum(w), n)
 
 
 def zero_weight(m: int) -> Weight:
@@ -138,10 +138,12 @@ def rho(m: int) -> Weight:
     return Weight((1,) * (m + 1))
 
 
+@lru_cache(maxsize=None)
 def spherical_lambda1(m: int) -> Weight:
     return fundamental(m, 1) + fundamental(m, m + 1)
 
 
+@lru_cache(maxsize=None)
 def spherical_lambda2(m: int) -> Weight:
     return fundamental(m, 2) + fundamental(m, m)
 
@@ -167,6 +169,7 @@ def check_label(params: PairParams, label: MsfLabel):
         raise ValueError(f"bottom index {label.i} exceeds a={params.a}")
 
 
+@lru_cache(maxsize=None)
 def bottom_weight(params: PairParams, i: int) -> Weight:
     """nu_i for the given parameters.
 
@@ -201,12 +204,25 @@ def root_coordinates(w: Weight) -> list[Fraction]:
 
 
 def dominance_leq(w1: Weight, w2: Weight) -> bool:
-    """True iff w2 - w1 is a non-negative integer combination of simple roots."""
-    return all(c.denominator == 1 and c >= 0 for c in root_coordinates(w2 - w1))
+    """True iff w2 - w1 is a non-negative integer combination of simple roots.
+
+    Reads the root coordinates of w2 - w1 as the integers (m+2) c_k =
+    (m+2) (lambda_1 + ... + lambda_k) - k |lambda|: each must be
+    non-negative and divisible by m+2."""
+    lam = (w2 - w1).partition()
+    n, total = len(lam), sum(lam)
+    prefix = 0
+    for k, x in enumerate(lam[:-1], 1):
+        prefix += x
+        c = n * prefix - k * total
+        if c < 0 or c % n:
+            return False
+    return True
 
 
-def casimir_eigenvalue(params: PairParams, label: MsfLabel) -> Fraction:
-    """Closed-form Casimir eigenvalue of the spherical function at the label.
+def casimir_numerator(params: PairParams, label: MsfLabel) -> int:
+    """(m+2) times the closed-form Casimir eigenvalue at the label: every
+    eigenvalue of the parameter triple has denominator dividing m+2.
 
     Only valid in the canonical regime b >= 0 (checked by hand to break at
     (3,2,-3)); the dual regime goes through casimir_eigenvalue_ip, which is
@@ -218,16 +234,22 @@ def casimir_eigenvalue(params: PairParams, label: MsfLabel) -> Fraction:
                          "use casimir_eigenvalue_ip on the label weight")
     m, a, b = params.m, params.a, params.b
     i, d1, d2 = label.i, label.d1, label.d2
-    c_bottom = (Fraction(2 * i * i + 2 * i * (b + m) + (m + 1) * a + 2 * m * b)
-                + Fraction((m + 1) * a * a + 2 * m * b * (a + b), m + 2))
-    incr = (2 * d1 * d1 + 4 * d1 * d2 + 4 * d2 * d2
-            + 2 * d1 * (a + b + i + m + 1) + 2 * d2 * (a + 2 * b + 2 * i + 2 * m))
-    return c_bottom + incr
+    whole = (2 * i * i + 2 * i * (b + m) + (m + 1) * a + 2 * m * b
+             + 2 * d1 * d1 + 4 * d1 * d2 + 4 * d2 * d2
+             + 2 * d1 * (a + b + i + m + 1) + 2 * d2 * (a + 2 * b + 2 * i + 2 * m))
+    return whole * (m + 2) + (m + 1) * a * a + 2 * m * b * (a + b)
+
+
+def casimir_eigenvalue(params: PairParams, label: MsfLabel) -> Fraction:
+    """Closed-form Casimir eigenvalue of the spherical function at the label,
+    casimir_numerator over m+2."""
+    return Fraction(casimir_numerator(params, label), params.m + 2)
 
 
 def casimir_eigenvalue_ip(w: Weight) -> Fraction:
-    """Casimir eigenvalue <w, w> + 2 <w, rho>: the independent route."""
-    return w.ip(w) + 2 * w.ip(rho(w.m))
+    """Casimir eigenvalue <w, w> + 2 <w, rho> = <w, w + 2 rho>: the
+    independent route."""
+    return w.ip(w + rho(w.m) * 2)
 
 
 def weyl_dim(w: Weight) -> int:

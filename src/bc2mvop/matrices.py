@@ -12,7 +12,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .poly import MultiPoly, VariableMismatch
+from .poly import MultiPoly, VariableMismatch, substitute_all
 
 
 class PolyMatrix:
@@ -118,6 +118,15 @@ class PolyMatrix:
         """Multiply every entry by a scalar or polynomial."""
         return PolyMatrix(self.rows, self.cols, [e * c for e in self.entries])
 
+    def scale_rows(self, factors: Sequence) -> "PolyMatrix":
+        """Multiply row i by factors[i]: the product diag(factors) @ self,
+        without the zero entries of the diagonal matrix."""
+        if len(factors) != self.rows:
+            raise ValueError(f"need {self.rows} row factors, got {len(factors)}")
+        return PolyMatrix(self.rows, self.cols,
+                          [e * factors[i // self.cols]
+                           for i, e in enumerate(self.entries)])
+
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(self.cols, self.rows,
                           [self.entry(i, j) for j in range(self.cols)
@@ -128,7 +137,8 @@ class PolyMatrix:
 
     def substitute(self, images: Mapping[str, MultiPoly],
                    out_vars: tuple[str, ...] | None = None) -> "PolyMatrix":
-        return self.map_entries(lambda e: e.substitute(images, out_vars))
+        return PolyMatrix(self.rows, self.cols,
+                          substitute_all(self.entries, images, out_vars))
 
     def evaluate(self, point: Mapping[str, Fraction]) -> list[list[Fraction]]:
         return [[self.entry(i, j).evaluate(point) for j in range(self.cols)]
@@ -228,11 +238,15 @@ def frac_matmul(A: Sequence[Sequence[Fraction]],
 def _primitive_row(row: Sequence[Fraction]) -> tuple[tuple[int, ...], int, int]:
     """(ints, p, g): a nonzero row times p, the lcm of its denominators,
     over g, the gcd of the products signed so that the leading entry of
-    the coprime integers ints is positive."""
-    den = math.lcm(*map(operator.attrgetter("denominator"), row))
-    ints = ([x.numerator * (den // x.denominator) for x in row] if den > 1
-            else list(map(int, row)))
-    g = math.gcd(*ints)
+    the coprime integers ints is positive.  A row of ints is its own
+    product, with p = 1."""
+    try:
+        ints, den = row, 1
+        g = math.gcd(*row)      # a TypeError unless every entry is an int
+    except TypeError:
+        den = math.lcm(*map(operator.attrgetter("denominator"), row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        g = math.gcd(*ints)
     if next(filter(None, ints)) < 0:
         g = -g
     return (tuple(ints) if g == 1 else tuple(x // g for x in ints)), den, g

@@ -26,7 +26,9 @@ immutable.  A Gram matrix G(d, d') = int R_d S R_d'^T reads one table per
 parameter point and degree d', `_weighted_moments`: the integrals of
 x^e (S R_d'^T)_kj for every e with e1 + e2 <= |d'|.  For |d| <= |d'| each
 entry of G is one integer dot product of R_d's coefficients with it; for
-|d| > |d'|, G is the transpose of G(d', d), as S is symmetric.  Both routes
+|d| > |d'|, G is the transpose of G(d', d), as S is symmetric.  Tables and
+Gram matrices are cached until `drop_point_tables`, which `verify` calls
+when it leaves a point.  Both routes
 contract integer numerators over one common denominator per matrix or set
 of moments, so each integral or Gram entry is one Fraction.
 
@@ -196,6 +198,14 @@ def _gram_cached(params: PairParams, d: tuple[int, int],
                                     for e, c in left[i * n + k].items()),
                                 lden * tden) for j in range(n))
                  for i in range(n))
+
+
+def drop_point_tables():
+    """Empty the Gram tables and matrices of every parameter point; the
+    per-(m, b) moments stay.  `verify` calls it when it leaves a point,
+    which it never returns to."""
+    _weighted_moments.cache_clear()
+    _gram_cached.cache_clear()
 
 
 def gram(params: PairParams, d: tuple[int, int],

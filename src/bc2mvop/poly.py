@@ -32,6 +32,7 @@ it first.  `integer_view` also hands out new dicts, never `p.nums` itself.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from fractions import Fraction
 from operator import add, index, sub
 from types import MappingProxyType
@@ -64,6 +65,25 @@ def integer_view(polys: Iterable["MultiPoly"]) -> tuple[int, list[dict]]:
     polys = list(polys)
     den = math.lcm(*(p.den for p in polys))
     return den, [{e: c * (den // p.den) for e, c in p.nums.items()} for p in polys]
+
+
+def linear_combination(terms: Iterable[tuple[int | Fraction, "MultiPoly"]]
+                       ) -> "MultiPoly":
+    """sum c p over the (c, p) pairs, for int or Fraction scalars c and
+    polynomials p over one variable tuple (at least one pair), as one
+    integer combination of the numerators over one common denominator."""
+    terms = list(terms)
+    vars = terms[0][1].vars
+    for _, p in terms:
+        if p.vars != vars:
+            raise VariableMismatch(f"{p.vars} vs {vars}")
+    den = math.lcm(*(c.denominator * p.den for c, p in terms))
+    acc: dict[tuple[int, ...], int] = {}
+    for c, p in terms:
+        f = c.numerator * (den // (c.denominator * p.den))
+        for e, x in p.nums.items():
+            acc[e] = acc[e] + f * x if e in acc else f * x
+    return MultiPoly._over(vars, acc, den)
 
 
 def _mul_numerators(a: dict, b: dict) -> dict:
@@ -297,55 +317,7 @@ class MultiPoly:
         Variables without an explicit image must exist in the output
         variable tuple and map to themselves.
         """
-        if out_vars is None:
-            for img in images.values():
-                out_vars = img.vars
-                break
-            else:
-                out_vars = self.vars
-        out_vars = tuple(out_vars)
-        full: list[MultiPoly] = []
-        for v in self.vars:
-            if v in images:
-                img = images[v]
-                if img.vars != out_vars:
-                    raise VariableMismatch(
-                        f"image of {v!r} has vars {img.vars}, expected {out_vars}")
-                full.append(img)
-            else:
-                full.append(MultiPoly.var(out_vars, v))
-        # each image over its own denominator, its powers as numerators
-        snum = self.nums
-        dens = [img.den for img in full]
-        imgs = [img.nums for img in full]
-        tops = [max((e[i] for e in snum), default=0) for i in range(len(dens))]
-        unit = {(0,) * len(out_vars): 1}
-        pows = [[unit] for _ in dens]
-        # lifts[i][k] = den_i^(top_i - k) takes a term with x_i^k to the
-        # common denominator self.den * prod den_i^top_i
-        lifts = [[den ** (top - k) for k in range(top + 1)]
-                 for den, top in zip(dens, tops)]
-
-        def power(i: int, k: int) -> dict:
-            lst = pows[i]
-            while len(lst) <= k:
-                lst.append(_mul_numerators(lst[-1], imgs[i]))
-            return lst[k]
-
-        acc: dict[tuple[int, ...], int] = {}
-        for exp, c in snum.items():
-            term = unit
-            for i, k in enumerate(exp):
-                c *= lifts[i][k]
-                if k:
-                    term = (power(i, k) if term is unit
-                            else _mul_numerators(term, power(i, k)))
-            for e, t in term.items():
-                acc[e] = acc[e] + c * t if e in acc else c * t
-        den = self.den
-        for vden, top in zip(dens, tops):
-            den *= vden ** top
-        return MultiPoly._over(out_vars, acc, den)
+        return substitute_all([self], images, out_vars)[0]
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         missing = [v for v in self.vars if v not in point]
@@ -372,7 +344,10 @@ class MultiPoly:
         Long division on integer numerators: when a step's leading numerator
         is not a multiple of the divisor's, remainder and quotient are scaled
         by the missing cofactor, and the quotient is divided by the product
-        of those cofactors once, at the end."""
+        of those cofactors once, at the end.  Each step's leading exponent
+        is below the last one's, so the remainder's exponents wait in one
+        list sorted by (degree, exponent): a step pops the largest, and an
+        exponent that a step brings in is inserted in its place."""
         self._check(divisor)
         if divisor.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
@@ -381,34 +356,42 @@ class MultiPoly:
         # numerators: scale * self = quo * divisor + rem at every step; rem
         # is edited in place, so it starts as a copy of self.nums
         rem = dict(self.nums)
+        waiting = sorted(map(_grlex_key, rem))
         dnum = divisor.nums
         dexp = max(dnum, key=_grlex_key)
         dc = dnum[dexp]
-        dterms = dnum.items()
+        dterms = [(e, c) for e, c in dnum.items() if e != dexp]
         quo: dict[tuple[int, ...], int] = {}
         scale = 1
         while rem:
-            rexp = max(rem, key=_grlex_key)
+            rexp = waiting.pop()[1]
+            if rexp not in rem:     # it cancelled after it was inserted
+                continue
             qexp = tuple(map(sub, rexp, dexp))
             if any(e < 0 for e in qexp):
                 return None
-            q, r = divmod(rem[rexp], dc)
+            lead = rem.pop(rexp)
+            q, r = divmod(lead, dc)
             if r:
                 # scale by the cofactor that makes this step exact
-                f = abs(dc) // math.gcd(rem[rexp], dc)
+                f = abs(dc) // math.gcd(lead, dc)
                 rem = {e: c * f for e, c in rem.items()}
                 quo = {e: c * f for e, c in quo.items()}
                 scale *= f
-                q = rem[rexp] // dc
+                q = lead * f // dc
             quo[qexp] = q
-            # rem -= q x^qexp divisor, dropping what cancels
+            # rem -= q x^qexp divisor below the leading term, which cancels
             for e, c in dterms:
                 e = tuple(map(add, qexp, e))
-                r = rem[e] - q * c if e in rem else -q * c
-                if r:
-                    rem[e] = r
+                if e in rem:
+                    r = rem[e] - q * c
+                    if r:
+                        rem[e] = r
+                    else:
+                        del rem[e]
                 else:
-                    del rem[e]
+                    rem[e] = -q * c
+                    insort(waiting, _grlex_key(e))
         # self / divisor = (quo / scale) (divisor.den / self.den)
         return MultiPoly._over(self.vars,
                                {e: c * divisor.den for e, c in quo.items()},
@@ -459,6 +442,72 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self})"
+
+
+def substitute_all(polys: Iterable[MultiPoly], images: Mapping[str, MultiPoly],
+                   out_vars: tuple[str, ...] | None = None) -> list[MultiPoly]:
+    """MultiPoly.substitute of each polynomial (all over one variable tuple)
+    with the same images.  The powers of the images and the image of each
+    monomial are formed once, as numerators, and shared between them."""
+    polys = list(polys)
+    vars = polys[0].vars
+    if out_vars is None:
+        for img in images.values():
+            out_vars = img.vars
+            break
+        else:
+            out_vars = vars
+    out_vars = tuple(out_vars)
+    full: list[MultiPoly] = []
+    for v in vars:
+        if v in images:
+            img = images[v]
+            if img.vars != out_vars:
+                raise VariableMismatch(
+                    f"image of {v!r} has vars {img.vars}, expected {out_vars}")
+            full.append(img)
+        else:
+            full.append(MultiPoly.var(out_vars, v))
+    # each image over its own denominator, its powers as numerators
+    dens = [img.den for img in full]
+    imgs = [img.nums for img in full]
+    unit = {(0,) * len(out_vars): 1}
+    pows = [[unit] for _ in dens]
+    monos: dict[tuple[int, ...], dict] = {}
+
+    def image(exp: tuple[int, ...]) -> dict:
+        # numerators of the image of x^exp over prod den_i^exp_i
+        term = monos.get(exp)
+        if term is None:
+            term = unit
+            for i, k in enumerate(exp):
+                lst = pows[i]
+                while len(lst) <= k:
+                    lst.append(_mul_numerators(lst[-1], imgs[i]))
+                if k:
+                    term = lst[k] if term is unit else _mul_numerators(term, lst[k])
+            monos[exp] = term
+        return term
+
+    out = []
+    for p in polys:
+        if p.vars != vars:
+            raise VariableMismatch(f"{p.vars} vs {vars}")
+        # a term with x_i^k is lifted by den_i^(top_i - k) to the common
+        # denominator p.den * prod den_i^top_i
+        tops = [max((e[i] for e in p.nums), default=0) for i in range(len(dens))]
+        acc: dict[tuple[int, ...], int] = {}
+        for exp, c in p.nums.items():
+            for vden, top, k in zip(dens, tops, exp):
+                if vden != 1:
+                    c *= vden ** (top - k)
+            for e, t in image(exp).items():
+                acc[e] = acc[e] + c * t if e in acc else c * t
+        den = p.den
+        for vden, top in zip(dens, tops):
+            den *= vden ** top
+        out.append(MultiPoly._over(out_vars, acc, den))
+    return out
 
 
 def symmetric_reduce(p: MultiPoly, out_vars: tuple[str, str]) -> MultiPoly:

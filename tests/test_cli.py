@@ -377,3 +377,22 @@ def test_console_script_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dim"] > 1
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "bc2mvop", "verify", "weight",
+                           "--m", "3", "--a", "0", "--b", "0"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("7 passed, 0 failed, 0 reported\n")
+
+
+def test_verify_drops_each_points_gram_tables(capsys):
+    from bc2mvop import orthogonality
+    code, out, _ = run_cli(["verify", "orthogonality", "--m", "3", "--a", "1",
+                            "--b", "0,1", "--dmax", "1", "--numeric"], capsys)
+    assert code == 0 and "FAIL" not in out
+    # the Gram tables and matrices of both points are gone, the moments stay
+    assert orthogonality._weighted_moments.cache_info().currsize == 0
+    assert orthogonality._gram_cached.cache_info().currsize == 0
+    assert orthogonality.moment.cache_info().currsize > 0

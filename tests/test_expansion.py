@@ -17,7 +17,8 @@ from bc2mvop.expansion import (L_matrices, d_coeffs, d_recursion_check,
                                normalization_check, pde_check, pde_suite,
                                phi_expansion, phi_zero_check, poly_matrix_psi,
                                poly_matrix_x, transition_suite)
-from bc2mvop.lie import MsfLabel, PairParams
+from bc2mvop.casimir import lowering_moves
+from bc2mvop.lie import MsfLabel, PairParams, casimir_eigenvalue, labels_up_to
 from bc2mvop.matrices import frac_identity, frac_matmul
 from bc2mvop.poly import MultiPoly
 
@@ -95,6 +96,77 @@ def test_phi_expansion_degree_zero_reproduces_transition_rows():
                 assert got == want, (params, i, j)
 
 
+def _fraction_sweep(params, label):
+    """The triangular sweep in Fraction arithmetic, over labels keyed by
+    MsfLabel: the reference for the integer sweep of phi_expansion."""
+    nodes = sorted(((lab, casimir_eigenvalue(params, lab), lowering_moves(params, lab))
+                    for lab in labels_up_to(params, label.d1 + label.d2)),
+                   key=lambda t: (-t[1], t[0].i, t[0].d1, t[0].d2))
+    top = casimir_eigenvalue(params, label)
+    e = {label: F(1)}
+    acc = dict(lowering_moves(params, label))
+    for lab, c, moves in nodes:
+        if lab not in acc:
+            continue
+        coeff = acc.pop(lab) / (top - c)
+        if coeff == 0:
+            continue
+        e[lab] = coeff
+        for tgt, w in moves.items():
+            acc[tgt] = acc.get(tgt, 0) + coeff * w
+    assert not acc
+    total = sum(c * 2 ** lab.d1 for lab, c in e.items())
+    return {lab: c / total for lab, c in e.items()}
+
+
+@pytest.mark.parametrize("params", [PairParams(3, 0, 0), PairParams(3, 2, 0),
+                                    PairParams(4, 0, 3), PairParams(5, 3, 2),
+                                    PairParams(8, 1, 0), PairParams(8, 4, 1)],
+                         ids=lambda p: p.tag())
+def test_integer_sweep_matches_the_fraction_sweep(params):
+    for label in labels_up_to(params, 4):
+        got = phi_expansion(params, label)
+        want = _fraction_sweep(params, label)
+        # the same coefficients, in the same key order
+        assert list(got.items()) == list(want.items()), label
+        assert all(type(c) is F for c in got.values())
+
+
+def _run_optimized(script: str) -> subprocess.CompletedProcess:
+    """Run a script under python -O with the package from src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+_CORRUPTED_MOVE = """
+    import sys
+    from bc2mvop import expansion
+    from bc2mvop.lie import MsfLabel, PairParams
+
+    if not sys.flags.optimize:
+        sys.exit(3)
+    real = expansion.lowering_moves
+
+    def corrupted(params, label):
+        moves = dict(real(params, label))
+        if label == MsfLabel{source}:
+            moves[MsfLabel{target}] = 1
+        return moves
+
+    expansion.lowering_moves = corrupted
+    {patch}
+    try:
+        expansion.phi_expansion(PairParams{params}, MsfLabel{source})
+    except AssertionError as exc:
+        print(exc)
+        sys.exit(0)
+    sys.exit(1)
+"""
+
+
 @pytest.mark.parametrize("source, target, message", [
     # a move up, to a label outside the degree-1 graph
     pytest.param((0, 1, 0), (0, 2, 0), "does not lower the eigenvalue",
@@ -107,37 +179,21 @@ def test_phi_expansion_invariants_survive_optimized_mode(source, target,
                                                          message):
     # python -O strips bare asserts; a lowering move that breaks either
     # order must still stop the expansion
-    script = textwrap.dedent(f"""
-        import sys
-        from fractions import Fraction
-        from bc2mvop import expansion
-        from bc2mvop.lie import MsfLabel, PairParams
-
-        if not sys.flags.optimize:
-            sys.exit(3)
-        real = expansion.lowering_moves
-
-        def corrupted(params, label):
-            moves = dict(real(params, label))
-            if label == MsfLabel{source}:
-                moves[MsfLabel{target}] = Fraction(1)
-            return moves
-
-        expansion.lowering_moves = corrupted
-        try:
-            expansion.phi_expansion(PairParams(3, 1, 0), MsfLabel{source})
-        except AssertionError as exc:
-            print(exc)
-            sys.exit(0)
-        sys.exit(1)
-    """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _run_optimized(textwrap.dedent(_CORRUPTED_MOVE).format(
+        source=source, target=target, params=(3, 1, 0), patch=""))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert message in proc.stdout
+
+
+def test_move_out_of_the_graph_is_refused_in_optimized_mode():
+    # (3,0,0) -> (0,1,0) at a = 3 lowers the eigenvalue, and with the
+    # dominance test switched off it passes both checks, but its target has
+    # degree 1, outside the degree-0 graph: an AssertionError, not KeyError
+    proc = _run_optimized(textwrap.dedent(_CORRUPTED_MOVE).format(
+        source=(3, 0, 0), target=(0, 1, 0), params=(3, 3, 0),
+        patch="expansion.dominance_leq = lambda w1, w2: True"))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "leaves the degree-0 lowering graph" in proc.stdout
 
 
 def test_polynomials_have_unit_row_sums_at_identity():

@@ -206,6 +206,22 @@ def test_dominance_is_reflexive_and_antisymmetric(case):
     assert not dominance_leq(w, above + fundamental(w.m, 1))
 
 
+@given(st.integers(3, 7).flatmap(lambda m: st.tuples(
+    _weights(m), st.lists(st.integers(-1, 3), min_size=m + 1, max_size=m + 1),
+    st.integers(0, m + 1))))
+def test_dominance_reads_the_root_coordinates(case):
+    # w2 - w1 is an integer combination of simple roots, with negative
+    # steps drawn too, plus omega_j (j = 0 adds nothing), which makes some
+    # coordinates non-integral
+    w1, steps, j = case
+    w2 = w1 + fundamental(w1.m, j)
+    for n, alpha in zip(steps, _simple_roots(w1.m)):
+        w2 = w2 + alpha * n
+    coords = root_coordinates(w2 - w1)
+    assert dominance_leq(w1, w2) == all(c.denominator == 1 and c >= 0
+                                        for c in coords)
+
+
 @given(_weights(), _weights())
 def test_weights_of_different_rank_are_refused(w1, w2):
     if w1.m == w2.m:

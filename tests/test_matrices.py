@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, strategies as st
 
-from bc2mvop.matrices import (PolyMatrix, _echelon, conjugate_flip, flip_matrix, frac_det,
+from bc2mvop.matrices import (PolyMatrix, _echelon, _primitive_row, conjugate_flip,
+                              flip_matrix, frac_det,
                               frac_identity, frac_invert, frac_matmul, frac_rank,
                               solve_linear)
 from bc2mvop.poly import MultiPoly
@@ -339,3 +340,24 @@ def test_solve_and_invert_multiply_back(system):
         pytest.fail("inconsistent system solved")
     if solve_linear(A[:-1], b[:-1]) is not None:
         pytest.fail("underdetermined system solved")
+
+
+@given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3)
+                .filter(any), min_size=1, max_size=4))
+def test_int_rows_and_their_fraction_copies_agree(rows):
+    # an all-int row skips the denominators; its Fraction copy takes the
+    # lcm route, and both give the same primitive row, factors and rank
+    fracs = [[F(x) for x in row] for row in rows]
+    for row, frac in zip(rows, fracs):
+        assert _primitive_row(tuple(row)) == _primitive_row(tuple(frac))
+    assert frac_rank(rows) == frac_rank(fracs)
+
+
+@given(st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda s: st.tuples(
+        st.lists(_polys, min_size=s[0] * s[1], max_size=s[0] * s[1]).map(
+            lambda e: PolyMatrix(s[0], s[1], e)),
+        st.lists(_rank_fracs, min_size=s[0], max_size=s[0]))))
+def test_scale_rows_is_the_product_with_the_diagonal(case):
+    M, diag = case
+    assert M.scale_rows(diag) == PolyMatrix.diagonal(V, diag) @ M

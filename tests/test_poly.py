@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from bc2mvop.leading import PSI_VARS, X_VARS, psi_in_x, x_in_psi
-from bc2mvop.poly import MultiPoly, VariableMismatch, integer_view, symmetric_reduce
+from bc2mvop.poly import (MultiPoly, VariableMismatch, integer_view,
+                          linear_combination, substitute_all, symmetric_reduce)
 
 CV = ("c1", "c2")
 
@@ -171,6 +172,32 @@ def test_substitute_is_a_ring_homomorphism(p, q, images, c):
     point = {"psi1": F(2, 3), "psi2": F(-3, 5)}
     at_images = {v: img.evaluate(point) for v, img in images.items()}
     assert sub(p).evaluate(point) == p.evaluate(at_images)
+
+
+@given(_polys(coeffs=_wide_coeffs), _polys(), st.fixed_dictionaries(
+    {"c1": _polys(PSI_VARS, _wide_coeffs), "c2": _polys(PSI_VARS, _wide_coeffs)}))
+def test_substitute_all_matches_one_substitution_each(p, q, images):
+    # the shared powers and monomial images change no result
+    polys = [p, q, p * q, p]
+    assert substitute_all(polys, images, PSI_VARS) == [
+        f.substitute(images, PSI_VARS) for f in polys]
+
+
+@given(st.lists(st.tuples(st.one_of(st.integers(-4, 4), _wide_coeffs),
+                          _polys(coeffs=_wide_coeffs)), min_size=1, max_size=5))
+def test_linear_combination_matches_sums_of_products(terms):
+    want = MultiPoly.zero(CV)
+    for c, p in terms:
+        want = want + c * p
+    got = linear_combination(terms)
+    assert got == want
+    assert got.den >= 1 and gcd(got.den, *got.nums.values()) == 1
+    assert all(got.nums.values())
+
+
+def test_linear_combination_refuses_mixed_variables():
+    with pytest.raises(VariableMismatch):
+        linear_combination([(1, MultiPoly.one(CV)), (F(1, 2), MultiPoly.one(PSI_VARS))])
 
 
 # a quotient p = p_int / k and a divisor q = (k / j) q_int whose leading
