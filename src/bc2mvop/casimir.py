@@ -18,7 +18,8 @@ Three layers, increasingly packaged:
    ``MatrixDiffOp.change_vars_affine`` and nowhere else.  No stored
    x-coordinate coefficients are kept beside it.
 
-The radial-action checks all compare through ``_radial_mismatch``.  A stored
+The radial-action checks all compare through ``_radial_mismatch``, against
+expected vectors formed as one integer combination per component.  A stored
 reference closed form that disagrees with our construction is REPORTED, both
 sides printed, only while its documented relation holds; otherwise it FAILs.
 """

@@ -14,7 +14,9 @@ common denominator once, on its first application, and keeps them; the
 entries of F are rescaled to theirs on each call.  Each output entry is
 accumulated as one integer numerator per monomial, with derivatives taken
 as falling factorials of the exponents, over the product of the two
-denominators.  This relies on one condition: the coefficient matrices never
+denominators; the exponent pair (e1, e2) is packed into the one int
+e1 << 32 | e2 while it accumulates, so a product of monomials is one
+integer addition.  This relies on one condition: the coefficient matrices never
 change after construction (``coeffs`` is a read-only mapping of immutable
 PolyMatrix values), so the stored numerators stay the operator's own.
 """

@@ -6,7 +6,11 @@ The chain implemented here:
   leading-term rows, and the constant transition matrix they assemble into;
 * the triangular eigenfunction expansion for an arbitrary label, driven by
   the seven-move lowering table (each coefficient is forced by the eigenvalue
-  equation, denominators are differences of Casimir eigenvalues);
+  equation, denominators are differences of Casimir eigenvalues).  It runs
+  on integers: every eigenvalue is an integer over m+2 and every move
+  weight an int, so the sweep keeps int numerators over one implicit
+  common denominator and rescales them all only when an eigenvalue
+  difference does not divide the next coefficient;
 * the matrix polynomial family in (psi1, psi2) and in (x1, x2) built by
   grouping an expansion by bottom index;
 * the eigenvalue equation for the assembled operator family, in both
@@ -175,7 +179,7 @@ def _graph_node(params: PairParams, lab: MsfLabel):
     return num, MappingProxyType(moves)
 
 
-class LoweringGraph(NamedTuple):
+class _LoweringGraph(NamedTuple):
     """The labels of degree <= n in sweep order (descending eigenvalue, ties
     by (i, d1, d2)) and, by position: each label's eigenvalue numerator
     (m+2) c and its moves as (target position, int weight) pairs."""
@@ -186,7 +190,9 @@ class LoweringGraph(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _lowering_graph(params: PairParams, n: int) -> LoweringGraph:
+def _lowering_graph(params: PairParams, n: int) -> _LoweringGraph:
+    """The integer lowering graph of the labels of degree <= n; a move out
+    of it raises AssertionError."""
     nodes = sorted(((lab, *_graph_node(params, lab))
                     for lab in labels_up_to(params, n)),
                    key=lambda t: (-t[1], t[0].i, t[0].d1, t[0].d2))
@@ -197,7 +203,7 @@ def _lowering_graph(params: PairParams, n: int) -> LoweringGraph:
             if tgt not in position:
                 raise AssertionError(
                     f"move {lab} -> {tgt} leaves the degree-{n} lowering graph")
-    return LoweringGraph(labels, MappingProxyType(position),
+    return _LoweringGraph(labels, MappingProxyType(position),
                          tuple(num for _, num, _ in nodes),
                          tuple(tuple((position[t], w) for t, w in moves.items())
                                for _, _, moves in nodes))

@@ -241,8 +241,8 @@ def _primitive_row(row: Sequence[Fraction]) -> tuple[tuple[int, ...], int, int]:
     the coprime integers ints is positive.  A row of ints is its own
     product, with p = 1."""
     try:
-        ints, den = row, 1
         g = math.gcd(*row)      # a TypeError unless every entry is an int
+        ints, den = row, 1
     except TypeError:
         den = math.lcm(*map(operator.attrgetter("denominator"), row))
         ints = [x.numerator * (den // x.denominator) for x in row]

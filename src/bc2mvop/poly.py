@@ -27,6 +27,11 @@ stay non-negative).
 No routine mutates a stored `nums`: every result is a new dict, and a kernel
 that edits a working dict in place (the remainder of `divide_exact`) copies
 it first.  `integer_view` also hands out new dicts, never `p.nums` itself.
+
+Two module functions work on many polynomials at once: `linear_combination`
+sums scalar multiples as one integer combination over one denominator, and
+`substitute_all` composes polynomials with the same images, sharing the
+powers of the images and the image of each monomial between them.
 """
 
 from __future__ import annotations
