@@ -26,9 +26,9 @@ immutable.  A Gram matrix G(d, d') = int R_d S R_d'^T reads one table per
 parameter point and degree d', `_weighted_moments`: the integrals of
 x^e (S R_d'^T)_kj for every e with e1 + e2 <= |d'|.  For |d| <= |d'| each
 entry of G is one integer dot product of R_d's coefficients with it; for
-|d| > |d'|, G is the transpose of G(d', d), as S is symmetric.  Tables and
-Gram matrices are cached until `drop_point_tables`, which `verify` calls
-when it leaves a point.  Both routes
+|d| > |d'|, G is the transpose of G(d', d), as S is symmetric.  The tables
+are cached until `drop_point_tables`, which `verify` calls when it leaves a
+point.  Both routes
 contract integer numerators over one common denominator per matrix or set
 of moments, so each integral or Gram entry is one Fraction.
 
@@ -201,11 +201,12 @@ def _gram_cached(params: PairParams, d: tuple[int, int],
 
 
 def drop_point_tables():
-    """Empty the Gram tables and matrices of every parameter point; the
-    per-(m, b) moments stay.  `verify` calls it when it leaves a point,
-    which it never returns to."""
+    """Empty the Gram tables of every parameter point; `verify` calls it
+    when it leaves a point, which it never returns to.  The per-(m, b)
+    moments stay, and so do the Gram matrices: perfbench reads the hit and
+    miss counts of `_gram_cached` at the end of a run, and a clear would
+    reset them."""
     _weighted_moments.cache_clear()
-    _gram_cached.cache_clear()
 
 
 def gram(params: PairParams, d: tuple[int, int],
