@@ -380,13 +380,6 @@ def shift_matrix(params: PairParams) -> PolyMatrix:
     return PolyMatrix.from_scalar_rows(PSI_VARS, rows)
 
 
-def lambda_d_matrix(params: PairParams, d: tuple[int, int],
-                    vars: tuple[str, str]) -> PolyMatrix:
-    diag = [casimir_eigenvalue(params, MsfLabel(i, d[0], d[1]))
-            for i in range(params.size)]
-    return PolyMatrix.diagonal(vars, diag)
-
-
 @lru_cache(maxsize=None)
 def pde_operator_psi(params: PairParams) -> MatrixDiffOp:
     """Right-acting operator E with E(Q_d) = Lambda_d Q_d:
@@ -395,11 +388,12 @@ def pde_operator_psi(params: PairParams) -> MatrixDiffOp:
     """
     n = params.size
     c1m, c2m = conjugation_matrices(params)
+    lambda0 = PolyMatrix.diagonal(PSI_VARS, [
+        casimir_eigenvalue(params, MsfLabel(i, 0, 0)) for i in range(n)])
     first = MatrixDiffOp(PSI_VARS, {
         (1, 0): c1m.scale(Fraction(-1)),
         (0, 1): c2m.scale(Fraction(-1)),
-        (0, 0): (lambda_d_matrix(params, (0, 0), PSI_VARS)
-                 + shift_matrix(params)),
+        (0, 0): lambda0 + shift_matrix(params),
     })
     return scalar_radial_psi(params.m).lift(n) + first
 

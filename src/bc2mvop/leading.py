@@ -82,15 +82,15 @@ def leading_term(params: PairParams, i: int, k: int) -> MultiPoly:
     a, b = params.a, params.b
     if not (0 <= i <= a and 0 <= k <= a):
         raise ValueError(f"indices ({i},{k}) out of range 0..{a}")
-    c1 = MultiPoly.var(C_VARS, "c1")
-    c2 = MultiPoly.var(C_VARS, "c2")
-    diff = c2 * c2 - c1 * c1
-    acc = MultiPoly.zero(C_VARS)
+    terms: dict[tuple[int, int], Fraction] = {}
     for p in range(min(i, k) + 1):
         coeff = poch(Fraction(-i), p) * poch(Fraction(-k), p) \
             / (factorial(p) * poch(Fraction(-a), p))
-        acc = acc + coeff * (diff ** p) * (c2 ** (b + 2 * i + k - 2 * p))
-    return (c1 ** (a + b - k)) * acc
+        # c1^(a+b-k) (c2^2 - c1^2)^p c2^(b+2i+k-2p), expanded binomially
+        for j in range(p + 1):
+            e = (a + b - k + 2 * j, b + 2 * i + k - 2 * j)
+            terms[e] = terms.get(e, 0) + (-1) ** j * comb(p, j) * coeff
+    return MultiPoly(C_VARS, terms)
 
 
 @lru_cache(maxsize=None)
