@@ -254,16 +254,17 @@ def test_verify_deterministic_bytes(tmp_path, capsys):
 
 
 # sha256 of suite reports, pinned byte for byte: the casimir, pde and
-# orthogonality suites on a 2x2x2 grid at dmax 2, the indecomposability
-# suite on the default grid, and the orthogonality, casimir and pde suites
-# on the default grid at dmax 3 (keys "orthogonality-dmax3",
-# "casimir-dmax3", "pde-dmax3").  Any change to the radial operator,
+# orthogonality suites on a 2x2x2 grid at dmax 2, the weight and
+# indecomposability suites on the default grid, and the orthogonality,
+# casimir and pde suites on the default grid at dmax 3 (keys
+# "orthogonality-dmax3", "casimir-dmax3", "pde-dmax3").  Any change to the radial operator,
 # the triangular expansion, the Gram integrals or the exact rank that alters
 # a single line, a count or a REPORTED detail shows here
 SMALL_GRID = ["--m", "3,5", "--a", "1,3", "--b", "0,2", "--dmax", "2"]
 REPORT_GRIDS = {"casimir": ("casimir", SMALL_GRID),
                 "pde": ("pde", SMALL_GRID),
                 "orthogonality": ("orthogonality", SMALL_GRID),
+                "weight": ("weight", []),
                 "indecomposable": ("indecomposable", []),
                 "orthogonality-dmax3": ("orthogonality", ["--dmax", "3"]),
                 "casimir-dmax3": ("casimir", ["--dmax", "3"]),
@@ -283,6 +284,10 @@ REPORT_DIGESTS = {
         "0328e6d8222c404f851b85c86ae948e954ea08ef47fe3125c4db1f22677620bb",
     ("orthogonality", "json"):
         "a8526e973e32b4ad89f2911fcbcd291a2ad202724bf15d548bb730a7d23fa015",
+    ("weight", "text"):
+        "533a03d6340c41528c265e8b5f7be8367ea6a05b550c1c489dda175b1b15bbbe",
+    ("weight", "json"):
+        "3c27a39a318c37253464b51ec9f61894ec64658324bedad55c935e729b56a5a7",
     ("indecomposable", "text"):
         "0c0003c47284fae6c48743f19ca0b66576898088dc3c6ad08f5270c8dbcb2716",
     ("indecomposable", "json"):
