@@ -22,6 +22,11 @@ The radial-action checks all compare through ``_radial_mismatch``, against
 expected vectors formed as one integer combination per component.  A stored
 reference closed form that disagrees with our construction is REPORTED, both
 sides printed, only while its documented relation holds; otherwise it FAILs.
+
+Within one `verify` run, whose table of verdicts lives for that run only,
+``casimir_suite`` decides the two scalar radial checks once per m and the
+defining identity of (C1, C2), a verdict of (a, b), once per (a, b); the
+other checks read the whole point.  A direct call decides afresh.
 """
 
 from __future__ import annotations
@@ -30,14 +35,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .diffop import MatrixDiffOp
-from .leading import (C_VARS, PSI_VARS, X_VARS, leading_term_matrix, psi_in_c,
-                      psi_in_x)
+from .leading import (C_VARS, PSI_VARS, X_VARS, at_point, k_type,
+                      leading_term_matrix, psi_in_c, psi_in_x)
 from .lie import (MsfLabel, PairParams, casimir_eigenvalue,
                   casimir_eigenvalue_ip, check_label, degree_pairs,
                   label_weight, labels_up_to)
 from .matrices import PolyMatrix, solve_linear
 from .poly import MultiPoly, linear_combination
-from .report import CheckResult, FAIL, PASS, REPORTED
+from .report import CheckResult, FAIL, PASS, REPORTED, decide
 
 
 @lru_cache(maxsize=None)
@@ -353,23 +358,28 @@ def conjugation_matrices(params: PairParams) -> tuple[PolyMatrix, PolyMatrix]:
     return PolyMatrix.from_rows(rows1), PolyMatrix.from_rows(rows2)
 
 
-def gradient_pairing_check(params: PairParams) -> CheckResult:
+def gradient_pairing_verdict(a: int, b: int) -> CheckResult:
     """Defining identity of (C1, C2): pairing the torus gradients of the
     symmetric coordinates with the gradient of Q0 equals C_i Q0."""
-    name = f"conjugation matrix defining identity {params.tag()}"
+    name = "conjugation matrix defining identity"
     c1, c2, one = _c_atoms()
-    q0 = leading_term_matrix(params)
+    point = k_type(a, b)
+    q0 = leading_term_matrix(point)
+    cm1, cm2 = conjugation_matrices(point)
     w1 = (2 * c1 * (one - c1 * c1), 2 * c2 * (one - c2 * c2))
     w2 = (w1[0] * c2 * c2, w1[1] * c1 * c1)
     pc = psi_in_c()
-    for tag_i, weights, cmat in (("first", w1, conjugation_matrices(params)[0]),
-                                 ("second", w2, conjugation_matrices(params)[1])):
+    for tag_i, weights, cmat in (("first", w1, cm1), ("second", w2, cm2)):
         lhs = q0.map_entries(lambda e: weights[0] * e.derive("c1")
                              + weights[1] * e.derive("c2"))
         rhs = cmat.substitute(pc, C_VARS) @ q0
         if lhs != rhs:
             return CheckResult(name, FAIL, f"{tag_i} coordinate pairing fails")
     return CheckResult(name, PASS)
+
+
+def gradient_pairing_check(params: PairParams) -> CheckResult:
+    return at_point(gradient_pairing_verdict, params)
 
 
 def shift_matrix(params: PairParams) -> PolyMatrix:
@@ -536,13 +546,17 @@ def xi_suite(m: int) -> list[CheckResult]:
     return out
 
 
-def casimir_suite(params: PairParams, dmax: int = 2) -> list[CheckResult]:
+def casimir_suite(params: PairParams, dmax: int = 2,
+                  verdicts: dict | None = None) -> list[CheckResult]:
+    """The Casimir checks at one point; within ``verdicts`` the scalar
+    radial checks are decided once per m and the (C1, C2) identity once
+    per (a, b)."""
     return [
-        scalar_eigen_check(params.m),
-        scalar_radial_agreement_check(params.m),
+        decide(verdicts, scalar_eigen_check, params.m),
+        decide(verdicts, scalar_radial_agreement_check, params.m),
         eigenvalue_agreement_check(params, dmax),
         bottom_lowering_check(params),
         general_lowering_check(params, dmax),
         reference_table_comparison(params, dmax),
-        gradient_pairing_check(params),
+        at_point(gradient_pairing_verdict, params, verdicts),
     ]

@@ -105,30 +105,38 @@ def _write(text: str, out: str | None):
 
 def _verify_results(args, grid: list[PairParams]):
     """The selected suites' results: Krawtchouk, then each grid point, then
-    each distinct m."""
+    each distinct m.
+
+    Every point prints each of its lines, but a check that reads less than
+    the whole point is decided once: the weight, positivity,
+    indecomposability and (C1, C2) checks once per (a, b), and the two
+    scalar radial checks of the Casimir suite once per m.  ``verdicts``
+    holds those decisions for this run only, so a later run in the same
+    process decides afresh."""
     want = lambda s: args.suite in ("all", s)
     dmax = 2 if args.dmax is None else args.dmax
+    verdicts = {}
     results = []
     if want("krawtchouk"):
         results += standard_suite(6 if args.N is None else args.N,
                                   tuple(args.p) if args.p else STANDARD_PS)
     for q in grid:
         if want("weight"):
-            results += leading.weight_suite(q)
+            results += leading.weight_suite(q, verdicts)
         if want("casimir"):
-            results += casimir.casimir_suite(q, dmax)
+            results += casimir.casimir_suite(q, dmax, verdicts)
         if want("transition"):
             results += expansion.transition_suite(q)
         if want("pde"):
             results += expansion.pde_suite(q, dmax)
         if want("orthogonality"):
-            results.append(orthogonality.positivity_check(q))
+            results.append(orthogonality.positivity_check(q, verdicts))
             results += orthogonality.orthogonality_suite(q, dmax)
             if args.numeric:
                 results += orthogonality.numeric_suite(q, dmax)
             orthogonality.drop_point_tables()
         if want("indecomposable"):
-            results += orthogonality.indecomposability_suite(q)
+            results += orthogonality.indecomposability_suite(q, verdicts)
         if want("duality"):
             results += expansion.duality_suite(q, dmax)
     for m in dict.fromkeys(q.m for q in grid):

@@ -17,12 +17,19 @@ The size-(a+1) leading-term matrix Q0 has (i,k) entry
 
 a terminating hypergeometric sum.  The weight matrix is S = Q0 Q0^T,
 which is symmetric in c1 <-> c2 entrywise and so pushes down to psi.
+
+Q0 and S read the K-type (a, b) alone, never m.  So Q0 and S in c, psi
+and x are cached on (a, b): every m shares one object.  Each check of
+`weight_suite` is a verdict function of (a, b), and `at_point` gives its
+line at one point under the point's tag.  Within one `verify` run, whose
+table of verdicts lives for that run only, each verdict is decided once
+per (a, b); a direct call of a `*_check` decides afresh.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import comb, factorial
 from types import MappingProxyType
 from typing import Mapping
@@ -31,7 +38,7 @@ from .krawtchouk import krawtchouk, poch
 from .lie import PairParams
 from .matrices import PolyMatrix, flip_matrix
 from .poly import MultiPoly, symmetric_reduce
-from .report import CheckResult, FAIL, PASS
+from .report import CheckResult, FAIL, PASS, decide
 
 C_VARS = ("c1", "c2")
 PSI_VARS = ("psi1", "psi2")
@@ -69,6 +76,32 @@ def x_in_c() -> Mapping[str, MultiPoly]:
                              for name, poly in x_in_psi().items()})
 
 
+def k_type(a: int, b: int) -> PairParams:
+    """The point that stands for every point of K-type (a, b) in what reads
+    a and b alone: the leading terms, the weight and the checks on them.
+    Any m would do; this is the smallest, 3."""
+    return PairParams(3, a, b)
+
+
+def _per_k_type(build):
+    """build(params), cached on (a, b) alone so that every m shares one
+    object; ``cache_info`` and ``cache_clear`` are those of the cache."""
+    cached = lru_cache(maxsize=None)(lambda a, b: build(k_type(a, b)))
+
+    @wraps(build)
+    def shared(params: PairParams):
+        return cached(params.a, params.b)
+    shared.cache_info, shared.cache_clear = cached.cache_info, cached.cache_clear
+    return shared
+
+
+def at_point(verdict, params: PairParams,
+             verdicts: dict | None = None) -> CheckResult:
+    """The line of a check that reads (a, b) alone: verdict(a, b) under the
+    tag of the point, decided once per (a, b) within ``verdicts``."""
+    return decide(verdicts, verdict, params.a, params.b).tagged(params.tag())
+
+
 def _require_weight_regime(params: PairParams):
     if params.b < 0:
         raise ValueError(
@@ -93,7 +126,7 @@ def leading_term(params: PairParams, i: int, k: int) -> MultiPoly:
     return MultiPoly(C_VARS, terms)
 
 
-@lru_cache(maxsize=None)
+@_per_k_type
 def leading_term_matrix(params: PairParams) -> PolyMatrix:
     """Q0: row i, column k, size (a+1) x (a+1)."""
     n = params.size
@@ -101,19 +134,19 @@ def leading_term_matrix(params: PairParams) -> PolyMatrix:
         [[leading_term(params, i, k) for k in range(n)] for i in range(n)])
 
 
-@lru_cache(maxsize=None)
+@_per_k_type
 def weight_matrix_c(params: PairParams) -> PolyMatrix:
     q0 = leading_term_matrix(params)
     return q0 @ q0.transpose()
 
 
-@lru_cache(maxsize=None)
+@_per_k_type
 def weight_matrix_psi(params: PairParams) -> PolyMatrix:
     s = weight_matrix_c(params)
     return s.map_entries(lambda p: symmetric_reduce(p, PSI_VARS))
 
 
-@lru_cache(maxsize=None)
+@_per_k_type
 def weight_matrix_x(params: PairParams) -> PolyMatrix:
     return weight_matrix_psi(params).substitute(psi_in_x(), X_VARS)
 
@@ -184,62 +217,63 @@ def x_reference_matrix(a: int) -> PolyMatrix | None:
     return PolyMatrix.from_rows(rows)
 
 
-def all_ones_check(params: PairParams) -> CheckResult:
+def all_ones_verdict(a: int, b: int) -> CheckResult:
     """Q0 at c1 = c2 = 1 must be the all-ones matrix."""
-    name = f"leading terms at identity point {params.tag()}"
-    vals = leading_term_matrix(params).evaluate({"c1": Fraction(1), "c2": Fraction(1)})
+    name = "leading terms at identity point"
+    vals = leading_term_matrix(k_type(a, b)).evaluate(
+        {"c1": Fraction(1), "c2": Fraction(1)})
     bad = [(i, k) for i, row in enumerate(vals) for k, v in enumerate(row) if v != 1]
     if bad:
         return CheckResult(name, FAIL, f"entries {bad} differ from 1")
     return CheckResult(name, PASS)
 
 
-def swap_symmetry_check(params: PairParams) -> CheckResult:
+def swap_symmetry_verdict(a: int, b: int) -> CheckResult:
     """Swapping c1 <-> c2 reverses the column order of Q0."""
-    name = f"leading term reflection symmetry {params.tag()}"
-    q0 = leading_term_matrix(params)
+    name = "leading term reflection symmetry"
+    q0 = leading_term_matrix(k_type(a, b))
     swapped = q0.substitute(
         {"c1": MultiPoly.var(C_VARS, "c2"), "c2": MultiPoly.var(C_VARS, "c1")},
         C_VARS)
-    if swapped == q0 @ flip_matrix(params.size, C_VARS):
+    if swapped == q0 @ flip_matrix(a + 1, C_VARS):
         return CheckResult(name, PASS)
     return CheckResult(name, FAIL, "Q0(c2,c1) != Q0 J")
 
 
-def weight_factor_check(params: PairParams) -> CheckResult:
+def weight_factor_verdict(a: int, b: int) -> CheckResult:
     """S at (a,b) equals (c1 c2)^(2b) times S at (a,0)."""
-    name = f"weight matrix b-factorization {params.tag()}"
-    base = PairParams(params.m, params.a, 0)
-    factor = (MultiPoly.var(C_VARS, "c1") * MultiPoly.var(C_VARS, "c2")) ** (2 * params.b)
-    if weight_matrix_c(params) == weight_matrix_c(base).scale(factor):
+    name = "weight matrix b-factorization"
+    factor = (MultiPoly.var(C_VARS, "c1") * MultiPoly.var(C_VARS, "c2")) ** (2 * b)
+    if weight_matrix_c(k_type(a, b)) == weight_matrix_c(k_type(a, 0)).scale(factor):
         return CheckResult(name, PASS)
     return CheckResult(name, FAIL, "factorization fails")
 
 
-def determinant_check(params: PairParams) -> CheckResult:
-    name = f"weight matrix determinant {params.tag()}"
-    got = weight_matrix_c(params).det()
-    want = det_reference_c(params)
+def determinant_verdict(a: int, b: int) -> CheckResult:
+    name = "weight matrix determinant"
+    point = k_type(a, b)
+    got = weight_matrix_c(point).det()
+    want = det_reference_c(point)
     if got == want:
         return CheckResult(name, PASS, f"degree {got.total_degree()}")
     return CheckResult(name, FAIL, f"det S - closed form = {got - want}")
 
 
-def psi_consistency_check(params: PairParams) -> CheckResult:
+def psi_consistency_verdict(a: int, b: int) -> CheckResult:
     """Pushing the psi-form back through psi(c) recovers S in c."""
-    name = f"weight matrix symmetric reduction {params.tag()}"
-    back = weight_matrix_psi(params).substitute(psi_in_c(), C_VARS)
-    if back == weight_matrix_c(params):
+    name = "weight matrix symmetric reduction"
+    point = k_type(a, b)
+    back = weight_matrix_psi(point).substitute(psi_in_c(), C_VARS)
+    if back == weight_matrix_c(point):
         return CheckResult(name, PASS)
     return CheckResult(name, FAIL, "round trip through psi failed")
 
 
-def homogeneity_check(params: PairParams) -> CheckResult:
+def homogeneity_verdict(a: int, b: int) -> CheckResult:
     """q(i,k) is homogeneous of degree a+2b+2i with both exponents of
     fixed parity: c1 carries a+b-k mod 2 and c2 carries b+k mod 2."""
-    name = f"leading term homogeneity and parity {params.tag()}"
-    a, b = params.a, params.b
-    q0 = leading_term_matrix(params)
+    name = "leading term homogeneity and parity"
+    q0 = leading_term_matrix(k_type(a, b))
     bad = []
     for i in range(a + 1):
         for k in range(a + 1):
@@ -253,7 +287,7 @@ def homogeneity_check(params: PairParams) -> CheckResult:
     return CheckResult(name, PASS)
 
 
-def krawtchouk_route_check(params: PairParams) -> CheckResult:
+def krawtchouk_route_verdict(a: int, b: int) -> CheckResult:
     """Second route to q(i,k): a Krawtchouk value with rational parameter.
 
     q(i,k) = c1^(a+b-k) c2^(b+2i+k) K_i(k; p, a) at p = c2^2/(c2^2 - c1^2).
@@ -264,10 +298,9 @@ def krawtchouk_route_check(params: PairParams) -> CheckResult:
     agreement at c1 = 2, 3, ..., D+2 is an exact identity.  The Krawtchouk
     value is taken at Fraction parameters, never expanded as a polynomial.
     """
-    name = f"leading term hypergeometric route {params.tag()}"
-    a, b = params.a, params.b
+    name = "leading term hypergeometric route"
     one = Fraction(1)
-    q0 = leading_term_matrix(params)
+    q0 = leading_term_matrix(k_type(a, b))
     for i in range(a + 1):
         for k in range(a + 1):
             q = q0.entry(i, k)
@@ -284,30 +317,57 @@ def krawtchouk_route_check(params: PairParams) -> CheckResult:
     return CheckResult(name, PASS)
 
 
-def reference_matrix_check(params: PairParams) -> CheckResult:
+def reference_matrix_verdict(a: int, b: int) -> CheckResult:
     """Computed S against the stored size-2/size-3 displays (both forms)."""
-    name = f"weight matrix stored displays {params.tag()}"
-    ref_psi = psi_reference_matrix(params.a, params.b)
+    name = "weight matrix stored displays"
+    ref_psi = psi_reference_matrix(a, b)
     if ref_psi is None:
         return CheckResult(name, PASS, "no stored display at this size")
-    if weight_matrix_psi(params) != ref_psi:
+    if weight_matrix_psi(k_type(a, b)) != ref_psi:
         return CheckResult(name, FAIL, "psi-form differs from the stored matrix")
-    base = PairParams(params.m, params.a, 0)
-    if weight_matrix_x(base) != x_reference_matrix(params.a):
+    if weight_matrix_x(k_type(a, 0)) != x_reference_matrix(a):
         return CheckResult(name, FAIL, "x-form at b=0 differs from the stored matrix")
     return CheckResult(name, PASS)
 
 
-def weight_suite(params: PairParams) -> list[CheckResult]:
-    out = [
-        all_ones_check(params),
-        homogeneity_check(params),
-        swap_symmetry_check(params),
-        krawtchouk_route_check(params),
-        weight_factor_check(params),
-        psi_consistency_check(params),
-        determinant_check(params),
-    ]
+def all_ones_check(params: PairParams) -> CheckResult:
+    return at_point(all_ones_verdict, params)
+
+
+def swap_symmetry_check(params: PairParams) -> CheckResult:
+    return at_point(swap_symmetry_verdict, params)
+
+
+def weight_factor_check(params: PairParams) -> CheckResult:
+    return at_point(weight_factor_verdict, params)
+
+
+def determinant_check(params: PairParams) -> CheckResult:
+    return at_point(determinant_verdict, params)
+
+
+def psi_consistency_check(params: PairParams) -> CheckResult:
+    return at_point(psi_consistency_verdict, params)
+
+
+def homogeneity_check(params: PairParams) -> CheckResult:
+    return at_point(homogeneity_verdict, params)
+
+
+def krawtchouk_route_check(params: PairParams) -> CheckResult:
+    return at_point(krawtchouk_route_verdict, params)
+
+
+def reference_matrix_check(params: PairParams) -> CheckResult:
+    return at_point(reference_matrix_verdict, params)
+
+
+def weight_suite(params: PairParams, verdicts: dict | None = None) -> list[CheckResult]:
+    """The weight checks at one point, each decided once per (a, b) within
+    ``verdicts``."""
+    checks = [all_ones_verdict, homogeneity_verdict, swap_symmetry_verdict,
+              krawtchouk_route_verdict, weight_factor_verdict,
+              psi_consistency_verdict, determinant_verdict]
     if params.a in (1, 2):
-        out.append(reference_matrix_check(params))
-    return out
+        checks.append(reference_matrix_verdict)
+    return [at_point(verdict, params, verdicts) for verdict in checks]

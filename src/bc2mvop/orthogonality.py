@@ -49,8 +49,8 @@ from collections import defaultdict
 from fractions import Fraction
 
 from .expansion import poly_matrix_x
-from .leading import (C_VARS, X_VARS, weight_matrix_c, weight_matrix_x,
-                      det_reference_c, x_in_c)
+from .leading import (C_VARS, X_VARS, at_point, det_reference_c, k_type,
+                      weight_matrix_c, weight_matrix_x, x_in_c)
 from .lie import (MsfLabel, PairParams, degree_pair, degree_pairs,
                   label_weight, weyl_dim)
 from .matrices import PolyMatrix, frac_det, frac_rank
@@ -308,35 +308,41 @@ _INTERIOR = [(Fraction(1, 2), Fraction(1, 3)),
              (Fraction(9, 10), Fraction(1, 7))]
 
 
-def positivity_check(params: PairParams) -> CheckResult:
+def positivity_verdict(a: int, b: int) -> CheckResult:
     """Leading principal minors of the weight matrix are positive at interior
     sample points; the determinant vanishes on the boundary pieces carried by
     its closed-form factors."""
-    name = f"weight positivity on the region {params.tag()}"
-    s = weight_matrix_c(params)
+    name = "weight positivity on the region"
+    s = weight_matrix_c(k_type(a, b))
     n = s.rows
     for (v1, v2) in _INTERIOR:
-        point = {"c1": v1, "c2": v2}
-        vals = s.evaluate(point)
+        vals = s.evaluate({"c1": v1, "c2": v2})
         for k in range(1, n + 1):
             minor = frac_det([row[:k] for row in vals[:k]])
             if minor <= 0:
                 return CheckResult(name, FAIL,
                                    f"minor {k} at c=({v1},{v2}) is {minor}")
     detail = f"{len(_INTERIOR)} interior points, {n} minors each"
-    dref = det_reference_c(params)
+    dref = det_reference_c(k_type(a, b))
     # boundary components present in the determinant's closed form
-    if params.a >= 1:
+    if a >= 1:
         onpar = dref.evaluate({"c1": Fraction(1, 2), "c2": Fraction(1, 2)})
         if onpar != 0:
             return CheckResult(name, FAIL, f"determinant {onpar} on c1=c2")
         detail += "; determinant vanishes on the parabola component"
-    if params.a >= 1 or params.b >= 1:
+    if a >= 1 or b >= 1:
         online = dref.evaluate({"c1": Fraction(1, 2), "c2": Fraction(0)})
         if online != 0:
             return CheckResult(name, FAIL, f"determinant {online} on c2=0")
         detail += " and on the c2=0 line"
     return CheckResult(name, PASS, detail)
+
+
+def positivity_check(params: PairParams,
+                     verdicts: dict | None = None) -> CheckResult:
+    """The positivity line at one point, decided once per (a, b) within
+    ``verdicts``."""
+    return at_point(positivity_verdict, params, verdicts)
 
 
 def indecomposability_check(params: PairParams) -> tuple[int, int]:
@@ -373,13 +379,18 @@ def indecomposability_check(params: PairParams) -> tuple[int, int]:
     return dim_comm, dim_sym + dim_anti
 
 
-def indecomposability_suite(params: PairParams) -> list[CheckResult]:
-    name = f"weight indecomposability {params.tag()}"
-    comm, real = indecomposability_check(params)
+def indecomposability_verdict(a: int, b: int) -> CheckResult:
+    name = "weight indecomposability"
+    comm, real = indecomposability_check(k_type(a, b))
     if (comm, real) == (1, 1):
-        return [CheckResult(name, PASS, "commutant and real pair space are "
-                                        "both one-dimensional")]
-    return [CheckResult(name, FAIL, f"dimensions ({comm}, {real}), expected (1, 1)")]
+        return CheckResult(name, PASS, "commutant and real pair space are "
+                                       "both one-dimensional")
+    return CheckResult(name, FAIL, f"dimensions ({comm}, {real}), expected (1, 1)")
+
+
+def indecomposability_suite(params: PairParams,
+                            verdicts: dict | None = None) -> list[CheckResult]:
+    return [at_point(indecomposability_verdict, params, verdicts)]
 
 
 # ---- floating-point cross-check ----

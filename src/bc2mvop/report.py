@@ -14,7 +14,7 @@ Three outcomes:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -34,6 +34,10 @@ class CheckResult:
         if self.status not in _STATUSES:
             raise ValueError(f"bad status {self.status!r}")
 
+    def tagged(self, tag: str) -> CheckResult:
+        """The same verdict under the name "<name> <tag>"."""
+        return replace(self, name=f"{self.name} {tag}")
+
     @property
     def ok(self) -> bool:
         """True unless the status is FAIL."""
@@ -49,6 +53,17 @@ class CheckResult:
         if extra:
             d["data"] = extra
         return d
+
+
+def decide(verdicts: dict | None, verdict, *key) -> CheckResult:
+    """verdict(*key), decided once per (verdict, key) within ``verdicts``,
+    the table of one run, and read from it after that; with no table it is
+    decided afresh."""
+    if verdicts is None:
+        return verdict(*key)
+    if (verdict, key) not in verdicts:
+        verdicts[verdict, key] = verdict(*key)
+    return verdicts[verdict, key]
 
 
 def render_text(results: list[CheckResult]) -> str:

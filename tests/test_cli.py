@@ -4,14 +4,17 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from bc2mvop import cli
-from bc2mvop.leading import weight_matrix_psi, weight_matrix_x
+from bc2mvop import casimir, cli, leading, orthogonality
+from bc2mvop.diffop import MatrixDiffOp
+from bc2mvop.leading import C_VARS, weight_matrix_psi, weight_matrix_x
 from bc2mvop.expansion import poly_matrix_x
 from bc2mvop.lie import PairParams
 from bc2mvop.matrices import PolyMatrix
+from bc2mvop.poly import MultiPoly
 
 
 def run_cli(argv, capsys):
@@ -403,3 +406,54 @@ def test_verify_drops_each_points_gram_tables(capsys):
     assert orthogonality._weighted_moments.cache_info().currsize == 0
     assert orthogonality.moment.cache_info().currsize > 0
     assert orthogonality._gram_cached.cache_info().hits > grams.hits
+
+
+# the verdict functions of the checks that read (a, b) alone, and the two
+# Casimir checks that read m alone
+K_TYPE_VERDICTS = [(leading, name) for name in (
+    "all_ones_verdict", "homogeneity_verdict", "swap_symmetry_verdict",
+    "krawtchouk_route_verdict", "weight_factor_verdict",
+    "psi_consistency_verdict", "determinant_verdict",
+    "reference_matrix_verdict")] + [
+    (orthogonality, "positivity_verdict"),
+    (orthogonality, "indecomposability_verdict"),
+    (casimir, "gradient_pairing_verdict")]
+M_CHECKS = [(casimir, "scalar_eigen_check"),
+            (casimir, "scalar_radial_agreement_check")]
+
+
+def test_verify_decides_each_check_once_per_parameters_it_reads(monkeypatch,
+                                                               capsys):
+    calls = Counter()
+    for module, name in K_TYPE_VERDICTS + M_CHECKS:
+        def spy(*key, real=getattr(module, name), name=name):
+            calls[name, key] += 1
+            return real(*key)
+        monkeypatch.setattr(module, name, spy)
+    once = Counter({(name, ab): 1 for _, name in K_TYPE_VERDICTS
+                    for ab in ((1, 0), (1, 1), (2, 0), (2, 1))})
+    once.update({(name, (m,)): 1 for _, name in M_CHECKS for m in (3, 4)})
+    argv = ["verify", "all", "--m", "3,4", "--a", "1,2", "--b", "0,1",
+            "--dmax", "1"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert calls == once
+    # every point still prints its own line of each shared verdict
+    assert out.count("PASS     radial action on symmetric coordinates (m=3)") == 4
+    assert out.count("PASS     weight matrix determinant (m=4,a=2,b=1)") == 1
+
+    # the verdicts last for one run: a broken operator in a second run of
+    # the same process fails every point's scalar radial lines
+    real = casimir.radial_operator_c
+
+    def broken(params):
+        bump = PolyMatrix.identity(params.size, C_VARS).scale(
+            MultiPoly.var(C_VARS, "c1"))
+        return real(params) + MatrixDiffOp(C_VARS, {(1, 0): bump})
+    monkeypatch.setattr(casimir, "radial_operator_c", broken)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 1
+    assert calls == once + once
+    for m in (3, 4):
+        assert out.count(f"FAIL     radial action on symmetric coordinates (m={m})") == 4
+        assert out.count(f"FAIL     scalar operator route agreement (m={m},") == 4

@@ -123,6 +123,14 @@ def test_q0_depends_only_on_a_and_b():
     q3 = leading_term_matrix(PairParams(3, 2, 1))
     q5 = leading_term_matrix(PairParams(5, 2, 1))
     assert q3 == q5
+    # so Q0 and S in c, psi and x are cached on (a, b): one object for all m
+    for build in (leading_term_matrix, weight_matrix_c, weight_matrix_psi,
+                  weight_matrix_x):
+        assert build(PairParams(3, 2, 1)) is build(PairParams(5, 2, 1))
+    # the benchmark reads the hits and misses of the x-form's cache
+    before = leading.weight_matrix_x.cache_info()
+    weight_matrix_x(PairParams(4, 2, 1))
+    assert leading.weight_matrix_x.cache_info().hits == before.hits + 1
 
 
 def _patch_entry(monkeypatch, entry, change):
