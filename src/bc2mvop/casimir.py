@@ -7,9 +7,8 @@ Three layers, increasingly packaged:
    (c1, c2), a ``MatrixDiffOp`` cached per parameter triple.  The torus
    derivatives and the cotangent factors are rationalized via
    s^2 = 1 - c^2, so every coefficient is a numerator over the fixed
-   denominator 2 c1^2 c2^2 (c2^2 - c1^2)^2.  ``radial_apply`` applies it
-   and divides exactly; the division must leave no remainder on the
-   eigenfunction span.
+   denominator D = 2 c1^2 c2^2 (c2^2 - c1^2)^2.  ``radial_apply`` applies
+   it and returns the numerators over D.
 2. The scalar operator in (psi1, psi2) valid at a = b = 0, plus the
    tridiagonal first-order matrices C1, C2 that absorb the conjugation by
    the leading-term matrix for general (a, b).
@@ -19,9 +18,11 @@ Three layers, increasingly packaged:
    x-coordinate coefficients are kept beside it.
 
 The radial-action checks all compare through ``_radial_mismatch``, against
-expected vectors formed as one integer combination per component.  A stored
-reference closed form that disagrees with our construction is REPORTED, both
-sides printed, only while its documented relation holds; otherwise it FAILs.
+expected vectors formed as one integer combination per component: an
+identity A(v) = want holds when each numerator of A(v) equals D want.  A
+stored reference closed form that disagrees with our construction is
+REPORTED, both sides printed, only while its documented relation holds;
+otherwise it FAILs.
 
 Within one `verify` run, whose table of verdicts lives for that run only,
 ``casimir_suite`` decides the two scalar radial checks once per m and the
@@ -100,16 +101,11 @@ def radial_operator_c(params: PairParams) -> MatrixDiffOp:
     return scalar.lift(n) + MatrixDiffOp(C_VARS, {(0, 0): PolyMatrix.from_rows(rows)})
 
 
-class RadialResidue(ValueError):
-    """Raised by ``radial_apply`` with the undivided component as ``image``."""
-
-
 def radial_apply(params: PairParams, comps) -> tuple[MultiPoly, ...]:
     """Apply the radial operator to an M-type vector of polynomials in (c1,c2).
 
-    ``radial_operator_c`` acts once on the row vector and each component is
-    divided by the common denominator exactly; input outside the
-    eigenfunction span leaves a remainder and raises RadialResidue.
+    ``radial_operator_c`` acts once on the row vector; the result holds the
+    numerators of the image over ``radial_denominator()``.
     """
     comps = list(comps)
     if len(comps) != params.size:
@@ -117,31 +113,26 @@ def radial_apply(params: PairParams, comps) -> tuple[MultiPoly, ...]:
     for g in comps:
         if not isinstance(g, MultiPoly) or g.vars != C_VARS:
             raise ValueError("components must be MultiPoly in (c1, c2)")
-    row = radial_operator_c(params).apply(PolyMatrix(1, params.size, comps))
-    out = tuple(e.divide_exact(radial_denominator()) for e in row.row(0))
-    for k, q in enumerate(out):
-        if q is None:
-            err = RadialResidue(f"non-polynomial residue in component {k}: "
-                                "the input is outside the eigenfunction span")
-            err.image = row.entry(0, k)
-            raise err
-    return out
+    return radial_operator_c(params).apply(
+        PolyMatrix(1, params.size, comps)).entries
 
 
 def _radial_mismatch(name: str, place: str, params: PairParams, comps,
                      want) -> CheckResult | None:
     """None when the radial operator sends comps to want exactly, else the
-    FAIL at place with its residual in ``data``: the undivided image of a
-    non-polynomial component, or image minus want at the first differing one."""
-    try:
-        got = radial_apply(params, comps)
-    except RadialResidue as exc:
-        return CheckResult(name, FAIL, f"{place}: {exc}",
-                           data={"residual": str(exc.image)})
-    for k, (g, w) in enumerate(zip(got, want)):
-        if g != w:
+    FAIL at place for the first differing component.
+
+    ``radial_apply`` gives numerators over D = ``radial_denominator()``, so
+    each one is compared with D want: Q[c1, c2] has no zero divisors and
+    D != 0, so they agree exactly when the image is a polynomial equal to
+    want.  The residual in ``data`` is the numerator minus D want, which
+    is the numerator of image minus want over D."""
+    den = radial_denominator()
+    for k, (g, w) in enumerate(zip(radial_apply(params, comps), want)):
+        dw = den * w
+        if g != dw:
             return CheckResult(name, FAIL, f"{place}, component {k}",
-                               data={"residual": str(g - w)})
+                               data={"residual": str(g - dw)})
     return None
 
 

@@ -23,7 +23,8 @@ and x are cached on (a, b): every m shares one object.  Each check of
 `weight_suite` is a verdict function of (a, b), and `at_point` gives its
 line at one point under the point's tag.  Within one `verify` run, whose
 table of verdicts lives for that run only, each verdict is decided once
-per (a, b); a direct call of a `*_check` decides afresh.
+per (a, b); a direct call of a verdict, or of `at_point` without that
+table, decides afresh.
 """
 
 from __future__ import annotations
@@ -330,36 +331,12 @@ def reference_matrix_verdict(a: int, b: int) -> CheckResult:
     return CheckResult(name, PASS)
 
 
-def all_ones_check(params: PairParams) -> CheckResult:
-    return at_point(all_ones_verdict, params)
-
-
-def swap_symmetry_check(params: PairParams) -> CheckResult:
-    return at_point(swap_symmetry_verdict, params)
-
-
-def weight_factor_check(params: PairParams) -> CheckResult:
-    return at_point(weight_factor_verdict, params)
-
-
-def determinant_check(params: PairParams) -> CheckResult:
-    return at_point(determinant_verdict, params)
-
-
-def psi_consistency_check(params: PairParams) -> CheckResult:
-    return at_point(psi_consistency_verdict, params)
-
-
 def homogeneity_check(params: PairParams) -> CheckResult:
     return at_point(homogeneity_verdict, params)
 
 
 def krawtchouk_route_check(params: PairParams) -> CheckResult:
     return at_point(krawtchouk_route_verdict, params)
-
-
-def reference_matrix_check(params: PairParams) -> CheckResult:
-    return at_point(reference_matrix_verdict, params)
 
 
 def weight_suite(params: PairParams, verdicts: dict | None = None) -> list[CheckResult]:

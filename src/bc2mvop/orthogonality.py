@@ -28,17 +28,19 @@ x^e (S R_d'^T)_kj for every e with e1 + e2 <= |d'|.  For |d| <= |d'| each
 entry of G is one integer dot product of R_d's coefficients with it; for
 |d| > |d'|, G is the transpose of G(d', d), as S is symmetric.  The tables
 are cached until `drop_point_tables`, which `verify` calls when it leaves a
-point.  Both routes
-contract integer numerators over one common denominator per matrix or set
-of moments, so each integral or Gram entry is one Fraction.
+point.  Both routes contract integer numerators over one common
+denominator per matrix or set of moments, so each integral or Gram entry
+is one Fraction.
 
 A floating-point Gauss-Legendre path recomputes the same integrals
 independently of the moments.  It evaluates each factor R_d and S on the
 node mesh once per parameter point, and the pairs of that point share the
 values; `numeric_suite` drops them when the point is done, so values are
-held for one point only.  Each value is made by the same numpy operations,
-in the same order, as a per-pair evaluation, and the products are summed in
-the same order, so the printed deviations do not depend on the sharing.
+held for one point only.  The pull-backs of R_d to (c1, c2) it evaluates
+are cached per point too, and `drop_point_tables` empties them.  Each value
+is made by the same numpy operations, in the same order, as a per-pair
+evaluation, and the products are summed in the same order, so the printed
+deviations do not depend on the sharing.
 """
 
 from __future__ import annotations
@@ -201,12 +203,13 @@ def _gram_cached(params: PairParams, d: tuple[int, int],
 
 
 def drop_point_tables():
-    """Empty the Gram tables of every parameter point; `verify` calls it
-    when it leaves a point, which it never returns to.  The per-(m, b)
-    moments stay, and so do the Gram matrices: perfbench reads the hit and
-    miss counts of `_gram_cached` at the end of a run, and a clear would
-    reset them."""
+    """Empty the Gram tables and the quadrature's pull-backs of R_d of every
+    parameter point; `verify` calls it when it leaves a point, which it
+    never returns to.  The per-(m, b) moments stay, and so do the Gram
+    matrices: perfbench reads the hit and miss counts of `_gram_cached` at
+    the end of a run, and a clear would reset them."""
     _weighted_moments.cache_clear()
+    _poly_matrix_c.cache_clear()
 
 
 def gram(params: PairParams, d: tuple[int, int],

@@ -24,9 +24,8 @@ same variable tuple, so every key is already a tuple of non-negative ints of
 the right arity (a sum or difference of such tuples that was checked to
 stay non-negative).
 
-No routine mutates a stored `nums`: every result is a new dict, and a kernel
-that edits a working dict in place (the remainder of `divide_exact`) copies
-it first.  `integer_view` also hands out new dicts, never `p.nums` itself.
+No routine mutates a stored `nums`: every result is a new dict, and
+`integer_view` also hands out new dicts, never `p.nums` itself.
 
 Two module functions work on many polynomials at once: `linear_combination`
 sums scalar multiples as one integer combination over one denominator, and
@@ -37,9 +36,8 @@ powers of the images and the image of each monomial between them.
 from __future__ import annotations
 
 import math
-from bisect import insort
 from fractions import Fraction
-from operator import add, index, sub
+from operator import add, index
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -340,67 +338,6 @@ class MultiPoly:
         for val, top in zip(vals, tops):
             den *= val.denominator ** top
         return Fraction(acc, den)
-
-    # ---- division ----
-
-    def divide_exact(self, divisor: "MultiPoly") -> "MultiPoly | None":
-        """Quotient if divisor divides self exactly, else None.
-
-        Long division on integer numerators: when a step's leading numerator
-        is not a multiple of the divisor's, remainder and quotient are scaled
-        by the missing cofactor, and the quotient is divided by the product
-        of those cofactors once, at the end.  Each step's leading exponent
-        is below the last one's, so the remainder's exponents wait in one
-        list sorted by (degree, exponent): a step pops the largest, and an
-        exponent that a step brings in is inserted in its place."""
-        self._check(divisor)
-        if divisor.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        if divisor.is_constant():
-            return self / divisor.constant_value()
-        # numerators: scale * self = quo * divisor + rem at every step; rem
-        # is edited in place, so it starts as a copy of self.nums
-        rem = dict(self.nums)
-        waiting = sorted(map(_grlex_key, rem))
-        dnum = divisor.nums
-        dexp = max(dnum, key=_grlex_key)
-        dc = dnum[dexp]
-        dterms = [(e, c) for e, c in dnum.items() if e != dexp]
-        quo: dict[tuple[int, ...], int] = {}
-        scale = 1
-        while rem:
-            rexp = waiting.pop()[1]
-            if rexp not in rem:     # it cancelled after it was inserted
-                continue
-            qexp = tuple(map(sub, rexp, dexp))
-            if any(e < 0 for e in qexp):
-                return None
-            lead = rem.pop(rexp)
-            q, r = divmod(lead, dc)
-            if r:
-                # scale by the cofactor that makes this step exact
-                f = abs(dc) // math.gcd(lead, dc)
-                rem = {e: c * f for e, c in rem.items()}
-                quo = {e: c * f for e, c in quo.items()}
-                scale *= f
-                q = lead * f // dc
-            quo[qexp] = q
-            # rem -= q x^qexp divisor below the leading term, which cancels
-            for e, c in dterms:
-                e = tuple(map(add, qexp, e))
-                if e in rem:
-                    r = rem[e] - q * c
-                    if r:
-                        rem[e] = r
-                    else:
-                        del rem[e]
-                else:
-                    rem[e] = -q * c
-                    insort(waiting, _grlex_key(e))
-        # self / divisor = (quo / scale) (divisor.den / self.den)
-        return MultiPoly._over(self.vars,
-                               {e: c * divisor.den for e, c in quo.items()},
-                               self.den * scale)
 
     # ---- serialization / printing ----
 

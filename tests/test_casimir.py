@@ -111,10 +111,8 @@ def test_radial_apply_is_linear_in_components():
     assert all(x + y == z for x, y, z in zip(a, b, both))
     with pytest.raises(ValueError):
         radial_apply(p, (MultiPoly.zero(C_VARS),))
-    # c1 alone is outside the eigenfunction span: the denominators stay
-    c1 = MultiPoly.var(C_VARS, "c1")
-    with pytest.raises(ValueError, match="outside the eigenfunction span"):
-        radial_apply(p, (c1, MultiPoly.zero(C_VARS)))
+    with pytest.raises(ValueError):
+        radial_apply(p, (MultiPoly.zero(PSI_VARS),) * 2)
 
 
 _PSI_EXPS = [(u, v) for u in range(6) for v in range(6 - u)]
@@ -125,11 +123,13 @@ _PSI_EXPS = [(u, v) for u in range(6) for v in range(6 - u)]
                        min_size=1, max_size=6))
 def test_radial_operator_matches_scalar_psi_operator(m, coeffs):
     # at a = b = 0 the c-side operator on f(psi(c)) is the psi-side scalar
-    # operator on f, pulled back; degrees reach 5, past AGREEMENT_DEG
+    # operator on f, pulled back, over the radial denominator; degrees reach
+    # 5, past AGREEMENT_DEG
     f = MultiPoly(PSI_VARS, coeffs)
     pc = psi_in_c()
     got = radial_apply(PairParams(m, 0, 0), [f.substitute(pc, C_VARS)])[0]
-    assert got == scalar_radial_psi(m).apply_scalar(f).substitute(pc, C_VARS)
+    assert got == radial_denominator() * (
+        scalar_radial_psi(m).apply_scalar(f).substitute(pc, C_VARS))
 
 
 def _perturb_first_order(monkeypatch, extra: MultiPoly):
@@ -177,9 +177,9 @@ def test_operator_remainder_fails_each_check(monkeypatch, capsys):
     assert code == 1
     for check in RADIAL_CHECKS:
         line = next(f for f in fails if check in f)
-        assert "non-polynomial residue in component" in line
+        assert ", component " in line
     assert "label MsfLabel(" in next(f for f in fails if RADIAL_CHECKS[3] in f)
-    # each of the four carries the undivided image of that component
+    # each of the four carries the residual numerator of that component
     _assert_each_check_carries_a_residual(capsys)
 
 
@@ -195,6 +195,25 @@ def test_exactly_dividing_operator_defect_fails(monkeypatch, capsys):
         assert ", component " in line
     # each of the four carries the residual of its first differing component
     _assert_each_check_carries_a_residual(capsys)
+
+
+def test_radial_mismatch_residual_is_the_numerator_minus_d_want():
+    # want off by c1 in component k: image - want = -c1, so the residual,
+    # its numerator over D, is -D c1
+    p = PairParams(3, 1, 0)
+    c1 = MultiPoly.var(C_VARS, "c1")
+    row = casimir.bottom_vector(p, 0)
+    want = [casimir_eigenvalue(p, MsfLabel(0, 0, 0)) * q for q in row]
+    for k in range(2):
+        off = list(want)
+        off[k] = off[k] + c1
+        r = casimir._radial_mismatch("check", "i=0", p, row, off)
+        assert (r.status, r.detail) == ("FAIL", f"i=0, component {k}")
+        assert r.data["residual"] == str(-(radial_denominator() * c1))
+    # c1 alone is outside the eigenfunction span: no want matches its image
+    zero = MultiPoly.zero(C_VARS)
+    r = casimir._radial_mismatch("check", "c1", p, (c1, zero), (zero, zero))
+    assert r.status == "FAIL" and r.data["residual"] not in ("", "0")
 
 
 def test_operator_transform_checks():

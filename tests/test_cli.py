@@ -401,9 +401,11 @@ def test_verify_drops_each_points_gram_tables(capsys):
     code, out, _ = run_cli(["verify", "orthogonality", "--m", "3", "--a", "1",
                             "--b", "0,1", "--dmax", "1", "--numeric"], capsys)
     assert code == 0 and "FAIL" not in out
-    # the Gram tables of both points are gone; the moments stay, and the
-    # quadrature still read each point's Gram matrices from the cache
+    # the Gram tables and the quadrature's pull-backs of both points are
+    # gone; the moments stay, and the quadrature still read each point's
+    # Gram matrices from the cache
     assert orthogonality._weighted_moments.cache_info().currsize == 0
+    assert orthogonality._poly_matrix_c.cache_info().currsize == 0
     assert orthogonality.moment.cache_info().currsize > 0
     assert orthogonality._gram_cached.cache_info().hits > grams.hits
 
