@@ -4,8 +4,9 @@ Three layers, increasingly packaged:
 
 1. ``radial_operator_c``: the raw radial operator on length-(a+1) row
    vectors of polynomials on the torus (component k = M-type k) in
-   (c1, c2), a ``MatrixDiffOp`` cached per parameter triple.  The torus
-   derivatives and the cotangent factors are rationalized via
+   (c1, c2), a ``MatrixDiffOp`` cached per parameter triple, whose scalar
+   derivative part is built once per m and lifted once per (m, a+1).  The
+   torus derivatives and the cotangent factors are rationalized via
    s^2 = 1 - c^2, so every coefficient is a numerator over the fixed
    denominator D = 2 c1^2 c2^2 (c2^2 - c1^2)^2.  ``radial_apply`` applies
    it and returns the numerators over D.
@@ -14,8 +15,12 @@ Three layers, increasingly packaged:
    the leading-term matrix for general (a, b).
 3. The x-coordinate family: the affine image of the psi-side operator
    under x1 = 2 psi1 - 2, x2 = 4 psi2 - 2 psi1 + 1, built by
-   ``MatrixDiffOp.change_vars_affine`` and nowhere else.  No stored
-   x-coordinate coefficients are kept beside it.
+   ``MatrixDiffOp.change_vars_affine`` and nowhere else: the scalar part
+   once per m, the first-order part per point.  No stored x-coordinate
+   coefficients are kept beside it.
+
+The operators of one point are `point_cache`s, which `verify` drops when it
+leaves the point; the parts that read m alone stay.
 
 The radial-action checks all compare through ``_radial_mismatch``, against
 expected vectors formed as one integer combination per component: an
@@ -40,7 +45,7 @@ from .leading import (C_VARS, PSI_VARS, X_VARS, at_point, k_type,
                       leading_term_matrix, psi_in_c, psi_in_x)
 from .lie import (MsfLabel, PairParams, casimir_eigenvalue,
                   casimir_eigenvalue_ip, check_label, degree_pairs,
-                  label_weight, labels_up_to)
+                  label_weight, labels_up_to, point_cache)
 from .matrices import PolyMatrix, solve_linear
 from .poly import MultiPoly, linear_combination
 from .report import CheckResult, FAIL, PASS, REPORTED, decide
@@ -69,18 +74,14 @@ def radial_denominator() -> MultiPoly:
 
 
 @lru_cache(maxsize=None)
-def radial_operator_c(params: PairParams) -> MatrixDiffOp:
-    """The radial operator on M-type row vectors in (c1, c2), as numerators
-    over ``radial_denominator()``: a scalar derivative part that depends on
-    m only, lifted to size a+1, plus a tridiagonal zero-order matrix.  Row
-    vectors act on the right, so the hop from component k+1 into k is entry
-    (k+1, k); the hop matrix is symmetric."""
-    m, a, b, n = params.m, params.a, params.b, params.size
+def _radial_scalar_c(m: int) -> MatrixDiffOp:
+    """The scalar derivative part of ``radial_operator_c``, which reads m
+    alone, as numerators over ``radial_denominator()``."""
     c1, c2, one = _c_atoms()
-    c1sq, c2sq, cc = c1 * c1, c2 * c2, c1 * c1 * c2 * c2
+    c1sq, c2sq = c1 * c1, c2 * c2
     split = c2sq - c1sq                  # sin(t1+t2) sin(t1-t2)
     q = c1 * c2 * split
-    scalar = MatrixDiffOp.scalar_op(C_VARS, {
+    return MatrixDiffOp.scalar_op(C_VARS, {
         (2, 0): -q * q * (one - c1sq),
         (0, 2): -q * q * (one - c2sq),
         (1, 0): q * c2 * (((2 * m - 1) * c1sq - one) * split
@@ -88,6 +89,26 @@ def radial_operator_c(params: PairParams) -> MatrixDiffOp:
         (0, 1): q * c1 * (((2 * m - 1) * c2sq - one) * split
                           - 4 * c2sq * (one - c2sq)),
     })
+
+
+@lru_cache(maxsize=None)
+def _lifted(scalar, m: int, n: int) -> MatrixDiffOp:
+    """scalar(m), an operator that reads m alone, lifted to size n: once per
+    (scalar, m, n), kept for the whole process."""
+    return scalar(m).lift(n)
+
+
+@point_cache
+def radial_operator_c(params: PairParams) -> MatrixDiffOp:
+    """The radial operator on M-type row vectors in (c1, c2), as numerators
+    over ``radial_denominator()``: the scalar derivative part, built once
+    per m and lifted once per (m, a+1), plus a tridiagonal zero-order
+    matrix built per point.  Row vectors act on the right, so the hop from
+    component k+1 into k is entry (k+1, k); the hop matrix is symmetric."""
+    m, a, b, n = params.m, params.a, params.b, params.size
+    c1, c2, one = _c_atoms()
+    c1sq, c2sq, cc = c1 * c1, c2 * c2, c1 * c1 * c2 * c2
+    split = c2sq - c1sq
     stay = 4 * cc * (c1sq + c2sq - 2 * cc)
     hop = -4 * cc * c1 * c2 * (2 * one - c1sq - c2sq)
     rows = [[MultiPoly.zero(C_VARS)] * n for _ in range(n)]
@@ -98,7 +119,8 @@ def radial_operator_c(params: PairParams) -> MatrixDiffOp:
                       * ((a + b - k) ** 2 * c2sq + (b + k) ** 2 * c1sq))
         if k < a:
             rows[k + 1][k] = rows[k][k + 1] = (k + 1) * (a - k) * hop
-    return scalar.lift(n) + MatrixDiffOp(C_VARS, {(0, 0): PolyMatrix.from_rows(rows)})
+    return (_lifted(_radial_scalar_c, m, n)
+            + MatrixDiffOp(C_VARS, {(0, 0): PolyMatrix.from_rows(rows)}))
 
 
 def radial_apply(params: PairParams, comps) -> tuple[MultiPoly, ...]:
@@ -381,28 +403,47 @@ def shift_matrix(params: PairParams) -> PolyMatrix:
     return PolyMatrix.from_scalar_rows(PSI_VARS, rows)
 
 
-@lru_cache(maxsize=None)
-def pde_operator_psi(params: PairParams) -> MatrixDiffOp:
-    """Right-acting operator E with E(Q_d) = Lambda_d Q_d:
-
-    E(Q) = R0(Q) - dQ/dpsi1 C1 - dQ/dpsi2 C2 + Q (Lambda0 + shift).
-    """
+@point_cache
+def _first_order_psi(params: PairParams) -> MatrixDiffOp:
+    """The part of E that reads the whole point:
+    -dQ/dpsi1 C1 - dQ/dpsi2 C2 + Q (Lambda0 + shift)."""
     n = params.size
     c1m, c2m = conjugation_matrices(params)
     lambda0 = PolyMatrix.diagonal(PSI_VARS, [
         casimir_eigenvalue(params, MsfLabel(i, 0, 0)) for i in range(n)])
-    first = MatrixDiffOp(PSI_VARS, {
+    return MatrixDiffOp(PSI_VARS, {
         (1, 0): c1m.scale(Fraction(-1)),
         (0, 1): c2m.scale(Fraction(-1)),
         (0, 0): lambda0 + shift_matrix(params),
     })
-    return scalar_radial_psi(params.m).lift(n) + first
+
+
+@point_cache
+def pde_operator_psi(params: PairParams) -> MatrixDiffOp:
+    """Right-acting operator E with E(Q_d) = Lambda_d Q_d:
+
+    E(Q) = R0(Q) - dQ/dpsi1 C1 - dQ/dpsi2 C2 + Q (Lambda0 + shift),
+
+    with R0 = ``scalar_radial_psi(m)`` lifted once per (m, a+1) and the
+    first-order part built per point."""
+    return (_lifted(scalar_radial_psi, params.m, params.size)
+            + _first_order_psi(params))
 
 
 @lru_cache(maxsize=None)
+def _scalar_radial_x(m: int) -> MatrixDiffOp:
+    """``scalar_radial_psi(m)`` moved to (x1, x2), once per m."""
+    return scalar_radial_psi(m).change_vars_affine(X_VARS, psi_in_x())
+
+
+@point_cache
 def pde_operator_x(params: PairParams) -> MatrixDiffOp:
-    """The psi-side operator E moved to (x1, x2) by the affine change."""
-    return pde_operator_psi(params).change_vars_affine(X_VARS, psi_in_x())
+    """The psi-side operator E moved to (x1, x2) by the affine change.  The
+    change is linear in the coefficients, so R0 is moved once per m and
+    lifted once per (m, a+1); per point only the first-order part is
+    moved."""
+    return (_lifted(_scalar_radial_x, params.m, params.size)
+            + _first_order_psi(params).change_vars_affine(X_VARS, psi_in_x()))
 
 
 # ---- expansion of the symmetric coordinates in scalar eigenfunctions ----

@@ -31,7 +31,7 @@ from fractions import Fraction
 from . import casimir, expansion, leading, orthogonality
 from .krawtchouk import STANDARD_PS, standard_suite
 from .lie import (MsfLabel, PairParams, casimir_eigenvalue_ip, check_label,
-                  label_weight, weyl_dim)
+                  drop_point_caches, label_weight, weyl_dim)
 from .poly import MultiPoly
 from .report import exit_code, render_json, render_text
 
@@ -112,7 +112,8 @@ def _verify_results(args, grid: list[PairParams]):
     indecomposability and (C1, C2) checks once per (a, b), and the two
     scalar radial checks of the Casimir suite once per m.  ``verdicts``
     holds those decisions for this run only, so a later run in the same
-    process decides afresh."""
+    process decides afresh.  When a point is done, its operators, lowering
+    graphs and Gram tables are dropped (`drop_point_caches`)."""
     want = lambda s: args.suite in ("all", s)
     dmax = 2 if args.dmax is None else args.dmax
     verdicts = {}
@@ -134,11 +135,11 @@ def _verify_results(args, grid: list[PairParams]):
             results += orthogonality.orthogonality_suite(q, dmax)
             if args.numeric:
                 results += orthogonality.numeric_suite(q, dmax)
-            orthogonality.drop_point_tables()
         if want("indecomposable"):
             results += orthogonality.indecomposability_suite(q, verdicts)
         if want("duality"):
             results += expansion.duality_suite(q, dmax)
+        drop_point_caches()
     for m in dict.fromkeys(q.m for q in grid):
         if want("orthogonality"):
             results.append(orthogonality.total_mass_check(m))

@@ -84,13 +84,16 @@ class MatrixDiffOp:
                                PolyMatrix.zeros(self.size, self.size, self.vars))
 
     def lift(self, n: int) -> "MatrixDiffOp":
-        """Tensor a scalar (1x1) operator with the identity of size n."""
+        """Tensor a scalar (1x1) operator with the identity of size n: each
+        coefficient p becomes p I, built as its entries, not as a product."""
         if self.size != 1:
             raise ValueError("lift applies to scalar operators")
+        zero = MultiPoly.zero(self.vars)
         out = {}
         for idx, mat in self.coeffs.items():
             p = mat.entry(0, 0)
-            out[idx] = PolyMatrix.identity(n, self.vars).scale(p)
+            out[idx] = PolyMatrix(n, n, [p if i == j else zero
+                                         for i in range(n) for j in range(n)])
         if not out:
             out[(0, 0)] = PolyMatrix.zeros(n, n, self.vars)
         return MatrixDiffOp(self.vars, out)

@@ -36,7 +36,7 @@ from .leading import PSI_VARS, X_VARS, psi_in_x
 from .lie import (MsfLabel, PairParams, bottom_weight, casimir_eigenvalue,
                   casimir_eigenvalue_ip, casimir_numerator, check_label, degree_pair,
                   degree_pairs, dominance_leq, dualize, label_weight,
-                  labels_up_to)
+                  labels_up_to, point_cache)
 from .matrices import (PolyMatrix, conjugate_flip, frac_identity, frac_invert,
                        frac_matmul)
 from .poly import MultiPoly
@@ -164,7 +164,7 @@ def inverse_reference_check(params: PairParams) -> CheckResult:
 
 # ---- triangular eigenfunction expansion ----
 
-@lru_cache(maxsize=None)
+@point_cache
 def _graph_node(params: PairParams, lab: MsfLabel):
     """(eigenvalue numerator, read-only moves) of a label: the lowering graph
     of a parameter triple, built once per label, each move checked once
@@ -189,10 +189,11 @@ class _LoweringGraph(NamedTuple):
     moves: tuple[tuple[tuple[int, int], ...], ...]
 
 
-@lru_cache(maxsize=None)
+@point_cache
 def _lowering_graph(params: PairParams, n: int) -> _LoweringGraph:
     """The integer lowering graph of the labels of degree <= n; a move out
-    of it raises AssertionError."""
+    of it raises AssertionError.  It and its nodes are `point_cache`s,
+    dropped when `verify` leaves the point."""
     nodes = sorted(((lab, *_graph_node(params, lab))
                     for lab in labels_up_to(params, n)),
                    key=lambda t: (-t[1], t[0].i, t[0].d1, t[0].d2))

@@ -10,6 +10,7 @@ never by recurrence: the finite sum is the form the leading terms take.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from .matrices import frac_det
@@ -25,8 +26,10 @@ def poch(x, k: int):
     return out
 
 
+@lru_cache(maxsize=None)
 def krawtchouk(n: int, x: int, N: int, p: Fraction) -> Fraction:
-    """Exact K_n(x; p, N) at a rational parameter p = P/Q.
+    """Exact K_n(x; p, N) at a rational parameter p = P/Q, computed once per
+    argument and cached: the identities of one (N, p) read the same values.
 
     Term k is (-n)_k (-x)_k Q^k / (k! (-N)_k P^k), so every term is an
     integer numerator over the one denominator top! (-N)_top P^top,

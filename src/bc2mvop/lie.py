@@ -54,6 +54,26 @@ class PairParams:
         return f"(m={self.m},a={self.a},b={self.b})"
 
 
+_POINT_CACHES = []
+
+
+def point_cache(fn):
+    """fn under an unbounded lru_cache whose entries belong to one parameter
+    point: `drop_point_caches` empties it when `verify` leaves the point,
+    which it never returns to."""
+    cached = lru_cache(maxsize=None)(fn)
+    _POINT_CACHES.append(cached)
+    return cached
+
+
+def drop_point_caches():
+    """Empty every `point_cache`.  The registry holds the cached functions
+    themselves, so a module attribute patched over one of them does not keep
+    it from being emptied."""
+    for cached in _POINT_CACHES:
+        cached.cache_clear()
+
+
 @dataclass(frozen=True)
 class Weight:
     """Element of the weight lattice of SU(m+2) in omega-coordinates."""

@@ -22,25 +22,38 @@ predecessor, so `region_integral` reads the pull-back of every monomial of
 its integrand from that table instead of substituting, and takes the factor
 (c1 c2)^(2b) of the weight as a shift of the exponents.  The table relies on
 callers never mutating an entry, which holds because MultiPoly is
-immutable.  A Gram matrix G(d, d') = int R_d S R_d'^T reads one table per
-parameter point and degree d', `_weighted_moments`: the integrals of
-x^e (S R_d'^T)_kj for every e with e1 + e2 <= |d'|.  For |d| <= |d'| each
-entry of G is one integer dot product of R_d's coefficients with it; for
-|d| > |d'|, G is the transpose of G(d', d), as S is symmetric.  The tables
-are cached until `drop_point_tables`, which `verify` calls when it leaves a
-point.  Both routes contract integer numerators over one common
+immutable.
+
+A Gram matrix G(d, d') = int R_d S R_d'^T is contracted against one
+matrix moment table per parameter point, `_matrix_moments`: the integrals
+M[k][l][g] = int x^g S_kl over one denominator, for k <= l since S is
+symmetric, and for every g up to twice the highest degree asked for so
+far; a higher degree extends the table.  From it `_weighted_moments`
+reads, once per (point, degree d'), the integrals
+U[j][k][e] = sum_l sum_f (R_d')_jl[f] M[k][l][e + f] of x^e (S R_d'^T)_kj
+for every e with e1 + e2 <= |d'|, so no product S R_d'^T is formed.  For
+|d| <= |d'| each entry of G is one integer dot product of R_d's
+coefficients with U; for |d| > |d'|, G is the transpose of G(d', d), as S
+is symmetric.  Both routes contract integer numerators over one common
 denominator per matrix or set of moments, so each integral or Gram entry
 is one Fraction.
 
 A floating-point Gauss-Legendre path recomputes the same integrals
 independently of the moments.  It evaluates each factor R_d and S on the
 node mesh once per parameter point, and the pairs of that point share the
-values; `numeric_suite` drops them when the point is done, so values are
-held for one point only.  The pull-backs of R_d to (c1, c2) it evaluates
-are cached per point too, and `drop_point_tables` empties them.  Each value
-is made by the same numpy operations, in the same order, as a per-pair
-evaluation, and the products are summed in the same order, so the printed
-deviations do not depend on the sharing.
+values; every factor reads the node powers c1^e and c2^e from one table of
+the point, which computes each power once.  `numeric_suite` drops the
+values and the powers when the point is done, so they are held for one
+point only.  Each value is made by the same numpy operations, in the same
+order, as a per-pair evaluation, and the products are summed in the same
+order, so the printed deviations do not depend on the sharing.
+
+The matrix moment table, the tables U and the quadrature's pull-backs of
+R_d to (c1, c2) are `point_cache`s: `verify` drops them, with the
+point's operators and lowering graphs, when it leaves the point, which it
+never returns to.  The per-(m, b) moments stay, and so do the Gram
+matrices: perfbench reads the hit and miss counts of `_gram_cached` at
+the end of a run, and a clear would reset them.
 """
 
 from __future__ import annotations
@@ -54,7 +67,7 @@ from .expansion import poly_matrix_x
 from .leading import (C_VARS, X_VARS, at_point, det_reference_c, k_type,
                       weight_matrix_c, weight_matrix_x, x_in_c)
 from .lie import (MsfLabel, PairParams, degree_pair, degree_pairs,
-                  label_weight, weyl_dim)
+                  label_weight, point_cache, weyl_dim)
 from .matrices import PolyMatrix, frac_det, frac_rank
 from .poly import MultiPoly, integer_view
 from .report import CheckResult, FAIL, PASS, REPORTED
@@ -166,22 +179,72 @@ def in_region(x1: Fraction, x2: Fraction) -> bool:
 
 # ---- Gram matrices of the family ----
 
-@functools.lru_cache(maxsize=None)
+class _MatrixMoments:
+    """The matrix moment table of one parameter point: integer numerators
+    nums[k][l][g] over one denominator ``den`` of M[k][l][g], the integral
+    of x^g S_kl against the scalar weight of (m, b), for every k <= l (S is
+    symmetric) and every g with g1 + g2 <= ``top``.  `reach` raises top."""
+
+    def __init__(self, params: PairParams):
+        n = params.size
+        self.m, self.b = params.m, params.b
+        self.sden, s = integer_view(
+            weight_matrix_x(PairParams(params.m, params.a, 0)).entries)
+        self.s = {(k, l): s[k * n + l] for k in range(n) for l in range(k, n)}
+        self.nums = {kl: {} for kl in self.s}
+        self.den, self.top = 1, -1
+
+    def reach(self, top: int):
+        """Extend the table to every g with g1 + g2 <= top: the moments it
+        reads go through `moment`, and a new denominator rescales the
+        entries already there."""
+        if top <= self.top:
+            return
+        new = [(g1, g - g1) for g in range(self.top + 1, top + 1)
+               for g1 in range(g + 1)]
+        moments = {e: moment(self.m, self.b, *e) for e in {
+            (g1 + h1, g2 + h2) for skl in self.s.values() for h1, h2 in skl
+            for g1, g2 in new}}
+        mden = math.lcm(*(v.denominator for v in moments.values()))
+        mom = {e: v.numerator * (mden // v.denominator)
+               for e, v in moments.items()}
+        den = math.lcm(self.den, self.sden * mden)
+        if den != self.den:
+            up = den // self.den
+            self.nums = {kl: {g: up * v for g, v in mkl.items()}
+                         for kl, mkl in self.nums.items()}
+        up = den // (self.sden * mden)
+        for kl, skl in self.s.items():
+            self.nums[kl].update(
+                {(g1, g2): up * sum(c * mom[g1 + h1, g2 + h2]
+                                    for (h1, h2), c in skl.items())
+                 for g1, g2 in new})
+        self.den, self.top = den, top
+
+
+@point_cache
+def _matrix_moments(params: PairParams) -> _MatrixMoments:
+    """The matrix moment table of the point, built once and extended as
+    higher degrees need it."""
+    return _MatrixMoments(params)
+
+
+@point_cache
 def _weighted_moments(params: PairParams, dp: tuple[int, int]) -> tuple:
     """(den, U): U[j][k][e] / den is the integral of x^e (S R_d'^T)_kj for
-    each exponent e of total degree at most |d'|.  Read-only."""
-    m, b, n, top = params.m, params.b, params.size, sum(dp)
-    wden, ws = integer_view((weight_matrix_x(PairParams(m, params.a, 0))
-                             @ poly_matrix_x(params, dp).transpose()).entries)
+    each exponent e of total degree at most |d'|, read from the matrix
+    moment table as sum_l sum_f (R_d')_jl[f] M[k][l][e + f].  Read-only."""
+    n, top = params.size, sum(dp)
+    rden, r = integer_view(poly_matrix_x(params, dp).entries)
+    table = _matrix_moments(params)
+    table.reach(2 * top)
+    mkl = {(k, l): table.nums[min(k, l), max(k, l)]
+           for k in range(n) for l in range(n)}
     exps = [(e1, e2) for e1 in range(top + 1) for e2 in range(top + 1 - e1)]
-    # every moment the table reads, through `moment` on each call
-    moments = {e: moment(m, b, *e) for e in {
-        (e1 + f1, e2 + f2) for e1, e2 in exps for wkj in ws for f1, f2 in wkj}}
-    mden = math.lcm(*(v.denominator for v in moments.values()))
-    mom = {e: v.numerator * (mden // v.denominator) for e, v in moments.items()}
-    return wden * mden, tuple(
-        tuple({(e1, e2): sum(c * mom[e1 + f1, e2 + f2]
-                             for (f1, f2), c in ws[k * n + j].items())
+    return rden * table.den, tuple(
+        tuple({(e1, e2): sum(c * mkl[k, l][e1 + f1, e2 + f2]
+                             for l in range(n)
+                             for (f1, f2), c in r[j * n + l].items())
                for e1, e2 in exps} for k in range(n))
         for j in range(n))
 
@@ -200,16 +263,6 @@ def _gram_cached(params: PairParams, d: tuple[int, int],
                                     for e, c in left[i * n + k].items()),
                                 lden * tden) for j in range(n))
                  for i in range(n))
-
-
-def drop_point_tables():
-    """Empty the Gram tables and the quadrature's pull-backs of R_d of every
-    parameter point; `verify` calls it when it leaves a point, which it
-    never returns to.  The per-(m, b) moments stay, and so do the Gram
-    matrices: perfbench reads the hit and miss counts of `_gram_cached` at
-    the end of a run, and a clear would reset them."""
-    _weighted_moments.cache_clear()
-    _poly_matrix_c.cache_clear()
 
 
 def gram(params: PairParams, d: tuple[int, int],
@@ -420,7 +473,7 @@ def _quad_nodes(order: int):
     return t, w
 
 
-@functools.lru_cache(maxsize=None)
+@point_cache
 def _poly_matrix_c(params: PairParams, d: tuple[int, int]) -> PolyMatrix:
     """R_d pulled back to (c1, c2), for the quadrature only: it reads no
     moment."""
@@ -442,16 +495,29 @@ def _node_mesh(m: int, b: int, order: int):
     return c1, c2, ww, density
 
 
-def _mesh_values(mat: PolyMatrix, c1, c2) -> list[list]:
+def _node_power(base, e: int):
+    """base^e on the node mesh, read-only."""
+    out = base ** e
+    out.flags.writeable = False
+    return out
+
+
+def _mesh_values(mat: PolyMatrix, c1, c2, powers) -> list[list]:
     """Each entry of mat on the node mesh, summed term by term in canonical
-    order, read-only."""
+    order, read-only.  The node powers c1^e and c2^e are read from
+    ``powers``, one dict per variable, and computed there on first use."""
     import numpy as np
+    p1, p2 = powers
     out = [[None] * mat.cols for _ in range(mat.rows)]
     for i in range(mat.rows):
         for j in range(mat.cols):
             vals = np.zeros_like(c1)
             for (e1, e2, coeff) in _float_terms(mat.entry(i, j)):
-                vals += coeff * c1 ** e1 * c2 ** e2
+                if e1 not in p1:
+                    p1[e1] = _node_power(c1, e1)
+                if e2 not in p2:
+                    p2[e2] = _node_power(c2, e2)
+                vals += coeff * p1[e1] * p2[e2]
             vals.flags.writeable = False
             out[i][j] = vals
     return out
@@ -472,8 +538,9 @@ def numeric_crosscheck(params: PairParams, d: tuple[int, int],
     multiplied in floating point: expanding the product first produces
     coefficients orders of magnitude above the integral values, and the
     cancellation caps the achievable relative accuracy near 1e-7.
-    `values` holds the mesh and the factor values of one parameter point,
-    for the pairs that share them; without it each call evaluates its own.
+    `values` holds the mesh, its node powers and the factor values of one
+    parameter point, for the pairs that share them; without it each call
+    evaluates its own.
     """
     import numpy as np
 
@@ -495,12 +562,14 @@ def numeric_crosscheck(params: PairParams, d: tuple[int, int],
     if ("mesh", m, b, order) not in values:
         values["mesh", m, b, order] = _node_mesh(m, b, order)
     c1, c2, ww, density = values["mesh", m, b, order]
+    powers = values.setdefault(("powers", m, b, order), ({}, {}))
     scale = 2.0 ** (2 * m + 2 * b - 1)
 
     def on_mesh(key, mat):
-        # each factor is evaluated once per point; the pairs share it
+        # each factor is evaluated once per point; the pairs share it, and
+        # every factor reads the same node powers
         if key not in values:
-            values[key] = _mesh_values(mat, c1, c2)
+            values[key] = _mesh_values(mat, c1, c2, powers)
         return values[key]
 
     lv = on_mesh((params, d, order), lc)

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from bc2mvop import casimir, cli, leading, orthogonality
+from bc2mvop import casimir, cli, expansion, leading, orthogonality
 from bc2mvop.diffop import MatrixDiffOp
 from bc2mvop.leading import C_VARS, weight_matrix_psi, weight_matrix_x
 from bc2mvop.expansion import poly_matrix_x
@@ -395,19 +395,99 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.endswith("7 passed, 0 failed, 0 reported\n")
 
 
-def test_verify_drops_each_points_gram_tables(capsys):
-    from bc2mvop import orthogonality
+def test_verify_drops_each_points_gram_tables(monkeypatch, capsys):
     grams = orthogonality._gram_cached.cache_info()
-    code, out, _ = run_cli(["verify", "orthogonality", "--m", "3", "--a", "1",
+    # a plain function patched over a per-point cache, as the mutation tests
+    # do, must not keep the drop from emptying the real cache
+    real = casimir.radial_operator_c
+    built = []
+    monkeypatch.setattr(casimir, "radial_operator_c",
+                        lambda params: built.append(params) or real(params))
+    code, out, _ = run_cli(["verify", "all", "--m", "3", "--a", "1",
                             "--b", "0,1", "--dmax", "1", "--numeric"], capsys)
     assert code == 0 and "FAIL" not in out
-    # the Gram tables and the quadrature's pull-backs of both points are
-    # gone; the moments stay, and the quadrature still read each point's
-    # Gram matrices from the cache
-    assert orthogonality._weighted_moments.cache_info().currsize == 0
-    assert orthogonality._poly_matrix_c.cache_info().currsize == 0
+    assert built
+    # the Gram tables, the quadrature's pull-backs of R_d, the operators and
+    # the lowering graphs of both points are gone; the moments stay, and the
+    # quadrature still read each point's Gram matrices from the cache
+    for cache in (orthogonality._weighted_moments,
+                  orthogonality._matrix_moments, orthogonality._poly_matrix_c,
+                  real, casimir._first_order_psi, casimir.pde_operator_psi,
+                  casimir.pde_operator_x, expansion._graph_node,
+                  expansion._lowering_graph):
+        assert cache.cache_info().currsize == 0, cache.__name__
     assert orthogonality.moment.cache_info().currsize > 0
     assert orthogonality._gram_cached.cache_info().hits > grams.hits
+
+
+SHARED_GRID = ["verify", "all", "--m", "3,4", "--a", "1,2", "--b", "0,1",
+               "--numeric", "--dmax", "1"]
+
+
+def test_verify_builds_each_shared_part_once_per_parameters_it_reads(
+        monkeypatch, capsys):
+    per_m = (casimir._radial_scalar_c, casimir.scalar_radial_psi,
+             casimir._scalar_radial_x)
+    # the per-m parts and the Gram matrices live for the whole process, so
+    # start them empty: a point whose Gram matrices are cached reads no
+    # moment table
+    for cache in (*per_m, casimir._lifted, orthogonality._gram_cached):
+        cache.cache_clear()
+    lifts = Counter()
+    real_lift = MatrixDiffOp.lift
+
+    def lift(op, n):
+        lifts[id(op), n] += 1
+        return real_lift(op, n)
+    monkeypatch.setattr(MatrixDiffOp, "lift", lift)
+    # each drop ends a point: read what the point built before it is emptied
+    tables, powers, kept = [], Counter(), []
+    real_drop = cli.drop_point_caches
+
+    def drop():
+        tables.append(orthogonality._matrix_moments.cache_info().misses)
+        real_drop()
+    monkeypatch.setattr(cli, "drop_point_caches", drop)
+    real_power = orthogonality._node_power
+
+    def node_power(base, e):
+        kept.append(base)      # holds each id for the whole run
+        powers[len(tables), id(base), e] += 1
+        return real_power(base, e)
+    monkeypatch.setattr(orthogonality, "_node_power", node_power)
+
+    code, _, _ = run_cli(SHARED_GRID, capsys)
+    assert code == 0
+    # the scalar radial parts once per m, each lifted once per (m, a+1):
+    # sizes 1 (the scalar checks), 2 and 3 in c; 2 and 3 in psi and in x
+    assert [cache.cache_info().misses for cache in per_m] == [2, 2, 2]
+    assert set(lifts.values()) == {1} and len(lifts) == 2 * (3 + 2 + 2)
+    # one matrix moment table per point, and each node power once per point
+    assert tables == [1] * 8
+    assert set(powers.values()) == {1}
+    assert {point for point, _, _ in powers} == set(range(8))
+
+
+def test_report_does_not_depend_on_grid_order(capsys):
+    # shared per-m and per-(a, b) state must not leak from one point to the
+    # next: the benchmark shuffles each axis
+    reverse = ["--m", "4,3", "--a", "2,1", "--b", "1,0"]
+    code, forward, _ = run_cli(SHARED_GRID, capsys)
+    code2, backward, _ = run_cli(SHARED_GRID[:2] + reverse + SHARED_GRID[8:],
+                                 capsys)
+    assert code == code2 == 0
+    assert forward != backward
+    assert sorted(forward.splitlines()) == sorted(backward.splitlines())
+
+
+def test_report_does_not_depend_on_optimize_flag():
+    argv = ["-m", "bc2mvop", "verify", "all", "--m", "3", "--a", "2",
+            "--b", "1", "--numeric", "--dmax", "1"]
+    plain, optimized = (subprocess.run([sys.executable, *flags, *argv],
+                                       capture_output=True, text=True)
+                        for flags in ([], ["-O"]))
+    assert plain.returncode == optimized.returncode == 0, optimized.stderr
+    assert plain.stdout == optimized.stdout
 
 
 # the verdict functions of the checks that read (a, b) alone, and the two

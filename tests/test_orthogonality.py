@@ -210,6 +210,42 @@ def test_transposed_gram_matches_entrywise_pull_back_off_the_family(
         assert G == _gram_by_entry(params, d, dp, skewed_family), (d, dp)
 
 
+# a >= 2 at dmax 4, which no benchmark workload runs: the matrix moment
+# table is extended twice, to total degree 2, 4 and 8, and the last pair is
+# read as a transpose
+_DEEP_PAIRS = (((1, 0), (1, 0)), ((1, 1), (0, 2)), ((2, 2), (2, 2)),
+               ((1, 3), (1, 3)), ((4, 0), (1, 3)), ((3, 1), (0, 2)))
+
+
+def test_gram_at_dmax_4_matches_entrywise_pull_back():
+    _clear_module_caches()
+    params = PairParams(5, 3, 2)
+    for d, dp in _DEEP_PAIRS:
+        assert gram(params, d, dp) == _gram_by_entry(params, d, dp), (d, dp)
+
+
+def test_perturbed_weight_entry_fails_orthogonality_at_dmax_4(monkeypatch):
+    # x2 added to the entry S_00 alone: S stays symmetric, and the moment
+    # table must read it
+    true_weight = orthogonality.weight_matrix_x
+
+    def perturbed(params):
+        s = true_weight(params)
+        return PolyMatrix(s.rows, s.cols, [
+            s.entries[0] + MultiPoly.var(X_VARS, "x2"), *s.entries[1:]])
+
+    _clear_module_caches()
+    monkeypatch.setattr(orthogonality, "weight_matrix_x", perturbed)
+    try:
+        results = orthogonality_suite(PairParams(5, 3, 2), 4)
+    finally:
+        _clear_module_caches()
+    r = next(r for r in results
+             if r.name.startswith("orthogonality of distinct degrees"))
+    assert r.status == "FAIL"
+    assert r.data["residual"] != "0"
+
+
 @pytest.mark.parametrize("bad", [(1.5, 0), (1,), (1, 0, 0), (-1, 0),
                                  (1.0, 0), (F(1), 0)])
 def test_bad_degree_pairs_are_refused(bad):
