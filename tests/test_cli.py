@@ -257,9 +257,9 @@ def test_verify_deterministic_bytes(tmp_path, capsys):
 
 
 # sha256 of suite reports, pinned byte for byte: the casimir, pde and
-# orthogonality suites on a 2x2x2 grid at dmax 2, the weight and
-# indecomposability suites on the default grid, and the orthogonality,
-# casimir and pde suites on the default grid at dmax 3 (keys
+# orthogonality suites on a 2x2x2 grid at dmax 2, the weight,
+# indecomposability, xi and transition suites on the default grid, and the
+# orthogonality, casimir and pde suites on the default grid at dmax 3 (keys
 # "orthogonality-dmax3", "casimir-dmax3", "pde-dmax3").  Any change to the radial operator,
 # the triangular expansion, the Gram integrals or the exact rank that alters
 # a single line, a count or a REPORTED detail shows here
@@ -269,6 +269,8 @@ REPORT_GRIDS = {"casimir": ("casimir", SMALL_GRID),
                 "orthogonality": ("orthogonality", SMALL_GRID),
                 "weight": ("weight", []),
                 "indecomposable": ("indecomposable", []),
+                "xi": ("xi", []),
+                "transition": ("transition", []),
                 "orthogonality-dmax3": ("orthogonality", ["--dmax", "3"]),
                 "casimir-dmax3": ("casimir", ["--dmax", "3"]),
                 "pde-dmax3": ("pde", ["--dmax", "3"]),
@@ -311,6 +313,14 @@ REPORT_DIGESTS = {
         "f8e040d5d833fad9a26651441a4c6197bf441f52c6a46c88a9a916177677f6fe",
     ("orthogonality-numeric", "json"):
         "ff54207d1024ce982b72a50053c30077458edac51559667e84abb0d817be0c26",
+    ("xi", "text"):
+        "2cadf35d7aeb5712e3b0c0503dd264f3da3db46e6525feb0a30af103a071f025",
+    ("xi", "json"):
+        "209eb9e2f43adb0e9880e5de8b036fe5834792f33e10dc1c3bf9614a0705e5dc",
+    ("transition", "text"):
+        "ac0d4e66c16bd938c2d8b59d85a8e7e68a8aece09970b94b14163fe0f5d370fc",
+    ("transition", "json"):
+        "f0ea5e998baed5221a1051111f82be96c92953704eb736434f70e18b71bfa0a8",
 }
 
 
