@@ -20,14 +20,16 @@ Three layers, increasingly packaged:
    coefficients are kept beside it.
 
 The operators of one point are `point_cache`s, which `verify` drops when it
-leaves the point; the parts that read m alone stay.
+leaves the point; the parts that read m alone stay, and so do (C1, C2),
+built once per (a, b).
 
 The radial-action checks all compare through ``_radial_mismatch``, against
 expected vectors formed as one integer combination per component: an
-identity A(v) = want holds when each numerator of A(v) equals D want.  A
-stored reference closed form that disagrees with our construction is
-REPORTED, both sides printed, only while its documented relation holds;
-otherwise it FAILs.
+identity A(v) = want holds when each numerator of A(v) equals D want.  The
+stored lowering table and the stored xi constants and inversions are
+compared with what we derive by `report.against_reference`, each beside
+the one check that reads it: a disagreement is REPORTED, both sides
+printed, only while its documented relation holds; otherwise it FAILs.
 
 Within one `verify` run, whose table of verdicts lives for that run only,
 ``casimir_suite`` decides the two scalar radial checks once per m and the
@@ -41,14 +43,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .diffop import MatrixDiffOp
-from .leading import (C_VARS, PSI_VARS, X_VARS, at_point, k_type,
-                      leading_term_matrix, psi_in_c, psi_in_x)
+from .leading import (C_VARS, PSI_VARS, X_VARS, _per_k_type, at_point,
+                      k_type, leading_term_matrix, psi_in_c, psi_in_x)
 from .lie import (MsfLabel, PairParams, casimir_eigenvalue,
                   casimir_eigenvalue_ip, check_label, degree_pairs,
                   label_weight, labels_up_to, point_cache)
 from .matrices import PolyMatrix, solve_linear
 from .poly import MultiPoly, linear_combination
-from .report import CheckResult, FAIL, PASS, REPORTED, decide
+from .report import CheckResult, FAIL, PASS, against_reference, decide
 
 
 @lru_cache(maxsize=None)
@@ -276,27 +278,25 @@ def reference_table_comparison(params: PairParams, dmax: int) -> CheckResult:
     A derived coefficient other than the reference or twice it is a FAIL.
     """
     name = f"lowering table reference comparison {params.tag()} dmax={dmax}"
-    diffs = []
+    moves = []
     for label in labels_up_to(params, dmax):
         if label.d1 < 2:     # no (d1-2, d2+1) move; both coefficients vanish
             continue
         key = MsfLabel(label.i, label.d1 - 2, label.d2 + 1)
         o = lowering_moves(params, label).get(key, Fraction(0))
         r = Fraction(-2 * label.d1 * (label.d1 - 1))
-        diff = (f"{label}->({key.i},{key.d1},{key.d2}): "
-                f"derived {o}, reference {r}")
-        if o == 2 * r:
-            diffs.append(diff)
-        elif o != r:
-            return CheckResult(name, FAIL, diff + ", not twice the reference")
-    if diffs:
-        return CheckResult(
-            name, REPORTED,
-            "reference coefficient -2d1(d1-1) for the (d1-2,d2+1) move "
-            "disagrees with the derived -4d1(d1-1), which is the value the "
-            "verified recursion uses: " + "; ".join(diffs[:4])
-            + (f" (+{len(diffs) - 4} more)" if len(diffs) > 4 else ""))
-    return CheckResult(name, PASS, "tables coincide on this range (no d1>=2 label)")
+        moves.append((f"{label}->({key.i},{key.d1},{key.d2}): "
+                      f"derived {o}, reference {r}", o, r))
+    diffs = [move for move, o, r in moves if o != r]
+    broken = next((move for move, o, r in moves if o not in (r, 2 * r)), None)
+    return against_reference(
+        name, [o for _, o, _ in moves], [r for _, _, r in moves],
+        broken is None, "tables coincide on this range (no d1>=2 label)",
+        "reference coefficient -2d1(d1-1) for the (d1-2,d2+1) move "
+        "disagrees with the derived -4d1(d1-1), which is the value the "
+        "verified recursion uses: " + "; ".join(diffs[:4])
+        + (f" (+{len(diffs) - 4} more)" if len(diffs) > 4 else ""),
+        f"{broken}, not twice the reference")
 
 
 def eigenvalue_agreement_check(params: PairParams, dmax: int) -> CheckResult:
@@ -347,9 +347,10 @@ def scalar_radial_agreement_check(m: int) -> CheckResult:
     return CheckResult(name, PASS)
 
 
-@lru_cache(maxsize=None)
+@_per_k_type
 def conjugation_matrices(params: PairParams) -> tuple[PolyMatrix, PolyMatrix]:
-    """First-order coefficient matrices (C1, C2), tridiagonal in size a+1.
+    """First-order coefficient matrices (C1, C2), tridiagonal in size a+1,
+    built once per (a, b), which is all they read.
 
     Both share the same off-diagonals: (r, r-1) entry 2 r psi2 and (r, r+1)
     entry 2 (a-r).
@@ -389,10 +390,6 @@ def gradient_pairing_verdict(a: int, b: int) -> CheckResult:
         if lhs != rhs:
             return CheckResult(name, FAIL, f"{tag_i} coordinate pairing fails")
     return CheckResult(name, PASS)
-
-
-def gradient_pairing_check(params: PairParams) -> CheckResult:
-    return at_point(gradient_pairing_verdict, params)
 
 
 def shift_matrix(params: PairParams) -> PolyMatrix:
@@ -548,33 +545,28 @@ def xi_suite(m: int) -> list[CheckResult]:
         out.append(CheckResult(name, FAIL, f"solver produced ({t0}, {t1}, {t2})"))
     else:
         ref = refs["psi2"]
-        reported = t0 + t1 + t2 == 1 != sum(ref)
-        out.append(CheckResult(
-            name, PASS if ref == (t0, t1, t2) else REPORTED if reported else FAIL,
-            f"derived (constant, first, second) = ({t0}, {t1}, {t2}), sum "
-            f"{t0 + t1 + t2}; reference ({ref[0]}, {ref[1]}, {ref[2]}), sum "
-            f"{sum(ref)}" + ("; the derived triple satisfies the identity "
-                             "normalization sum = 1, the reference does not"
-                             if reported else "")))
+        both = (f"derived (constant, first, second) = ({t0}, {t1}, {t2}), sum "
+                f"{t0 + t1 + t2}; reference ({ref[0]}, {ref[1]}, {ref[2]}), "
+                f"sum {sum(ref)}")
+        out.append(against_reference(
+            name, (t0, t1, t2), ref, t0 + t1 + t2 == 1 != sum(ref), both,
+            both + "; the derived triple satisfies the identity normalization "
+            "sum = 1, the reference does not", both))
 
     got, ref = data["phi1"], refs["phi1"]
-    name = f"first eigenfunction inversion (m={m})"
-    if ref == 2 * got:
-        out.append(CheckResult(
-            name, REPORTED,
-            f"reference inversion {ref} differs from the solved "
-            f"eigenfunction {got} by a factor 2 in the denominator; the "
-            f"solved form satisfies the eigen-equation and equals 1 at the "
-            f"identity"))
-    else:
-        out.append(CheckResult(name, PASS if ref == got else FAIL,
-                               f"reference inversion {ref}, solved {got}"))
+    both = f"reference inversion {ref}, solved {got}"
+    out.append(against_reference(
+        f"first eigenfunction inversion (m={m})", got, ref, ref == 2 * got,
+        both,
+        f"reference inversion {ref} differs from the solved eigenfunction "
+        f"{got} by a factor 2 in the denominator; the solved form satisfies "
+        f"the eigen-equation and equals 1 at the identity", both))
 
-    out.append(CheckResult(
-        f"second eigenfunction inversion (m={m})",
-        PASS if data["phi2"] == refs["phi2"] else FAIL,
-        "reference inversion formula matches the independently solved "
-        "eigenfunction exactly"))
+    exact = ("reference inversion formula matches the independently solved "
+             "eigenfunction exactly")
+    out.append(against_reference(
+        f"second eigenfunction inversion (m={m})", data["phi2"], refs["phi2"],
+        False, exact, "", exact))
     return out
 
 

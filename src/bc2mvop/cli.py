@@ -131,7 +131,8 @@ def _verify_results(args, grid: list[PairParams]):
         if want("pde"):
             results += expansion.pde_suite(q, dmax)
         if want("orthogonality"):
-            results.append(orthogonality.positivity_check(q, verdicts))
+            results.append(leading.at_point(orthogonality.positivity_verdict,
+                                            q, verdicts))
             results += orthogonality.orthogonality_suite(q, dmax)
             if args.numeric:
                 results += orthogonality.numeric_suite(q, dmax)
@@ -294,7 +295,7 @@ def _cmd_export(args) -> int:
 # ---- parser ----
 
 def _add_point(ap, need_ab=True):
-    ap.add_argument("--m", type=int, required=True, help="rank parameter, >= 3")
+    ap.add_argument("--m", type=int, required=True, help="rank parameter, >= 2")
     if need_ab:
         ap.add_argument("--a", type=int, required=True)
         ap.add_argument("--b", type=int, required=True)

@@ -40,7 +40,7 @@ from .lie import (MsfLabel, PairParams, bottom_weight, casimir_eigenvalue,
 from .matrices import (PolyMatrix, conjugate_flip, frac_identity, frac_invert,
                        frac_matmul)
 from .poly import MultiPoly
-from .report import CheckResult, FAIL, PASS, REPORTED
+from .report import CheckResult, FAIL, PASS, against_reference
 
 
 def d_coeffs(params: PairParams, i: int) -> list[Fraction]:
@@ -140,26 +140,20 @@ def transition_inverse_check(params: PairParams) -> CheckResult:
 
 def inverse_reference_check(params: PairParams) -> CheckResult:
     """Exact inverse against the stored closed-form display."""
-    name = f"inverse transition closed form {params.tag()}"
     _, Linv = L_matrices(params)
     exact = [list(r) for r in Linv]
     ref = inverse_closed_reference(params)
-    corr = inverse_closed_corrected(params)
-    if exact == ref:
-        return CheckResult(name, PASS)
-    if exact == corr:
-        bad = next((i, j) for i in range(params.size) for j in range(i)
-                   if exact[i][j] != ref[i][j])
-        i, j = bad
-        return CheckResult(
-            name, REPORTED,
-            f"stored display disagrees with the exact inverse, e.g. entry "
-            f"({i},{j}) display {ref[i][j]} vs exact {exact[i][j]}; shifting "
-            f"the base of the last Pochhammer factor from m+2j+b-1 to "
-            f"m+2j+b+1 reproduces the exact inverse entrywise")
-    return CheckResult(name, FAIL,
-                       "exact inverse matches neither the display nor the "
-                       "+2-shifted form")
+    # at a = 0 there is no off-diagonal entry for the display to get wrong
+    i, j = next(((i, j) for i in range(params.size) for j in range(i)
+                 if exact[i][j] != ref[i][j]), (0, 0))
+    return against_reference(
+        f"inverse transition closed form {params.tag()}", exact, ref,
+        exact == inverse_closed_corrected(params), "",
+        f"stored display disagrees with the exact inverse, e.g. entry "
+        f"({i},{j}) display {ref[i][j]} vs exact {exact[i][j]}; shifting "
+        f"the base of the last Pochhammer factor from m+2j+b-1 to "
+        f"m+2j+b+1 reproduces the exact inverse entrywise",
+        "exact inverse matches neither the display nor the +2-shifted form")
 
 
 # ---- triangular eigenfunction expansion ----

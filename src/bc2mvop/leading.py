@@ -80,7 +80,7 @@ def x_in_c() -> Mapping[str, MultiPoly]:
 def k_type(a: int, b: int) -> PairParams:
     """The point that stands for every point of K-type (a, b) in what reads
     a and b alone: the leading terms, the weight and the checks on them.
-    Any m would do; this is the smallest, 3."""
+    Any m would do; this is 3."""
     return PairParams(3, a, b)
 
 
@@ -329,14 +329,6 @@ def reference_matrix_verdict(a: int, b: int) -> CheckResult:
     if weight_matrix_x(k_type(a, 0)) != x_reference_matrix(a):
         return CheckResult(name, FAIL, "x-form at b=0 differs from the stored matrix")
     return CheckResult(name, PASS)
-
-
-def homogeneity_check(params: PairParams) -> CheckResult:
-    return at_point(homogeneity_verdict, params)
-
-
-def krawtchouk_route_check(params: PairParams) -> CheckResult:
-    return at_point(krawtchouk_route_verdict, params)
 
 
 def weight_suite(params: PairParams, verdicts: dict | None = None) -> list[CheckResult]:

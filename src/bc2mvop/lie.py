@@ -35,8 +35,8 @@ class PairParams:
                              f"b={self.b}") from None
         for name, value in zip(("m", "a", "b"), values):
             object.__setattr__(self, name, value)
-        if self.m <= 2:
-            raise ValueError("m must be at least 3")
+        if self.m <= 1:
+            raise ValueError("m must be at least 2")
         if self.a < 0:
             raise ValueError("a must be non-negative")
         if -self.a < self.b < 0:

@@ -70,13 +70,13 @@ from .lie import (MsfLabel, PairParams, degree_pair, degree_pairs,
                   label_weight, point_cache, weyl_dim)
 from .matrices import PolyMatrix, frac_det, frac_rank
 from .poly import MultiPoly, integer_view
-from .report import CheckResult, FAIL, PASS, REPORTED
+from .report import CheckResult, FAIL, PASS, against_reference
 
 
 def beta_moment(m: int, p: int) -> Fraction:
     """int_0^(pi/2) cos^(2p+1) sin^(2m-3) dt, exactly."""
-    if m < 3 or p < 0:
-        raise ValueError("need m >= 3 and p >= 0")
+    if m < 2 or p < 0:
+        raise ValueError("need m >= 2 and p >= 0")
     return Fraction(math.factorial(p) * math.factorial(m - 2),
                     2 * math.factorial(p + m - 1))
 
@@ -149,6 +149,11 @@ def moment(m: int, b: int, i: int, j: int) -> Fraction:
     return region_integral(PairParams(m, 0, b), MultiPoly.monomial(X_VARS, (i, j)))
 
 
+def mass_claim(m: int) -> Fraction:
+    """The stored normalization constant m^2(m^2-1)/32."""
+    return Fraction(m * m * (m * m - 1), 32)
+
+
 def total_mass_check(m: int) -> CheckResult:
     """Full-torus mass of |density| against the stored normalization claim.
 
@@ -156,19 +161,15 @@ def total_mass_check(m: int) -> CheckResult:
     defines the constant as the mass, another computes its reciprocal as the
     mass, and the computed value matches the reciprocal reading.
     """
-    name = f"density total mass (m={m})"
-    quarter = integrate_against_delta(PairParams(m, 0, 0), MultiPoly.one(C_VARS))
-    full = 16 * quarter
-    claim = Fraction(m * m * (m * m - 1), 32)
-    if full == claim:
-        return CheckResult(name, PASS, f"mass {full}")
-    if full * claim == 1:
-        return CheckResult(
-            name, REPORTED,
-            f"computed mass {full} is the exact reciprocal of the stored "
-            f"claim {claim}; the stored normalization chain uses the constant "
-            f"and its reciprocal interchangeably")
-    return CheckResult(name, FAIL, f"mass {full}, claim {claim}, not reciprocal")
+    full = 16 * integrate_against_delta(PairParams(m, 0, 0), MultiPoly.one(C_VARS))
+    claim = mass_claim(m)
+    return against_reference(
+        f"density total mass (m={m})", full, claim, full * claim == 1,
+        f"mass {full}",
+        f"computed mass {full} is the exact reciprocal of the stored claim "
+        f"{claim}; the stored normalization chain uses the constant and its "
+        f"reciprocal interchangeably",
+        f"mass {full}, claim {claim}, not reciprocal")
 
 
 def in_region(x1: Fraction, x2: Fraction) -> bool:
@@ -339,20 +340,15 @@ def orthogonality_suite(params: PairParams, dmax: int = 2) -> list[CheckResult]:
 
     printed = (Fraction(2) ** (2 * m + 2 * b - 10)
                * m ** 2 * (m ** 2 - 1) * n ** 2)
-    if kappa == printed:
-        out.append(CheckResult(f"norm constant stored closed form {tag}", PASS,
-                               f"kappa = {kappa}"))
-    else:
-        square = Fraction(m * m * (m * m - 1), 32) ** 2
-        relation = printed == square * kappa
-        out.append(CheckResult(
-            f"norm constant stored closed form {tag}",
-            REPORTED if relation else FAIL,
-            f"computed kappa = {kappa}; stored closed form "
-            f"2^(2m+2b-10) m^2 (m^2-1) (a+1)^2 = {printed}; "
-            + (f"ratio stored/computed = {square}; the ratio is"
-               if relation else "the ratio stored/computed is not")
-            + " the square of the mass constant m^2(m^2-1)/32"))
+    square = mass_claim(m) ** 2
+    both = (f"computed kappa = {kappa}; stored closed form "
+            f"2^(2m+2b-10) m^2 (m^2-1) (a+1)^2 = {printed}; ")
+    tail = " the square of the mass constant m^2(m^2-1)/32"
+    out.append(against_reference(
+        f"norm constant stored closed form {tag}", kappa, printed,
+        printed == square * kappa, f"kappa = {kappa}",
+        both + f"ratio stored/computed = {square}; the ratio is" + tail,
+        both + "the ratio stored/computed is not" + tail))
     return out
 
 
@@ -392,13 +388,6 @@ def positivity_verdict(a: int, b: int) -> CheckResult:
             return CheckResult(name, FAIL, f"determinant {online} on c2=0")
         detail += " and on the c2=0 line"
     return CheckResult(name, PASS, detail)
-
-
-def positivity_check(params: PairParams,
-                     verdicts: dict | None = None) -> CheckResult:
-    """The positivity line at one point, decided once per (a, b) within
-    ``verdicts``."""
-    return at_point(positivity_verdict, params, verdicts)
 
 
 def indecomposability_check(params: PairParams) -> tuple[int, int]:

@@ -7,8 +7,13 @@ Three outcomes:
 * FAIL: the implementation contradicts itself; something we derived and
   trust is violated.
 * REPORTED: our independently constructed object disagrees with a stored
-  reference closed form.  The discrepancy is printed with both sides, and
-  does not count as a failure of the machinery.
+  reference closed form in the one documented way.  The discrepancy is
+  printed with both sides, and does not count as a failure of the
+  machinery.
+
+`against_reference` is the one rule that compares a derived value with a
+stored one, and the only place a REPORTED line is made: a disagreement
+that breaks its documented relation is a FAIL.
 """
 
 from __future__ import annotations
@@ -64,6 +69,19 @@ def decide(verdicts: dict | None, verdict, *key) -> CheckResult:
     if (verdict, key) not in verdicts:
         verdicts[verdict, key] = verdict(*key)
     return verdicts[verdict, key]
+
+
+def against_reference(name: str, derived, stored, related: bool, same: str,
+                      differs: str, broken: str) -> CheckResult:
+    """A derived value against a stored closed form: PASS with detail
+    ``same`` when they are equal, REPORTED with ``differs`` when they are
+    not but ``related``, the documented relation between the two, holds,
+    and FAIL with ``broken`` otherwise."""
+    if derived == stored:
+        return CheckResult(name, PASS, same)
+    if related:
+        return CheckResult(name, REPORTED, differs)
+    return CheckResult(name, FAIL, broken)
 
 
 def render_text(results: list[CheckResult]) -> str:

@@ -10,13 +10,16 @@ REPORTED lines of the default-grid `verify`: the lowering table (36), the
 stored norm constant (36), the stored inverse transition (27, a >= 1), the
 second coordinate expansion constants (3), the first eigenfunction
 inversion (3) and the density total mass (3), one of each per m for the last
-three.
+three.  At the smallest rank, m = 2, the same six kinds are all the REPORTED
+lines.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from bc2mvop import cli
 from bc2mvop.casimir import (casimir_suite, conjugation_matrices,
                              scalar_radial_psi, xi_constants, xi_suite)
 from bc2mvop.diffop import MatrixDiffOp
@@ -187,3 +190,22 @@ def test_flip_conjugate_family():
         assert results and all(r.status == PASS for r in results), \
             "\n".join(f"{r.status} {r.name}: {r.detail}" for r in results
                       if r.status != PASS)
+
+
+def test_smallest_rank_reports_the_same_six_kinds(capsys):
+    # m = 2, the pair (SU(4), S(U(2) x U(2))), is the smallest in the range
+    assert cli.main(["verify", "all", "--m", "2", "--a", "0,1,2", "--b", "0,1",
+                     "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["summary"] == {"pass": 331, "fail": 0, "reported": 19}
+    want = []
+    for p in (PairParams(2, a, b) for a in (0, 1, 2) for b in (0, 1)):
+        want.append(f"lowering table reference comparison {p.tag()} dmax=2")
+        if p.a >= 1:
+            want.append(f"inverse transition closed form {p.tag()}")
+        want.append(f"norm constant stored closed form {p.tag()}")
+    want += ["density total mass (m=2)",
+             "second coordinate expansion constants (m=2)",
+             "first eigenfunction inversion (m=2)"]
+    assert [r["identity"] for r in payload["results"]
+            if r["status"] == REPORTED] == want

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from bc2mvop import casimir, cli
 from bc2mvop.casimir import (bottom_lowering_check, casimir_suite,
                              eigenvalue_agreement_check, general_lowering_check,
-                             gradient_pairing_check, lowering_moves,
+                             gradient_pairing_verdict, lowering_moves,
                              pde_operator_psi, pde_operator_x, radial_apply,
                              reference_table_comparison, scalar_eigen_check,
                              radial_denominator, scalar_eigenpoly,
@@ -78,7 +78,7 @@ def test_lowering_checks_green():
         assert bottom_lowering_check(params).status == "PASS"
         assert general_lowering_check(params, 2).status == "PASS"
         assert eigenvalue_agreement_check(params, 2).status == "PASS"
-        assert gradient_pairing_check(params).status == "PASS"
+        assert gradient_pairing_verdict(params.a, params.b).status == "PASS"
 
 
 def test_reference_table_comparison_reports():

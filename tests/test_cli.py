@@ -91,6 +91,19 @@ def test_verify_degenerate_input_is_parameter_error(argv, capsys):
     assert argv[2] in err      # the message names the offending option
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "all", "--m", "1", "--a", "0", "--b", "0"],
+    ["verify", "weight", "--m", "3,0", "--a", "0", "--b", "0"],
+    ["weight", "--m", "1", "--a", "0", "--b", "0"],
+    ["moments", "--m", "-1", "--monomial", "0,0"],
+], ids=["verify", "verify-grid", "data", "moments"])
+def test_m_below_two_is_parameter_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "parameter error: m must be at least 2\n"
+
+
 def test_verify_repeated_grid_value_names_axis_and_value(capsys):
     code, out, err = run_cli(["verify", "weight", "--m", "3", "--a", "0",
                               "--b", "2,0,2"], capsys)
@@ -441,7 +454,8 @@ def test_verify_builds_each_shared_part_once_per_parameters_it_reads(
     # the per-m parts and the Gram matrices live for the whole process, so
     # start them empty: a point whose Gram matrices are cached reads no
     # moment table
-    for cache in (*per_m, casimir._lifted, orthogonality._gram_cached):
+    for cache in (*per_m, casimir._lifted, casimir.conjugation_matrices,
+                  orthogonality._gram_cached):
         cache.cache_clear()
     lifts = Counter()
     real_lift = MatrixDiffOp.lift
@@ -472,6 +486,8 @@ def test_verify_builds_each_shared_part_once_per_parameters_it_reads(
     # sizes 1 (the scalar checks), 2 and 3 in c; 2 and 3 in psi and in x
     assert [cache.cache_info().misses for cache in per_m] == [2, 2, 2]
     assert set(lifts.values()) == {1} and len(lifts) == 2 * (3 + 2 + 2)
+    # (C1, C2) once per (a, b)
+    assert casimir.conjugation_matrices.cache_info().misses == 4
     # one matrix moment table per point, and each node power once per point
     assert tables == [1] * 8
     assert set(powers.values()) == {1}

@@ -6,7 +6,7 @@ import pytest
 
 from bc2mvop import leading
 from bc2mvop.leading import (C_VARS, PSI_VARS, X_VARS, det_reference_c,
-                             krawtchouk_route_check, leading_term,
+                             krawtchouk_route_verdict, leading_term,
                              leading_term_matrix,
                              psi_reference_matrix, weight_matrix_c,
                              weight_matrix_psi, weight_matrix_x, weight_suite,
@@ -146,29 +146,27 @@ def _patch_entry(monkeypatch, entry, change):
 
 
 def test_krawtchouk_route_catches_one_perturbed_coefficient(monkeypatch):
-    params = PairParams(3, 2, 1)
-    assert krawtchouk_route_check(params).status == "PASS"
+    assert krawtchouk_route_verdict(2, 1).status == "PASS"
 
     def bump(q):
         exp, _ = q.leading()
         return q + MultiPoly.monomial(C_VARS, exp, F(1, 7))
     _patch_entry(monkeypatch, (1, 2), bump)
-    r = krawtchouk_route_check(params)
+    r = krawtchouk_route_verdict(2, 1)
     assert r.status == "FAIL"
     assert "routes disagree at entry (1,2)" in r.detail
 
 
 def test_krawtchouk_route_fails_a_non_homogeneous_entry(monkeypatch):
     _patch_entry(monkeypatch, (0, 1), lambda q: q + MultiPoly.one(C_VARS))
-    r = krawtchouk_route_check(PairParams(3, 2, 1))
+    r = krawtchouk_route_verdict(2, 1)
     assert r.status == "FAIL"
     assert "entry (0,1) is not homogeneous" in r.detail
 
 
 def test_homogeneity_check_catches_a_non_homogeneous_entry(monkeypatch):
-    params = PairParams(3, 2, 1)
-    assert leading.homogeneity_check(params).status == "PASS"
+    assert leading.homogeneity_verdict(2, 1).status == "PASS"
     _patch_entry(monkeypatch, (0, 1), lambda q: q + MultiPoly.one(C_VARS))
-    r = leading.homogeneity_check(params)
+    r = leading.homogeneity_verdict(2, 1)
     assert r.status == "FAIL"
     assert "(0, 1)" in r.detail

@@ -14,6 +14,7 @@ from bc2mvop.matrices import solve_linear
 
 
 def test_params_validation():
+    PairParams(2, 1, 0)    # the smallest rank, SU(4)
     PairParams(3, 1, 0)
     PairParams(3, 1, -1)   # b = -a, the far regime
     PairParams(4, 2, -5)
@@ -21,6 +22,8 @@ def test_params_validation():
         PairParams(3, 2, -1)   # strictly between -a and 0
     with pytest.raises(ValueError):
         PairParams(3, 3, -2)
+    with pytest.raises(ValueError, match="m must be at least 2"):
+        PairParams(1, 0, 0)
 
 
 def test_params_regime_message_names_the_gap():

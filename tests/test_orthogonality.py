@@ -18,7 +18,7 @@ from bc2mvop.orthogonality import (_beta_numerators, beta_moment, gram,
                                    indecomposability_suite,
                                    integrate_against_delta, moment,
                                    numeric_crosscheck, numeric_suite,
-                                   orthogonality_suite, positivity_check,
+                                   orthogonality_suite, positivity_verdict,
                                    region_grid, region_integral,
                                    total_mass_check)
 from bc2mvop.poly import MultiPoly
@@ -30,6 +30,10 @@ def test_beta_moments_by_hand():
     assert beta_moment(3, 1) == F(1, 12)
     assert beta_moment(3, 2) == F(1, 24)
     assert beta_moment(4, 0) == F(1, 6)
+    # at m = 2 the sine factor is sin^1: 1 / (2 (p+1))
+    assert [beta_moment(2, p) for p in range(3)] == [F(1, 2), F(1, 4), F(1, 6)]
+    with pytest.raises(ValueError, match="m >= 2"):
+        beta_moment(1, 0)
 
 
 def test_delta_integral_of_one():
@@ -342,7 +346,7 @@ def test_no_comparison_line_without_anything_to_compare():
 
 def test_positivity():
     for params in (PairParams(3, 1, 0), PairParams(3, 2, 1), PairParams(4, 1, 2)):
-        assert positivity_check(params).status == "PASS"
+        assert positivity_verdict(params.a, params.b).status == "PASS"
 
 
 def test_indecomposability_dimensions():
