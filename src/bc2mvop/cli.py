@@ -2,21 +2,22 @@ r"""Command-line front end.
 
 `verify` runs identity suites over a parameter grid, one report line per
 check.  The data subcommands (`weight`, `polys`, `dims`, `moments`) emit
-the constructed objects as JSON; `export` writes any of them to disk, as
-JSON or as a CSV evaluation grid over the bounding box of the support
-region.
+the constructed objects as JSON, or with `--format csv` as CSV: the weight
+and the polynomials as an evaluation grid in x coordinates over the
+bounding box of the support region, the others as one key-value row.  Each
+reads only its own options; any other is a usage error.
 
 Output is deterministic: polynomial terms are serialized in canonical
 monomial order, JSON keys are sorted, and CSV floats use the shortest
 round-trip representation, so identical invocations give identical bytes.
 
 Exit codes: 0 when no check FAILs (REPORTED discrepancies do not fail a
-run), 1 when at least one identity check fails, 2 for parameter errors,
-including degenerate `verify` input such as a negative --dmax or --N, an
-empty --p list, a grid value listed twice, a selection that runs no check
-or none that reads a given --N, --p, --numeric or --dmax, and an --out
-path that cannot be written.  Suites run serially, and no environment
-variable is read.
+run), 1 when at least one identity check fails, 2 for usage and parameter
+errors, including degenerate `verify` input such as a negative --dmax or
+--N, an empty --p list, a grid or --p value listed twice, a selection that
+runs no check or none that reads a given --N, --p, --numeric or --dmax,
+and an --out path that cannot be written.  Suites run serially, and no
+environment variable is read.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from . import casimir, expansion, leading, orthogonality
 from .krawtchouk import STANDARD_PS, standard_suite
 from .lie import (MsfLabel, PairParams, casimir_eigenvalue_ip, check_label,
                   drop_point_caches, label_weight, weyl_dim)
+from .matrices import PolyMatrix
 from .poly import MultiPoly
 from .report import exit_code, render_json, render_text
 
@@ -78,13 +80,17 @@ def _construction_params(m: int, a: int, b: int) -> PairParams:
     return params
 
 
+def _refuse_repeats(option: str, values: list):
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ValueError(f"--{option} lists {v} twice")
+
+
 def _grid(ms: list[int], as_: list[int], bs: list[int]) -> list[PairParams]:
     if not (ms and as_ and bs):
         raise ValueError("empty parameter grid")
     for axis, values in (("m", ms), ("a", as_), ("b", bs)):
-        for i, v in enumerate(values):
-            if v in values[:i]:
-                raise ValueError(f"--{axis} lists {v} twice")
+        _refuse_repeats(axis, values)
     return [_construction_params(m, a, b) for m in ms for a in as_ for b in bs]
 
 
@@ -170,6 +176,7 @@ def _check_verify_args(args):
         for p in args.p:
             if not 0 < p < 1:
                 raise ValueError(f"--p {p}: Krawtchouk parameters need 0 < p < 1")
+        _refuse_repeats("p", args.p)
 
 
 def _cmd_verify(args) -> int:
@@ -191,7 +198,7 @@ def _weight_payload(args) -> dict:
           "psi": leading.weight_matrix_psi,
           "x": leading.weight_matrix_x}[args.coords]
     return {"kind": "weight", "m": params.m, "a": params.a, "b": params.b,
-            "coords": args.coords, "matrix": fn(params).to_json()}
+            "coords": args.coords, "matrix": fn(params)}
 
 
 def _polys_payload(args) -> dict:
@@ -199,15 +206,13 @@ def _polys_payload(args) -> dict:
     d = tuple(args.d)
     if min(d) < 0:
         raise ValueError(f"degree d={d} must be non-negative")
-    if args.coords == "c":
-        raise ValueError("polys are built in psi or x coordinates, not c")
     mat = (expansion.poly_matrix_psi(params, d) if args.coords == "psi"
            else expansion.poly_matrix_x(params, d))
     eigs = [str(casimir_eigenvalue_ip(label_weight(params, MsfLabel(i, d[0], d[1]))))
             for i in range(params.size)]
     return {"kind": "polys", "m": params.m, "a": params.a, "b": params.b,
             "d": list(d), "coords": args.coords, "eigenvalues": eigs,
-            "matrix": mat.to_json()}
+            "matrix": mat}
 
 
 def _dims_payload(args) -> dict:
@@ -241,14 +246,6 @@ _PAYLOADS = {"weight": _weight_payload, "polys": _polys_payload,
              "dims": _dims_payload, "moments": _moments_payload}
 
 
-def _cmd_data(args) -> int:
-    payload = _PAYLOADS[args.kind](args)
-    _write(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    return 0
-
-
-# ---- export ----
-
 def _grid_csv(params: PairParams, mat) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -266,39 +263,44 @@ def _grid_csv(params: PairParams, mat) -> str:
 def _kv_csv(payload: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    keys = sorted(k for k in payload if k != "matrix")
+    keys = sorted(payload)
     writer.writerow(keys)
     writer.writerow([json.dumps(payload[k]) if isinstance(payload[k], list)
                      else payload[k] for k in keys])
     return buf.getvalue()
 
 
-def _cmd_export(args) -> int:
+def _cmd_data(args) -> int:
+    """Print one payload, as JSON or as CSV.  A payload with a matrix
+    (weight, polys) has the x-coordinate evaluation grid as its CSV form."""
+    payload = _PAYLOADS[args.kind](args)
     if args.format == "json":
-        return _cmd_data(args)
-    if args.kind in ("weight", "polys") and args.coords != "x":
+        text = json.dumps(payload, indent=2, sort_keys=True,
+                          default=PolyMatrix.to_json)
+    elif "matrix" not in payload:
+        text = _kv_csv(payload)
+    elif args.coords != "x":
         raise ValueError(f"the CSV grid is evaluated in x coordinates; "
                          f"--coords {args.coords} has no CSV form")
-    if args.kind == "weight":
-        params = _construction_params(args.m, args.a, args.b)
-        text = _grid_csv(params, leading.weight_matrix_x(params))
-    elif args.kind == "polys":
-        params = _construction_params(args.m, args.a, args.b)
-        d = tuple(args.d)
-        text = _grid_csv(params, expansion.poly_matrix_x(params, d))
     else:
-        text = _kv_csv(_PAYLOADS[args.kind](args))
+        text = _grid_csv(PairParams(args.m, args.a, args.b), payload["matrix"])
     _write(text, args.out)
     return 0
 
 
 # ---- parser ----
 
-def _add_point(ap, need_ab=True):
+def _data_parser(sub, kind: str, summary: str, need_ab=True):
+    """A data subcommand: the point it reads, --format and --out."""
+    ap = sub.add_parser(kind, help=summary)
     ap.add_argument("--m", type=int, required=True, help="rank parameter, >= 2")
     if need_ab:
         ap.add_argument("--a", type=int, required=True)
         ap.add_argument("--b", type=int, required=True)
+    ap.add_argument("--format", choices=("json", "csv"), default="json")
+    ap.add_argument("--out", default=None)
+    ap.set_defaults(func=_cmd_data, kind=kind)
+    return ap
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,47 +329,23 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--out", default=None)
     v.set_defaults(func=_cmd_verify)
 
-    w = sub.add_parser("weight", help="emit the weight matrix as JSON")
-    _add_point(w)
+    w = _data_parser(sub, "weight", "the weight matrix")
     w.add_argument("--coords", choices=("c", "psi", "x"), default="x")
-    w.add_argument("--out", default=None)
-    w.set_defaults(func=_cmd_data, kind="weight")
 
-    pl = sub.add_parser("polys", help="emit a matrix orthogonal polynomial as JSON")
-    _add_point(pl)
+    pl = _data_parser(sub, "polys", "a matrix orthogonal polynomial and its "
+                                    "eigenvalues")
     pl.add_argument("--d", type=_int_tuple(2), default=(0, 0),
                     help="degree d1,d2, default 0,0")
     pl.add_argument("--coords", choices=("psi", "x"), default="x")
-    pl.add_argument("--out", default=None)
-    pl.set_defaults(func=_cmd_data, kind="polys")
 
-    dm = sub.add_parser("dims", help="dimension and eigenvalue data for a label")
-    _add_point(dm)
+    dm = _data_parser(sub, "dims", "dimension and eigenvalue data for a label")
     dm.add_argument("--label", type=_int_tuple(3), required=True,
                     help="bottom index and degrees: i,d1,d2")
-    dm.add_argument("--out", default=None)
-    dm.set_defaults(func=_cmd_data, kind="dims")
 
-    mo = sub.add_parser("moments", help="exact torus moments of a monomial")
-    _add_point(mo, need_ab=False)
+    mo = _data_parser(sub, "moments", "exact torus moments of a monomial",
+                      need_ab=False)
     mo.add_argument("--monomial", type=_int_tuple(2), required=True,
                     help="exponents p,q of c1^(2p) c2^(2q)")
-    mo.add_argument("--out", default=None)
-    mo.set_defaults(func=_cmd_data, kind="moments")
-
-    ex = sub.add_parser("export", help="write any payload to disk, JSON or CSV")
-    ex.add_argument("--kind", choices=("weight", "polys", "dims", "moments"),
-                    required=True)
-    ex.add_argument("--m", type=int, required=True)
-    ex.add_argument("--a", type=int, default=0)
-    ex.add_argument("--b", type=int, default=0)
-    ex.add_argument("--d", type=_int_tuple(2), default=(0, 0))
-    ex.add_argument("--label", type=_int_tuple(3), default=(0, 0, 0))
-    ex.add_argument("--monomial", type=_int_tuple(2), default=(0, 0))
-    ex.add_argument("--coords", choices=("c", "psi", "x"), default="x")
-    ex.add_argument("--format", choices=("json", "csv"), default="json")
-    ex.add_argument("--out", default=None)
-    ex.set_defaults(func=_cmd_export)
 
     return ap
 

@@ -94,27 +94,21 @@ def self_duality_check(N: int, p: Fraction) -> CheckResult:
     return CheckResult(f"krawtchouk self-duality N={N} p={p}", PASS)
 
 
-def generating_function_check(N: int, p: Fraction, x: int) -> CheckResult:
-    """sum_n C(N,n) K_n(x;p,N) t^n = (1 - ((1-p)/p) t)^x (1+t)^(N-x)."""
+def generating_function_sweep(N: int, p: Fraction) -> CheckResult:
+    """sum_n C(N,n) K_n(x;p,N) t^n = (1 - ((1-p)/p) t)^x (1+t)^(N-x) at
+    every evaluation point x = 0..N; a FAIL names the first x that breaks."""
+    name = f"krawtchouk generating function N={N} p={p}"
     p = Fraction(p)
     tv = ("t",)
-    lhs = MultiPoly(tv, {(n,): comb(N, n) * krawtchouk(n, x, N, p)
-                         for n in range(N + 1)})
     t = MultiPoly.var(tv, "t")
-    rhs = (MultiPoly.one(tv) - ((1 - p) / p) * t) ** x * (MultiPoly.one(tv) + t) ** (N - x)
-    if lhs == rhs:
-        return CheckResult(f"krawtchouk generating function N={N} p={p} x={x}", PASS)
-    return CheckResult(f"krawtchouk generating function N={N} p={p} x={x}", FAIL,
-                       f"difference {lhs - rhs}")
-
-
-def generating_function_sweep(N: int, p: Fraction) -> CheckResult:
-    """generating_function_check at every evaluation point x = 0..N."""
-    name = f"krawtchouk generating function N={N} p={p}"
+    shrink = MultiPoly.one(tv) - ((1 - p) / p) * t
+    grow = MultiPoly.one(tv) + t
     for x in range(N + 1):
-        r = generating_function_check(N, p, x)
-        if r.status == FAIL:
-            return CheckResult(name, FAIL, f"x={x}: {r.detail}")
+        lhs = MultiPoly(tv, {(n,): comb(N, n) * krawtchouk(n, x, N, p)
+                             for n in range(N + 1)})
+        rhs = shrink ** x * grow ** (N - x)
+        if lhs != rhs:
+            return CheckResult(name, FAIL, f"x={x}: difference {lhs - rhs}")
     return CheckResult(name, PASS, f"all {N + 1} evaluation points")
 
 

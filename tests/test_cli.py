@@ -18,7 +18,10 @@ from bc2mvop.poly import MultiPoly
 
 
 def run_cli(argv, capsys):
-    code = cli.main(argv)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:      # argparse's usage errors
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -105,18 +108,21 @@ def test_m_below_two_is_parameter_error(argv, capsys):
 
 
 def test_verify_repeated_grid_value_names_axis_and_value(capsys):
-    code, out, err = run_cli(["verify", "weight", "--m", "3", "--a", "0",
-                              "--b", "2,0,2"], capsys)
-    assert code == 2
-    assert out == ""
-    assert err == "parameter error: --b lists 2 twice\n"
+    # --p is compared as fractions: 2/4 repeats 1/2
+    for suite, option, values, twice in (("weight", "--b", "2,0,2", "2"),
+                                         ("krawtchouk", "--p", "1/2,2/4", "1/2")):
+        code, out, err = run_cli(["verify", suite, "--m", "3", "--a", "0",
+                                  option, values], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"parameter error: {option} lists {twice} twice\n"
 
 
 @pytest.mark.parametrize("argv", [
     ["verify", "weight", "--m", "3", "--a", "0", "--b", "0"],
     ["weight", "--m", "3", "--a", "0", "--b", "0"],
-    ["export", "--kind", "weight", "--m", "3", "--format", "csv"],
-], ids=["verify", "data", "export"])
+    ["weight", "--m", "3", "--a", "0", "--b", "0", "--format", "csv"],
+], ids=["verify", "data", "csv"])
 def test_unwritable_out_is_parameter_error(argv, tmp_path, capsys):
     target = tmp_path / "missing" / "x"
     code, out, err = run_cli(argv + ["--out", str(target)], capsys)
@@ -201,21 +207,12 @@ def test_moments_payload(capsys):
     assert payload["delta_integral"] == "1/720"
 
 
-def test_export_json_matches_subcommand(capsys):
-    code, direct, _ = run_cli(["weight", "--m", "3", "--a", "1", "--b", "0"], capsys)
-    assert code == 0
-    code, via_export, _ = run_cli(["export", "--kind", "weight", "--m", "3",
-                                   "--a", "1", "--b", "0"], capsys)
-    assert code == 0
-    assert direct == via_export
-
-
 def test_export_csv_grid(tmp_path, capsys):
     out1 = tmp_path / "grid1.csv"
     out2 = tmp_path / "grid2.csv"
     for out in (out1, out2):
-        code = cli.main(["export", "--kind", "weight", "--m", "3", "--a", "1",
-                         "--b", "0", "--format", "csv", "--out", str(out)])
+        code = cli.main(["weight", "--m", "3", "--a", "1", "--b", "0",
+                         "--format", "csv", "--out", str(out)])
         assert code == 0
     capsys.readouterr()
     b1, b2 = out1.read_bytes(), out2.read_bytes()
@@ -229,9 +226,8 @@ def test_export_csv_grid(tmp_path, capsys):
 
 def test_export_polys_csv(tmp_path, capsys):
     out = tmp_path / "polys.csv"
-    code = cli.main(["export", "--kind", "polys", "--m", "3", "--a", "0",
-                     "--b", "0", "--d", "1,0", "--format", "csv",
-                     "--out", str(out)])
+    code = cli.main(["polys", "--m", "3", "--a", "0", "--b", "0", "--d", "1,0",
+                     "--format", "csv", "--out", str(out)])
     assert code == 0
     capsys.readouterr()
     lines = out.read_text().splitlines()
@@ -240,12 +236,12 @@ def test_export_polys_csv(tmp_path, capsys):
 
 
 def test_export_polys_refuses_c_coordinates(capsys):
-    # polys are built in psi or x only; c used to print the x matrix
-    code, out, err = run_cli(["export", "--kind", "polys", "--m", "3",
+    # polys are built in psi or x only; c once printed the x matrix
+    code, out, err = run_cli(["polys", "--m", "3", "--a", "0", "--b", "0",
                               "--coords", "c"], capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("parameter error:")
+    assert "argument --coords: invalid choice: 'c'" in err
 
 
 @pytest.mark.parametrize("kind", ["weight", "polys"])
@@ -253,11 +249,27 @@ def test_export_polys_refuses_c_coordinates(capsys):
 def test_export_csv_grid_refuses_non_x_coordinates(kind, coords, tmp_path, capsys):
     # the CSV grid is evaluated in x; any other label used to write it anyway
     out = tmp_path / "grid.csv"
-    code, _, err = run_cli(["export", "--kind", kind, "--m", "3", "--coords",
+    code, _, err = run_cli([kind, "--m", "3", "--a", "0", "--b", "0", "--coords",
                             coords, "--format", "csv", "--out", str(out)], capsys)
     assert code == 2
-    assert err.startswith("parameter error:")
+    assert ("invalid choice: 'c'" if (kind, coords) == ("polys", "c")
+            else f"--coords {coords} has no CSV form") in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["moments", "--m", "3", "--monomial", "1,2", "--a", "7"],
+     "unrecognized arguments: --a 7"),
+    (["moments", "--m", "3", "--monomial", "1,2", "--d", "4,4",
+      "--coords", "psi"], "unrecognized arguments: --d 4,4 --coords psi"),
+    (["dims", "--m", "3"], "required: --a, --b, --label"),
+], ids=["unread-a", "unread-d-coords", "missing-label"])
+def test_data_command_reads_only_its_own_options(argv, error, capsys):
+    # no option is filled in for a data command or ignored by it
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert error in err
 
 
 def test_verify_deterministic_bytes(tmp_path, capsys):
@@ -411,11 +423,9 @@ def test_export_is_pinned(key, capsys):
     argv = ["--m", "4", *EXPORT_OPTIONS[kind]]
     if a is not None:
         argv += ["--a", str(a), "--b", "1"]
-    if fmt == "csv":
-        argv = ["export", "--kind", kind, *argv, "--format", "csv"]
-    else:
-        argv = [kind, *argv] + (["--coords", coords] if coords else [])
-    code, out, _ = run_cli(argv, capsys)
+    if coords:
+        argv += ["--coords", coords]
+    code, out, _ = run_cli([kind, *argv, "--format", fmt], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == EXPORT_DIGESTS[key]
 

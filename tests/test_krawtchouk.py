@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import bc2mvop.krawtchouk as krawtchouk_module
 from bc2mvop.krawtchouk import (determinant_check, generating_function_sweep,
                                 krawtchouk, krawtchouk_suite, orthogonality_check,
                                 poch, point_weight, self_duality_check,
@@ -48,6 +49,16 @@ def test_identity_checks_pass(N, p):
     assert self_duality_check(N, p).status == "PASS"
     assert generating_function_sweep(N, p).status == "PASS"
     assert determinant_check(N, p, F(2, 3), F(3, 5)).status == "PASS"
+
+
+def test_generating_function_fails_at_the_first_broken_point(monkeypatch):
+    # K_1(2) one too large breaks the identity at x = 2 only, by C(2,1) t
+    real = krawtchouk
+    monkeypatch.setattr(krawtchouk_module, "krawtchouk", lambda n, x, N, p:
+                        real(n, x, N, p) + ((n, x) == (1, 2)))
+    r = generating_function_sweep(2, F(1, 2))
+    assert (r.name, r.status, r.detail) == (
+        "krawtchouk generating function N=2 p=1/2", "FAIL", "x=2: difference 2*t")
 
 
 def test_determinant_value_by_hand():

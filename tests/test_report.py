@@ -33,11 +33,15 @@ def _doubled(rows):
 # each REPORTED kind: its line, the attribute whose value breaks the
 # documented relation once changed, and the FAIL detail that names it
 BROKEN_RELATIONS = {
+    # REPORTED means derived = 2 x reference; a derived table at 6 x the
+    # reference is a FAIL naming the move
     "lowering table": (
         lambda: casimir.reference_table_comparison(PairParams(3, 1, 0), 2),
         (casimir, "lowering_moves",
          lambda moves: {t: 3 * c for t, c in moves.items()}),
         "derived -24, reference -4, not twice the reference"),
+    # REPORTED means stored/computed = (m^2(m^2-1)/32)^2; doubling every
+    # Gram matrix halves that ratio
     "norm constant": (
         lambda: _line(orthogonality.orthogonality_suite(PairParams(3, 1, 0), 1),
                       "norm constant stored closed form"),
@@ -51,11 +55,14 @@ BROKEN_RELATIONS = {
         lambda: orthogonality.total_mass_check(3),
         (orthogonality, "mass_claim", lambda claim: 2 * claim),
         "mass 4/9, claim 9/2, not reciprocal"),
+    # REPORTED means the derived constants sum to 1 and the stored ones do
+    # not; a stored triple that sums to 1 and still differs is a FAIL
     "second xi constants": (
         lambda: _line(casimir.xi_suite(4), "second coordinate expansion constants"),
         (casimir, "xi_references",
          lambda refs: {**refs, "psi2": (F(0), F(0), F(1))}),
         "reference (0, 0, 1), sum 1"),
+    # REPORTED means the stored inversion is twice the solved one
     "first inversion": (
         lambda: _line(casimir.xi_suite(4), "first eigenfunction inversion"),
         (casimir, "xi_references",
