@@ -88,6 +88,17 @@ def test_reference_table_comparison_reports():
     assert r1.status == "PASS"
 
 
+def test_lowering_table_off_the_documented_factor_fails(monkeypatch):
+    # REPORTED means derived = 2 x reference; a derived table at 6 x the
+    # reference is a FAIL naming the move
+    real = casimir.lowering_moves
+    monkeypatch.setattr(casimir, "lowering_moves", lambda p, label: {
+        t: 3 * c for t, c in real(p, label).items()})
+    r = reference_table_comparison(PairParams(3, 1, 0), 2)
+    assert r.status == "FAIL"
+    assert "derived -24, reference -4, not twice the reference" in r.detail
+
+
 def test_radial_apply_is_linear_in_components():
     from bc2mvop.casimir import bottom_vector
     from bc2mvop.leading import C_VARS
@@ -260,6 +271,26 @@ def test_xi_suite_statuses():
     statuses = [r.status for r in xi_suite(4)]
     assert statuses.count("FAIL") == 0
     assert statuses.count("REPORTED") == 2
+
+
+def _xi_status(monkeypatch, key, mutate, name):
+    real = casimir.xi_references
+    monkeypatch.setattr(casimir, "xi_references",
+                        lambda m: {**real(m), key: mutate(real(m)[key])})
+    return next(r.status for r in xi_suite(4) if r.name.startswith(name))
+
+
+def test_second_constants_reference_summing_to_one_fails(monkeypatch):
+    # REPORTED means the derived constants sum to 1 and the stored ones do
+    # not; a stored triple that sums to 1 and still differs is a FAIL
+    assert _xi_status(monkeypatch, "psi2", lambda ref: (F(0), F(0), F(1)),
+                      "second coordinate expansion constants") == "FAIL"
+
+
+def test_first_inversion_reference_off_by_other_factor_fails(monkeypatch):
+    # REPORTED means the stored inversion is twice the solved one
+    assert _xi_status(monkeypatch, "phi1", lambda ref: 3 * ref / 2,
+                      "first eigenfunction inversion") == "FAIL"
 
 
 @pytest.mark.parametrize("params,dmax", [(PairParams(3, 0, 0), 2),
