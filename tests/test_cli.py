@@ -68,6 +68,37 @@ def test_verify_json_format(capsys):
     assert all("identity" in r for r in payload["results"])
 
 
+def _break_radial_operator(monkeypatch):
+    """Add c1 d/dc1 to every radial operator: a mutation that the radial
+    checks catch and the others do not read."""
+    real = casimir.radial_operator_c
+
+    def broken(params):
+        bump = PolyMatrix.identity(params.size, C_VARS).scale(
+            MultiPoly.var(C_VARS, "c1"))
+        return real(params) + MatrixDiffOp(C_VARS, {(1, 0): bump})
+    monkeypatch.setattr(casimir, "radial_operator_c", broken)
+
+
+def test_verify_json_puts_a_fail_residual_at_the_top_level(monkeypatch,
+                                                           capsys):
+    _break_radial_operator(monkeypatch)
+    code, out, _ = run_cli(["verify", "casimir", "--m", "3", "--a", "1",
+                            "--b", "0", "--dmax", "1", "--format", "json"],
+                           capsys)
+    assert code == 1
+    results = json.loads(out)["results"]
+    name = "bottom lowering identity (m=3,a=1,b=0)"
+    assert next(r for r in results if r["identity"] == name) == {
+        "identity": name, "status": "FAIL", "detail": "i=0, component 0",
+        "residual": "c1"}
+    fails = [r for r in results if r["status"] == "FAIL"]
+    assert len(fails) == 4
+    assert all(set(r) == {"identity", "status", "detail", "residual"}
+               for r in fails)
+    assert all("data" not in r for r in results)
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "orthogonality", "--dmax", "-1"],
     ["verify", "casimir", "--dmax", "-1"],
@@ -586,13 +617,7 @@ def test_verify_decides_each_check_once_per_parameters_it_reads(monkeypatch,
 
     # the verdicts last for one run: a broken operator in a second run of
     # the same process fails every point's scalar radial lines
-    real = casimir.radial_operator_c
-
-    def broken(params):
-        bump = PolyMatrix.identity(params.size, C_VARS).scale(
-            MultiPoly.var(C_VARS, "c1"))
-        return real(params) + MatrixDiffOp(C_VARS, {(1, 0): bump})
-    monkeypatch.setattr(casimir, "radial_operator_c", broken)
+    _break_radial_operator(monkeypatch)
     code, out, _ = run_cli(argv, capsys)
     assert code == 1
     assert calls == once + once
