@@ -31,10 +31,11 @@ compared with what we derive by `report.against_reference`, each beside
 the one check that reads it: a disagreement is REPORTED, both sides
 printed, only while its documented relation holds; otherwise it FAILs.
 
-Within one `verify` run, whose table of verdicts lives for that run only,
 ``casimir_suite`` decides the two scalar radial checks once per m and the
-defining identity of (C1, C2), a verdict of (a, b), once per (a, b); the
-other checks read the whole point.  A direct call decides afresh.
+defining identity of (C1, C2), a verdict of (a, b), once per (a, b), within
+the table of verdicts its caller passes: `verify` passes one table per
+run, and a fresh table decides afresh.  The other checks read the whole
+point.
 """
 
 from __future__ import annotations
@@ -149,14 +150,14 @@ def _radial_mismatch(name: str, place: str, params: PairParams, comps,
     ``radial_apply`` gives numerators over D = ``radial_denominator()``, so
     each one is compared with D want: Q[c1, c2] has no zero divisors and
     D != 0, so they agree exactly when the image is a polynomial equal to
-    want.  The residual in ``data`` is the numerator minus D want, which
-    is the numerator of image minus want over D."""
+    want.  The residual is the numerator minus D want, which is the
+    numerator of image minus want over D."""
     den = radial_denominator()
     for k, (g, w) in enumerate(zip(radial_apply(params, comps), want)):
         dw = den * w
         if g != dw:
             return CheckResult(name, FAIL, f"{place}, component {k}",
-                               data={"residual": str(g - dw)})
+                               residual=str(g - dw))
     return None
 
 
@@ -570,8 +571,8 @@ def xi_suite(m: int) -> list[CheckResult]:
     return out
 
 
-def casimir_suite(params: PairParams, dmax: int = 2,
-                  verdicts: dict | None = None) -> list[CheckResult]:
+def casimir_suite(params: PairParams, dmax: int,
+                  verdicts: dict) -> list[CheckResult]:
     """The Casimir checks at one point; within ``verdicts`` the scalar
     radial checks are decided once per m and the (C1, C2) identity once
     per (a, b)."""

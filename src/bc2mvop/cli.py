@@ -18,6 +18,10 @@ errors, including degenerate `verify` input such as a negative --dmax or
 runs no check or none that reads a given --N, --p, --numeric or --dmax,
 and an --out path that cannot be written.  Suites run serially, and no
 environment variable is read.
+
+The suites' defaults live here and nowhere else: --dmax 2, --N 6 and the
+Krawtchouk parameters `STANDARD_PS`.  Every suite takes each value from its
+caller.
 """
 
 from __future__ import annotations
@@ -118,8 +122,10 @@ def _verify_results(args, grid: list[PairParams]):
     indecomposability and (C1, C2) checks once per (a, b), and the two
     scalar radial checks of the Casimir suite once per m.  ``verdicts``
     holds those decisions for this run only, so a later run in the same
-    process decides afresh.  When a point is done, its operators, lowering
-    graphs and Gram tables are dropped (`drop_point_caches`)."""
+    process decides afresh.  When a point is done, everything built for it
+    alone is dropped (`drop_point_caches`): its weights, psi family,
+    transition matrices, operators, lowering graphs and moment tables.  Of
+    the point's tables only its x family and Gram matrices outlive it."""
     want = lambda s: args.suite in ("all", s)
     dmax = 2 if args.dmax is None else args.dmax
     verdicts = {}
@@ -246,14 +252,14 @@ _PAYLOADS = {"weight": _weight_payload, "polys": _polys_payload,
              "dims": _dims_payload, "moments": _moments_payload}
 
 
-def _grid_csv(params: PairParams, mat) -> str:
+def _grid_csv(mat: PolyMatrix) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["x1", "x2"]
                     + [f"entry_{i}_{j}" for i in range(mat.rows)
                        for j in range(mat.cols)]
                     + ["in_region"])
-    for x1, x2, vals, inside in orthogonality.region_grid(params, mat=mat):
+    for x1, x2, vals, inside in orthogonality.region_grid(mat):
         writer.writerow([repr(float(x1)), repr(float(x2))]
                         + [repr(float(v)) for v in vals]
                         + ["1" if inside else "0"])
@@ -283,7 +289,7 @@ def _cmd_data(args) -> int:
         raise ValueError(f"the CSV grid is evaluated in x coordinates; "
                          f"--coords {args.coords} has no CSV form")
     else:
-        text = _grid_csv(PairParams(args.m, args.a, args.b), payload["matrix"])
+        text = _grid_csv(payload["matrix"])
     _write(text, args.out)
     return 0
 

@@ -58,7 +58,7 @@ def d_coeffs(params: PairParams, i: int) -> list[Fraction]:
     return out
 
 
-@lru_cache(maxsize=None)
+@point_cache
 def L_matrices(params: PairParams) -> tuple[tuple[tuple[Fraction, ...], ...],
                                             tuple[tuple[Fraction, ...], ...]]:
     """The constant lower-triangular transition matrix and its exact inverse.
@@ -260,7 +260,7 @@ class MatrixOP:
     x: PolyMatrix
 
 
-@lru_cache(maxsize=None)
+@point_cache
 def poly_matrix_psi(params: PairParams, d: tuple[int, int]) -> PolyMatrix:
     n = params.size
     rows = []
@@ -349,7 +349,7 @@ def pde_check(params: PairParams, d: tuple[int, int]) -> CheckResult:
                        if not res.entry(i, j).is_zero)
             return CheckResult(
                 name, FAIL, f"{vars[0][:-1]} coordinates, entry {bad}",
-                data={"residual": str(res.entry(*bad))})
+                residual=str(res.entry(*bad)))
     return CheckResult(name, PASS, "psi and x coordinates")
 
 
@@ -363,7 +363,7 @@ def transition_suite(params: PairParams) -> list[CheckResult]:
     ]
 
 
-def pde_suite(params: PairParams, dmax: int = 2) -> list[CheckResult]:
+def pde_suite(params: PairParams, dmax: int) -> list[CheckResult]:
     out = [diagonal_degree_check(params, dmax),
            normalization_check(params, dmax)]
     for d in degree_pairs(dmax):
@@ -435,7 +435,7 @@ def dual_involution_check(params: PairParams) -> CheckResult:
     return CheckResult(name, PASS)
 
 
-def duality_suite(params: PairParams, dmax: int = 2) -> list[CheckResult]:
+def duality_suite(params: PairParams, dmax: int) -> list[CheckResult]:
     return [
         dual_bottom_check(params),
         dual_eigenvalue_check(params, dmax),

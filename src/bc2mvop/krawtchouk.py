@@ -112,22 +112,21 @@ def generating_function_sweep(N: int, p: Fraction) -> CheckResult:
     return CheckResult(name, PASS, f"all {N + 1} evaluation points")
 
 
-def krawtchouk_suite(N: int, p: Fraction,
-                     s: Fraction = Fraction(2, 3),
-                     t: Fraction = Fraction(3, 5)) -> list[CheckResult]:
-    """The four identities at one (N, p); s, t are generic scaling points."""
+def krawtchouk_suite(N: int, p: Fraction) -> list[CheckResult]:
+    """The four identities at one (N, p); the determinant is scaled at the
+    generic points s = 2/3, t = 3/5."""
     return [
         self_duality_check(N, p),
         generating_function_sweep(N, p),
         orthogonality_check(N, p),
-        determinant_check(N, p, s, t),
+        determinant_check(N, p, Fraction(2, 3), Fraction(3, 5)),
     ]
 
 
 STANDARD_PS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
 
 
-def standard_suite(nmax: int = 6, ps=STANDARD_PS) -> list[CheckResult]:
+def standard_suite(nmax: int, ps) -> list[CheckResult]:
     """The small-parameter sweep: every N up to nmax crossed with ps."""
     out = []
     for N in range(nmax + 1):

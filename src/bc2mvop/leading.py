@@ -21,10 +21,9 @@ which is symmetric in c1 <-> c2 entrywise and so pushes down to psi.
 Q0 and S read the K-type (a, b) alone, never m.  So Q0 and S in c, psi
 and x are cached on (a, b): every m shares one object.  Each check of
 `weight_suite` is a verdict function of (a, b), and `at_point` gives its
-line at one point under the point's tag.  Within one `verify` run, whose
-table of verdicts lives for that run only, each verdict is decided once
-per (a, b); a direct call of a verdict, or of `at_point` without that
-table, decides afresh.
+line at one point under the point's tag, decided once per (a, b) within the
+table of verdicts its caller passes.  `verify` passes one table per run; a
+fresh table, or a direct call of a verdict, decides afresh.
 """
 
 from __future__ import annotations
@@ -96,8 +95,7 @@ def _per_k_type(build):
     return shared
 
 
-def at_point(verdict, params: PairParams,
-             verdicts: dict | None = None) -> CheckResult:
+def at_point(verdict, params: PairParams, verdicts: dict) -> CheckResult:
     """The line of a check that reads (a, b) alone: verdict(a, b) under the
     tag of the point, decided once per (a, b) within ``verdicts``."""
     return decide(verdicts, verdict, params.a, params.b).tagged(params.tag())
@@ -319,19 +317,19 @@ def krawtchouk_route_verdict(a: int, b: int) -> CheckResult:
 
 
 def reference_matrix_verdict(a: int, b: int) -> CheckResult:
-    """Computed S against the stored size-2/size-3 displays (both forms)."""
+    """Computed S against the stored size-2/size-3 displays (both forms);
+    at any other size there is nothing to compare, and a call is refused."""
     name = "weight matrix stored displays"
-    ref_psi = psi_reference_matrix(a, b)
-    if ref_psi is None:
-        return CheckResult(name, PASS, "no stored display at this size")
-    if weight_matrix_psi(k_type(a, b)) != ref_psi:
+    if a not in (1, 2):
+        raise ValueError(f"no stored display at size {a + 1}")
+    if weight_matrix_psi(k_type(a, b)) != psi_reference_matrix(a, b):
         return CheckResult(name, FAIL, "psi-form differs from the stored matrix")
     if weight_matrix_x(k_type(a, 0)) != x_reference_matrix(a):
         return CheckResult(name, FAIL, "x-form at b=0 differs from the stored matrix")
     return CheckResult(name, PASS)
 
 
-def weight_suite(params: PairParams, verdicts: dict | None = None) -> list[CheckResult]:
+def weight_suite(params: PairParams, verdicts: dict) -> list[CheckResult]:
     """The weight checks at one point, each decided once per (a, b) within
     ``verdicts``."""
     checks = [all_ones_verdict, homogeneity_verdict, swap_symmetry_verdict,

@@ -189,7 +189,7 @@ def check_label(params: PairParams, label: MsfLabel):
         raise ValueError(f"bottom index {label.i} exceeds a={params.a}")
 
 
-@lru_cache(maxsize=None)
+@point_cache
 def bottom_weight(params: PairParams, i: int) -> Weight:
     """nu_i for the given parameters.
 
@@ -206,7 +206,7 @@ def bottom_weight(params: PairParams, i: int) -> Weight:
             + fundamental(m, m + 1) * i)
 
 
-@lru_cache(maxsize=None)
+@point_cache
 def label_weight(params: PairParams, label: MsfLabel) -> Weight:
     check_label(params, label)
     m = params.m

@@ -136,7 +136,7 @@ class PolyMatrix:
         return PolyMatrix(self.rows, self.cols, [f(e) for e in self.entries])
 
     def substitute(self, images: Mapping[str, MultiPoly],
-                   out_vars: tuple[str, ...] | None = None) -> "PolyMatrix":
+                   out_vars: tuple[str, ...]) -> "PolyMatrix":
         return PolyMatrix(self.rows, self.cols,
                           substitute_all(self.entries, images, out_vars))
 

@@ -50,10 +50,11 @@ order, so the printed deviations do not depend on the sharing.
 
 The matrix moment table, the tables U and the quadrature's pull-backs of
 R_d to (c1, c2) are `point_cache`s: `verify` drops them, with the
-point's operators and lowering graphs, when it leaves the point, which it
-never returns to.  The per-(m, b) moments stay, and so do the Gram
-matrices: perfbench reads the hit and miss counts of `_gram_cached` at
-the end of a run, and a clear would reset them.
+point's weights, psi family, operators and lowering graphs, when it leaves
+the point, which it never returns to.  The per-(m, b) moments stay, and so
+do the Gram matrices and the x family they read: perfbench reads the hit
+and miss counts of `_gram_cached` and `poly_matrix_x` at the end of a run,
+and a clear would reset them.
 """
 
 from __future__ import annotations
@@ -274,7 +275,7 @@ def gram(params: PairParams, d: tuple[int, int],
                                               degree_pair(dp))]
 
 
-def orthogonality_suite(params: PairParams, dmax: int = 2) -> list[CheckResult]:
+def orthogonality_suite(params: PairParams, dmax: int) -> list[CheckResult]:
     """Pairwise orthogonality, diagonality, and the shared norm constant."""
     out = []
     degs = degree_pairs(dmax)
@@ -291,7 +292,7 @@ def orthogonality_suite(params: PairParams, dmax: int = 2) -> list[CheckResult]:
                 out.append(CheckResult(
                     f"orthogonality of distinct degrees {tag}", FAIL,
                     f"d={d}, d'={dp}, entry {bad[0]}",
-                    data={"residual": str(G[i][j])}))
+                    residual=str(G[i][j])))
                 ok = False
     if ok and len(degs) > 1:     # at dmax 0 there is no pair to compare
         out.append(CheckResult(f"orthogonality of distinct degrees {tag}",
@@ -309,7 +310,7 @@ def orthogonality_suite(params: PairParams, dmax: int = 2) -> list[CheckResult]:
                     out.append(CheckResult(
                         f"diagonality of squared norms {tag}", FAIL,
                         f"d={d}, entry ({i},{j})",
-                        data={"residual": str(G[i][j])}))
+                        residual=str(G[i][j])))
                     diag_ok = False
         for k in range(len(G)):
             dim = weyl_dim(label_weight(params, MsfLabel(k, d[0], d[1])))
@@ -434,7 +435,7 @@ def indecomposability_verdict(a: int, b: int) -> CheckResult:
 
 
 def indecomposability_suite(params: PairParams,
-                            verdicts: dict | None = None) -> list[CheckResult]:
+                            verdicts: dict) -> list[CheckResult]:
     return [at_point(indecomposability_verdict, params, verdicts)]
 
 
@@ -518,8 +519,7 @@ def _degree(mat: PolyMatrix) -> int:
 
 
 def numeric_crosscheck(params: PairParams, d: tuple[int, int],
-                       dp: tuple[int, int],
-                       values: dict | None = None) -> CheckResult:
+                       dp: tuple[int, int], values: dict) -> CheckResult:
     """Gauss-Legendre quadrature of the Gram integrals in t-coordinates,
     compared against the exact rational values.
 
@@ -528,8 +528,8 @@ def numeric_crosscheck(params: PairParams, d: tuple[int, int],
     coefficients orders of magnitude above the integral values, and the
     cancellation caps the achievable relative accuracy near 1e-7.
     `values` holds the mesh, its node powers and the factor values of one
-    parameter point, for the pairs that share them; without it each call
-    evaluates its own.
+    parameter point, for the pairs that share them; a fresh dict evaluates
+    them afresh.
     """
     import numpy as np
 
@@ -537,7 +537,6 @@ def numeric_crosscheck(params: PairParams, d: tuple[int, int],
     name = (f"numeric quadrature agreement {params.tag()} "
             f"d=({d[0]},{d[1]}) d'=({dp[0]},{dp[1]})")
     m, a, b = params.m, params.a, params.b
-    values = {} if values is None else values
     exact = gram(params, d, dp)
     lc, rc = _poly_matrix_c(params, d), _poly_matrix_c(params, dp)
     sc = weight_matrix_c(PairParams(m, a, 0))
@@ -589,7 +588,7 @@ def numeric_crosscheck(params: PairParams, d: tuple[int, int],
     return CheckResult(name, PASS, f"worst relative deviation {worst:.3e}")
 
 
-def numeric_suite(params: PairParams, dmax: int = 1) -> list[CheckResult]:
+def numeric_suite(params: PairParams, dmax: int) -> list[CheckResult]:
     """Every pair of degrees up to dmax, sharing one table of mesh values
     that is dropped when the point is done."""
     values: dict = {}
@@ -598,20 +597,18 @@ def numeric_suite(params: PairParams, dmax: int = 1) -> list[CheckResult]:
             for ia, d in enumerate(degs) for dp in degs[ia:]]
 
 
-def region_grid(params: PairParams, nx: int = 40, ny: int = 25, mat=None):
-    """Evaluation grid over the bounding box of the region: rows of
-    (x1, x2, matrix entries row-major, membership flag).
-
-    Defaults to the weight matrix; any PolyMatrix in x-variables works.
-    """
-    s = weight_matrix_x(params) if mat is None else mat
+def region_grid(mat: PolyMatrix):
+    """Evaluation grid of a PolyMatrix in x-variables over the bounding box
+    of the region, 40 x1 by 25 x2 values: rows of (x1, x2, matrix entries
+    row-major, membership flag)."""
+    nx, ny = 40, 25
     rows = []
     for iy in range(ny):
         x2 = Fraction(-1) + Fraction(2 * iy, ny - 1)
         for ix in range(nx):
             x1 = Fraction(-2) + Fraction(4 * ix, nx - 1)
             point = {"x1": x1, "x2": x2}
-            vals = [s.entry(i, j).evaluate(point)
-                    for i in range(s.rows) for j in range(s.cols)]
+            vals = [mat.entry(i, j).evaluate(point)
+                    for i in range(mat.rows) for j in range(mat.cols)]
             rows.append((x1, x2, vals, in_region(x1, x2)))
     return rows

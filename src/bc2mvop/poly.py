@@ -314,8 +314,9 @@ class MultiPoly:
         return MultiPoly._over(self.vars, out, self.den)
 
     def substitute(self, images: Mapping[str, "MultiPoly"],
-                   out_vars: tuple[str, ...] | None = None) -> "MultiPoly":
-        """Compose: replace each variable by the given polynomial image.
+                   out_vars: tuple[str, ...]) -> "MultiPoly":
+        """Compose: replace each variable by the given polynomial image, a
+        polynomial over ``out_vars``.
 
         Variables without an explicit image must exist in the output
         variable tuple and map to themselves.
@@ -387,18 +388,12 @@ class MultiPoly:
 
 
 def substitute_all(polys: Iterable[MultiPoly], images: Mapping[str, MultiPoly],
-                   out_vars: tuple[str, ...] | None = None) -> list[MultiPoly]:
+                   out_vars: tuple[str, ...]) -> list[MultiPoly]:
     """MultiPoly.substitute of each polynomial (all over one variable tuple)
     with the same images.  The powers of the images and the image of each
     monomial are formed once, as numerators, and shared between them."""
     polys = list(polys)
     vars = polys[0].vars
-    if out_vars is None:
-        for img in images.values():
-            out_vars = img.vars
-            break
-        else:
-            out_vars = vars
     out_vars = tuple(out_vars)
     full: list[MultiPoly] = []
     for v in vars:

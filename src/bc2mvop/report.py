@@ -13,13 +13,15 @@ Three outcomes:
 
 `against_reference` is the one rule that compares a derived value with a
 stored one, and the only place a REPORTED line is made: a disagreement
-that breaks its documented relation is a FAIL.
+that breaks its documented relation is a FAIL.  `decide` gives a verdict
+once per key within the table of verdicts its caller passes, so a fresh
+table decides afresh.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -33,7 +35,7 @@ class CheckResult:
     name: str
     status: str
     detail: str = ""
-    data: dict = field(default_factory=dict)
+    residual: str = ""
 
     def __post_init__(self):
         if self.status not in _STATUSES:
@@ -52,20 +54,15 @@ class CheckResult:
         d = {"identity": self.name, "status": self.status}
         if self.detail:
             d["detail"] = self.detail
-        if "residual" in self.data:
-            d["residual"] = self.data["residual"]
-        extra = {k: v for k, v in self.data.items() if k != "residual"}
-        if extra:
-            d["data"] = extra
+        if self.residual:
+            d["residual"] = self.residual
         return d
 
 
-def decide(verdicts: dict | None, verdict, *key) -> CheckResult:
+def decide(verdicts: dict, verdict, *key) -> CheckResult:
     """verdict(*key), decided once per (verdict, key) within ``verdicts``,
-    the table of one run, and read from it after that; with no table it is
-    decided afresh."""
-    if verdicts is None:
-        return verdict(*key)
+    the table of one run, and read from it after that; a fresh table
+    decides afresh."""
     if (verdict, key) not in verdicts:
         verdicts[verdict, key] = verdict(*key)
     return verdicts[verdict, key]

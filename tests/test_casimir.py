@@ -209,11 +209,11 @@ def test_radial_mismatch_residual_is_the_numerator_minus_d_want():
         off[k] = off[k] + c1
         r = casimir._radial_mismatch("check", "i=0", p, row, off)
         assert (r.status, r.detail) == ("FAIL", f"i=0, component {k}")
-        assert r.data["residual"] == str(-(radial_denominator() * c1))
+        assert r.residual == str(-(radial_denominator() * c1))
     # c1 alone is outside the eigenfunction span: no want matches its image
     zero = MultiPoly.zero(C_VARS)
     r = casimir._radial_mismatch("check", "c1", p, (c1, zero), (zero, zero))
-    assert r.status == "FAIL" and r.data["residual"] not in ("", "0")
+    assert r.status == "FAIL" and r.residual not in ("", "0")
 
 
 def test_operator_transform_checks():
@@ -298,6 +298,6 @@ def test_first_inversion_reference_off_by_other_factor_fails(monkeypatch):
                                          (PairParams(4, 1, 0), 3)],
                          ids=lambda v: str(v))
 def test_casimir_suite_no_failures(params, dmax):
-    results = casimir_suite(params, dmax)
+    results = casimir_suite(params, dmax, {})
     bad = [r for r in results if r.status == "FAIL"]
     assert not bad, [(r.name, r.detail) for r in bad]

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from bc2mvop import casimir, cli, expansion, leading, orthogonality
+from bc2mvop import casimir, cli, expansion, leading, lie, orthogonality
 from bc2mvop.diffop import MatrixDiffOp
 from bc2mvop.leading import C_VARS, weight_matrix_psi, weight_matrix_x
 from bc2mvop.expansion import poly_matrix_x
@@ -495,14 +495,16 @@ def test_verify_drops_each_points_gram_tables(monkeypatch, capsys):
                             "--b", "0,1", "--dmax", "1", "--numeric"], capsys)
     assert code == 0 and "FAIL" not in out
     assert built
-    # the Gram tables, the quadrature's pull-backs of R_d, the operators and
-    # the lowering graphs of both points are gone; the moments stay, and the
-    # quadrature still read each point's Gram matrices from the cache
+    # the Gram tables, the quadrature's pull-backs of R_d, the operators,
+    # the lowering graphs, the psi family, the transition matrices and the
+    # weights of both points are gone; the moments stay, and the quadrature
+    # still read each point's Gram matrices from the cache
     for cache in (orthogonality._weighted_moments,
                   orthogonality._matrix_moments, orthogonality._poly_matrix_c,
                   real, casimir._first_order_psi, casimir.pde_operator_psi,
                   casimir.pde_operator_x, expansion._graph_node,
-                  expansion._lowering_graph):
+                  expansion._lowering_graph, expansion.poly_matrix_psi,
+                  expansion.L_matrices, lie.label_weight, lie.bottom_weight):
         assert cache.cache_info().currsize == 0, cache.__name__
     assert orthogonality.moment.cache_info().currsize > 0
     assert orthogonality._gram_cached.cache_info().hits > grams.hits

@@ -9,7 +9,7 @@ from bc2mvop.casimir import radial_operator_c
 from bc2mvop.diffop import ALLOWED_IDX, MatrixDiffOp
 from bc2mvop.leading import PSI_VARS, X_VARS, psi_in_x, x_in_psi
 from bc2mvop.lie import PairParams
-from bc2mvop.matrices import PolyMatrix
+from bc2mvop.matrices import PolyMatrix, frac_det, frac_invert
 from bc2mvop.poly import MultiPoly
 
 PV = ("psi1", "psi2")
@@ -139,6 +139,34 @@ def test_affine_change_commutes_with_the_action(op, data):
     moved = op.change_vars_affine(X_VARS, psi_in_x())
     assert (moved.apply(F_.substitute(psi_in_x(), X_VARS))
             == op.apply(F_).substitute(psi_in_x(), X_VARS))
+
+
+@st.composite
+def _constant_invertible(draw, n):
+    """The flip J of size n, or an invertible constant matrix, as rows."""
+    if draw(st.booleans()):
+        return [[F(int(i + j == n - 1)) for j in range(n)] for i in range(n)]
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=n, max_size=n)
+                .filter(lambda rows: frac_det(rows) != 0))
+
+
+@given(_operators(), st.data())
+def test_conjugating_the_coefficients_commutes_with_the_action(op, data):
+    # (P^-1 E P)(F P) = E(F) P for a constant invertible P: with P = J this
+    # is what the dual-family equation adds to the psi-side one
+    n = op.size
+    rows = data.draw(_constant_invertible(n))
+    P = PolyMatrix.from_scalar_rows(PSI_VARS, rows)
+    P_inv = PolyMatrix.from_scalar_rows(PSI_VARS, frac_invert(rows))
+    k = data.draw(st.integers(1, 2))
+    F_ = PolyMatrix(k, n, data.draw(
+        st.lists(_polys, min_size=k * n, max_size=k * n)))
+    moved = MatrixDiffOp(PSI_VARS, {
+        (0, 0): PolyMatrix.zeros(n, n, PSI_VARS),
+        **{idx: P_inv @ c @ P for idx, c in op.coeffs.items()}})
+    assert moved.apply(F_ @ P) == op.apply(F_) @ P
 
 
 def test_affine_change_refuses_a_non_affine_or_singular_substitution():

@@ -113,9 +113,19 @@ def test_weight_at_identity_is_rank_one():
 
 @pytest.mark.parametrize("params", SAMPLE, ids=lambda p: p.tag())
 def test_weight_suite_all_green(params):
-    results = weight_suite(params)
+    results = weight_suite(params, {})
     bad = [r for r in results if r.status != "PASS"]
     assert not bad, [(r.name, r.detail) for r in bad]
+
+
+@pytest.mark.parametrize("a", [0, 3])
+def test_stored_displays_refuse_a_size_without_one(a):
+    # only sizes 2 and 3 have a display: elsewhere there is nothing to
+    # compare, so a call is refused rather than passed
+    with pytest.raises(ValueError, match=f"no stored display at size {a + 1}"):
+        leading.reference_matrix_verdict(a, 0)
+    names = [r.name for r in weight_suite(PairParams(3, a, 0), {})]
+    assert not any("stored displays" in name for name in names)
 
 
 def test_q0_depends_only_on_a_and_b():

@@ -247,7 +247,7 @@ def test_perturbed_weight_entry_fails_orthogonality_at_dmax_4(monkeypatch):
     r = next(r for r in results
              if r.name.startswith("orthogonality of distinct degrees"))
     assert r.status == "FAIL"
-    assert r.data["residual"] != "0"
+    assert r.residual != "0"
 
 
 @pytest.mark.parametrize("bad", [(1.5, 0), (1,), (1, 0, 0), (-1, 0),
@@ -255,8 +255,8 @@ def test_perturbed_weight_entry_fails_orthogonality_at_dmax_4(monkeypatch):
 def test_bad_degree_pairs_are_refused(bad):
     p = PairParams(3, 1, 0)
     for call in (lambda: gram(p, bad, (0, 0)), lambda: gram(p, (0, 0), bad),
-                 lambda: numeric_crosscheck(p, bad, (0, 0)),
-                 lambda: numeric_crosscheck(p, (0, 0), bad)):
+                 lambda: numeric_crosscheck(p, bad, (0, 0), {}),
+                 lambda: numeric_crosscheck(p, (0, 0), bad, {})):
         with pytest.raises(ValueError, match="degree pair"):
             call()
 
@@ -265,7 +265,7 @@ def test_corrupted_moment_fails_exact_and_numeric_checks(corrupted_moment):
     p = PairParams(3, 1, 0)
     assert any(r.status == "FAIL" for r in orthogonality_suite(p, 1))
     # the quadrature reads no moment, so it now disagrees with the exact Gram
-    assert numeric_crosscheck(p, (0, 0), (0, 0)).status == "FAIL"
+    assert numeric_crosscheck(p, (0, 0), (0, 0), {}).status == "FAIL"
 
 
 def test_total_mass_reported_with_reciprocal():
@@ -353,7 +353,7 @@ def test_indecomposability_dimensions():
     assert indecomposability_check(PairParams(3, 1, 0)) == (1, 1)
     assert indecomposability_check(PairParams(3, 2, 1)) == (1, 1)
     assert indecomposability_check(PairParams(4, 2, 0)) == (1, 1)
-    results = indecomposability_suite(PairParams(3, 1, 0))
+    results = indecomposability_suite(PairParams(3, 1, 0), {})
     assert all(r.status == "PASS" for r in results)
 
 
@@ -369,7 +369,7 @@ def test_split_weight_fails_indecomposability(monkeypatch):
     monkeypatch.setattr(orthogonality, "weight_matrix_c",
                         lambda p: split if p == params else true_weight(p))
     assert indecomposability_check(params) == (2, 2)
-    [result] = indecomposability_suite(params)
+    [result] = indecomposability_suite(params, {})
     assert result.status == "FAIL"
     assert "dimensions (2, 2), expected (1, 1)" in result.detail
     assert indecomposability_check(PairParams(3, 2, 1)) == (1, 1)
@@ -377,18 +377,18 @@ def test_split_weight_fails_indecomposability(monkeypatch):
 
 def test_numeric_crosscheck_diag_and_offdiag():
     p = PairParams(3, 1, 0)
-    assert numeric_crosscheck(p, (0, 0), (0, 0)).status == "PASS"
-    assert numeric_crosscheck(p, (1, 0), (0, 0)).status == "PASS"
-    assert numeric_crosscheck(p, (1, 0), (1, 0)).status == "PASS"
+    assert numeric_crosscheck(p, (0, 0), (0, 0), {}).status == "PASS"
+    assert numeric_crosscheck(p, (1, 0), (0, 0), {}).status == "PASS"
+    assert numeric_crosscheck(p, (1, 0), (1, 0), {}).status == "PASS"
 
 
 def test_numeric_suite_green():
-    results = numeric_suite(PairParams(3, 1, 1))
+    results = numeric_suite(PairParams(3, 1, 1), 1)
     assert all(r.status == "PASS" for r in results)
 
 
 def test_region_grid_shape():
-    rows = region_grid(PairParams(3, 1, 0))
+    rows = region_grid(weight_matrix_x(PairParams(3, 1, 0)))
     assert len(rows) == 1000
     x1, x2, vals, inside = rows[0]
     assert (x1, x2) == (F(-2), F(-1))
