@@ -19,9 +19,9 @@ Three layers, increasingly packaged:
    once per m, the first-order part per point.  No stored x-coordinate
    coefficients are kept beside it.
 
-The operators of one point are `point_cache`s, which `verify` drops when it
-leaves the point; the parts that read m alone stay, and so do (C1, C2),
-built once per (a, b).
+The operators and label vectors of one point are `point_cache`s, which
+`verify` drops when it leaves the point; the parts that read m alone stay,
+and so do (C1, C2), built once per (a, b).
 
 The radial-action checks all compare through ``_radial_mismatch``, against
 expected vectors formed as one integer combination per component: an
@@ -174,6 +174,7 @@ def bottom_vector(params: PairParams, i: int) -> tuple[MultiPoly, ...]:
     return tuple(leading_term_matrix(params).row(i))
 
 
+@point_cache
 def label_vector(params: PairParams, label: MsfLabel) -> tuple[MultiPoly, ...]:
     """psi1^d1 psi2^d2 times the bottom vector, in (c1, c2)."""
     check_label(params, label)
@@ -250,21 +251,14 @@ def general_lowering_check(params: PairParams, dmax: int) -> CheckResult:
     """Triangular recursion: radial operator on a general label equals the
     eigenvalue term plus the seven-move table, exactly."""
     name = f"triangular recursion table {params.tag()} dmax={dmax}"
-    vectors: dict[MsfLabel, tuple[MultiPoly, ...]] = {}
-
-    def vector(label: MsfLabel) -> tuple[MultiPoly, ...]:
-        # each label's vector is built once per call
-        if label not in vectors:
-            vectors[label] = label_vector(params, label)
-        return vectors[label]
-
     count = 0
     for label in labels_up_to(params, dmax):
-        terms = [(casimir_eigenvalue(params, label), vector(label))]
-        terms += [(coeff, vector(target))
+        vector = label_vector(params, label)
+        terms = [(casimir_eigenvalue(params, label), vector)]
+        terms += [(coeff, label_vector(params, target))
                   for target, coeff in lowering_moves(params, label).items()]
         want = _combine(terms)
-        fail = _radial_mismatch(name, f"label {label}", params, vector(label), want)
+        fail = _radial_mismatch(name, f"label {label}", params, vector, want)
         if fail:
             return fail
         count += 1

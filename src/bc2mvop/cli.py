@@ -123,9 +123,9 @@ def _verify_results(args, grid: list[PairParams]):
     scalar radial checks of the Casimir suite once per m.  ``verdicts``
     holds those decisions for this run only, so a later run in the same
     process decides afresh.  When a point is done, everything built for it
-    alone is dropped (`drop_point_caches`): its weights, psi family,
-    transition matrices, operators, lowering graphs and moment tables.  Of
-    the point's tables only its x family and Gram matrices outlive it."""
+    alone is dropped (`drop_point_caches`): its weights, families,
+    transition matrices, operators, lowering graphs, Gram matrices, moment
+    tables and quadrature values."""
     want = lambda s: args.suite in ("all", s)
     dmax = 2 if args.dmax is None else args.dmax
     verdicts = {}

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -275,7 +274,7 @@ def poly_matrix_psi(params: PairParams, d: tuple[int, int]) -> PolyMatrix:
     return PolyMatrix.from_rows(rows)
 
 
-@lru_cache(maxsize=None)
+@point_cache
 def poly_matrix_x(params: PairParams, d: tuple[int, int]) -> PolyMatrix:
     return poly_matrix_psi(params, d).substitute(psi_in_x(), X_VARS)
 

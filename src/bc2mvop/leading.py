@@ -166,8 +166,9 @@ def det_reference_c(params: PairParams) -> MultiPoly:
         * ((c1c2 * (c1 * c1 - c2 * c2)) ** (a * (a + 1)))
 
 
-def psi_reference_matrix(a: int, b: int) -> PolyMatrix | None:
-    """Stored psi-form weight for sizes 2 and 3, entered term by term.
+def psi_reference_matrix(a: int, b: int) -> PolyMatrix:
+    """Stored psi-form weight for sizes 2 and 3, entered term by term; any
+    other size raises ValueError.
 
     The b-dependence is the overall factor psi2^b; the b = 0 cores are kept
     verbatim so that a transcription slip cannot hide behind the generator.
@@ -187,12 +188,13 @@ def psi_reference_matrix(a: int, b: int) -> PolyMatrix | None:
              p2 * p2 * (p1 * p1 - p2)],
         ]
     else:
-        return None
+        raise ValueError(f"no stored display at size {a + 1}")
     return PolyMatrix.from_rows(rows).scale(p2 ** b)
 
 
-def x_reference_matrix(a: int) -> PolyMatrix | None:
-    """Stored x-form weight for sizes 2 and 3 at b = 0."""
+def x_reference_matrix(a: int) -> PolyMatrix:
+    """Stored x-form weight for sizes 2 and 3 at b = 0; any other size
+    raises ValueError."""
     x1 = MultiPoly.var(X_VARS, "x1")
     x2 = MultiPoly.var(X_VARS, "x2")
     one = MultiPoly.one(X_VARS)
@@ -212,7 +214,7 @@ def x_reference_matrix(a: int) -> PolyMatrix | None:
              Fraction(1, 16) * v * v * (u * u - Fraction(1, 4) * v)],
         ]
     else:
-        return None
+        raise ValueError(f"no stored display at size {a + 1}")
     return PolyMatrix.from_rows(rows)
 
 
@@ -320,9 +322,7 @@ def reference_matrix_verdict(a: int, b: int) -> CheckResult:
     """Computed S against the stored size-2/size-3 displays (both forms);
     at any other size there is nothing to compare, and a call is refused."""
     name = "weight matrix stored displays"
-    if a not in (1, 2):
-        raise ValueError(f"no stored display at size {a + 1}")
-    if weight_matrix_psi(k_type(a, b)) != psi_reference_matrix(a, b):
+    if psi_reference_matrix(a, b) != weight_matrix_psi(k_type(a, b)):
         return CheckResult(name, FAIL, "psi-form differs from the stored matrix")
     if weight_matrix_x(k_type(a, 0)) != x_reference_matrix(a):
         return CheckResult(name, FAIL, "x-form at b=0 differs from the stored matrix")

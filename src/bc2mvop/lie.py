@@ -60,18 +60,32 @@ _POINT_CACHES = []
 def point_cache(fn):
     """fn under an unbounded lru_cache whose entries belong to one parameter
     point: `drop_point_caches` empties it when `verify` leaves the point,
-    which it never returns to."""
+    which it never returns to.  Its hit and miss counts keep counting across
+    drops, as if every entry were kept; only ``cache_clear`` resets them."""
     cached = lru_cache(maxsize=None)(fn)
-    _POINT_CACHES.append(cached)
+    info, clear = cached.cache_info, cached.cache_clear
+    dropped = [0, 0]     # the hits and misses of the entries dropped so far
+
+    def cache_info():
+        now = info()
+        return now._replace(hits=now.hits + dropped[0],
+                            misses=now.misses + dropped[1])
+
+    def drop(keep_counts=True):
+        dropped[:] = cache_info()[:2] if keep_counts else (0, 0)
+        clear()
+    cached.cache_info = cache_info
+    cached.cache_clear = lambda: drop(keep_counts=False)
+    _POINT_CACHES.append(drop)
     return cached
 
 
 def drop_point_caches():
-    """Empty every `point_cache`.  The registry holds the cached functions
-    themselves, so a module attribute patched over one of them does not keep
-    it from being emptied."""
-    for cached in _POINT_CACHES:
-        cached.cache_clear()
+    """Empty every `point_cache`.  The registry holds each cache's own drop,
+    so a module attribute patched over a cache does not keep it from being
+    emptied."""
+    for drop in _POINT_CACHES:
+        drop()
 
 
 @dataclass(frozen=True)

@@ -41,20 +41,16 @@ is one Fraction.
 A floating-point Gauss-Legendre path recomputes the same integrals
 independently of the moments.  It evaluates each factor R_d and S on the
 node mesh once per parameter point, and the pairs of that point share the
-values; every factor reads the node powers c1^e and c2^e from one table of
-the point, which computes each power once.  `numeric_suite` drops the
-values and the powers when the point is done, so they are held for one
-point only.  Each value is made by the same numpy operations, in the same
-order, as a per-pair evaluation, and the products are summed in the same
-order, so the printed deviations do not depend on the sharing.
+values; every factor reads the node powers c1^e and c2^e, each computed
+once per point.  Each value is made by the same numpy operations, in the
+same order, as a per-pair evaluation, and the products are summed in the
+same order, so the printed deviations do not depend on the sharing.
 
-The matrix moment table, the tables U and the quadrature's pull-backs of
-R_d to (c1, c2) are `point_cache`s: `verify` drops them, with the
-point's weights, psi family, operators and lowering graphs, when it leaves
-the point, which it never returns to.  The per-(m, b) moments stay, and so
-do the Gram matrices and the x family they read: perfbench reads the hit
-and miss counts of `_gram_cached` and `poly_matrix_x` at the end of a run,
-and a clear would reset them.
+The Gram matrices, the matrix moment table, the tables U, and the
+quadrature's pull-backs of R_d to (c1, c2), mesh, node powers and factor
+values are `point_cache`s: `verify` drops them, with the point's weights,
+families, operators and lowering graphs, when it leaves the point, which
+it never returns to.  The per-(m, b) moments stay.
 """
 
 from __future__ import annotations
@@ -251,7 +247,7 @@ def _weighted_moments(params: PairParams, dp: tuple[int, int]) -> tuple:
         for j in range(n))
 
 
-@functools.lru_cache(maxsize=None)
+@point_cache
 def _gram_cached(params: PairParams, d: tuple[int, int],
                  dp: tuple[int, int]) -> tuple[tuple[Fraction, ...], ...]:
     if sum(d) > sum(dp):
@@ -470,10 +466,12 @@ def _poly_matrix_c(params: PairParams, d: tuple[int, int]) -> PolyMatrix:
     return poly_matrix_x(params, d).substitute(x_in_c(), C_VARS)
 
 
-def _node_mesh(m: int, b: int, order: int):
-    """The (c1, c2) node mesh, the product weights and the density of
-    (m, b) on it, each read-only."""
+@point_cache
+def _node_mesh(params: PairParams, order: int):
+    """The (c1, c2) node mesh, the product weights and the density of the
+    point on it, each read-only."""
     import numpy as np
+    m, b = params.m, params.b
     t, w = _quad_nodes(order)
     c1, c2 = np.meshgrid(np.cos(t), np.cos(t), indexing="ij")
     s1, s2 = np.meshgrid(np.sin(t), np.sin(t), indexing="ij")
@@ -485,29 +483,30 @@ def _node_mesh(m: int, b: int, order: int):
     return c1, c2, ww, density
 
 
-def _node_power(base, e: int):
-    """base^e on the node mesh, read-only."""
-    out = base ** e
+@point_cache
+def _node_power(params: PairParams, order: int, axis: int, e: int):
+    """c1^e (axis 0) or c2^e (axis 1) on the node mesh, read-only."""
+    out = _node_mesh(params, order)[axis] ** e
     out.flags.writeable = False
     return out
 
 
-def _mesh_values(mat: PolyMatrix, c1, c2, powers) -> list[list]:
-    """Each entry of mat on the node mesh, summed term by term in canonical
-    order, read-only.  The node powers c1^e and c2^e are read from
-    ``powers``, one dict per variable, and computed there on first use."""
+@point_cache
+def _mesh_values(params: PairParams, d: tuple[int, int] | None,
+                 order: int) -> list[list]:
+    """Each entry of R_d, or of S when d is None, on the node mesh, summed
+    term by term in canonical order, read-only."""
     import numpy as np
-    p1, p2 = powers
+    mat = (weight_matrix_c(PairParams(params.m, params.a, 0)) if d is None
+           else _poly_matrix_c(params, d))
+    c1 = _node_mesh(params, order)[0]
     out = [[None] * mat.cols for _ in range(mat.rows)]
     for i in range(mat.rows):
         for j in range(mat.cols):
             vals = np.zeros_like(c1)
             for (e1, e2, coeff) in _float_terms(mat.entry(i, j)):
-                if e1 not in p1:
-                    p1[e1] = _node_power(c1, e1)
-                if e2 not in p2:
-                    p2[e2] = _node_power(c2, e2)
-                vals += coeff * p1[e1] * p2[e2]
+                vals += (coeff * _node_power(params, order, 0, e1)
+                         * _node_power(params, order, 1, e2))
             vals.flags.writeable = False
             out[i][j] = vals
     return out
@@ -519,7 +518,7 @@ def _degree(mat: PolyMatrix) -> int:
 
 
 def numeric_crosscheck(params: PairParams, d: tuple[int, int],
-                       dp: tuple[int, int], values: dict) -> CheckResult:
+                       dp: tuple[int, int]) -> CheckResult:
     """Gauss-Legendre quadrature of the Gram integrals in t-coordinates,
     compared against the exact rational values.
 
@@ -527,9 +526,9 @@ def numeric_crosscheck(params: PairParams, d: tuple[int, int],
     multiplied in floating point: expanding the product first produces
     coefficients orders of magnitude above the integral values, and the
     cancellation caps the achievable relative accuracy near 1e-7.
-    `values` holds the mesh, its node powers and the factor values of one
-    parameter point, for the pairs that share them; a fresh dict evaluates
-    them afresh.
+    The mesh, its node powers and each factor's values are `point_cache`s,
+    so the pairs of a point share them and `verify` drops them with the
+    point.
     """
     import numpy as np
 
@@ -547,22 +546,11 @@ def numeric_crosscheck(params: PairParams, d: tuple[int, int],
     trig_degree = _degree(lc) + _degree(sc) + _degree(rc) + 2 * m + 2 * b + 2
     order = 48 if trig_degree <= 30 else trig_degree + 32
 
-    if ("mesh", m, b, order) not in values:
-        values["mesh", m, b, order] = _node_mesh(m, b, order)
-    c1, c2, ww, density = values["mesh", m, b, order]
-    powers = values.setdefault(("powers", m, b, order), ({}, {}))
+    c1, _, ww, density = _node_mesh(params, order)
     scale = 2.0 ** (2 * m + 2 * b - 1)
-
-    def on_mesh(key, mat):
-        # each factor is evaluated once per point; the pairs share it, and
-        # every factor reads the same node powers
-        if key not in values:
-            values[key] = _mesh_values(mat, c1, c2, powers)
-        return values[key]
-
-    lv = on_mesh((params, d, order), lc)
-    sv = on_mesh((m, a, order), sc)
-    rv = on_mesh((params, dp, order), rc)
+    lv = _mesh_values(params, d, order)
+    sv = _mesh_values(params, None, order)
+    rv = _mesh_values(params, dp, order)
 
     # zero targets (off-diagonal, distinct degrees) are judged against the
     # size of the corresponding diagonal norms
@@ -589,11 +577,9 @@ def numeric_crosscheck(params: PairParams, d: tuple[int, int],
 
 
 def numeric_suite(params: PairParams, dmax: int) -> list[CheckResult]:
-    """Every pair of degrees up to dmax, sharing one table of mesh values
-    that is dropped when the point is done."""
-    values: dict = {}
+    """Every pair of degrees up to dmax."""
     degs = degree_pairs(dmax)
-    return [numeric_crosscheck(params, d, dp, values)
+    return [numeric_crosscheck(params, d, dp)
             for ia, d in enumerate(degs) for dp in degs[ia:]]
 
 

@@ -495,19 +495,47 @@ def test_verify_drops_each_points_gram_tables(monkeypatch, capsys):
                             "--b", "0,1", "--dmax", "1", "--numeric"], capsys)
     assert code == 0 and "FAIL" not in out
     assert built
-    # the Gram tables, the quadrature's pull-backs of R_d, the operators,
-    # the lowering graphs, the psi family, the transition matrices and the
+    # the Gram matrices and tables, the quadrature's pull-backs of R_d,
+    # mesh, node powers and factor values, the operators, the lowering
+    # graphs and vectors, both families, the transition matrices and the
     # weights of both points are gone; the moments stay, and the quadrature
     # still read each point's Gram matrices from the cache
-    for cache in (orthogonality._weighted_moments,
+    for cache in (orthogonality._gram_cached, orthogonality._weighted_moments,
                   orthogonality._matrix_moments, orthogonality._poly_matrix_c,
-                  real, casimir._first_order_psi, casimir.pde_operator_psi,
-                  casimir.pde_operator_x, expansion._graph_node,
+                  orthogonality._node_mesh, orthogonality._node_power,
+                  orthogonality._mesh_values, real, casimir._first_order_psi,
+                  casimir.pde_operator_psi, casimir.pde_operator_x,
+                  casimir.label_vector, expansion._graph_node,
                   expansion._lowering_graph, expansion.poly_matrix_psi,
-                  expansion.L_matrices, lie.label_weight, lie.bottom_weight):
+                  expansion.poly_matrix_x, expansion.L_matrices,
+                  lie.label_weight, lie.bottom_weight):
         assert cache.cache_info().currsize == 0, cache.__name__
     assert orthogonality.moment.cache_info().currsize > 0
     assert orthogonality._gram_cached.cache_info().hits > grams.hits
+
+
+def test_dropping_points_keeps_the_cache_counts_perfbench_reads(
+        monkeypatch, capsys):
+    # perfbench's orthogonality.gram.* and expansion.poly_matrix_x.* read
+    # these counts at the end of a run: dropping each point's entries must
+    # leave them as they would be with every entry kept
+    caches = (orthogonality._gram_cached, expansion.poly_matrix_x)
+
+    def counts():
+        lie.drop_point_caches()
+        for cache in caches:
+            cache.cache_clear()
+        code, out, _ = run_cli(["verify", "all", "--m", "3", "--a", "1",
+                                "--b", "0", "--numeric", "--dmax", "1"], capsys)
+        assert code == 0 and "FAIL" not in out
+        return [cache.cache_info()[:2] for cache in caches]
+
+    dropped = counts()
+    monkeypatch.setattr(cli, "drop_point_caches", lambda: None)
+    kept = counts()
+    lie.drop_point_caches()
+    assert dropped == kept
+    assert all(hits and misses for hits, misses in kept)
 
 
 SHARED_GRID = ["verify", "all", "--m", "3,4", "--a", "1,2", "--b", "0,1",
@@ -518,11 +546,10 @@ def test_verify_builds_each_shared_part_once_per_parameters_it_reads(
         monkeypatch, capsys):
     per_m = (casimir._radial_scalar_c, casimir.scalar_radial_psi,
              casimir._scalar_radial_x)
-    # the per-m parts and the Gram matrices live for the whole process, so
-    # start them empty: a point whose Gram matrices are cached reads no
-    # moment table
-    for cache in (*per_m, casimir._lifted, casimir.conjugation_matrices,
-                  orthogonality._gram_cached):
+    # start with no point's tables, and with the per-m and per-(a, b) parts,
+    # which live for the whole process, empty
+    lie.drop_point_caches()
+    for cache in (*per_m, casimir._lifted, casimir.conjugation_matrices):
         cache.cache_clear()
     lifts = Counter()
     real_lift = MatrixDiffOp.lift
@@ -532,19 +559,20 @@ def test_verify_builds_each_shared_part_once_per_parameters_it_reads(
         return real_lift(op, n)
     monkeypatch.setattr(MatrixDiffOp, "lift", lift)
     # each drop ends a point: read what the point built before it is emptied
-    tables, powers, kept = [], Counter(), []
+    tables, powers, kept = [], {}, []
     real_drop = cli.drop_point_caches
 
     def drop():
-        tables.append(orthogonality._matrix_moments.cache_info().misses)
+        tables.append(orthogonality._matrix_moments.cache_info().currsize)
         real_drop()
     monkeypatch.setattr(cli, "drop_point_caches", drop)
     real_power = orthogonality._node_power
 
-    def node_power(base, e):
-        kept.append(base)      # holds each id for the whole run
-        powers[len(tables), id(base), e] += 1
-        return real_power(base, e)
+    def node_power(params, order, axis, e):
+        out = real_power(params, order, axis, e)
+        kept.append(out)       # holds each id for the whole run
+        powers.setdefault((len(tables), order, axis, e), set()).add(id(out))
+        return out
     monkeypatch.setattr(orthogonality, "_node_power", node_power)
 
     code, _, _ = run_cli(SHARED_GRID, capsys)
@@ -555,10 +583,14 @@ def test_verify_builds_each_shared_part_once_per_parameters_it_reads(
     assert set(lifts.values()) == {1} and len(lifts) == 2 * (3 + 2 + 2)
     # (C1, C2) once per (a, b)
     assert casimir.conjugation_matrices.cache_info().misses == 4
-    # one matrix moment table per point, and each node power once per point
+    # one matrix moment table per point, and each node power built once per
+    # point: every lookup at a point gives one array, and no point reads
+    # another's
     assert tables == [1] * 8
-    assert set(powers.values()) == {1}
-    assert {point for point, _, _ in powers} == set(range(8))
+    assert {len(ids) for ids in powers.values()} == {1}
+    assert {point for point, _, _, _ in powers} == set(range(8))
+    arrays = [i for ids in powers.values() for i in ids]
+    assert len(arrays) == len(set(arrays))
 
 
 def test_report_does_not_depend_on_grid_order(capsys):

@@ -80,8 +80,10 @@ def test_reference_displays_match_construction():
             p = PairParams(3, a, b)
             assert weight_matrix_psi(p) == psi_reference_matrix(a, b), (a, b)
         assert weight_matrix_x(PairParams(3, a, 0)) == x_reference_matrix(a)
-    assert psi_reference_matrix(3, 0) is None
-    assert x_reference_matrix(0) is None
+    with pytest.raises(ValueError):
+        psi_reference_matrix(3, 0)
+    with pytest.raises(ValueError):
+        x_reference_matrix(0)
 
 
 def test_weight_is_symmetric():

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from bc2mvop.lie import (DualData, MsfLabel, PairParams, Weight, bottom_weight,
                          casimir_eigenvalue, casimir_eigenvalue_ip, degree_pairs,
-                         dominance_leq, dualize, fundamental, label_weight,
+                         dominance_leq, drop_point_caches, dualize, fundamental, label_weight,
                          labels_up_to, root_coordinates, spherical_lambda1,
                          spherical_lambda2, weyl_dim, zero_weight)
 from bc2mvop.matrices import solve_linear
@@ -109,6 +109,19 @@ def test_bottom_weights_are_dominant():
     for params in (PairParams(3, 2, 0), PairParams(4, 3, 1), PairParams(3, 2, -2)):
         for i in range(params.a + 1):
             assert bottom_weight(params, i).is_dominant()
+
+
+def test_point_cache_counts_survive_drops_until_cleared():
+    p = PairParams(3, 1, 0)
+    bottom_weight.cache_clear()
+    bottom_weight(p, 0), bottom_weight(p, 0), bottom_weight(p, 1)
+    drop_point_caches()
+    # the entries are gone, their lookups still count
+    assert bottom_weight.cache_info()[:] == (1, 2, None, 0)
+    bottom_weight(p, 0)
+    assert bottom_weight.cache_info()[:] == (1, 3, None, 1)
+    bottom_weight.cache_clear()
+    assert bottom_weight.cache_info()[:] == (0, 0, None, 0)
 
 
 def test_dualize_involution():

@@ -8,7 +8,7 @@ from math import comb, factorial, lcm
 import pytest
 from hypothesis import example, given, strategies as st
 
-from bc2mvop import orthogonality
+from bc2mvop import lie, orthogonality
 from bc2mvop.expansion import poly_matrix_x
 from bc2mvop.leading import C_VARS, X_VARS, weight_matrix_x
 from bc2mvop.lie import MsfLabel, PairParams, label_weight, weyl_dim
@@ -255,8 +255,8 @@ def test_perturbed_weight_entry_fails_orthogonality_at_dmax_4(monkeypatch):
 def test_bad_degree_pairs_are_refused(bad):
     p = PairParams(3, 1, 0)
     for call in (lambda: gram(p, bad, (0, 0)), lambda: gram(p, (0, 0), bad),
-                 lambda: numeric_crosscheck(p, bad, (0, 0), {}),
-                 lambda: numeric_crosscheck(p, (0, 0), bad, {})):
+                 lambda: numeric_crosscheck(p, bad, (0, 0)),
+                 lambda: numeric_crosscheck(p, (0, 0), bad)):
         with pytest.raises(ValueError, match="degree pair"):
             call()
 
@@ -265,7 +265,7 @@ def test_corrupted_moment_fails_exact_and_numeric_checks(corrupted_moment):
     p = PairParams(3, 1, 0)
     assert any(r.status == "FAIL" for r in orthogonality_suite(p, 1))
     # the quadrature reads no moment, so it now disagrees with the exact Gram
-    assert numeric_crosscheck(p, (0, 0), (0, 0), {}).status == "FAIL"
+    assert numeric_crosscheck(p, (0, 0), (0, 0)).status == "FAIL"
 
 
 def test_total_mass_reported_with_reciprocal():
@@ -377,9 +377,9 @@ def test_split_weight_fails_indecomposability(monkeypatch):
 
 def test_numeric_crosscheck_diag_and_offdiag():
     p = PairParams(3, 1, 0)
-    assert numeric_crosscheck(p, (0, 0), (0, 0), {}).status == "PASS"
-    assert numeric_crosscheck(p, (1, 0), (0, 0), {}).status == "PASS"
-    assert numeric_crosscheck(p, (1, 0), (1, 0), {}).status == "PASS"
+    assert numeric_crosscheck(p, (0, 0), (0, 0)).status == "PASS"
+    assert numeric_crosscheck(p, (1, 0), (0, 0)).status == "PASS"
+    assert numeric_crosscheck(p, (1, 0), (1, 0)).status == "PASS"
 
 
 def test_numeric_suite_green():
@@ -404,30 +404,38 @@ def test_indecomposability_at_the_wide_grid_corners(m, a, b):
 
 
 def test_numeric_suite_mesh_values_are_read_only_and_dropped(monkeypatch):
-    made = []
-    calls = []
+    made = {}
 
     def spy(real):
         def wrapper(*args):
             out = real(*args)
-            calls.append(real.__name__)
             arrays = (out if real is node_mesh
                       else [v for row in out for v in row])
-            made.extend(weakref.ref(v) for v in arrays)
             if any(v.flags.writeable for v in arrays):
                 pytest.fail(f"{real.__name__} returned a writeable array")
+            made.setdefault((real.__name__, args), {}).update(
+                {id(v): weakref.ref(v) for v in arrays})
             return out
         return wrapper
 
     node_mesh, mesh_values = orthogonality._node_mesh, orthogonality._mesh_values
     monkeypatch.setattr(orthogonality, "_node_mesh", spy(node_mesh))
     monkeypatch.setattr(orthogonality, "_mesh_values", spy(mesh_values))
+    lie.drop_point_caches()
     results = numeric_suite(PairParams(3, 1, 1), 1)
     assert all(r.status == "PASS" for r in results)
-    # one mesh and one evaluation per factor (three R_d and S) at the point
-    assert sorted(calls) == ["_mesh_values"] * 4 + ["_node_mesh"]
+    # one mesh and one evaluation per factor (three R_d and S) at the point;
+    # every lookup of each gives the same four arrays (the mesh's, or a
+    # 2 x 2 factor's)
+    assert sorted(name for name, _ in made) == ["_mesh_values"] * 4 + ["_node_mesh"]
+    assert {len(arrays) for arrays in made.values()} == {4}
+    refs = [ref for arrays in made.values() for ref in arrays.values()]
+    # the point's caches hold them until the point is dropped
     gc.collect()
-    assert made and not any(ref() is not None for ref in made)
+    assert all(ref() is not None for ref in refs)
+    lie.drop_point_caches()
+    gc.collect()
+    assert not any(ref() is not None for ref in refs)
 
 
 def test_float_terms_are_the_correctly_rounded_coefficients():
