@@ -21,7 +21,8 @@ Three layers, increasingly packaged:
 
 The operators and label vectors of one point are `point_cache`s, which
 `verify` drops when it leaves the point; the parts that read m alone stay,
-and so do (C1, C2), built once per (a, b).
+and so do (C1, C2): ``conjugation_matrices(a, b)`` takes the K-type alone
+and is built once per (a, b).
 
 The radial-action checks all compare through ``_radial_mismatch``, against
 expected vectors formed as one integer combination per component: an
@@ -44,8 +45,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .diffop import MatrixDiffOp
-from .leading import (C_VARS, PSI_VARS, X_VARS, _per_k_type, at_point,
-                      k_type, leading_term_matrix, psi_in_c, psi_in_x)
+from .leading import (C_VARS, PSI_VARS, X_VARS, _require_weight_regime,
+                      at_point, leading_term_matrix, psi_in_c, psi_in_x)
 from .lie import (MsfLabel, PairParams, casimir_eigenvalue,
                   casimir_eigenvalue_ip, check_label, degree_pairs,
                   label_weight, labels_up_to, point_cache)
@@ -171,7 +172,7 @@ def _psi_power_c(d1: int, d2: int) -> MultiPoly:
 
 def bottom_vector(params: PairParams, i: int) -> tuple[MultiPoly, ...]:
     """Row i of the leading-term matrix: the M-type vector at the bottom."""
-    return tuple(leading_term_matrix(params).row(i))
+    return tuple(leading_term_matrix(params.a, params.b).row(i))
 
 
 @point_cache
@@ -342,16 +343,16 @@ def scalar_radial_agreement_check(m: int) -> CheckResult:
     return CheckResult(name, PASS)
 
 
-@_per_k_type
-def conjugation_matrices(params: PairParams) -> tuple[PolyMatrix, PolyMatrix]:
+@lru_cache(maxsize=None)
+def conjugation_matrices(a: int, b: int) -> tuple[PolyMatrix, PolyMatrix]:
     """First-order coefficient matrices (C1, C2), tridiagonal in size a+1,
     built once per (a, b), which is all they read.
 
     Both share the same off-diagonals: (r, r-1) entry 2 r psi2 and (r, r+1)
     entry 2 (a-r).
     """
-    a, b = params.a, params.b
-    n = params.size
+    _require_weight_regime(a, b)
+    n = a + 1
     p1 = MultiPoly.var(PSI_VARS, "psi1")
     p2 = MultiPoly.var(PSI_VARS, "psi2")
     zero = MultiPoly.zero(PSI_VARS)
@@ -372,9 +373,8 @@ def gradient_pairing_verdict(a: int, b: int) -> CheckResult:
     symmetric coordinates with the gradient of Q0 equals C_i Q0."""
     name = "conjugation matrix defining identity"
     c1, c2, one = _c_atoms()
-    point = k_type(a, b)
-    q0 = leading_term_matrix(point)
-    cm1, cm2 = conjugation_matrices(point)
+    q0 = leading_term_matrix(a, b)
+    cm1, cm2 = conjugation_matrices(a, b)
     w1 = (2 * c1 * (one - c1 * c1), 2 * c2 * (one - c2 * c2))
     w2 = (w1[0] * c2 * c2, w1[1] * c1 * c1)
     pc = psi_in_c()
@@ -400,7 +400,7 @@ def _first_order_psi(params: PairParams) -> MatrixDiffOp:
     """The part of E that reads the whole point:
     -dQ/dpsi1 C1 - dQ/dpsi2 C2 + Q (Lambda0 + shift)."""
     n = params.size
-    c1m, c2m = conjugation_matrices(params)
+    c1m, c2m = conjugation_matrices(params.a, params.b)
     lambda0 = PolyMatrix.diagonal(PSI_VARS, [
         casimir_eigenvalue(params, MsfLabel(i, 0, 0)) for i in range(n)])
     return MatrixDiffOp(PSI_VARS, {

@@ -204,7 +204,7 @@ def _weight_payload(args) -> dict:
           "psi": leading.weight_matrix_psi,
           "x": leading.weight_matrix_x}[args.coords]
     return {"kind": "weight", "m": params.m, "a": params.a, "b": params.b,
-            "coords": args.coords, "matrix": fn(params)}
+            "coords": args.coords, "matrix": fn(params.a, params.b)}
 
 
 def _polys_payload(args) -> dict:
@@ -238,14 +238,15 @@ def _moments_payload(args) -> dict:
     p, q = args.monomial
     if p < 0 or q < 0:
         raise ValueError(f"monomial exponents ({p},{q}) must be non-negative")
-    params = PairParams(args.m, 0, 0)
     c1 = MultiPoly.var(leading.C_VARS, "c1")
     c2 = MultiPoly.var(leading.C_VARS, "c2")
     mono = (c1 ** (2 * p)) * (c2 ** (2 * q))
+    # the integral first: it refuses m < 2, as the other payloads do
+    delta = orthogonality.integrate_against_delta(args.m, mono)
     return {"kind": "moments", "m": args.m, "monomial": [p, q],
             "beta_p": str(orthogonality.beta_moment(args.m, p)),
             "beta_q": str(orthogonality.beta_moment(args.m, q)),
-            "delta_integral": str(orthogonality.integrate_against_delta(params, mono))}
+            "delta_integral": str(delta)}
 
 
 _PAYLOADS = {"weight": _weight_payload, "polys": _polys_payload,

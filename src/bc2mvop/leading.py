@@ -18,18 +18,19 @@ The size-(a+1) leading-term matrix Q0 has (i,k) entry
 a terminating hypergeometric sum.  The weight matrix is S = Q0 Q0^T,
 which is symmetric in c1 <-> c2 entrywise and so pushes down to psi.
 
-Q0 and S read the K-type (a, b) alone, never m.  So Q0 and S in c, psi
-and x are cached on (a, b): every m shares one object.  Each check of
-`weight_suite` is a verdict function of (a, b), and `at_point` gives its
-line at one point under the point's tag, decided once per (a, b) within the
-table of verdicts its caller passes.  `verify` passes one table per run; a
-fresh table, or a direct call of a verdict, decides afresh.
+Q0 and S read the K-type (a, b) alone, never m.  So every builder here
+takes (a, b), not a point, and Q0 and S in c, psi and x are cached on
+(a, b): every m shares one object.  A negative a or b is refused.  Each
+check of `weight_suite` is a verdict function of (a, b), and `at_point`
+gives its line at one point under the point's tag, decided once per (a, b)
+within the table of verdicts its caller passes.  `verify` passes one table
+per run; a fresh table, or a direct call of a verdict, decides afresh.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache
 from math import comb, factorial
 from types import MappingProxyType
 from typing import Mapping
@@ -76,42 +77,24 @@ def x_in_c() -> Mapping[str, MultiPoly]:
                              for name, poly in x_in_psi().items()})
 
 
-def k_type(a: int, b: int) -> PairParams:
-    """The point that stands for every point of K-type (a, b) in what reads
-    a and b alone: the leading terms, the weight and the checks on them.
-    Any m would do; this is 3."""
-    return PairParams(3, a, b)
-
-
-def _per_k_type(build):
-    """build(params), cached on (a, b) alone so that every m shares one
-    object; ``cache_info`` and ``cache_clear`` are those of the cache."""
-    cached = lru_cache(maxsize=None)(lambda a, b: build(k_type(a, b)))
-
-    @wraps(build)
-    def shared(params: PairParams):
-        return cached(params.a, params.b)
-    shared.cache_info, shared.cache_clear = cached.cache_info, cached.cache_clear
-    return shared
-
-
 def at_point(verdict, params: PairParams, verdicts: dict) -> CheckResult:
     """The line of a check that reads (a, b) alone: verdict(a, b) under the
     tag of the point, decided once per (a, b) within ``verdicts``."""
     return decide(verdicts, verdict, params.a, params.b).tagged(params.tag())
 
 
-def _require_weight_regime(params: PairParams):
-    if params.b < 0:
+def _require_weight_regime(a: int, b: int):
+    if a < 0:
+        raise ValueError(f"a={a} must be non-negative")
+    if b < 0:
         raise ValueError(
-            "leading terms are constructed for b >= 0; for b <= -a pass "
-            "through the duality map first")
+            f"b={b}: leading terms are constructed for b >= 0; for b <= -a "
+            "pass through the duality map first")
 
 
-def leading_term(params: PairParams, i: int, k: int) -> MultiPoly:
+def leading_term(a: int, b: int, i: int, k: int) -> MultiPoly:
     """q(i,k) as a polynomial in (c1, c2)."""
-    _require_weight_regime(params)
-    a, b = params.a, params.b
+    _require_weight_regime(a, b)
     if not (0 <= i <= a and 0 <= k <= a):
         raise ValueError(f"indices ({i},{k}) out of range 0..{a}")
     terms: dict[tuple[int, int], Fraction] = {}
@@ -125,37 +108,37 @@ def leading_term(params: PairParams, i: int, k: int) -> MultiPoly:
     return MultiPoly(C_VARS, terms)
 
 
-@_per_k_type
-def leading_term_matrix(params: PairParams) -> PolyMatrix:
+@lru_cache(maxsize=None)
+def leading_term_matrix(a: int, b: int) -> PolyMatrix:
     """Q0: row i, column k, size (a+1) x (a+1)."""
-    n = params.size
+    _require_weight_regime(a, b)
     return PolyMatrix.from_rows(
-        [[leading_term(params, i, k) for k in range(n)] for i in range(n)])
+        [[leading_term(a, b, i, k) for k in range(a + 1)] for i in range(a + 1)])
 
 
-@_per_k_type
-def weight_matrix_c(params: PairParams) -> PolyMatrix:
-    q0 = leading_term_matrix(params)
+@lru_cache(maxsize=None)
+def weight_matrix_c(a: int, b: int) -> PolyMatrix:
+    q0 = leading_term_matrix(a, b)
     return q0 @ q0.transpose()
 
 
-@_per_k_type
-def weight_matrix_psi(params: PairParams) -> PolyMatrix:
-    s = weight_matrix_c(params)
+@lru_cache(maxsize=None)
+def weight_matrix_psi(a: int, b: int) -> PolyMatrix:
+    s = weight_matrix_c(a, b)
     return s.map_entries(lambda p: symmetric_reduce(p, PSI_VARS))
 
 
-@_per_k_type
-def weight_matrix_x(params: PairParams) -> PolyMatrix:
-    return weight_matrix_psi(params).substitute(psi_in_x(), X_VARS)
+@lru_cache(maxsize=None)
+def weight_matrix_x(a: int, b: int) -> PolyMatrix:
+    return weight_matrix_psi(a, b).substitute(psi_in_x(), X_VARS)
 
 
-def det_reference_c(params: PairParams) -> MultiPoly:
+def det_reference_c(a: int, b: int) -> MultiPoly:
     """Closed form for det S in c coordinates:
 
     (prod_n C(a,n))^-2 (c1 c2)^(2b(a+1)) (c1 c2 (c1^2-c2^2))^(a(a+1)).
     """
-    a, b = params.a, params.b
+    _require_weight_regime(a, b)
     const = Fraction(1)
     for n in range(a + 1):
         const /= Fraction(comb(a, n)) ** 2
@@ -221,7 +204,7 @@ def x_reference_matrix(a: int) -> PolyMatrix:
 def all_ones_verdict(a: int, b: int) -> CheckResult:
     """Q0 at c1 = c2 = 1 must be the all-ones matrix."""
     name = "leading terms at identity point"
-    vals = leading_term_matrix(k_type(a, b)).evaluate(
+    vals = leading_term_matrix(a, b).evaluate(
         {"c1": Fraction(1), "c2": Fraction(1)})
     bad = [(i, k) for i, row in enumerate(vals) for k, v in enumerate(row) if v != 1]
     if bad:
@@ -232,7 +215,7 @@ def all_ones_verdict(a: int, b: int) -> CheckResult:
 def swap_symmetry_verdict(a: int, b: int) -> CheckResult:
     """Swapping c1 <-> c2 reverses the column order of Q0."""
     name = "leading term reflection symmetry"
-    q0 = leading_term_matrix(k_type(a, b))
+    q0 = leading_term_matrix(a, b)
     swapped = q0.substitute(
         {"c1": MultiPoly.var(C_VARS, "c2"), "c2": MultiPoly.var(C_VARS, "c1")},
         C_VARS)
@@ -245,16 +228,15 @@ def weight_factor_verdict(a: int, b: int) -> CheckResult:
     """S at (a,b) equals (c1 c2)^(2b) times S at (a,0)."""
     name = "weight matrix b-factorization"
     factor = (MultiPoly.var(C_VARS, "c1") * MultiPoly.var(C_VARS, "c2")) ** (2 * b)
-    if weight_matrix_c(k_type(a, b)) == weight_matrix_c(k_type(a, 0)).scale(factor):
+    if weight_matrix_c(a, b) == weight_matrix_c(a, 0).scale(factor):
         return CheckResult(name, PASS)
     return CheckResult(name, FAIL, "factorization fails")
 
 
 def determinant_verdict(a: int, b: int) -> CheckResult:
     name = "weight matrix determinant"
-    point = k_type(a, b)
-    got = weight_matrix_c(point).det()
-    want = det_reference_c(point)
+    got = weight_matrix_c(a, b).det()
+    want = det_reference_c(a, b)
     if got == want:
         return CheckResult(name, PASS, f"degree {got.total_degree()}")
     return CheckResult(name, FAIL, f"det S - closed form = {got - want}")
@@ -263,9 +245,8 @@ def determinant_verdict(a: int, b: int) -> CheckResult:
 def psi_consistency_verdict(a: int, b: int) -> CheckResult:
     """Pushing the psi-form back through psi(c) recovers S in c."""
     name = "weight matrix symmetric reduction"
-    point = k_type(a, b)
-    back = weight_matrix_psi(point).substitute(psi_in_c(), C_VARS)
-    if back == weight_matrix_c(point):
+    back = weight_matrix_psi(a, b).substitute(psi_in_c(), C_VARS)
+    if back == weight_matrix_c(a, b):
         return CheckResult(name, PASS)
     return CheckResult(name, FAIL, "round trip through psi failed")
 
@@ -274,7 +255,7 @@ def homogeneity_verdict(a: int, b: int) -> CheckResult:
     """q(i,k) is homogeneous of degree a+2b+2i with both exponents of
     fixed parity: c1 carries a+b-k mod 2 and c2 carries b+k mod 2."""
     name = "leading term homogeneity and parity"
-    q0 = leading_term_matrix(k_type(a, b))
+    q0 = leading_term_matrix(a, b)
     bad = []
     for i in range(a + 1):
         for k in range(a + 1):
@@ -301,7 +282,7 @@ def krawtchouk_route_verdict(a: int, b: int) -> CheckResult:
     """
     name = "leading term hypergeometric route"
     one = Fraction(1)
-    q0 = leading_term_matrix(k_type(a, b))
+    q0 = leading_term_matrix(a, b)
     for i in range(a + 1):
         for k in range(a + 1):
             q = q0.entry(i, k)
@@ -322,9 +303,9 @@ def reference_matrix_verdict(a: int, b: int) -> CheckResult:
     """Computed S against the stored size-2/size-3 displays (both forms);
     at any other size there is nothing to compare, and a call is refused."""
     name = "weight matrix stored displays"
-    if psi_reference_matrix(a, b) != weight_matrix_psi(k_type(a, b)):
+    if psi_reference_matrix(a, b) != weight_matrix_psi(a, b):
         return CheckResult(name, FAIL, "psi-form differs from the stored matrix")
-    if weight_matrix_x(k_type(a, 0)) != x_reference_matrix(a):
+    if weight_matrix_x(a, 0) != x_reference_matrix(a):
         return CheckResult(name, FAIL, "x-form at b=0 differs from the stored matrix")
     return CheckResult(name, PASS)
 

@@ -13,30 +13,32 @@ the exponent level into three shifted Beta products, and each term is
 summed against a cached table of integer Beta numerators B(m, p) D over
 one denominator D per (m, top p).
 
-The scalar weight depends on (m, b) only, so every Gram integral is a linear
-function of the monomial moments int x1^i x2^j.  `moment` computes each of
-them once per (m, b) by that pull-back and caches it.  The pull-back of
-x1^i x2^j to (c1, c2) does not depend on (m, b) at all: `_pulled_monomial`
-is one shared, cached table of them, each entry one product from its
-predecessor, so `region_integral` reads the pull-back of every monomial of
-its integrand from that table instead of substituting, and takes the factor
-(c1 c2)^(2b) of the weight as a shift of the exponents.  The table relies on
-callers never mutating an entry, which holds because MultiPoly is
+The density reads m alone and the scalar weight (m, b) alone, so
+`integrate_against_delta` takes m and `region_integral` takes (m, b),
+never a point, and every Gram integral is a linear function of the
+monomial moments int x1^i x2^j.  `moment` computes each of them once per
+(m, b) by that pull-back and caches it.  The pull-back of x1^i x2^j to
+(c1, c2) does not depend on (m, b) at all: `_pulled_monomial` is one
+shared, cached table of them, each entry one product from its predecessor,
+so `region_integral` reads the pull-back of every monomial of its
+integrand from that table instead of substituting, and takes the factor
+(c1 c2)^(2b) of the weight as a shift of the exponents.  The table relies
+on callers never mutating an entry, which holds because MultiPoly is
 immutable.
 
-A Gram matrix G(d, d') = int R_d S R_d'^T is contracted against one
-matrix moment table per parameter point, `_matrix_moments`: the integrals
-M[k][l][g] = int x^g S_kl over one denominator, for k <= l since S is
-symmetric, and for every g up to twice the highest degree asked for so
-far; a higher degree extends the table.  From it `_weighted_moments`
-reads, once per (point, degree d'), the integrals
-U[j][k][e] = sum_l sum_f (R_d')_jl[f] M[k][l][e + f] of x^e (S R_d'^T)_kj
-for every e with e1 + e2 <= |d'|, so no product S R_d'^T is formed.  For
-|d| <= |d'| each entry of G is one integer dot product of R_d's
-coefficients with U; for |d| > |d'|, G is the transpose of G(d', d), as S
-is symmetric.  Both routes contract integer numerators over one common
-denominator per matrix or set of moments, so each integral or Gram entry
-is one Fraction.
+A Gram matrix G(d, d') = int R_d S R_d'^T, with S taken at (a, 0), is
+contracted against one matrix moment table per parameter point,
+`_matrix_moments`: the integrals M[k][l][g] = int x^g S_kl over one
+denominator, for k <= l since S is symmetric, and for every g up to twice
+the highest degree asked for so far; a higher degree extends the table.
+From it `_weighted_moments` reads, once per (point, degree d'), the
+integrals U[j][k][e] = sum_l sum_f (R_d')_jl[f] M[k][l][e + f] of
+x^e (S R_d'^T)_kj for every e with e1 + e2 <= |d'|, so no product
+S R_d'^T is formed.  For |d| <= |d'| each entry of G is one integer dot
+product of R_d's coefficients with U; for |d| > |d'|, G is the transpose
+of G(d', d), as S is symmetric.  Both routes contract integer numerators over one
+common denominator per matrix or set of moments, so each integral or Gram
+entry is one Fraction.
 
 A floating-point Gauss-Legendre path recomputes the same integrals
 independently of the moments.  It evaluates each factor R_d and S on the
@@ -61,7 +63,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 from .expansion import poly_matrix_x
-from .leading import (C_VARS, X_VARS, at_point, det_reference_c, k_type,
+from .leading import (C_VARS, X_VARS, at_point, det_reference_c,
                       weight_matrix_c, weight_matrix_x, x_in_c)
 from .lie import (MsfLabel, PairParams, degree_pair, degree_pairs,
                   label_weight, point_cache, weyl_dim)
@@ -88,9 +90,11 @@ def _beta_numerators(m: int, top: int) -> tuple[int, tuple[int, ...]]:
                   for p in range(top + 1)))
 
 
-def integrate_against_delta(params: PairParams, p: MultiPoly) -> Fraction:
+def integrate_against_delta(m: int, p: MultiPoly) -> Fraction:
     """Integral of p(c1, c2) against the group density
     4 s1^(2m-3) s2^(2m-3) c1 c2 (c1^2-c2^2)^2 over [0, pi/2]^2."""
+    if m < 2:
+        raise ValueError("m must be at least 2")
     if p.vars != C_VARS:
         raise ValueError("integrand must be a polynomial in (c1, c2)")
     for exp in p.nums:
@@ -100,7 +104,7 @@ def integrate_against_delta(params: PairParams, p: MultiPoly) -> Fraction:
     # c1^(2i) c2^(2j) (c1^2 - c2^2)^2 integrates to
     # B(i+2) B(j) - 2 B(i+1) B(j+1) + B(i) B(j+2)
     top = max((max(exp) for exp in p.nums), default=0) // 2 + 2
-    den, beta = _beta_numerators(params.m, top)
+    den, beta = _beta_numerators(m, top)
     acc = 0
     for (e1, e2), c in p.nums.items():
         i, j = e1 // 2, e2 // 2
@@ -120,12 +124,13 @@ def _pulled_monomial(i: int, j: int) -> MultiPoly:
     return MultiPoly.one(C_VARS)
 
 
-def region_integral(params: PairParams, M: MultiPoly) -> Fraction:
+def region_integral(m: int, b: int, M: MultiPoly) -> Fraction:
     """Integral of M(x1, x2) over the parabolic region against the scalar
     weight (1-x1+x2)^(m-2) (1+x1+x2)^b (x1^2-4x2)^(1/2)."""
     if M.vars != X_VARS:
         raise ValueError("integrand must be a polynomial in (x1, x2)")
-    m, b = params.m, params.b
+    if b < 0:
+        raise ValueError(f"b={b} must be non-negative")
     # the pull-back of M times c1^(2b) c2^(2b): shifted exponents, no product
     pden, monos = integer_view(_pulled_monomial(i, j) for i, j in M.nums)
     pulled: dict[tuple[int, int], int] = {}
@@ -134,7 +139,7 @@ def region_integral(params: PairParams, M: MultiPoly) -> Fraction:
             e = (e1 + 2 * b, e2 + 2 * b)
             pulled[e] = pulled[e] + c * t if e in pulled else c * t
     return (Fraction(2) ** (2 * m + 2 * b - 1) * integrate_against_delta(
-        params, MultiPoly._over(C_VARS, pulled, M.den * pden)))
+        m, MultiPoly._over(C_VARS, pulled, M.den * pden)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -143,7 +148,7 @@ def moment(m: int, b: int, i: int, j: int) -> Fraction:
 
     The weight depends on (m, b) only, so the cache is the moment table that
     every Gram matrix of those parameters is contracted against."""
-    return region_integral(PairParams(m, 0, b), MultiPoly.monomial(X_VARS, (i, j)))
+    return region_integral(m, b, MultiPoly.monomial(X_VARS, (i, j)))
 
 
 def mass_claim(m: int) -> Fraction:
@@ -158,7 +163,7 @@ def total_mass_check(m: int) -> CheckResult:
     defines the constant as the mass, another computes its reciprocal as the
     mass, and the computed value matches the reciprocal reading.
     """
-    full = 16 * integrate_against_delta(PairParams(m, 0, 0), MultiPoly.one(C_VARS))
+    full = 16 * integrate_against_delta(m, MultiPoly.one(C_VARS))
     claim = mass_claim(m)
     return against_reference(
         f"density total mass (m={m})", full, claim, full * claim == 1,
@@ -186,8 +191,7 @@ class _MatrixMoments:
     def __init__(self, params: PairParams):
         n = params.size
         self.m, self.b = params.m, params.b
-        self.sden, s = integer_view(
-            weight_matrix_x(PairParams(params.m, params.a, 0)).entries)
+        self.sden, s = integer_view(weight_matrix_x(params.a, 0).entries)
         self.s = {(k, l): s[k * n + l] for k in range(n) for l in range(k, n)}
         self.nums = {kl: {} for kl in self.s}
         self.den, self.top = 1, -1
@@ -362,7 +366,7 @@ def positivity_verdict(a: int, b: int) -> CheckResult:
     sample points; the determinant vanishes on the boundary pieces carried by
     its closed-form factors."""
     name = "weight positivity on the region"
-    s = weight_matrix_c(k_type(a, b))
+    s = weight_matrix_c(a, b)
     n = s.rows
     for (v1, v2) in _INTERIOR:
         vals = s.evaluate({"c1": v1, "c2": v2})
@@ -372,7 +376,7 @@ def positivity_verdict(a: int, b: int) -> CheckResult:
                 return CheckResult(name, FAIL,
                                    f"minor {k} at c=({v1},{v2}) is {minor}")
     detail = f"{len(_INTERIOR)} interior points, {n} minors each"
-    dref = det_reference_c(k_type(a, b))
+    dref = det_reference_c(a, b)
     # boundary components present in the determinant's closed form
     if a >= 1:
         onpar = dref.evaluate({"c1": Fraction(1, 2), "c2": Fraction(1, 2)})
@@ -387,13 +391,13 @@ def positivity_verdict(a: int, b: int) -> CheckResult:
     return CheckResult(name, PASS, detail)
 
 
-def indecomposability_check(params: PairParams) -> tuple[int, int]:
+def indecomposability_check(a: int, b: int) -> tuple[int, int]:
     """Dimensions of the exact solution spaces of T S = S T (complex
     commutant) and of the real pair X S = S X^T, Y S = -S Y^T.
 
     A single shared dimension in each slot (1, 1) means the weight does not
     split into smaller blocks."""
-    s = weight_matrix_c(params)
+    s = weight_matrix_c(a, b)
     n = s.rows
     # S over one denominator: a common scale of every row, so the integer
     # numerators give the same solution spaces
@@ -423,7 +427,7 @@ def indecomposability_check(params: PairParams) -> tuple[int, int]:
 
 def indecomposability_verdict(a: int, b: int) -> CheckResult:
     name = "weight indecomposability"
-    comm, real = indecomposability_check(k_type(a, b))
+    comm, real = indecomposability_check(a, b)
     if (comm, real) == (1, 1):
         return CheckResult(name, PASS, "commutant and real pair space are "
                                        "both one-dimensional")
@@ -497,7 +501,7 @@ def _mesh_values(params: PairParams, d: tuple[int, int] | None,
     """Each entry of R_d, or of S when d is None, on the node mesh, summed
     term by term in canonical order, read-only."""
     import numpy as np
-    mat = (weight_matrix_c(PairParams(params.m, params.a, 0)) if d is None
+    mat = (weight_matrix_c(params.a, 0) if d is None
            else _poly_matrix_c(params, d))
     c1 = _node_mesh(params, order)[0]
     out = [[None] * mat.cols for _ in range(mat.rows)]
@@ -535,10 +539,10 @@ def numeric_crosscheck(params: PairParams, d: tuple[int, int],
     d, dp = degree_pair(d), degree_pair(dp)
     name = (f"numeric quadrature agreement {params.tag()} "
             f"d=({d[0]},{d[1]}) d'=({dp[0]},{dp[1]})")
-    m, a, b = params.m, params.a, params.b
+    m, b = params.m, params.b
     exact = gram(params, d, dp)
     lc, rc = _poly_matrix_c(params, d), _poly_matrix_c(params, dp)
-    sc = weight_matrix_c(PairParams(m, a, 0))
+    sc = weight_matrix_c(params.a, 0)
 
     # node count from the trigonometric degree per variable: polynomial
     # part plus the density sin^(2m-3) cos (c1^2-c2^2)^2 (c1 c2)^(2b);

@@ -117,7 +117,7 @@ def test_operator_change_of_coordinates():
     # image of (C1, C2), a global sign flip that `verify` does not print; at
     # a = b = 0 both sides vanish and agree
     for p in GRID:
-        c1m, c2m = conjugation_matrices(p)
+        c1m, c2m = conjugation_matrices(p.a, p.b)
         moved = MatrixDiffOp(PSI_VARS, {(1, 0): c1m, (0, 1): c2m}
                              ).change_vars_affine(X_VARS, psi_in_x())
         image = (moved.coeff((1, 0)), moved.coeff((0, 1)))

@@ -186,7 +186,7 @@ def test_weight_payload_round_trip(capsys):
     payload = json.loads(out)
     assert payload["kind"] == "weight" and payload["coords"] == "x"
     mat = PolyMatrix.from_json(payload["matrix"])
-    assert mat == weight_matrix_x(PairParams(3, 1, 0))
+    assert mat == weight_matrix_x(1, 0)
 
 
 def test_weight_psi_coords(capsys):
@@ -194,7 +194,7 @@ def test_weight_psi_coords(capsys):
                             "--coords", "psi"], capsys)
     assert code == 0
     mat = PolyMatrix.from_json(json.loads(out)["matrix"])
-    assert mat == weight_matrix_psi(PairParams(3, 2, 1))
+    assert mat == weight_matrix_psi(2, 1)
 
 
 def test_weight_refuses_far_regime(capsys):
@@ -380,11 +380,23 @@ REPORT_DIGESTS = {
 }
 
 
+# the results of each key's suites, shared by its two formats: both print
+# through cli.main, and the suites run once per key
+_REPORT_RESULTS = {}
+
+
 @pytest.mark.parametrize("key, fmt", [
     pytest.param(key, fmt, id=fmt if key == "casimir" else f"{key}-{fmt}")
     for key, fmt in sorted(REPORT_DIGESTS)])
-def test_verify_casimir_report_is_pinned(key, fmt, capsys):
+def test_verify_casimir_report_is_pinned(key, fmt, monkeypatch, capsys):
     suite, grid = REPORT_GRIDS[key]
+    real = cli._verify_results
+
+    def shared(args, points):
+        if key not in _REPORT_RESULTS:
+            _REPORT_RESULTS[key] = real(args, points)
+        return _REPORT_RESULTS[key]
+    monkeypatch.setattr(cli, "_verify_results", shared)
     code, out, _ = run_cli(["verify", suite, *grid, "--format", fmt], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[key, fmt]
@@ -546,10 +558,13 @@ def test_verify_builds_each_shared_part_once_per_parameters_it_reads(
         monkeypatch, capsys):
     per_m = (casimir._radial_scalar_c, casimir.scalar_radial_psi,
              casimir._scalar_radial_x)
+    per_ab = (casimir.conjugation_matrices, leading.leading_term_matrix,
+              leading.weight_matrix_c, leading.weight_matrix_psi,
+              leading.weight_matrix_x)
     # start with no point's tables, and with the per-m and per-(a, b) parts,
     # which live for the whole process, empty
     lie.drop_point_caches()
-    for cache in (*per_m, casimir._lifted, casimir.conjugation_matrices):
+    for cache in (*per_m, casimir._lifted, *per_ab):
         cache.cache_clear()
     lifts = Counter()
     real_lift = MatrixDiffOp.lift
@@ -581,8 +596,10 @@ def test_verify_builds_each_shared_part_once_per_parameters_it_reads(
     # sizes 1 (the scalar checks), 2 and 3 in c; 2 and 3 in psi and in x
     assert [cache.cache_info().misses for cache in per_m] == [2, 2, 2]
     assert set(lifts.values()) == {1} and len(lifts) == 2 * (3 + 2 + 2)
-    # (C1, C2) once per (a, b)
-    assert casimir.conjugation_matrices.cache_info().misses == 4
+    # (C1, C2), Q0 and S in c and psi once per (a, b) of the grid, and S in
+    # x once per a: the moment tables and the stored displays read it at
+    # b = 0 alone
+    assert [cache.cache_info().misses for cache in per_ab] == [4, 4, 4, 4, 2]
     # one matrix moment table per point, and each node power built once per
     # point: every lookup at a point gives one array, and no point reads
     # another's

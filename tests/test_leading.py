@@ -1,10 +1,12 @@
 """Leading-term matrix and the matrix weight in three coordinate systems."""
 
+import inspect
 from fractions import Fraction as F
 
 import pytest
 
 from bc2mvop import leading
+from bc2mvop.casimir import conjugation_matrices
 from bc2mvop.leading import (C_VARS, PSI_VARS, X_VARS, det_reference_c,
                              krawtchouk_route_verdict, leading_term,
                              leading_term_matrix,
@@ -14,10 +16,12 @@ from bc2mvop.leading import (C_VARS, PSI_VARS, X_VARS, det_reference_c,
                              psi_in_x)
 from bc2mvop.lie import PairParams
 from bc2mvop.matrices import PolyMatrix
+from bc2mvop.orthogonality import indecomposability_check
 from bc2mvop.poly import MultiPoly
 
 SAMPLE = [PairParams(3, 0, 0), PairParams(3, 1, 0), PairParams(3, 1, 2),
           PairParams(3, 2, 1), PairParams(4, 2, 0), PairParams(5, 3, 1)]
+K_TYPES = [(p.a, p.b) for p in SAMPLE]
 
 
 def test_coordinate_maps_are_mutually_inverse():
@@ -45,27 +49,25 @@ def test_identity_point_in_all_coordinates():
 
 
 def test_size_two_leading_terms_by_hand():
-    p = PairParams(3, 1, 0)
     c1 = MultiPoly.var(C_VARS, "c1")
     c2 = MultiPoly.var(C_VARS, "c2")
-    assert leading_term(p, 0, 0) == c1
-    assert leading_term(p, 0, 1) == c2
-    assert leading_term(p, 1, 0) == c1 * c2 ** 2
-    assert leading_term(p, 1, 1) == c1 ** 2 * c2
+    assert leading_term(1, 0, 0, 0) == c1
+    assert leading_term(1, 0, 0, 1) == c2
+    assert leading_term(1, 0, 1, 0) == c1 * c2 ** 2
+    assert leading_term(1, 0, 1, 1) == c1 ** 2 * c2
 
 
 def test_leading_term_range_checks():
-    p = PairParams(3, 1, 0)
     with pytest.raises(ValueError):
-        leading_term(p, 2, 0)
+        leading_term(1, 0, 2, 0)
     with pytest.raises(ValueError):
-        leading_term(p, 0, -1)
-    with pytest.raises(ValueError):
-        leading_term(PairParams(3, 1, -1), 0, 0)
+        leading_term(1, 0, 0, -1)
+    with pytest.raises(ValueError, match="b=-1"):
+        leading_term(1, -1, 0, 0)
 
 
 def test_size_two_weight_by_hand():
-    s = weight_matrix_psi(PairParams(3, 1, 0))
+    s = weight_matrix_psi(1, 0)
     p1 = MultiPoly.var(PSI_VARS, "psi1")
     p2 = MultiPoly.var(PSI_VARS, "psi2")
     assert s.entry(0, 0) == p1
@@ -77,9 +79,8 @@ def test_size_two_weight_by_hand():
 def test_reference_displays_match_construction():
     for a in (1, 2):
         for b in (0, 1, 2):
-            p = PairParams(3, a, b)
-            assert weight_matrix_psi(p) == psi_reference_matrix(a, b), (a, b)
-        assert weight_matrix_x(PairParams(3, a, 0)) == x_reference_matrix(a)
+            assert weight_matrix_psi(a, b) == psi_reference_matrix(a, b), (a, b)
+        assert weight_matrix_x(a, 0) == x_reference_matrix(a)
     with pytest.raises(ValueError):
         psi_reference_matrix(3, 0)
     with pytest.raises(ValueError):
@@ -87,20 +88,19 @@ def test_reference_displays_match_construction():
 
 
 def test_weight_is_symmetric():
-    for p in SAMPLE:
-        s = weight_matrix_c(p)
-        assert s == s.transpose(), p
+    for a, b in K_TYPES:
+        s = weight_matrix_c(a, b)
+        assert s == s.transpose(), (a, b)
 
 
 def test_determinant_closed_form():
-    for p in SAMPLE[:4]:
-        assert weight_matrix_c(p).det() == det_reference_c(p), p
+    for a, b in K_TYPES[:4]:
+        assert weight_matrix_c(a, b).det() == det_reference_c(a, b), (a, b)
 
 
 def test_determinant_vanishes_on_diagonal_boundary():
     # on c1 = c2 the rows collide for a >= 1
-    p = PairParams(3, 2, 0)
-    d = weight_matrix_c(p).det()
+    d = weight_matrix_c(2, 0).det()
     t = MultiPoly.var(C_VARS, "c1")
     on_diag = d.substitute({"c1": t, "c2": t}, C_VARS)
     assert on_diag.is_zero
@@ -108,8 +108,7 @@ def test_determinant_vanishes_on_diagonal_boundary():
 
 def test_weight_at_identity_is_rank_one():
     # Q0(1,1) is all ones, so S(1,1) = (a+1) * ones
-    p = PairParams(4, 2, 1)
-    vals = weight_matrix_c(p).evaluate({"c1": F(1), "c2": F(1)})
+    vals = weight_matrix_c(2, 1).evaluate({"c1": F(1), "c2": F(1)})
     assert all(v == 3 for row in vals for v in row)
 
 
@@ -131,26 +130,40 @@ def test_stored_displays_refuse_a_size_without_one(a):
 
 
 def test_q0_depends_only_on_a_and_b():
-    # m enters the weight only through downstream operators
-    q3 = leading_term_matrix(PairParams(3, 2, 1))
-    q5 = leading_term_matrix(PairParams(5, 2, 1))
-    assert q3 == q5
-    # so Q0 and S in c, psi and x are cached on (a, b): one object for all m
-    for build in (leading_term_matrix, weight_matrix_c, weight_matrix_psi,
-                  weight_matrix_x):
-        assert build(PairParams(3, 2, 1)) is build(PairParams(5, 2, 1))
+    # m enters the weight only through downstream operators, so Q0, S in c,
+    # psi and x and the closed form of det S take the K-type (a, b) alone
+    matrices = (leading_term_matrix, weight_matrix_c, weight_matrix_psi,
+                weight_matrix_x)
+    for build in (*matrices, det_reference_c, conjugation_matrices,
+                  indecomposability_check):
+        assert list(inspect.signature(build).parameters) == ["a", "b"], build
+    # and the matrices are cached on it: one object for all m
+    for build in matrices:
+        assert build(2, 1) is build(2, 1)
     # the benchmark reads the hits and misses of the x-form's cache
     before = leading.weight_matrix_x.cache_info()
-    weight_matrix_x(PairParams(4, 2, 1))
+    weight_matrix_x(2, 1)
     assert leading.weight_matrix_x.cache_info().hits == before.hits + 1
+
+
+@pytest.mark.parametrize("a, b, value", [(-1, 0, "a=-1"), (-2, 3, "a=-2"),
+                                         (1, -1, "b=-1"), (0, -3, "b=-3")])
+def test_builders_of_a_and_b_refuse_a_negative_value(a, b, value):
+    # no point vets (a, b) on the way in, so each builder refuses it, and
+    # names the value
+    for build in (leading_term_matrix, weight_matrix_c, weight_matrix_psi,
+                  weight_matrix_x, det_reference_c, conjugation_matrices,
+                  indecomposability_check):
+        with pytest.raises(ValueError, match=value):
+            build(a, b)
 
 
 def _patch_entry(monkeypatch, entry, change):
     # the checks read Q0 from the cached leading_term_matrix
     real = leading.leading_term_matrix
 
-    def patched(params):
-        q0 = real(params)
+    def patched(a, b):
+        q0 = real(a, b)
         return PolyMatrix.from_rows(
             [[change(q0.entry(i, k)) if (i, k) == entry else q0.entry(i, k)
               for k in range(q0.cols)] for i in range(q0.rows)])

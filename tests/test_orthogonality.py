@@ -38,17 +38,15 @@ def test_beta_moments_by_hand():
 
 def test_delta_integral_of_one():
     # quarter-torus mass of the squared vandermonde density
-    assert integrate_against_delta(PairParams(3, 0, 0), MultiPoly.one(C_VARS)) \
-        == F(1, 36)
+    assert integrate_against_delta(3, MultiPoly.one(C_VARS)) == F(1, 36)
 
 
 def test_delta_integral_even_monomial():
-    p = PairParams(3, 0, 0)
     c1 = MultiPoly.var(C_VARS, "c1")
     c2 = MultiPoly.var(C_VARS, "c2")
-    assert integrate_against_delta(p, (c1 ** 2) * (c2 ** 4)) == F(1, 720)
+    assert integrate_against_delta(3, (c1 ** 2) * (c2 ** 4)) == F(1, 720)
     with pytest.raises(ValueError):
-        integrate_against_delta(p, c1)
+        integrate_against_delta(3, c1)
 
 
 def test_beta_numerators_match_beta_moment():
@@ -82,13 +80,22 @@ _even_polys = st.dictionaries(
 @example(5, MultiPoly(C_VARS, {(0, 0): F(1, 2), (2, 0): F(-2, 3),
                                (2, 4): F(5, 7), (6, 2): F(3)}))
 def test_integrate_against_delta_matches_fraction_reference(m, p):
-    got = integrate_against_delta(PairParams(m, 0, 0), p)
+    got = integrate_against_delta(m, p)
     assert type(got) is F
     assert got == _delta_reference(m, p)
 
 
 def test_region_integral_of_one():
-    assert region_integral(PairParams(3, 0, 0), MultiPoly.one(X_VARS)) == F(8, 9)
+    assert region_integral(3, 0, MultiPoly.one(X_VARS)) == F(8, 9)
+
+
+def test_integrals_refuse_m_below_2_and_a_negative_b():
+    with pytest.raises(ValueError, match="m must be at least 2"):
+        integrate_against_delta(1, MultiPoly.one(C_VARS))
+    with pytest.raises(ValueError, match="m must be at least 2"):
+        region_integral(1, 0, MultiPoly.one(X_VARS))
+    with pytest.raises(ValueError, match="b=-1"):
+        region_integral(3, -1, MultiPoly.one(X_VARS))
 
 
 # ---- the moment table against Koornwinder's coordinates ----
@@ -131,10 +138,10 @@ def test_moment_table_matches_koornwinder_coordinates():
 
 def _gram_by_entry(params, d, dp, family=poly_matrix_x):
     """The Gram matrix with every entry of R_d S R_d'^T pulled back on its own."""
-    s0 = weight_matrix_x(PairParams(params.m, params.a, 0))
+    s0 = weight_matrix_x(params.a, 0)
     prod = family(params, d) @ s0 @ family(params, dp).transpose()
-    return [[region_integral(params, prod.entry(i, j)) for j in range(prod.cols)]
-            for i in range(prod.rows)]
+    return [[region_integral(params.m, params.b, prod.entry(i, j))
+             for j in range(prod.cols)] for i in range(prod.rows)]
 
 
 # the last two have the higher degree on the left, read as a transpose
@@ -233,8 +240,8 @@ def test_perturbed_weight_entry_fails_orthogonality_at_dmax_4(monkeypatch):
     # table must read it
     true_weight = orthogonality.weight_matrix_x
 
-    def perturbed(params):
-        s = true_weight(params)
+    def perturbed(a, b):
+        s = true_weight(a, b)
         return PolyMatrix(s.rows, s.cols, [
             s.entries[0] + MultiPoly.var(X_VARS, "x2"), *s.entries[1:]])
 
@@ -350,9 +357,9 @@ def test_positivity():
 
 
 def test_indecomposability_dimensions():
-    assert indecomposability_check(PairParams(3, 1, 0)) == (1, 1)
-    assert indecomposability_check(PairParams(3, 2, 1)) == (1, 1)
-    assert indecomposability_check(PairParams(4, 2, 0)) == (1, 1)
+    assert indecomposability_check(1, 0) == (1, 1)
+    assert indecomposability_check(2, 1) == (1, 1)
+    assert indecomposability_check(2, 0) == (1, 1)
     results = indecomposability_suite(PairParams(3, 1, 0), {})
     assert all(r.status == "PASS" for r in results)
 
@@ -361,18 +368,17 @@ def test_split_weight_fails_indecomposability(monkeypatch):
     # diag(c1^2, c2^2) splits into two 1x1 blocks: the commutant and the
     # symmetric real solutions are the diagonal matrices (2 each), and the
     # antisymmetric equation Y S = -S Y^T has only Y = 0
-    params = PairParams(3, 1, 0)
     split = PolyMatrix.from_rows(
         [[MultiPoly.monomial(C_VARS, (2, 0)), MultiPoly.zero(C_VARS)],
          [MultiPoly.zero(C_VARS), MultiPoly.monomial(C_VARS, (0, 2))]])
     true_weight = orthogonality.weight_matrix_c
-    monkeypatch.setattr(orthogonality, "weight_matrix_c",
-                        lambda p: split if p == params else true_weight(p))
-    assert indecomposability_check(params) == (2, 2)
-    [result] = indecomposability_suite(params, {})
+    monkeypatch.setattr(orthogonality, "weight_matrix_c", lambda a, b:
+                        split if (a, b) == (1, 0) else true_weight(a, b))
+    assert indecomposability_check(1, 0) == (2, 2)
+    [result] = indecomposability_suite(PairParams(3, 1, 0), {})
     assert result.status == "FAIL"
     assert "dimensions (2, 2), expected (1, 1)" in result.detail
-    assert indecomposability_check(PairParams(3, 2, 1)) == (1, 1)
+    assert indecomposability_check(2, 1) == (1, 1)
 
 
 def test_numeric_crosscheck_diag_and_offdiag():
@@ -388,7 +394,7 @@ def test_numeric_suite_green():
 
 
 def test_region_grid_shape():
-    rows = region_grid(weight_matrix_x(PairParams(3, 1, 0)))
+    rows = region_grid(weight_matrix_x(1, 0))
     assert len(rows) == 1000
     x1, x2, vals, inside = rows[0]
     assert (x1, x2) == (F(-2), F(-1))
@@ -400,7 +406,8 @@ def test_region_grid_shape():
 
 @pytest.mark.parametrize("m, a, b", [(8, 6, 3), (3, 6, 0)])
 def test_indecomposability_at_the_wide_grid_corners(m, a, b):
-    assert indecomposability_check(PairParams(m, a, b)) == (1, 1)
+    # the weight reads (a, b) alone; m only names the corner of the grid
+    assert indecomposability_check(a, b) == (1, 1)
 
 
 def test_numeric_suite_mesh_values_are_read_only_and_dropped(monkeypatch):
