@@ -1,30 +1,29 @@
 r"""Exact integration over the parabolic region and the orthogonality of the
 polynomial family.
 
-Everything rational rests on one monomial rule: on [0, pi/2],
+Both exact integrals rest on one three-term rule, `_three_term`: against a
+product measure with k-th moment mu[k] in each variable, s^i t^j (s - t)^2
+integrates to mu[i+2] mu[j] - 2 mu[i+1] mu[j+1] + mu[i] mu[j+2].
+`integrate_against_delta` takes s = c1^2, t = c2^2 and the Beta moments
+int_0^(pi/2) cos^(2p+1) sin^(2m-3) dt = p! (m-2)! / (2 (p+m-1)!), held as
+integer numerators over one denominator per (m, top p).
 
-    int cos^(2p+1)(t) sin^(2m-3)(t) dt = p! (m-2)! / (2 (p+m-1)!).
-
-A region integral pulls back through the 2:1 trigonometric cover, where the
-half-integer weight factor and the Jacobian combine into the square
-(c1^2 - c2^2)^2, so no splitting or radicals ever appear.
-`integrate_against_delta` never forms that product: the square expands at
-the exponent level into three shifted Beta products, and each term is
-summed against a cached table of integer Beta numerators B(m, p) D over
-one denominator D per (m, top p).
+`region_integral` works in Koornwinder's coordinates x1 = u + v, x2 = uv,
+-1 <= v <= u <= 1, where the scalar weight times the Jacobian is
+w(u) w(v) (u - v)^2 with w(u) = (1-u)^(m-2) (1+u)^b (Koornwinder 1975;
+Dunkl-Xu, Orthogonal Polynomials of Several Variables, ch. 3).  The
+integrand, substituted into (u, v), is symmetric, so it integrates as half
+the square [-1, 1]^2 against the Jacobi moments mu[k] = int u^k w(u) du.
+With u = 2y - 1 each mu[k] is a signed binomial sum of the same Beta
+numerators, so no second factorial table is needed.  Only the
+floating-point cross-check pulls back through the trigonometric cover
+`x_in_c`, so the exact values and their check share no coordinate map.
 
 The density reads m alone and the scalar weight (m, b) alone, so
 `integrate_against_delta` takes m and `region_integral` takes (m, b),
 never a point, and every Gram integral is a linear function of the
 monomial moments int x1^i x2^j.  `moment` computes each of them once per
-(m, b) by that pull-back and caches it.  The pull-back of x1^i x2^j to
-(c1, c2) does not depend on (m, b) at all: `_pulled_monomial` is one
-shared, cached table of them, each entry one product from its predecessor,
-so `region_integral` reads the pull-back of every monomial of its
-integrand from that table instead of substituting, and takes the factor
-(c1 c2)^(2b) of the weight as a shift of the exponents.  The table relies
-on callers never mutating an entry, which holds because MultiPoly is
-immutable.
+(m, b) and caches it.
 
 A Gram matrix G(d, d') = int R_d S R_d'^T, with S taken at (a, 0), is
 contracted against one matrix moment table per parameter point,
@@ -90,6 +89,14 @@ def _beta_numerators(m: int, top: int) -> tuple[int, tuple[int, ...]]:
                   for p in range(top + 1)))
 
 
+def _three_term(terms, mu) -> int:
+    """The sum over terms ((i, j), c) of c (mu[i+2] mu[j] - 2 mu[i+1] mu[j+1]
+    + mu[i] mu[j+2]): the integral of c s^i t^j (s - t)^2 against the
+    product measure whose k-th moment in either variable is mu[k]."""
+    return sum(c * (mu[i + 2] * mu[j] - 2 * mu[i + 1] * mu[j + 1]
+                    + mu[i] * mu[j + 2]) for (i, j), c in terms)
+
+
 def integrate_against_delta(m: int, p: MultiPoly) -> Fraction:
     """Integral of p(c1, c2) against the group density
     4 s1^(2m-3) s2^(2m-3) c1 c2 (c1^2-c2^2)^2 over [0, pi/2]^2."""
@@ -101,27 +108,17 @@ def integrate_against_delta(m: int, p: MultiPoly) -> Fraction:
         if exp[0] % 2 or exp[1] % 2:
             raise ValueError(f"odd cosine exponent {exp}: integrand must be "
                              "even in both variables")
-    # c1^(2i) c2^(2j) (c1^2 - c2^2)^2 integrates to
-    # B(i+2) B(j) - 2 B(i+1) B(j+1) + B(i) B(j+2)
+    # the three-term rule in s = c1^2, t = c2^2 against the Beta moments
     top = max((max(exp) for exp in p.nums), default=0) // 2 + 2
     den, beta = _beta_numerators(m, top)
-    acc = 0
-    for (e1, e2), c in p.nums.items():
-        i, j = e1 // 2, e2 // 2
-        acc += c * (beta[i + 2] * beta[j] - 2 * beta[i + 1] * beta[j + 1]
-                    + beta[i] * beta[j + 2])
+    acc = _three_term((((e1 // 2, e2 // 2), c)
+                       for (e1, e2), c in p.nums.items()), beta)
     return Fraction(4 * acc, p.den * den * den)
 
 
-@functools.lru_cache(maxsize=None)
-def _pulled_monomial(i: int, j: int) -> MultiPoly:
-    """x1^i x2^j pulled back to (c1, c2): one product from its predecessor
-    (i, j-1), or (i-1, 0) on the j = 0 column."""
-    if j:
-        return _pulled_monomial(i, j - 1) * x_in_c()["x2"]
-    if i:
-        return _pulled_monomial(i - 1, 0) * x_in_c()["x1"]
-    return MultiPoly.one(C_VARS)
+U_VARS = ("u", "v")
+_U, _V = MultiPoly.var(U_VARS, "u"), MultiPoly.var(U_VARS, "v")
+_X_IN_UV = {"x1": _U + _V, "x2": _U * _V}
 
 
 def region_integral(m: int, b: int, M: MultiPoly) -> Fraction:
@@ -131,20 +128,22 @@ def region_integral(m: int, b: int, M: MultiPoly) -> Fraction:
         raise ValueError("integrand must be a polynomial in (x1, x2)")
     if b < 0:
         raise ValueError(f"b={b} must be non-negative")
-    # the pull-back of M times c1^(2b) c2^(2b): shifted exponents, no product
-    pden, monos = integer_view(_pulled_monomial(i, j) for i, j in M.nums)
-    pulled: dict[tuple[int, int], int] = {}
-    for c, mono in zip(M.nums.values(), monos):
-        for (e1, e2), t in mono.items():
-            e = (e1 + 2 * b, e2 + 2 * b)
-            pulled[e] = pulled[e] + c * t if e in pulled else c * t
-    return (Fraction(2) ** (2 * m + 2 * b - 1) * integrate_against_delta(
-        m, MultiPoly._over(C_VARS, pulled, M.den * pden)))
+    if m < 2:
+        raise ValueError("m must be at least 2")
+    p = M.substitute(_X_IN_UV, U_VARS)
+    # mu[k] = int u^k w(u) du is 2^(m+b) nu[k] / D, by u = 2y - 1
+    top = max((max(exp) for exp in p.nums), default=0) + 2
+    den, beta = _beta_numerators(m, b + top)
+    nu = [sum(math.comb(k, r) * (-1) ** (k - r) * 2 ** r * beta[b + r]
+              for r in range(k + 1)) for k in range(top + 1)]
+    # half the square [-1, 1]^2: the integrand is symmetric in (u, v)
+    return Fraction(2 ** (2 * m + 2 * b - 1) * _three_term(p.nums.items(), nu),
+                    p.den * den * den)
 
 
 @functools.lru_cache(maxsize=None)
 def moment(m: int, b: int, i: int, j: int) -> Fraction:
-    """Region integral of the monomial x1^i x2^j for the weight of (m, b).
+    """Region integral of x1^i x2^j for the weight of (m, b), in (u, v).
 
     The weight depends on (m, b) only, so the cache is the moment table that
     every Gram matrix of those parameters is contracted against."""

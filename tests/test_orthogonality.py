@@ -1,6 +1,7 @@
 """Exact integration, Gram matrices, positivity, indecomposability, numerics."""
 
 import gc
+import json
 import weakref
 from fractions import Fraction as F
 from math import comb, factorial, lcm
@@ -8,9 +9,9 @@ from math import comb, factorial, lcm
 import pytest
 from hypothesis import example, given, strategies as st
 
-from bc2mvop import lie, orthogonality
+from bc2mvop import cli, lie, orthogonality
 from bc2mvop.expansion import poly_matrix_x
-from bc2mvop.leading import C_VARS, X_VARS, weight_matrix_x
+from bc2mvop.leading import C_VARS, X_VARS, weight_matrix_x, x_in_c
 from bc2mvop.lie import MsfLabel, PairParams, label_weight, weyl_dim
 from bc2mvop.matrices import PolyMatrix
 from bc2mvop.orthogonality import (_beta_numerators, beta_moment, gram,
@@ -98,13 +99,15 @@ def test_integrals_refuse_m_below_2_and_a_negative_b():
         region_integral(3, -1, MultiPoly.one(X_VARS))
 
 
-# ---- the moment table against Koornwinder's coordinates ----
+# ---- the moment table against two references ----
 #
 # With u = cos 2t1, v = cos 2t2 one has x1 = u + v, x2 = uv, and the region
 # weight becomes Koornwinder's BC2 Jacobi weight with (alpha, beta, gamma) =
 # (m-2, b, 1/2): half of (u-v)^2 w(u) w(v) over the square [-1, 1]^2, with
-# w(u) = (1-u)^(m-2) (1+u)^b.  The moments below use only 1-D Beta
-# integrals, and share no code with the pull-back through (c1, c2).
+# w(u) = (1-u)^(m-2) (1+u)^b.  The first reference expands in these
+# coordinates by its own binomial sums, in Fractions; the second pulls the
+# integrand back through the 2:1 trigonometric cover to (c1, c2), the route
+# the quadrature takes, and integrates it against the group density.
 
 def _jacobi_moment(k, alpha, beta):
     """int_{-1}^{1} u^k (1-u)^alpha (1+u)^beta du, from u^k = ((1+u) - 1)^k
@@ -136,8 +139,43 @@ def test_moment_table_matches_koornwinder_coordinates():
                         (m, b, i, j)
 
 
+def _pulled_back_integral(m, b, M):
+    """2^(2m+2b-1) times the integral of M(x(c)) (c1 c2)^(2b) against the
+    group density: the region weight and its Jacobian, pulled back through
+    the cover, are 2^(1-2m-2b) times that density times (c1 c2)^(2b)."""
+    weight = MultiPoly.monomial(C_VARS, (2 * b, 2 * b))
+    pulled = M.substitute(x_in_c(), C_VARS) * weight
+    return 2 ** (2 * m + 2 * b - 1) * integrate_against_delta(m, pulled)
+
+
+def test_moment_table_matches_the_pull_back_through_the_cover():
+    for m in range(2, 7):
+        for b in range(4):
+            for i in range(7):
+                for j in range(7 - i):
+                    mono = MultiPoly.monomial(X_VARS, (i, j))
+                    assert moment(m, b, i, j) == _pulled_back_integral(m, b, mono), \
+                        (m, b, i, j)
+
+
+_x_polys = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    max_size=6).map(lambda terms: MultiPoly(X_VARS, terms))
+
+
+@given(st.integers(2, 6), st.integers(0, 3), _x_polys)
+@example(3, 0, MultiPoly.zero(X_VARS))
+@example(5, 2, MultiPoly(X_VARS, {(0, 0): F(1, 2), (1, 0): F(-2, 3),
+                                  (2, 3): F(5, 7), (4, 1): F(3)}))
+def test_region_integral_matches_the_pull_back_reference(m, b, M):
+    got = region_integral(m, b, M)
+    assert type(got) is F
+    assert got == _pulled_back_integral(m, b, M)
+
+
 def _gram_by_entry(params, d, dp, family=poly_matrix_x):
-    """The Gram matrix with every entry of R_d S R_d'^T pulled back on its own."""
+    """The Gram matrix with every entry of R_d S R_d'^T integrated on its own."""
     s0 = weight_matrix_x(params.a, 0)
     prod = family(params, d) @ s0 @ family(params, dp).transpose()
     return [[region_integral(params.m, params.b, prod.entry(i, j))
@@ -275,6 +313,41 @@ def test_corrupted_moment_fails_exact_and_numeric_checks(corrupted_moment):
     assert numeric_crosscheck(p, (0, 0), (0, 0)).status == "FAIL"
 
 
+def test_a_wrong_cover_fails_the_quadrature_and_no_exact_line(monkeypatch,
+                                                             capsys):
+    # the exact route never reads x_in_c: with x2 pulled back off by c1^2,
+    # every exact line stays as it was and the quadrature disagrees wherever
+    # it reads a non-constant R_d, that is at every pair but (0,0), (0,0)
+    argv = ["verify", "orthogonality", "--m", "3", "--a", "1", "--b", "1",
+            "--dmax", "1", "--numeric", "--format", "json"]
+
+    def results():
+        _clear_module_caches()
+        cli.main(argv)
+        return json.loads(capsys.readouterr().out)["results"]
+
+    def exact(lines):
+        return [r for r in lines
+                if not r["identity"].startswith("numeric quadrature agreement")]
+
+    before = results()
+    cover = x_in_c()
+    monkeypatch.setattr(orthogonality, "x_in_c", lambda: {
+        **cover, "x2": cover["x2"] + MultiPoly.monomial(C_VARS, (2, 0))})
+    try:
+        after = results()
+    finally:
+        _clear_module_caches()
+    assert all(r["status"] != "FAIL" for r in before)
+    assert exact(after) == exact(before)
+    quadrature = [(r["identity"].split(") ", 1)[1], r["status"])
+                  for r in after if r not in exact(after)]
+    assert quadrature == [("d=(0,0) d'=(0,0)", "PASS")] + [
+        (f"d={d} d'={dp}", "FAIL") for d, dp in (
+            ("(0,0)", "(0,1)"), ("(0,0)", "(1,0)"), ("(0,1)", "(0,1)"),
+            ("(0,1)", "(1,0)"), ("(1,0)", "(1,0)"))]
+
+
 def test_total_mass_reported_with_reciprocal():
     r = total_mass_check(3)
     assert r.status == "REPORTED"
@@ -325,18 +398,6 @@ def test_orthogonality_suite_builds_one_table_per_degree():
     # ten degrees at dmax 3: each table serves every pair it is the higher
     # factor of, and is built once
     assert orthogonality._weighted_moments.cache_info().misses == 10
-
-
-def test_norm_constant_off_the_documented_ratio_fails(monkeypatch):
-    # REPORTED means stored/computed = (m^2(m^2-1)/32)^2; doubling every
-    # Gram matrix halves that ratio, and the stored form then FAILs
-    real = orthogonality.gram
-    monkeypatch.setattr(orthogonality, "gram", lambda params, d, dp: [
-        [2 * v for v in row] for row in real(params, d, dp)])
-    r = next(r for r in orthogonality_suite(PairParams(3, 1, 0), 1)
-             if r.name.startswith("norm constant stored closed form"))
-    assert r.status == "FAIL"
-    assert "is not the square of the mass constant" in r.detail
 
 
 def test_no_comparison_line_without_anything_to_compare():
