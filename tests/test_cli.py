@@ -316,7 +316,10 @@ def test_verify_deterministic_bytes(tmp_path, capsys):
 # orthogonality suites on a 2x2x2 grid at dmax 2, the weight,
 # indecomposability, xi and transition suites on the default grid, and the
 # orthogonality, casimir and pde suites on the default grid at dmax 3 (keys
-# "orthogonality-dmax3", "casimir-dmax3", "pde-dmax3").  Any change to the radial operator,
+# "orthogonality-dmax3", "casimir-dmax3", "pde-dmax3"), and the quadrature
+# cross-check on the default grid at dmax 1 (node order 48) and at one point
+# whose pairs need node orders 48, 64, 66 and 68
+# ("orthogonality-numeric-orders").  Any change to the radial operator,
 # the triangular expansion, the Gram integrals or the exact rank that alters
 # a single line, a count or a REPORTED detail shows here
 SMALL_GRID = ["--m", "3,5", "--a", "1,3", "--b", "0,2", "--dmax", "2"]
@@ -331,7 +334,10 @@ REPORT_GRIDS = {"casimir": ("casimir", SMALL_GRID),
                 "casimir-dmax3": ("casimir", ["--dmax", "3"]),
                 "pde-dmax3": ("pde", ["--dmax", "3"]),
                 "orthogonality-numeric": ("orthogonality",
-                                          ["--numeric", "--dmax", "1"])}
+                                          ["--numeric", "--dmax", "1"]),
+                "orthogonality-numeric-orders": (
+                    "orthogonality", ["--numeric", "--dmax", "2", "--m", "6",
+                                      "--a", "2", "--b", "3"])}
 REPORT_DIGESTS = {
     ("casimir", "text"):
         "9f408cf2a6793db27590113d59143a638a214f72eab04685f6a33c89cd59c8ea",
@@ -369,6 +375,10 @@ REPORT_DIGESTS = {
         "f8e040d5d833fad9a26651441a4c6197bf441f52c6a46c88a9a916177677f6fe",
     ("orthogonality-numeric", "json"):
         "ff54207d1024ce982b72a50053c30077458edac51559667e84abb0d817be0c26",
+    ("orthogonality-numeric-orders", "text"):
+        "03fa92c22333f3fb6915421a388869c1d761a4a07a9e0e527bfee95fd53f235a",
+    ("orthogonality-numeric-orders", "json"):
+        "6c2d90302edd4f3cb4b046ab278b1251daf74c703534be0bd11fa0fb32cd663e",
     ("xi", "text"):
         "2cadf35d7aeb5712e3b0c0503dd264f3da3db46e6525feb0a30af103a071f025",
     ("xi", "json"):
