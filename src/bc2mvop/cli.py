@@ -16,8 +16,11 @@ run), 1 when at least one identity check fails, 2 for usage and parameter
 errors, including degenerate `verify` input such as a negative --dmax or
 --N, an empty --p list, a grid or --p value listed twice, a selection that
 runs no check or none that reads a given --N, --p, --numeric or --dmax,
-and an --out path that cannot be written.  Suites run serially, and no
-environment variable is read.
+and an --out path that cannot be written.  Suites run serially.  The one
+environment variable the CLI touches is OPENBLAS_NUM_THREADS: `main` sets
+it to 1, unless the caller has set it, before numpy can load, so numpy
+starts no BLAS worker thread for the quadrature's one small eigenvalue
+problem per node count.
 
 The suites' defaults live here and nowhere else: --dmax 2, --N 6 and the
 Krawtchouk parameters `STANDARD_PS`.  Every suite takes each value from its
@@ -30,6 +33,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -358,6 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -42,16 +42,19 @@ entry is one Fraction.
 A floating-point Gauss-Legendre path recomputes the same integrals
 independently of the moments.  It evaluates each factor R_d and S on the
 node mesh once per parameter point, and the pairs of that point share the
-values; every factor reads the node powers c1^e and c2^e, each computed
-once per point.  Each value is made by the same numpy operations, in the
-same order, as a per-pair evaluation, and the products are summed in the
-same order, so the printed deviations do not depend on the sharing.
+values; every term of a factor is the outer product of two vectors
+cos(t)^e at the nodes, each computed once per process.  Each value is made
+by the same roundings, in the same order, as a per-pair evaluation on the
+mesh, and the products are summed in the same order, less the products
+with a zero polynomial factor, which add +-0.0 and change no bit; so the
+printed deviations do not depend on the sharing.
 
 The Gram matrices, the matrix moment table, the tables U, and the
-quadrature's pull-backs of R_d to (c1, c2), mesh, node powers and factor
-values are `point_cache`s: `verify` drops them, with the point's weights,
-families, operators and lowering graphs, when it leaves the point, which
-it never returns to.  The per-(m, b) moments stay.
+quadrature's pull-backs of R_d to (c1, c2), factor degrees, mesh and
+factor values are `point_cache`s: `verify` drops them, with the point's
+weights, families, operators and lowering graphs, when it leaves the
+point, which it never returns to.  The per-(m, b) moments and the node
+vectors stay.
 """
 
 from __future__ import annotations
@@ -469,6 +472,19 @@ def _poly_matrix_c(params: PairParams, d: tuple[int, int]) -> PolyMatrix:
     return poly_matrix_x(params, d).substitute(x_in_c(), C_VARS)
 
 
+def _factor_c(params: PairParams, d: tuple[int, int] | None) -> PolyMatrix:
+    """The quadrature's factor R_d in (c1, c2), or S when d is None."""
+    return (weight_matrix_c(params.a, 0) if d is None
+            else _poly_matrix_c(params, d))
+
+
+@point_cache
+def _factor_degree(params: PairParams, d: tuple[int, int] | None) -> int:
+    """The largest exponent of either variable in the factor."""
+    return max((max(exp) for e in _factor_c(params, d).entries
+                for exp in e.nums), default=0)
+
+
 @point_cache
 def _node_mesh(params: PairParams, order: int):
     """The (c1, c2) node mesh, the product weights and the density of the
@@ -486,10 +502,12 @@ def _node_mesh(params: PairParams, order: int):
     return c1, c2, ww, density
 
 
-@point_cache
-def _node_power(params: PairParams, order: int, axis: int, e: int):
-    """c1^e (axis 0) or c2^e (axis 1) on the node mesh, read-only."""
-    out = _node_mesh(params, order)[axis] ** e
+@functools.lru_cache(maxsize=None)
+def _node_power(order: int, e: int):
+    """cos(t)^e at the nodes of the order, read-only.  It reads nothing of
+    a point, and it is one small vector, so it lives for the process."""
+    import numpy as np
+    out = np.cos(_quad_nodes(order)[0]) ** e
     out.flags.writeable = False
     return out
 
@@ -498,26 +516,21 @@ def _node_power(params: PairParams, order: int, axis: int, e: int):
 def _mesh_values(params: PairParams, d: tuple[int, int] | None,
                  order: int) -> list[list]:
     """Each entry of R_d, or of S when d is None, on the node mesh, summed
-    term by term in canonical order, read-only."""
+    term by term in canonical order, read-only.  A term's value at node
+    (a, b) is (coeff c^e1)[a] c^e2[b]: the same two roundings as on the
+    mesh, from the vectors of `_node_power`."""
     import numpy as np
-    mat = (weight_matrix_c(params.a, 0) if d is None
-           else _poly_matrix_c(params, d))
-    c1 = _node_mesh(params, order)[0]
+    mat = _factor_c(params, d)
     out = [[None] * mat.cols for _ in range(mat.rows)]
     for i in range(mat.rows):
         for j in range(mat.cols):
-            vals = np.zeros_like(c1)
+            vals = np.zeros((order, order))
             for (e1, e2, coeff) in _float_terms(mat.entry(i, j)):
-                vals += (coeff * _node_power(params, order, 0, e1)
-                         * _node_power(params, order, 1, e2))
+                vals += np.multiply.outer(coeff * _node_power(order, e1),
+                                          _node_power(order, e2))
             vals.flags.writeable = False
             out[i][j] = vals
     return out
-
-
-def _degree(mat: PolyMatrix) -> int:
-    """The largest exponent of either variable in mat."""
-    return max((max(exp) for e in mat.entries for exp in e.nums), default=0)
 
 
 def numeric_crosscheck(params: PairParams, d: tuple[int, int],
@@ -529,9 +542,12 @@ def numeric_crosscheck(params: PairParams, d: tuple[int, int],
     multiplied in floating point: expanding the product first produces
     coefficients orders of magnitude above the integral values, and the
     cancellation caps the achievable relative accuracy near 1e-7.
-    The mesh, its node powers and each factor's values are `point_cache`s,
-    so the pairs of a point share them and `verify` drops them with the
-    point.
+    A product with a factor entry that is the zero polynomial is skipped:
+    each node's sum starts at +0.0, never holds -0.0, and x + (+-0.0) = x,
+    so the skip leaves every bit of the sum as it was.
+    The mesh, each factor's degree and values are `point_cache`s, so the
+    pairs of a point share them and `verify` drops them with the point;
+    the 1-D node powers are shared by every point.
     """
     import numpy as np
 
@@ -540,16 +556,16 @@ def numeric_crosscheck(params: PairParams, d: tuple[int, int],
             f"d=({d[0]},{d[1]}) d'=({dp[0]},{dp[1]})")
     m, b = params.m, params.b
     exact = gram(params, d, dp)
-    lc, rc = _poly_matrix_c(params, d), _poly_matrix_c(params, dp)
-    sc = weight_matrix_c(params.a, 0)
+    lc, sc, rc = (_factor_c(params, e) for e in (d, None, dp))
 
     # node count from the trigonometric degree per variable: polynomial
     # part plus the density sin^(2m-3) cos (c1^2-c2^2)^2 (c1 c2)^(2b);
     # 48 nodes hold to ~1e-11 up to degree 32, degrade past that
-    trig_degree = _degree(lc) + _degree(sc) + _degree(rc) + 2 * m + 2 * b + 2
+    trig_degree = (_factor_degree(params, d) + _factor_degree(params, None)
+                   + _factor_degree(params, dp) + 2 * m + 2 * b + 2)
     order = 48 if trig_degree <= 30 else trig_degree + 32
 
-    c1, _, ww, density = _node_mesh(params, order)
+    _, _, ww, density = _node_mesh(params, order)
     scale = 2.0 ** (2 * m + 2 * b - 1)
     lv = _mesh_values(params, d, order)
     sv = _mesh_values(params, None, order)
@@ -561,14 +577,16 @@ def numeric_crosscheck(params: PairParams, d: tuple[int, int],
                      for e in {d, dp} for k in range(params.size))
     worst = 0.0
     n = params.size
-    for i in range(lc.rows):
-        # the products (R_d)_ik S_kl, formed once for every j
-        left = [[lv[i][k] * sv[k][l] for l in range(n)] for k in range(n)]
-        for j in range(rc.rows):
-            vals = np.zeros_like(c1)
-            for k in range(n):
-                for l in range(n):
-                    vals += left[k][l] * rv[j][l]
+    for i in range(n):
+        # the products (R_d)_ik S_kl, formed once for every j, in the order
+        # of k, then l
+        left = {(k, l): lv[i][k] * sv[k][l] for k in range(n) for l in range(n)
+                if lc.entry(i, k).nums and sc.entry(k, l).nums}
+        for j in range(n):
+            vals = np.zeros((order, order))
+            for (k, l), lk in left.items():
+                if rc.entry(j, l).nums:
+                    vals += lk * rv[j][l]
             num = scale * float(np.sum(ww * vals * density))
             ex = float(exact[i][j])
             dev = abs(num - ex) / (abs(ex) if ex != 0 else diag_scale)

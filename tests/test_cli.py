@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -303,6 +304,19 @@ def test_data_command_reads_only_its_own_options(argv, error, capsys):
     assert error in err
 
 
+def test_main_sets_one_blas_thread_unless_the_caller_chose(monkeypatch,
+                                                           capsys):
+    # numpy starts a spinning BLAS worker thread when it loads unless told
+    # otherwise; a value the caller set is kept
+    argv = ["dims", "--m", "3", "--a", "1", "--b", "0", "--label", "0,1,0"]
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert run_cli(argv, capsys)[0] == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert run_cli(argv, capsys)[0] == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
 def test_verify_deterministic_bytes(tmp_path, capsys):
     argv = ["verify", "weight", "--m", "3", "--a", "0,1", "--b", "0",
             "--format", "json"]
@@ -518,13 +532,13 @@ def test_verify_drops_each_points_gram_tables(monkeypatch, capsys):
     assert code == 0 and "FAIL" not in out
     assert built
     # the Gram matrices and tables, the quadrature's pull-backs of R_d,
-    # mesh, node powers and factor values, the operators, the lowering
+    # factor degrees, mesh and factor values, the operators, the lowering
     # graphs and vectors, both families, the transition matrices and the
     # weights of both points are gone; the moments stay, and the quadrature
     # still read each point's Gram matrices from the cache
     for cache in (orthogonality._gram_cached, orthogonality._weighted_moments,
                   orthogonality._matrix_moments, orthogonality._poly_matrix_c,
-                  orthogonality._node_mesh, orthogonality._node_power,
+                  orthogonality._factor_degree, orthogonality._node_mesh,
                   orthogonality._mesh_values, real, casimir._first_order_psi,
                   casimir.pde_operator_psi, casimir.pde_operator_x,
                   casimir.label_vector, expansion._graph_node,
@@ -584,7 +598,7 @@ def test_verify_builds_each_shared_part_once_per_parameters_it_reads(
         return real_lift(op, n)
     monkeypatch.setattr(MatrixDiffOp, "lift", lift)
     # each drop ends a point: read what the point built before it is emptied
-    tables, powers, kept = [], {}, []
+    tables, powers, readers, kept = [], {}, {}, []
     real_drop = cli.drop_point_caches
 
     def drop():
@@ -593,10 +607,11 @@ def test_verify_builds_each_shared_part_once_per_parameters_it_reads(
     monkeypatch.setattr(cli, "drop_point_caches", drop)
     real_power = orthogonality._node_power
 
-    def node_power(params, order, axis, e):
-        out = real_power(params, order, axis, e)
+    def node_power(order, e):
+        out = real_power(order, e)
         kept.append(out)       # holds each id for the whole run
-        powers.setdefault((len(tables), order, axis, e), set()).add(id(out))
+        powers.setdefault((order, e), set()).add(id(out))
+        readers.setdefault((order, e), set()).add(len(tables))
         return out
     monkeypatch.setattr(orthogonality, "_node_power", node_power)
 
@@ -610,12 +625,11 @@ def test_verify_builds_each_shared_part_once_per_parameters_it_reads(
     # x once per a: the moment tables and the stored displays read it at
     # b = 0 alone
     assert [cache.cache_info().misses for cache in per_ab] == [4, 4, 4, 4, 2]
-    # one matrix moment table per point, and each node power built once per
-    # point: every lookup at a point gives one array, and no point reads
-    # another's
+    # one matrix moment table per point, and each node power once per
+    # (order, e) for the process: every point's lookup gives the one array
     assert tables == [1] * 8
     assert {len(ids) for ids in powers.values()} == {1}
-    assert {point for point, _, _, _ in powers} == set(range(8))
+    assert set(range(8)) in readers.values()
     arrays = [i for ids in powers.values() for i in ids]
     assert len(arrays) == len(set(arrays))
 
