@@ -20,7 +20,9 @@ and an --out path that cannot be written.  Suites run serially.  The one
 environment variable the CLI touches is OPENBLAS_NUM_THREADS: `main` sets
 it to 1, unless the caller has set it, before numpy can load, so numpy
 starts no BLAS worker thread for the quadrature's one small eigenvalue
-problem per node count.
+problem per node count.  A process imports only what its run uses: `json`
+for JSON output and the CSV's list cells, `csv` for CSV output, and numpy
+only under `verify --numeric`.
 
 The suites' defaults live here and nowhere else: --dmax 2, --N 6 and the
 Krawtchouk parameters `STANDARD_PS`.  Every suite takes each value from its
@@ -30,9 +32,7 @@ caller.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
 from fractions import Fraction
@@ -258,6 +258,7 @@ _PAYLOADS = {"weight": _weight_payload, "polys": _polys_payload,
 
 
 def _grid_csv(mat: PolyMatrix) -> str:
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["x1", "x2"]
@@ -272,6 +273,8 @@ def _grid_csv(mat: PolyMatrix) -> str:
 
 
 def _kv_csv(payload: dict) -> str:
+    import csv
+    import json
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     keys = sorted(payload)
@@ -286,6 +289,7 @@ def _cmd_data(args) -> int:
     (weight, polys) has the x-coordinate evaluation grid as its CSV form."""
     payload = _PAYLOADS[args.kind](args)
     if args.format == "json":
+        import json
         text = json.dumps(payload, indent=2, sort_keys=True,
                           default=PolyMatrix.to_json)
     elif "matrix" not in payload:

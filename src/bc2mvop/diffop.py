@@ -24,9 +24,9 @@ PolyMatrix values), so the stored numerators stay the operator's own.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping
 
 from .matrices import PolyMatrix, frac_invert
 from .poly import MultiPoly, VariableMismatch, integer_view

@@ -22,11 +22,10 @@ The chain implemented here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
 
 from .casimir import lowering_moves, pde_operator_psi, pde_operator_x
 from .diffop import MatrixDiffOp
@@ -35,7 +34,7 @@ from .leading import PSI_VARS, X_VARS, psi_in_x
 from .lie import (MsfLabel, PairParams, bottom_weight, casimir_eigenvalue,
                   casimir_eigenvalue_ip, casimir_numerator, check_label, degree_pair,
                   degree_pairs, dominance_leq, dualize, label_weight,
-                  labels_up_to, point_cache)
+                  labels_up_to, point_cache, ValueTuple)
 from .matrices import (PolyMatrix, conjugate_flip, frac_identity, frac_invert,
                        frac_matmul)
 from .poly import MultiPoly
@@ -172,14 +171,12 @@ def _graph_node(params: PairParams, lab: MsfLabel):
     return num, MappingProxyType(moves)
 
 
-class _LoweringGraph(NamedTuple):
+class _LoweringGraph(namedtuple("_LoweringGraph", "labels position nums moves")):
     """The labels of degree <= n in sweep order (descending eigenvalue, ties
-    by (i, d1, d2)) and, by position: each label's eigenvalue numerator
-    (m+2) c and its moves as (target position, int weight) pairs."""
-    labels: tuple[MsfLabel, ...]
-    position: Mapping[MsfLabel, int]
-    nums: tuple[int, ...]
-    moves: tuple[tuple[tuple[int, int], ...], ...]
+    by (i, d1, d2)), a read-only map from label to position, and, by
+    position: each label's eigenvalue numerator (m+2) c and its moves as
+    (target position, int weight) pairs."""
+    __slots__ = ()
 
 
 @point_cache
@@ -250,13 +247,10 @@ def phi_expansion(params: PairParams, label: MsfLabel) -> dict[MsfLabel, Fractio
             for p, v in enumerate(vals) if v}
 
 
-@dataclass(frozen=True)
-class MatrixOP:
-    """One member of the polynomial family, in both coordinate systems."""
-    params: PairParams
-    d: tuple[int, int]
-    psi: PolyMatrix
-    x: PolyMatrix
+class MatrixOP(ValueTuple, namedtuple("MatrixOP", "params d psi x")):
+    """One member of the polynomial family, in both coordinate systems:
+    (params, d, psi, x)."""
+    __slots__ = ()
 
 
 @point_cache

@@ -29,11 +29,11 @@ per run; a fresh table, or a direct call of a verdict, decides afresh.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from types import MappingProxyType
-from typing import Mapping
 
 from .krawtchouk import krawtchouk, poch
 from .lie import PairParams
@@ -46,10 +46,12 @@ PSI_VARS = ("psi1", "psi2")
 X_VARS = ("x1", "x2")
 
 
-def psi_in_c() -> dict[str, MultiPoly]:
+@lru_cache(maxsize=None)
+def psi_in_c() -> Mapping[str, MultiPoly]:
+    """psi in terms of c, built once and read-only."""
     c1 = MultiPoly.var(C_VARS, "c1")
     c2 = MultiPoly.var(C_VARS, "c2")
-    return {"psi1": c1 * c1 + c2 * c2, "psi2": c1 * c1 * c2 * c2}
+    return MappingProxyType({"psi1": c1 * c1 + c2 * c2, "psi2": c1 * c1 * c2 * c2})
 
 
 def x_in_psi() -> dict[str, MultiPoly]:
@@ -60,13 +62,16 @@ def x_in_psi() -> dict[str, MultiPoly]:
     return {"x1": 2 * p1 - two, "x2": 4 * p2 - 2 * p1 + one}
 
 
-def psi_in_x() -> dict[str, MultiPoly]:
+@lru_cache(maxsize=None)
+def psi_in_x() -> Mapping[str, MultiPoly]:
+    """psi in terms of x, built once and read-only."""
     x1 = MultiPoly.var(X_VARS, "x1")
     x2 = MultiPoly.var(X_VARS, "x2")
     one = MultiPoly.one(X_VARS)
     half = Fraction(1, 2)
     quarter = Fraction(1, 4)
-    return {"psi1": half * x1 + one, "psi2": quarter * (x1 + x2 + one)}
+    return MappingProxyType({"psi1": half * x1 + one,
+                             "psi2": quarter * (x1 + x2 + one)})
 
 
 @lru_cache(maxsize=None)

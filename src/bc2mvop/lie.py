@@ -11,39 +11,55 @@ The parameter triple (m, a, b) fixes the K-representation with highest
 weight a*omega_1 + b*omega_2. The supported regimes are b >= 0 and
 b <= -a (the latter only through dualize); the gap -a < b < 0 is
 rejected because the construction does not extend there.
+
+The package's value types (parameter triples, weights, labels, dual data,
+family members and check results) are namedtuples under `ValueTuple`:
+immutable, hashed as their field tuple, and equal only to their own type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import index
 
 
-@dataclass(frozen=True)
-class PairParams:
-    m: int
-    a: int
-    b: int
+class ValueTuple:
+    """Mixin for an immutable value type built on a namedtuple: hashed as
+    its field tuple, and equal only to an instance of the same type, never
+    to a bare tuple or another value type with the same fields."""
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return type(other) is not type(self) or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
+
+
+class PairParams(ValueTuple, namedtuple("PairParams", "m a b")):
+    __slots__ = ()
+
+    def __new__(cls, m, a, b):
         try:
-            values = tuple(map(index, (self.m, self.a, self.b)))
+            values = tuple(map(index, (m, a, b)))
         except TypeError:
-            raise ValueError(f"non-integral parameters m={self.m}, a={self.a}, "
-                             f"b={self.b}") from None
-        for name, value in zip(("m", "a", "b"), values):
-            object.__setattr__(self, name, value)
-        if self.m <= 1:
+            raise ValueError(f"non-integral parameters m={m}, a={a}, "
+                             f"b={b}") from None
+        m, a, b = values
+        if m <= 1:
             raise ValueError("m must be at least 2")
-        if self.a < 0:
+        if a < 0:
             raise ValueError("a must be non-negative")
-        if -self.a < self.b < 0:
+        if -a < b < 0:
             raise ValueError(
-                f"b={self.b} with a={self.a}: parameters with -a < b < 0 are outside "
+                f"b={b} with a={a}: parameters with -a < b < 0 are outside "
                 "the two supported regimes (b >= 0, or b <= -a reachable via duality); "
                 "the construction does not extend to this intermediate range")
+        return tuple.__new__(cls, values)
 
     @property
     def size(self) -> int:
@@ -88,16 +104,15 @@ def drop_point_caches():
         drop()
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(ValueTuple, namedtuple("Weight", "omega")):
     """Element of the weight lattice of SU(m+2) in omega-coordinates."""
-    omega: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, omega):
         try:
-            object.__setattr__(self, "omega", tuple(map(index, self.omega)))
+            return tuple.__new__(cls, (tuple(map(index, omega)),))
         except TypeError:
-            raise ValueError(f"non-integral weight coordinates {self.omega}") from None
+            raise ValueError(f"non-integral weight coordinates {omega}") from None
 
     @property
     def m(self) -> int:
@@ -182,16 +197,14 @@ def spherical_lambda2(m: int) -> Weight:
     return fundamental(m, 2) + fundamental(m, m)
 
 
-@dataclass(frozen=True)
-class MsfLabel:
+class MsfLabel(ValueTuple, namedtuple("MsfLabel", "i d1 d2")):
     """Label (i, d1, d2) for the weight nu_i + d1*lambda_1 + d2*lambda_2."""
-    i: int
-    d1: int
-    d2: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.i < 0 or self.d1 < 0 or self.d2 < 0:
-            raise ValueError(f"invalid label {(self.i, self.d1, self.d2)}")
+    def __new__(cls, i, d1, d2):
+        if i < 0 or d1 < 0 or d2 < 0:
+            raise ValueError(f"invalid label {(i, d1, d2)}")
+        return tuple.__new__(cls, (i, d1, d2))
 
     @property
     def d(self) -> tuple[int, int]:
@@ -304,9 +317,8 @@ def weyl_dim(w: Weight) -> int:
     return dim
 
 
-@dataclass(frozen=True)
-class DualData:
-    params: PairParams
+class DualData(ValueTuple, namedtuple("DualData", "params")):
+    __slots__ = ()
 
     def index(self, i: int) -> int:
         return self.params.a - i

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
 
 from .poly import MultiPoly, VariableMismatch, substitute_all
 

@@ -36,10 +36,10 @@ powers of the images and the image of each monomial between them.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from operator import add, index
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 
 def rat_from_str(s: str) -> Fraction:

@@ -20,8 +20,9 @@ table decides afresh.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from collections import namedtuple
+
+from .lie import ValueTuple
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -30,20 +31,18 @@ REPORTED = "REPORTED"
 _STATUSES = (PASS, FAIL, REPORTED)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str
-    detail: str = ""
-    residual: str = ""
+class CheckResult(ValueTuple, namedtuple("CheckResult",
+                                           "name status detail residual")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.status not in _STATUSES:
-            raise ValueError(f"bad status {self.status!r}")
+    def __new__(cls, name, status, detail="", residual=""):
+        if status not in _STATUSES:
+            raise ValueError(f"bad status {status!r}")
+        return tuple.__new__(cls, (name, status, detail, residual))
 
     def tagged(self, tag: str) -> CheckResult:
         """The same verdict under the name "<name> <tag>"."""
-        return replace(self, name=f"{self.name} {tag}")
+        return self._replace(name=f"{self.name} {tag}")
 
     @property
     def ok(self) -> bool:
@@ -97,6 +96,7 @@ def render_text(results: list[CheckResult]) -> str:
 
 
 def render_json(results: list[CheckResult]) -> str:
+    import json
     payload = {
         "results": [r.to_dict() for r in results],
         "summary": {

@@ -519,6 +519,40 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.endswith("7 passed, 0 failed, 0 reported\n")
 
 
+# modules a text `verify` has no use for: the dataclass and typing machinery
+# (with inspect, ast and dis under them), the JSON and CSV writers, and numpy
+LAZY_MODULES = {"dataclasses", "inspect", "typing", "json", "csv", "numpy"}
+
+
+def _modules_loaded(argv, *flags):
+    """The modules of a fresh interpreter (started with ``flags``) after it
+    imports `bc2mvop.cli`, builds the parser and runs ``main(argv)``."""
+    script = ("import sys; import bc2mvop.cli as cli; cli.build_parser(); "
+              "code = cli.main(sys.argv[1:]); print(); "
+              "print(code, *sorted(sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, *flags, "-c", script, *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    code, *modules = proc.stdout.splitlines()[-1].split()
+    assert code == "0"
+    return set(modules)
+
+
+def test_text_verify_loads_only_what_it_runs():
+    # -S: no site hook loads a module on the program's behalf
+    assert LAZY_MODULES & _modules_loaded(["verify", "xi", "--m", "3"], "-S") == set()
+
+
+def test_json_verify_loads_json_and_numeric_loads_numpy():
+    assert "json" in _modules_loaded(["verify", "xi", "--m", "3",
+                                      "--format", "json"], "-S")
+    # numpy lives in site-packages, so this interpreter keeps its site hook
+    assert "numpy" in _modules_loaded(["verify", "orthogonality", "--m", "3",
+                                       "--a", "0", "--b", "0", "--dmax", "0",
+                                       "--numeric"])
+
+
 def test_verify_drops_each_points_gram_tables(monkeypatch, capsys):
     grams = orthogonality._gram_cached.cache_info()
     # a plain function patched over a per-point cache, as the mutation tests

@@ -5,12 +5,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from bc2mvop.expansion import matrix_op
 from bc2mvop.lie import (DualData, MsfLabel, PairParams, Weight, bottom_weight,
                          casimir_eigenvalue, casimir_eigenvalue_ip, degree_pairs,
                          dominance_leq, drop_point_caches, dualize, fundamental, label_weight,
                          labels_up_to, root_coordinates, spherical_lambda1,
                          spherical_lambda2, weyl_dim, zero_weight)
 from bc2mvop.matrices import solve_linear
+from bc2mvop.report import CheckResult
 
 
 def test_params_validation():
@@ -35,7 +37,42 @@ def test_params_helpers():
     p = PairParams(3, 2, 1)
     assert p.size == 3
     assert p.tag() == "(m=3,a=2,b=1)"
-    assert hash(p) == hash(PairParams(3, 2, 1))
+
+
+# one instance of each value type, with its repr: labels and points are
+# printed in report details.  PairParams and MsfLabel share a field tuple.
+VALUES = [
+    (PairParams(3, 2, 1), "PairParams(m=3, a=2, b=1)"),
+    (Weight((1, 0, 2, 0)), "Weight(omega=(1, 0, 2, 0))"),
+    (MsfLabel(3, 2, 1), "MsfLabel(i=3, d1=2, d2=1)"),
+    (DualData(PairParams(3, 2, 1)), "DualData(params=PairParams(m=3, a=2, b=1))"),
+    (matrix_op(PairParams(3, 0, 0), (1, 0)),
+     "MatrixOP(params=PairParams(m=3, a=0, b=0), d=(1, 0), "
+     "psi=[5/6*psi1 - 2/3], x=[5/12*x1 + 1/6])"),
+    (CheckResult("name", "FAIL", "detail", "residual"),
+     "CheckResult(name='name', status='FAIL', detail='detail', "
+     "residual='residual')"),
+]
+
+
+@pytest.mark.parametrize("value, text", VALUES,
+                         ids=[type(v).__name__ for v, _ in VALUES])
+def test_value_type_contract(value, text):
+    fields = tuple(value)
+    twin = type(value)(*fields)
+    assert hash(value) == hash(twin) == hash(fields)
+    assert value == twin and not value != twin
+    # equal only to its own type: never to the bare tuple, in either order
+    assert value != fields and fields != value and not value == fields
+    assert {value: 1}.get(fields) is None
+    for other, _ in VALUES:
+        if type(other) is not type(value):
+            assert value != other and not value == other
+    with pytest.raises(AttributeError):
+        setattr(value, value._fields[0], fields[0])
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert repr(value) == text
 
 
 def test_weyl_dim_small_cases():

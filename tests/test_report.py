@@ -9,7 +9,12 @@ import pytest
 import bc2mvop
 from bc2mvop import casimir, expansion, orthogonality
 from bc2mvop.lie import PairParams
-from bc2mvop.report import FAIL, PASS, REPORTED, against_reference
+from bc2mvop.report import FAIL, PASS, REPORTED, CheckResult, against_reference
+
+
+def test_tagged_keeps_the_verdict():
+    r = CheckResult("name", FAIL, "detail", "residual").tagged("(m=3,a=0,b=0)")
+    assert r == CheckResult("name (m=3,a=0,b=0)", FAIL, "detail", "residual")
 
 
 def test_against_reference_decides_equality_first():
