@@ -327,15 +327,16 @@ def test_verify_deterministic_bytes(tmp_path, capsys):
 
 
 # sha256 of suite reports, pinned byte for byte: the casimir, pde and
-# orthogonality suites on a 2x2x2 grid at dmax 2, the weight,
-# indecomposability, xi and transition suites on the default grid, and the
-# orthogonality, casimir and pde suites on the default grid at dmax 3 (keys
-# "orthogonality-dmax3", "casimir-dmax3", "pde-dmax3"), and the quadrature
-# cross-check on the default grid at dmax 1 (node order 48) and at one point
-# whose pairs need node orders 48, 64, 66 and 68
-# ("orthogonality-numeric-orders").  Any change to the radial operator,
-# the triangular expansion, the Gram integrals or the exact rank that alters
-# a single line, a count or a REPORTED detail shows here
+# orthogonality suites on a 2x2x2 grid at dmax 2; the weight,
+# indecomposability, xi, transition and duality suites on the default grid,
+# and the Krawtchouk suite with its defaults; the orthogonality, casimir and
+# pde suites on the default grid at dmax 3 (keys "orthogonality-dmax3",
+# "casimir-dmax3", "pde-dmax3"); and the quadrature cross-check on the
+# default grid at dmax 1 (node order 48) and at one point whose pairs need
+# node orders 48, 64, 66 and 68 ("orthogonality-numeric-orders").  Any
+# change to the radial operator, the triangular expansion, the Gram
+# integrals, the exact rank or the dual family that alters a single line, a
+# count or a REPORTED detail shows here
 SMALL_GRID = ["--m", "3,5", "--a", "1,3", "--b", "0,2", "--dmax", "2"]
 REPORT_GRIDS = {"casimir": ("casimir", SMALL_GRID),
                 "pde": ("pde", SMALL_GRID),
@@ -344,6 +345,8 @@ REPORT_GRIDS = {"casimir": ("casimir", SMALL_GRID),
                 "indecomposable": ("indecomposable", []),
                 "xi": ("xi", []),
                 "transition": ("transition", []),
+                "duality": ("duality", []),
+                "krawtchouk": ("krawtchouk", []),
                 "orthogonality-dmax3": ("orthogonality", ["--dmax", "3"]),
                 "casimir-dmax3": ("casimir", ["--dmax", "3"]),
                 "pde-dmax3": ("pde", ["--dmax", "3"]),
@@ -401,6 +404,14 @@ REPORT_DIGESTS = {
         "ac0d4e66c16bd938c2d8b59d85a8e7e68a8aece09970b94b14163fe0f5d370fc",
     ("transition", "json"):
         "f0ea5e998baed5221a1051111f82be96c92953704eb736434f70e18b71bfa0a8",
+    ("duality", "text"):
+        "2e63392ad44aa5a7b08d87cd3abec0717e5caf42badf46df6112793a913cca2d",
+    ("duality", "json"):
+        "7e98c557c8f2bc63802ff8dbf6f71b34cbb703c5f240b09f1bd5f19f777be762",
+    ("krawtchouk", "text"):
+        "52a6ffef6baa898a02e5a425944b3fc051d240f3651d432cd27cabfc355fd9a2",
+    ("krawtchouk", "json"):
+        "d2fa07e263f7c6ff44dc7483c1f145e2dc2824bf3ce51f7429d34680f7d7b4ec",
 }
 
 
