@@ -10,8 +10,8 @@ report PASS, FAIL, or REPORTED; REPORTED marks an exact disagreement with
 a stored reference formula, printed with both sides.
 """
 
-from .expansion import (L_matrices, MatrixOP, d_coeffs, matrix_op,
-                        phi_expansion, poly_matrix_psi, poly_matrix_x)
+from .expansion import (L_matrices, d_coeffs, phi_expansion, poly_matrix_psi,
+                        poly_matrix_x)
 from .krawtchouk import poch
 from .leading import (leading_term, leading_term_matrix, weight_matrix_c,
                       weight_matrix_psi, weight_matrix_x)
@@ -25,11 +25,10 @@ from .report import FAIL, PASS, REPORTED, CheckResult
 __version__ = "0.1.0"
 
 __all__ = [
-    "CheckResult", "FAIL", "L_matrices", "MatrixOP", "MsfLabel", "MultiPoly",
-    "PASS", "PairParams", "PolyMatrix", "REPORTED", "Weight",
-    "casimir_eigenvalue", "casimir_eigenvalue_ip", "d_coeffs", "dualize",
-    "gram", "in_region", "label_weight", "leading_term",
-    "leading_term_matrix", "matrix_op", "phi_expansion", "poch",
-    "poly_matrix_psi", "poly_matrix_x", "region_integral", "weight_matrix_c",
-    "weight_matrix_psi", "weight_matrix_x", "weyl_dim",
+    "CheckResult", "FAIL", "L_matrices", "MsfLabel", "MultiPoly", "PASS",
+    "PairParams", "PolyMatrix", "REPORTED", "Weight", "casimir_eigenvalue",
+    "casimir_eigenvalue_ip", "d_coeffs", "dualize", "gram", "in_region",
+    "label_weight", "leading_term", "leading_term_matrix", "phi_expansion",
+    "poch", "poly_matrix_psi", "poly_matrix_x", "region_integral",
+    "weight_matrix_c", "weight_matrix_psi", "weight_matrix_x", "weyl_dim",
 ]

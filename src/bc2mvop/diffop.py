@@ -79,10 +79,6 @@ class MatrixDiffOp:
             mats = {(0, 0): PolyMatrix.zeros(1, 1, tuple(vars))}
         return cls(vars, mats)
 
-    def coeff(self, idx: tuple[int, int]) -> PolyMatrix:
-        return self.coeffs.get(tuple(idx),
-                               PolyMatrix.zeros(self.size, self.size, self.vars))
-
     def lift(self, n: int) -> "MatrixDiffOp":
         """Tensor a scalar (1x1) operator with the identity of size n: each
         coefficient p becomes p I, built as its entries, not as a product."""
@@ -104,15 +100,6 @@ class MatrixDiffOp:
         out = dict(self.coeffs)
         for idx, mat in other.coeffs.items():
             out[idx] = out[idx] + mat if idx in out else mat
-        if not out:
-            out[(0, 0)] = PolyMatrix.zeros(self.size, self.size, self.vars)
-        return MatrixDiffOp(self.vars, out)
-
-    def __sub__(self, other: "MatrixDiffOp") -> "MatrixDiffOp":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c) -> "MatrixDiffOp":
-        out = {idx: mat.scale(c) for idx, mat in self.coeffs.items()}
         if not out:
             out[(0, 0)] = PolyMatrix.zeros(self.size, self.size, self.vars)
         return MatrixDiffOp(self.vars, out)

@@ -32,9 +32,9 @@ from .diffop import MatrixDiffOp
 from .krawtchouk import poch
 from .leading import PSI_VARS, X_VARS, psi_in_x
 from .lie import (MsfLabel, PairParams, bottom_weight, casimir_eigenvalue,
-                  casimir_eigenvalue_ip, casimir_numerator, check_label, degree_pair,
+                  casimir_eigenvalue_ip, casimir_numerator, check_label,
                   degree_pairs, dominance_leq, dualize, label_weight,
-                  labels_up_to, point_cache, ValueTuple)
+                  labels_up_to, point_cache)
 from .matrices import (PolyMatrix, conjugate_flip, frac_identity, frac_invert,
                        frac_matmul)
 from .poly import MultiPoly
@@ -247,12 +247,6 @@ def phi_expansion(params: PairParams, label: MsfLabel) -> dict[MsfLabel, Fractio
             for p, v in enumerate(vals) if v}
 
 
-class MatrixOP(ValueTuple, namedtuple("MatrixOP", "params d psi x")):
-    """One member of the polynomial family, in both coordinate systems:
-    (params, d, psi, x)."""
-    __slots__ = ()
-
-
 @point_cache
 def poly_matrix_psi(params: PairParams, d: tuple[int, int]) -> PolyMatrix:
     n = params.size
@@ -271,11 +265,6 @@ def poly_matrix_psi(params: PairParams, d: tuple[int, int]) -> PolyMatrix:
 @point_cache
 def poly_matrix_x(params: PairParams, d: tuple[int, int]) -> PolyMatrix:
     return poly_matrix_psi(params, d).substitute(psi_in_x(), X_VARS)
-
-
-def matrix_op(params: PairParams, d: tuple[int, int]) -> MatrixOP:
-    d = degree_pair(d)
-    return MatrixOP(params, d, poly_matrix_psi(params, d), poly_matrix_x(params, d))
 
 
 def phi_zero_check(params: PairParams) -> CheckResult:
@@ -375,10 +364,10 @@ def dual_bottom_check(params: PairParams) -> CheckResult:
     """Lowest weights of the dual family are the duals of the reversed
     originals."""
     name = f"dual lowest weights {params.tag()}"
-    dual_params, data = dualize(params)
+    dual_params = dualize(params)
     for i in range(params.size):
         lhs = bottom_weight(dual_params, i)
-        rhs = bottom_weight(params, data.index(i)).dual()
+        rhs = bottom_weight(params, params.a - i).dual()
         if lhs != rhs:
             return CheckResult(name, FAIL, f"index {i}: {lhs} vs {rhs}")
     return CheckResult(name, PASS, f"dual parameters {dual_params.tag()}")
@@ -388,9 +377,9 @@ def dual_eigenvalue_check(params: PairParams, dmax: int) -> CheckResult:
     """Casimir eigenvalues of the dual family mirror the originals under the
     index flip, computed from the weights on both sides."""
     name = f"dual eigenvalue mirror {params.tag()} dmax={dmax}"
-    dual_params, data = dualize(params)
+    dual_params = dualize(params)
     for lab in labels_up_to(params, dmax):
-        mirrored = MsfLabel(data.index(lab.i), lab.d1, lab.d2)
+        mirrored = MsfLabel(params.a - lab.i, lab.d1, lab.d2)
         lhs = casimir_eigenvalue_ip(label_weight(dual_params, lab))
         rhs = casimir_eigenvalue_ip(label_weight(params, mirrored))
         if lhs != rhs:
@@ -403,7 +392,7 @@ def dual_pde_check(params: PairParams, dmax: int) -> CheckResult:
     and every family member gives eigenfunctions whose eigenvalues are the
     directly computed dual-family Casimir values."""
     name = f"conjugated equation with dual eigenvalues {params.tag()} dmax={dmax}"
-    dual_params, _ = dualize(params)
+    dual_params = dualize(params)
     op = _conjugate_op(pde_operator_psi(params))
     n = params.size
     for d1, d2 in degree_pairs(dmax):
@@ -418,13 +407,9 @@ def dual_pde_check(params: PairParams, dmax: int) -> CheckResult:
 
 def dual_involution_check(params: PairParams) -> CheckResult:
     name = f"dualizing twice is the identity {params.tag()}"
-    dual_params, data = dualize(params)
-    back, data2 = dualize(dual_params)
+    back = dualize(dualize(params))
     if back != params:
         return CheckResult(name, FAIL, f"round trip gives {back.tag()}")
-    for i in range(params.size):
-        if data2.index(data.index(i)) != i:
-            return CheckResult(name, FAIL, f"index map not involutive at {i}")
     return CheckResult(name, PASS)
 
 

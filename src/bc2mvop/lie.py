@@ -12,9 +12,9 @@ weight a*omega_1 + b*omega_2. The supported regimes are b >= 0 and
 b <= -a (the latter only through dualize); the gap -a < b < 0 is
 rejected because the construction does not extend there.
 
-The package's value types (parameter triples, weights, labels, dual data,
-family members and check results) are namedtuples under `ValueTuple`:
-immutable, hashed as their field tuple, and equal only to their own type.
+The package's value types (parameter triples, weights, labels and check
+results) are namedtuples under `ValueTuple`: immutable, hashed as their
+field tuple, and equal only to their own type.
 """
 
 from __future__ import annotations
@@ -131,18 +131,12 @@ class Weight(ValueTuple, namedtuple("Weight", "omega")):
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Weight":
-        return self * (-1)
-
     def _check(self, other: "Weight"):
         if len(self.omega) != len(other.omega):
             raise ValueError("weights for different ranks")
 
     def is_dominant(self) -> bool:
         return all(x >= 0 for x in self.omega)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.omega)
 
     def dual(self) -> "Weight":
         """Image under the diagram flip omega_i -> omega_{m+2-i}."""
@@ -202,13 +196,13 @@ class MsfLabel(ValueTuple, namedtuple("MsfLabel", "i d1 d2")):
     __slots__ = ()
 
     def __new__(cls, i, d1, d2):
-        if i < 0 or d1 < 0 or d2 < 0:
-            raise ValueError(f"invalid label {(i, d1, d2)}")
-        return tuple.__new__(cls, (i, d1, d2))
-
-    @property
-    def d(self) -> tuple[int, int]:
-        return (self.d1, self.d2)
+        try:
+            values = tuple(map(index, (i, d1, d2)))
+        except TypeError:
+            raise ValueError(f"non-integral label {(i, d1, d2)}") from None
+        if min(values) < 0:
+            raise ValueError(f"invalid label {values}")
+        return tuple.__new__(cls, values)
 
 
 def check_label(params: PairParams, label: MsfLabel):
@@ -317,20 +311,12 @@ def weyl_dim(w: Weight) -> int:
     return dim
 
 
-class DualData(ValueTuple, namedtuple("DualData", "params")):
-    __slots__ = ()
-
-    def index(self, i: int) -> int:
-        return self.params.a - i
-
-
-def dualize(params: PairParams) -> tuple[PairParams, DualData]:
-    """Parameters of the dual family, (m, a, -a-b), plus the index involution
-    i -> a-i. An involution between the two regimes; downstream families on
-    the b <= -a side are obtained by conjugating the b >= 0 family with the
-    anti-diagonal flip, never computed directly."""
-    dual = PairParams(params.m, params.a, -params.a - params.b)
-    return dual, DualData(params)
+def dualize(params: PairParams) -> PairParams:
+    """Parameters of the dual family, (m, a, -a-b), whose index i matches
+    index a-i of the original. An involution between the two regimes;
+    downstream families on the b <= -a side are obtained by conjugating the
+    b >= 0 family with the anti-diagonal flip, never computed directly."""
+    return PairParams(params.m, params.a, -params.a - params.b)
 
 
 def degree_pair(d) -> tuple[int, int]:

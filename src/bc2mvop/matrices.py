@@ -66,10 +66,6 @@ class PolyMatrix:
         return cls(n, n, [MultiPoly.const(vars, diag[i]) if i == j else z
                           for i in range(n) for j in range(n)])
 
-    @classmethod
-    def identity(cls, n: int, vars: tuple[str, ...]) -> "PolyMatrix":
-        return cls.diagonal(vars, [1] * n)
-
     # ---- access ----
 
     def entry(self, i: int, j: int) -> MultiPoly:
@@ -89,9 +85,6 @@ class PolyMatrix:
         self._shape_check(other)
         return PolyMatrix(self.rows, self.cols,
                           [a - b for a, b in zip(self.entries, other.entries)])
-
-    def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix(self.rows, self.cols, [-a for a in self.entries])
 
     def _shape_check(self, other: "PolyMatrix"):
         if self.rows != other.rows or self.cols != other.cols:

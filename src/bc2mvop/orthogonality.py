@@ -78,14 +78,15 @@ def beta_moment(m: int, p: int) -> Fraction:
     """int_0^(pi/2) cos^(2p+1) sin^(2m-3) dt, exactly."""
     if m < 2 or p < 0:
         raise ValueError("need m >= 2 and p >= 0")
-    return Fraction(math.factorial(p) * math.factorial(m - 2),
-                    2 * math.factorial(p + m - 1))
+    den, beta = _beta_numerators(m, p)
+    return Fraction(beta[p], den)
 
 
 @functools.lru_cache(maxsize=None)
 def _beta_numerators(m: int, top: int) -> tuple[int, tuple[int, ...]]:
-    """One denominator D = 2 (top+m-1)!/(m-2)! and the integers
-    beta_moment(m, p) * D = p! (top+m-1)!/(p+m-1)! for p = 0..top."""
+    """The moments beta_moment(m, p) = p! (m-2)! / (2 (p+m-1)!) for
+    p = 0..top, over one denominator D = 2 (top+m-1)!/(m-2)!: D and the
+    integers p! (top+m-1)!/(p+m-1)!."""
     high = math.factorial(top + m - 1)
     return (2 * high // math.factorial(m - 2),
             tuple(math.factorial(p) * (high // math.factorial(p + m - 1))
@@ -466,29 +467,21 @@ def _quad_nodes(order: int):
 
 
 @point_cache
-def _poly_matrix_c(params: PairParams, d: tuple[int, int]) -> PolyMatrix:
-    """R_d pulled back to (c1, c2), for the quadrature only: it reads no
-    moment."""
-    return poly_matrix_x(params, d).substitute(x_in_c(), C_VARS)
-
-
-def _factor_c(params: PairParams, d: tuple[int, int] | None) -> PolyMatrix:
-    """The quadrature's factor R_d in (c1, c2), or S when d is None."""
-    return (weight_matrix_c(params.a, 0) if d is None
-            else _poly_matrix_c(params, d))
-
-
-@point_cache
-def _factor_degree(params: PairParams, d: tuple[int, int] | None) -> int:
-    """The largest exponent of either variable in the factor."""
-    return max((max(exp) for e in _factor_c(params, d).entries
-                for exp in e.nums), default=0)
+def _factor_c(params: PairParams,
+              d: tuple[int, int] | None) -> tuple[PolyMatrix, int]:
+    """The quadrature's factor in (c1, c2), R_d pulled back from x or S when
+    d is None, and the largest exponent of either variable in it.  The
+    pull-back is for the quadrature only: it reads no moment."""
+    mat = (weight_matrix_c(params.a, 0) if d is None
+           else poly_matrix_x(params, d).substitute(x_in_c(), C_VARS))
+    return mat, max((max(exp) for e in mat.entries for exp in e.nums),
+                    default=0)
 
 
 @point_cache
 def _node_mesh(params: PairParams, order: int):
-    """The (c1, c2) node mesh, the product weights and the density of the
-    point on it, each read-only."""
+    """The product weights and the density of the point on the (c1, c2)
+    node mesh, each read-only."""
     import numpy as np
     m, b = params.m, params.b
     t, w = _quad_nodes(order)
@@ -497,9 +490,8 @@ def _node_mesh(params: PairParams, order: int):
     ww = w[:, None] * w[None, :]
     density = (4.0 * s1 ** (2 * m - 3) * s2 ** (2 * m - 3) * c1 * c2
                * (c1 ** 2 - c2 ** 2) ** 2 * (c1 * c2) ** (2 * b))
-    for arr in (c1, c2, ww, density):
-        arr.flags.writeable = False
-    return c1, c2, ww, density
+    ww.flags.writeable = density.flags.writeable = False
+    return ww, density
 
 
 @functools.lru_cache(maxsize=None)
@@ -520,7 +512,7 @@ def _mesh_values(params: PairParams, d: tuple[int, int] | None,
     (a, b) is (coeff c^e1)[a] c^e2[b]: the same two roundings as on the
     mesh, from the vectors of `_node_power`."""
     import numpy as np
-    mat = _factor_c(params, d)
+    mat, _ = _factor_c(params, d)
     out = [[None] * mat.cols for _ in range(mat.rows)]
     for i in range(mat.rows):
         for j in range(mat.cols):
@@ -545,9 +537,9 @@ def numeric_crosscheck(params: PairParams, d: tuple[int, int],
     A product with a factor entry that is the zero polynomial is skipped:
     each node's sum starts at +0.0, never holds -0.0, and x + (+-0.0) = x,
     so the skip leaves every bit of the sum as it was.
-    The mesh, each factor's degree and values are `point_cache`s, so the
-    pairs of a point share them and `verify` drops them with the point;
-    the 1-D node powers are shared by every point.
+    The mesh, each factor with its degree, and each factor's values are
+    `point_cache`s, so the pairs of a point share them and `verify` drops
+    them with the point; the 1-D node powers are shared by every point.
     """
     import numpy as np
 
@@ -556,16 +548,16 @@ def numeric_crosscheck(params: PairParams, d: tuple[int, int],
             f"d=({d[0]},{d[1]}) d'=({dp[0]},{dp[1]})")
     m, b = params.m, params.b
     exact = gram(params, d, dp)
-    lc, sc, rc = (_factor_c(params, e) for e in (d, None, dp))
+    (lc, ld), (sc, sd), (rc, rd) = (_factor_c(params, e)
+                                    for e in (d, None, dp))
 
     # node count from the trigonometric degree per variable: polynomial
     # part plus the density sin^(2m-3) cos (c1^2-c2^2)^2 (c1 c2)^(2b);
     # 48 nodes hold to ~1e-11 up to degree 32, degrade past that
-    trig_degree = (_factor_degree(params, d) + _factor_degree(params, None)
-                   + _factor_degree(params, dp) + 2 * m + 2 * b + 2)
+    trig_degree = ld + sd + rd + 2 * m + 2 * b + 2
     order = 48 if trig_degree <= 30 else trig_degree + 32
 
-    _, _, ww, density = _node_mesh(params, order)
+    ww, density = _node_mesh(params, order)
     scale = 2.0 ** (2 * m + 2 * b - 1)
     lv = _mesh_values(params, d, order)
     sv = _mesh_values(params, None, order)

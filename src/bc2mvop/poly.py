@@ -42,11 +42,6 @@ from operator import add, index
 from types import MappingProxyType
 
 
-def rat_from_str(s: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction."""
-    return Fraction(s.strip())
-
-
 def rat_to_str(r: Fraction) -> str:
     """Canonical "p/q" form (denominator always present)."""
     r = Fraction(r)
@@ -201,12 +196,6 @@ class MultiPoly:
         """Terms in descending graded-lex order (the canonical order)."""
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
-        if not self.nums:
-            raise ValueError("zero polynomial has no leading term")
-        exp = max(self.nums, key=_grlex_key)
-        return exp, Fraction(self.nums[exp], self.den)
-
     def coefficient(self, exp: Iterable[int]) -> Fraction:
         return Fraction(self.nums.get(tuple(exp), 0), self.den)
 
@@ -352,7 +341,7 @@ class MultiPoly:
     @classmethod
     def from_json(cls, data: dict) -> "MultiPoly":
         vars = tuple(data["vars"])
-        terms = {tuple(t["exp"]): rat_from_str(t["coeff"]) for t in data["terms"]}
+        terms = {tuple(t["exp"]): Fraction(t["coeff"]) for t in data["terms"]}
         return cls(vars, terms)
 
     def __str__(self):

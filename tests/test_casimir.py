@@ -127,7 +127,7 @@ def _perturb_first_order(monkeypatch, extra: MultiPoly):
     real = casimir.radial_operator_c
 
     def perturbed(params):
-        bump = PolyMatrix.identity(params.size, C_VARS).scale(extra)
+        bump = PolyMatrix.diagonal(C_VARS, [1] * params.size).scale(extra)
         return real(params) + MatrixDiffOp(C_VARS, {(1, 0): bump})
     monkeypatch.setattr(casimir, "radial_operator_c", perturbed)
 
@@ -219,15 +219,15 @@ def test_x_family_first_order_coefficients():
     x2 = MultiPoly.var(X_VARS, "x2")
     for m in (3, 4, 5):
         op = pde_operator_x(PairParams(m, 0, 0))
-        c10 = op.coeff((1, 0)).entry(0, 0)
-        c01 = op.coeff((0, 1)).entry(0, 0)
+        c10 = op.coeffs[1, 0].entry(0, 0)
+        c01 = op.coeffs[0, 1].entry(0, 0)
         assert c10 == 2 * ((m + 2) * x1 + 2 * m - 4)
         assert c01 == 2 * ((m - 2) * x1 + 2 + (2 * m + 2) * x2)
         # and the second-order coefficients, which do not depend on m
-        assert op.coeff((2, 0)).entry(0, 0) == 2 * x1 * x1 - 4 * x2 - 4
-        assert op.coeff((0, 2)).entry(0, 0) == \
+        assert op.coeffs[2, 0].entry(0, 0) == 2 * x1 * x1 - 4 * x2 - 4
+        assert op.coeffs[0, 2].entry(0, 0) == \
             -2 * x1 * x1 + 4 * x2 * x2 + 4 * x2
-        assert op.coeff((1, 1)).entry(0, 0) == 4 * x1 * x2 - 4 * x1
+        assert op.coeffs[1, 1].entry(0, 0) == 4 * x1 * x2 - 4 * x1
         # at a = b = 0 the operator is its scalar part alone
         r0x = scalar_radial_psi(m).change_vars_affine(X_VARS, psi_in_x())
         assert op == r0x

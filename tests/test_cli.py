@@ -75,7 +75,7 @@ def _break_radial_operator(monkeypatch):
     real = casimir.radial_operator_c
 
     def broken(params):
-        bump = PolyMatrix.identity(params.size, C_VARS).scale(
+        bump = PolyMatrix.diagonal(C_VARS, [1] * params.size).scale(
             MultiPoly.var(C_VARS, "c1"))
         return real(params) + MatrixDiffOp(C_VARS, {(1, 0): bump})
     monkeypatch.setattr(casimir, "radial_operator_c", broken)
@@ -576,14 +576,14 @@ def test_verify_drops_each_points_gram_tables(monkeypatch, capsys):
                             "--b", "0,1", "--dmax", "1", "--numeric"], capsys)
     assert code == 0 and "FAIL" not in out
     assert built
-    # the Gram matrices and tables, the quadrature's pull-backs of R_d,
-    # factor degrees, mesh and factor values, the operators, the lowering
+    # the Gram matrices and tables, the quadrature's factors with their
+    # degrees, mesh and factor values, the operators, the lowering
     # graphs and vectors, both families, the transition matrices and the
     # weights of both points are gone; the moments stay, and the quadrature
     # still read each point's Gram matrices from the cache
     for cache in (orthogonality._gram_cached, orthogonality._weighted_moments,
-                  orthogonality._matrix_moments, orthogonality._poly_matrix_c,
-                  orthogonality._factor_degree, orthogonality._node_mesh,
+                  orthogonality._matrix_moments, orthogonality._factor_c,
+                  orthogonality._node_mesh,
                   orthogonality._mesh_values, real, casimir._first_order_psi,
                   casimir.pde_operator_psi, casimir.pde_operator_x,
                   casimir.label_vector, expansion._graph_node,

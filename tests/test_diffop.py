@@ -64,7 +64,9 @@ def test_add_and_scale():
     op1 = MatrixDiffOp.scalar_op(PV, {(1, 0): MultiPoly.one(PV)})
     op2 = MatrixDiffOp.scalar_op(PV, {(0, 1): MultiPoly.one(PV)})
     p1, p2 = psi_vars()
-    combined = op1 + op2.scale(F(3))
+    op3 = MatrixDiffOp(PV, {idx: mat.scale(F(3))
+                            for idx, mat in op2.coeffs.items()})
+    combined = op1 + op3
     assert combined.apply_scalar(p1 + p2) == MultiPoly.const(PV, 4)
 
 
@@ -91,8 +93,8 @@ def test_affine_change_of_variables():
 def test_coeff_lookup():
     p1, _ = psi_vars()
     op = MatrixDiffOp.scalar_op(PV, {(2, 0): p1})
-    assert op.coeff((2, 0)) is not None
-    assert (2, 0) in op.coeffs
+    assert op.coeffs[2, 0] == PolyMatrix(1, 1, [p1])
+    assert set(op.coeffs) == {(2, 0)}
 
 
 def test_cached_operator_coefficients_are_read_only():

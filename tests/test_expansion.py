@@ -13,12 +13,13 @@ from bc2mvop.expansion import (L_matrices, d_coeffs, d_recursion_check,
                                diagonal_degree_check, dual_bottom_check,
                                dual_eigenvalue_check, dual_involution_check,
                                dual_pde_check, duality_suite,
-                               inverse_reference_check, matrix_op,
+                               inverse_reference_check,
                                normalization_check, pde_check, pde_suite,
                                phi_expansion, phi_zero_check, poly_matrix_psi,
                                poly_matrix_x, transition_suite)
 from bc2mvop.casimir import lowering_moves
-from bc2mvop.lie import MsfLabel, PairParams, casimir_eigenvalue, labels_up_to
+from bc2mvop.lie import (MsfLabel, PairParams, casimir_eigenvalue, degree_pair,
+                         labels_up_to)
 from bc2mvop.matrices import frac_identity, frac_matmul
 from bc2mvop.poly import MultiPoly
 
@@ -235,27 +236,17 @@ def test_pde_suite_no_failures():
     assert all(r.status != "FAIL" for r in results)
 
 
-def test_matrix_op_bundle():
-    p = PairParams(3, 1, 0)
-    op = matrix_op(p, (1, 0))
-    assert op.params == p
-    assert op.d == (1, 0)
-    assert op.psi.rows == 2 and op.x.rows == 2
-
-
 def test_non_integral_degree_pair_is_refused():
     # truncating turned (1.5, 0.7) into the degree (1, 0)
-    p = PairParams(3, 1, 0)
     for d in ((1.5, 0.7), (F(1, 2), 0), (1, 0.0)):
         with pytest.raises(ValueError, match="non-integral"):
-            matrix_op(p, d)
+            degree_pair(d)
 
 
 def test_degree_pair_of_wrong_length_or_sign_is_refused():
-    p = PairParams(3, 1, 0)
     for d in ((1,), (1, 0, 0), (-1, 0), 1):
         with pytest.raises(ValueError, match="degree pair"):
-            matrix_op(p, d)
+            degree_pair(d)
 
 
 def test_duality_checks():

@@ -174,7 +174,7 @@ def test_krawtchouk_route_catches_one_perturbed_coefficient(monkeypatch):
     assert krawtchouk_route_verdict(2, 1).status == "PASS"
 
     def bump(q):
-        exp, _ = q.leading()
+        (exp, _), *_ = q.sorted_terms()
         return q + MultiPoly.monomial(C_VARS, exp, F(1, 7))
     _patch_entry(monkeypatch, (1, 2), bump)
     r = krawtchouk_route_verdict(2, 1)

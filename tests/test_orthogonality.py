@@ -56,7 +56,9 @@ def test_beta_numerators_match_beta_moment():
             den, nums = _beta_numerators(m, top)
             assert all(type(v) is int for v in (den, *nums))
             assert [F(v, den) for v in nums] == \
-                [beta_moment(m, p) for p in range(top + 1)], (m, top)
+                [beta_moment(m, p) for p in range(top + 1)] == \
+                [F(factorial(p) * factorial(m - 2), 2 * factorial(p + m - 1))
+                 for p in range(top + 1)], (m, top)
 
 
 def _delta_reference(m, p):
@@ -493,10 +495,11 @@ def test_numeric_suite_mesh_values_are_read_only_and_dropped(monkeypatch):
     results = numeric_suite(PairParams(3, 1, 1), 1)
     assert all(r.status == "PASS" for r in results)
     # one mesh and one evaluation per factor (three R_d and S) at the point;
-    # every lookup of each gives the same four arrays (the mesh's, or a
-    # 2 x 2 factor's)
+    # every lookup of each gives the same arrays: the mesh's two, or a 2 x 2
+    # factor's four
     assert sorted(name for name, _ in made) == ["_mesh_values"] * 4 + ["_node_mesh"]
-    assert {len(arrays) for arrays in made.values()} == {4}
+    assert {name: len(arrays) for (name, _), arrays in made.items()} == \
+        {"_mesh_values": 4, "_node_mesh": 2}
     refs = [ref for arrays in made.values() for ref in arrays.values()]
     # the point's caches hold them until the point is dropped
     gc.collect()

@@ -42,8 +42,8 @@ def test_total_degree_and_leading():
     c1, c2 = c_vars()
     p = c1 ** 3 + c2 ** 2
     assert p.total_degree() == 3
-    exp, coeff = p.leading()
-    assert exp == (3, 0) and coeff == 1
+    # the leading term comes first in the canonical order
+    assert p.sorted_terms()[0] == ((3, 0), 1)
 
 
 def test_coefficient_lookup():
