@@ -440,59 +440,32 @@ def pde_operator_x(params: PairParams) -> MatrixDiffOp:
 
 # ---- expansion of the symmetric coordinates in scalar eigenfunctions ----
 
-def scalar_eigenpoly(m: int, d: tuple[int, int]) -> MultiPoly:
-    """The unique eigenfunction of the scalar operator with top monomial
-    psi1^d1 psi2^d2, normalized to 1 at (psi1, psi2) = (2, 1)."""
-    if d == (1, 0):
-        basis = [(0, 0), (1, 0)]
-    elif d == (0, 1):
-        basis = [(0, 0), (1, 0), (0, 1)]
-    else:
-        raise ValueError("only the two linear-degree eigenfunctions are needed")
-    target = casimir_eigenvalue(PairParams(m, 0, 0), MsfLabel(0, d[0], d[1]))
-    op = scalar_radial_psi(m)
-    images = [op.apply_scalar(MultiPoly.monomial(PSI_VARS, e)) for e in basis]
-    support = sorted({e for img in images for e in img.nums} | set(basis))
-    rows = []
-    rhs = []
-    for exp in support:
-        rows.append([img.coefficient(exp)
-                     - (target if basis[j] == exp else Fraction(0))
-                     for j, img in enumerate(images)])
-        rhs.append(Fraction(0))
-    rows.append([Fraction(2) ** e[0] for e in basis])   # value at the identity
-    rhs.append(Fraction(1))
-    sol = solve_linear(rows, rhs)
-    if sol is None:
-        raise AssertionError(f"eigenfunction system singular at m={m} (cannot happen)")
-    acc = MultiPoly.zero(PSI_VARS)
-    for coeff, exp in zip(sol, basis):
-        acc = acc + MultiPoly.monomial(PSI_VARS, exp, coeff)
-    return acc
-
-
-def _in_eigenbasis(m: int, poly: MultiPoly, degrees: list[tuple[int, int]]):
-    """Coordinates of poly in the basis {1} + eigenfunctions of the listed
-    degrees, solved exactly."""
-    basis = [MultiPoly.one(PSI_VARS)] + [scalar_eigenpoly(m, d) for d in degrees]
+def _in_eigenbasis(poly: MultiPoly, eigenfunctions: list[MultiPoly]):
+    """Coordinates of poly in the basis {1} + the given eigenfunctions,
+    solved exactly."""
+    basis = [MultiPoly.one(PSI_VARS), *eigenfunctions]
     support = sorted({e for p in basis for e in p.nums} | set(poly.nums))
     rows = [[p.coefficient(exp) for p in basis] for exp in support]
     rhs = [poly.coefficient(exp) for exp in support]
     sol = solve_linear(rows, rhs)
     if sol is None:
         raise AssertionError("eigenbasis expansion failed (cannot happen)")
-    return sol
+    return tuple(sol)
 
 
 def xi_constants(m: int) -> dict:
-    """Expansion constants of psi1 and psi2 in the scalar eigenfunctions."""
+    """Expansion constants of psi1 and psi2 in the scalar eigenfunctions
+    phi1 = phi_(1,0) and phi2 = phi_(0,1), read from the a = b = 0 family:
+    each is the eigenfunction with that top monomial, equal to 1 at
+    (psi1, psi2) = (2, 1)."""
+    from .expansion import poly_matrix_psi   # expansion imports this module
+    p0 = PairParams(m, 0, 0)
+    phi1, phi2 = (poly_matrix_psi(p0, d).entry(0, 0) for d in ((1, 0), (0, 1)))
     p1 = MultiPoly.var(PSI_VARS, "psi1")
     p2 = MultiPoly.var(PSI_VARS, "psi2")
-    s0, s1 = _in_eigenbasis(m, p1, [(1, 0)])
-    t0, t1, t2 = _in_eigenbasis(m, p2, [(1, 0), (0, 1)])
-    return {"psi1": (s0, s1), "psi2": (t0, t1, t2),
-            "phi1": scalar_eigenpoly(m, (1, 0)),
-            "phi2": scalar_eigenpoly(m, (0, 1))}
+    return {"psi1": _in_eigenbasis(p1, [phi1]),
+            "psi2": _in_eigenbasis(p2, [phi1, phi2]),
+            "phi1": phi1, "phi2": phi2}
 
 
 def xi_references(m: int) -> dict:
@@ -557,11 +530,11 @@ def xi_suite(m: int) -> list[CheckResult]:
         f"{got} by a factor 2 in the denominator; the solved form satisfies "
         f"the eigen-equation and equals 1 at the identity", both))
 
-    exact = ("reference inversion formula matches the independently solved "
-             "eigenfunction exactly")
+    got, ref = data["phi2"], refs["phi2"]
     out.append(against_reference(
-        f"second eigenfunction inversion (m={m})", data["phi2"], refs["phi2"],
-        False, exact, "", exact))
+        f"second eigenfunction inversion (m={m})", got, ref, False,
+        "reference inversion formula matches the independently solved "
+        "eigenfunction exactly", "", f"reference inversion {ref}, solved {got}"))
     return out
 
 

@@ -129,7 +129,8 @@ def _verify_results(args, grid: list[PairParams]):
     process decides afresh.  When a point is done, everything built for it
     alone is dropped (`drop_point_caches`): its weights, families,
     transition matrices, operators, lowering graphs, Gram matrices, moment
-    tables and quadrature values."""
+    tables and quadrature values.  The per-m checks drop once more at the
+    end, for the a = b = 0 families the xi suite reads."""
     want = lambda s: args.suite in ("all", s)
     dmax = 2 if args.dmax is None else args.dmax
     verdicts = {}
@@ -162,6 +163,7 @@ def _verify_results(args, grid: list[PairParams]):
             results.append(orthogonality.total_mass_check(m))
         if want("xi"):
             results += casimir.xi_suite(m)
+    drop_point_caches()
     return results
 
 

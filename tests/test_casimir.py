@@ -12,7 +12,7 @@ from bc2mvop.casimir import (bottom_lowering_check, casimir_suite,
                              gradient_pairing_verdict, lowering_moves,
                              pde_operator_psi, pde_operator_x, radial_apply,
                              reference_table_comparison, scalar_eigen_check,
-                             radial_denominator, scalar_eigenpoly,
+                             radial_denominator,
                              scalar_radial_agreement_check, scalar_radial_psi,
                              vertical_term, xi_constants, xi_suite)
 from bc2mvop.diffop import MatrixDiffOp
@@ -234,15 +234,13 @@ def test_x_family_first_order_coefficients():
 
 
 def test_scalar_eigenpolys_low_degree():
-    m = 4
-    phi1 = scalar_eigenpoly(m, (1, 0))
+    # phi_(1,0) = ((m+2) psi1 - 4)/(2m) and
+    # phi_(0,1) = (m(m+1) psi2 - (m+1) psi1 + 2)/(m(m-1)), each 1 at the
+    # identity point (2, 1); at m = 4 by hand
+    data = xi_constants(4)
     p1, p2 = psi_vars()
-    # ((m+2) psi1 - 4)/(2m), normalized to 1 at the identity point
-    assert phi1 == F(1, 2 * m) * ((m + 2) * p1 - 4)
-    phi2 = scalar_eigenpoly(m, (0, 1))
-    want = (F(1, m * (m - 1)) *
-            (m * (m + 1) * p2 - (m + 1) * p1 + 2))
-    assert phi2 == want
+    assert data["phi1"] == F(3, 4) * p1 - F(1, 2)
+    assert data["phi2"] == F(5, 3) * p2 - F(5, 12) * p1 + F(1, 6)
 
 
 def test_xi_constants_by_hand():
@@ -260,6 +258,18 @@ def test_xi_suite_statuses():
     statuses = [r.status for r in xi_suite(4)]
     assert statuses.count("FAIL") == 0
     assert statuses.count("REPORTED") == 2
+
+
+def test_second_inversion_fail_prints_both_sides(monkeypatch):
+    real = casimir.xi_references
+    monkeypatch.setattr(casimir, "xi_references",
+                        lambda m: {**real(m), "phi2": 2 * real(m)["phi2"]})
+    r = next(r for r in xi_suite(4)
+             if r.name == "second eigenfunction inversion (m=4)")
+    assert r.status == "FAIL"
+    ref, got = casimir.xi_references(4)["phi2"], xi_constants(4)["phi2"]
+    assert r.detail == f"reference inversion {ref}, solved {got}"
+    assert "matches" not in r.detail
 
 
 @pytest.mark.parametrize("params,dmax", [(PairParams(3, 0, 0), 2),

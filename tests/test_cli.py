@@ -58,6 +58,42 @@ def test_verify_xi_reports(capsys):
     assert "second coordinate expansion constants" in out
 
 
+def _verify_xi_fails(monkeypatch, capsys, attr, modules, wrong):
+    """The FAIL lines of verify xi --m 3 with ``attr`` replaced by
+    ``wrong(real)`` in each module that binds it; the run must end in
+    exit 1, not in a traceback."""
+    real = getattr(modules[0], attr)
+    for module in modules:
+        monkeypatch.setattr(module, attr, wrong(real))
+    lie.drop_point_caches()  # no family built before the mutation is read
+    code, out, _ = run_cli(["verify", "xi", "--m", "3"], capsys)
+    assert code == 1
+    return [line for line in out.splitlines() if line.startswith("FAIL")]
+
+
+def test_verify_xi_fails_on_a_wrong_eigenvalue(monkeypatch, capsys):
+    # m + 2 added to the numerator at (i, d1) = (0, 1) moves the eigenvalue
+    # of every label (0, 1, d2) by one
+    def wrong(real):
+        return lambda params, label: real(params, label) + (
+            params.m + 2 if (label.i, label.d1) == (0, 1) else 0)
+    fails = _verify_xi_fails(monkeypatch, capsys, "casimir_numerator",
+                             (lie, expansion), wrong)
+    assert any("scalar eigenfunctions solved (m=3)" in line for line in fails)
+
+
+def test_verify_xi_fails_on_a_wrong_move_weight(monkeypatch, capsys):
+    def wrong(real):
+        def doubled(params, label):
+            down = (label.i, label.d1 - 1, label.d2)
+            return {t: 2 * w if (t.i, t.d1, t.d2) == down else w
+                    for t, w in real(params, label).items()}
+        return doubled
+    fails = _verify_xi_fails(monkeypatch, capsys, "lowering_moves",
+                             (casimir, expansion), wrong)
+    assert any("scalar eigenfunctions solved (m=3)" in line for line in fails)
+
+
 def test_verify_json_format(capsys):
     code, out, _ = run_cli(["verify", "krawtchouk", "--m", "3", "--a", "0",
                             "--b", "0", "--N", "2", "--p", "1/2", "--format",
@@ -671,8 +707,10 @@ def test_verify_builds_each_shared_part_once_per_parameters_it_reads(
     # b = 0 alone
     assert [cache.cache_info().misses for cache in per_ab] == [4, 4, 4, 4, 2]
     # one matrix moment table per point, and each node power once per
-    # (order, e) for the process: every point's lookup gives the one array
-    assert tables == [1] * 8
+    # (order, e) for the process: every point's lookup gives the one array.
+    # The last drop ends the per-m checks, after the xi suite read the
+    # a = b = 0 families; they build no moment table
+    assert tables == [1] * 8 + [0]
     assert {len(ids) for ids in powers.values()} == {1}
     assert set(range(8)) in readers.values()
     arrays = [i for ids in powers.values() for i in ids]

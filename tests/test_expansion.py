@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from bc2mvop import expansion
 from bc2mvop.expansion import (L_matrices, d_coeffs, d_recursion_check,
                                diagonal_degree_check, dual_bottom_check,
                                dual_eigenvalue_check, dual_involution_check,
@@ -16,7 +17,8 @@ from bc2mvop.expansion import (L_matrices, d_coeffs, d_recursion_check,
                                inverse_reference_check,
                                normalization_check, pde_check, pde_suite,
                                phi_expansion, phi_zero_check, poly_matrix_psi,
-                               poly_matrix_x, transition_suite)
+                               poly_matrix_x, transition_inverse_check,
+                               transition_suite)
 from bc2mvop.casimir import lowering_moves
 from bc2mvop.lie import (MsfLabel, PairParams, casimir_eigenvalue, degree_pair,
                          labels_up_to)
@@ -63,6 +65,17 @@ def test_transition_checks():
         bad = [r for r in results if r.status == "FAIL"]
         assert not bad, [(r.name, r.detail) for r in bad]
     assert d_recursion_check(PairParams(3, 2, 1)).status == "PASS"
+
+
+def test_transition_inverse_check_reads_the_closed_form(monkeypatch):
+    # the line proves that the corrected closed form inverts L: a wrong
+    # closed form fails it, while the elimination's inverse is untouched
+    params = PairParams(3, 1, 0)
+    assert transition_inverse_check(params).status == "PASS"
+    real = expansion.inverse_closed_corrected
+    monkeypatch.setattr(expansion, "inverse_closed_corrected", lambda p: [
+        [2 * x for x in row] for row in real(p)])
+    assert transition_inverse_check(params).status == "FAIL"
 
 
 def test_inverse_reference_reported_for_nontrivial_sizes():
