@@ -44,6 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from . import expansion
 from .diffop import MatrixDiffOp
 from .leading import (C_VARS, PSI_VARS, X_VARS, _require_weight_regime,
                       at_point, leading_term_matrix, psi_in_c, psi_in_x)
@@ -458,9 +459,9 @@ def xi_constants(m: int) -> dict:
     phi1 = phi_(1,0) and phi2 = phi_(0,1), read from the a = b = 0 family:
     each is the eigenfunction with that top monomial, equal to 1 at
     (psi1, psi2) = (2, 1)."""
-    from .expansion import poly_matrix_psi   # expansion imports this module
     p0 = PairParams(m, 0, 0)
-    phi1, phi2 = (poly_matrix_psi(p0, d).entry(0, 0) for d in ((1, 0), (0, 1)))
+    phi1, phi2 = (expansion.poly_matrix_psi(p0, d).entry(0, 0)
+                  for d in ((1, 0), (0, 1)))
     p1 = MultiPoly.var(PSI_VARS, "psi1")
     p2 = MultiPoly.var(PSI_VARS, "psi2")
     return {"psi1": _in_eigenbasis(p1, [phi1]),

@@ -22,7 +22,14 @@ it to 1, unless the caller has set it, before numpy can load, so numpy
 starts no BLAS worker thread for the quadrature's one small eigenvalue
 problem per node count.  A process imports only what its run uses: `json`
 for JSON output and the CSV's list cells, `csv` for CSV output, and numpy
-only under `verify --numeric`.
+only under `verify --numeric`.  The package's own modules load the same
+way: this module binds the others as modules (`from . import casimir`),
+which the package registers lazily, so each is compiled and run when the
+command first reads one of its names.  A built parser has loaded `cli`,
+`lie` and `report` alone; `verify casimir` never loads `expansion` or
+`orthogonality`, and `verify pde` never loads `orthogonality`.  An
+interpreter that writes no bytecode compiles every module it loads from
+source.
 
 The suites' defaults live here and nowhere else: --dmax 2, --N 6 and the
 Krawtchouk parameters `STANDARD_PS`.  Every suite takes each value from its
@@ -37,12 +44,10 @@ import os
 import sys
 from fractions import Fraction
 
-from . import casimir, expansion, leading, orthogonality
-from .krawtchouk import STANDARD_PS, standard_suite
+from . import (casimir, expansion, krawtchouk, leading, matrices,
+               orthogonality, poly)
 from .lie import (MsfLabel, PairParams, casimir_eigenvalue_ip, check_label,
                   drop_point_caches, label_weight, weyl_dim)
-from .matrices import PolyMatrix
-from .poly import MultiPoly
 from .report import exit_code, render_json, render_text
 
 SUITES = ("krawtchouk", "weight", "casimir", "transition", "pde",
@@ -136,8 +141,9 @@ def _verify_results(args, grid: list[PairParams]):
     verdicts = {}
     results = []
     if want("krawtchouk"):
-        results += standard_suite(6 if args.N is None else args.N,
-                                  tuple(args.p) if args.p else STANDARD_PS)
+        results += krawtchouk.standard_suite(
+            6 if args.N is None else args.N,
+            tuple(args.p) if args.p else krawtchouk.STANDARD_PS)
     for q in grid:
         if want("weight"):
             results += leading.weight_suite(q, verdicts)
@@ -244,8 +250,8 @@ def _moments_payload(args) -> dict:
     p, q = args.monomial
     if p < 0 or q < 0:
         raise ValueError(f"monomial exponents ({p},{q}) must be non-negative")
-    c1 = MultiPoly.var(leading.C_VARS, "c1")
-    c2 = MultiPoly.var(leading.C_VARS, "c2")
+    c1 = poly.MultiPoly.var(leading.C_VARS, "c1")
+    c2 = poly.MultiPoly.var(leading.C_VARS, "c2")
     mono = (c1 ** (2 * p)) * (c2 ** (2 * q))
     # the integral first: it refuses m < 2, as the other payloads do
     delta = orthogonality.integrate_against_delta(args.m, mono)
@@ -259,7 +265,7 @@ _PAYLOADS = {"weight": _weight_payload, "polys": _polys_payload,
              "dims": _dims_payload, "moments": _moments_payload}
 
 
-def _grid_csv(mat: PolyMatrix) -> str:
+def _grid_csv(mat: matrices.PolyMatrix) -> str:
     import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -293,7 +299,7 @@ def _cmd_data(args) -> int:
     if args.format == "json":
         import json
         text = json.dumps(payload, indent=2, sort_keys=True,
-                          default=PolyMatrix.to_json)
+                          default=matrices.PolyMatrix.to_json)
     elif "matrix" not in payload:
         text = _kv_csv(payload)
     elif args.coords != "x":

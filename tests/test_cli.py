@@ -572,11 +572,15 @@ LAZY_MODULES = {"dataclasses", "inspect", "typing", "json", "csv", "numpy"}
 
 
 def _modules_loaded(argv, *flags):
-    """The modules of a fresh interpreter (started with ``flags``) after it
-    imports `bc2mvop.cli`, builds the parser and runs ``main(argv)``."""
-    script = ("import sys; import bc2mvop.cli as cli; cli.build_parser(); "
-              "code = cli.main(sys.argv[1:]); print(); "
-              "print(code, *sorted(sys.modules))")
+    """The modules a fresh interpreter (started with ``flags``) has loaded
+    after it imports `bc2mvop.cli`, builds the parser and, unless ``argv``
+    is empty, runs ``main(argv)``.  A lazy module is in `sys.modules` before
+    it loads, as an instance of a subclass of `ModuleType`, so a module
+    counts as loaded when its type is `ModuleType` itself."""
+    script = ("import sys, types; import bc2mvop.cli as cli; cli.build_parser(); "
+              "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0; print(); "
+              "print(code, *sorted(name for name, mod in sys.modules.items() "
+              "if type(mod) is types.ModuleType))")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     proc = subprocess.run([sys.executable, *flags, "-c", script, *argv],
                           capture_output=True, text=True, env=env)
@@ -598,6 +602,26 @@ def test_json_verify_loads_json_and_numeric_loads_numpy():
     assert "numpy" in _modules_loaded(["verify", "orthogonality", "--m", "3",
                                        "--a", "0", "--b", "0", "--dmax", "0",
                                        "--numeric"])
+
+
+def _package_loaded(argv):
+    return {name for name in _modules_loaded(argv, "-S")
+            if name.partition(".")[0] == "bc2mvop"}
+
+
+def test_a_built_parser_loads_only_cli_lie_and_report():
+    assert _package_loaded([]) == {"bc2mvop", "bc2mvop.cli", "bc2mvop.lie",
+                                   "bc2mvop.report"}
+
+
+def test_verify_loads_only_the_modules_its_suites_read():
+    point = ["--m", "3", "--a", "1", "--b", "0", "--dmax", "1"]
+    casimir_run = _package_loaded(["verify", "casimir", *point])
+    assert "bc2mvop.casimir" in casimir_run
+    assert not casimir_run & {"bc2mvop.expansion", "bc2mvop.orthogonality"}
+    pde_run = _package_loaded(["verify", "pde", *point])
+    assert "bc2mvop.expansion" in pde_run
+    assert "bc2mvop.orthogonality" not in pde_run
 
 
 def test_verify_drops_each_points_gram_tables(monkeypatch, capsys):
