@@ -9,18 +9,20 @@ every closed-form identity these objects are supposed to obey.  Checks
 report PASS, FAIL, or REPORTED; REPORTED marks an exact disagreement with
 a stored reference formula, printed with both sides.
 
-Importing the package loads `report` (and `lie`, which it reads) and no
-other module.  Every other submodule is put in `sys.modules` and on the
-package as a lazy module (`importlib.util.LazyLoader`): it is compiled and
-run when one of its names is first read, and each re-exported name below
+Importing the package loads `report` and `lie`, the two modules a built
+command line reads, and no other.  Every other submodule but the entry
+points `cli` and `__main__` is put in `sys.modules` and on the package as
+a lazy module (`importlib.util.LazyLoader`): it is compiled and run when
+one of its names is first read, and each re-exported name of it below
 resolves the same way, through the module `__getattr__`.  So
 `from . import expansion` binds a module that costs nothing until used,
 while `from .expansion import f` loads it at once, and so does
 `import bc2mvop.expansion` once the package is imported.  An interpreter
 that writes no bytecode (PYTHONDONTWRITEBYTECODE) compiles each module it
-loads from source, so a command pays only for the modules its run reads.
-`cli` is not made lazy: it is the entry point, and `python -m bc2mvop.cli`
-must find it unloaded.
+loads from source, so a command pays only for the modules its run reads;
+with bytecode cached, a skipped module saves only its run, a few
+milliseconds.  `cli` is not made lazy: `python -m bc2mvop.cli` must find
+it unloaded.
 """
 
 import sys
@@ -33,15 +35,13 @@ _EXPORTS = {
     "krawtchouk": ("poch",),
     "leading": ("leading_term", "leading_term_matrix", "weight_matrix_c",
                 "weight_matrix_psi", "weight_matrix_x"),
-    "lie": ("MsfLabel", "PairParams", "Weight", "casimir_eigenvalue",
-            "casimir_eigenvalue_ip", "dualize", "label_weight", "weyl_dim"),
     "matrices": ("PolyMatrix",),
     "orthogonality": ("gram", "in_region", "region_integral"),
     "poly": ("MultiPoly",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_LAZY = ("casimir", "diffop", "expansion", "krawtchouk", "leading", "lie",
-         "matrices", "orthogonality", "poly", "report")
+_LAZY = ("casimir", "diffop", "expansion", "krawtchouk", "leading",
+         "matrices", "orthogonality", "poly")
 
 
 def _lazy_module(name: str):
@@ -56,10 +56,11 @@ def _lazy_module(name: str):
 
 
 for _name in _LAZY:
-    if f"{__name__}.{_name}" not in sys.modules:
-        globals()[_name] = _lazy_module(_name)
+    globals()[_name] = _lazy_module(_name)
 del _name
 
+from .lie import (MsfLabel, PairParams, Weight, casimir_eigenvalue,  # noqa: E402
+                  casimir_eigenvalue_ip, dualize, label_weight, weyl_dim)
 # eager: outside `report`, this import is the one place allowed to name the
 # REPORTED status (tests/test_report.py)
 from .report import FAIL, PASS, REPORTED, CheckResult  # noqa: E402
@@ -73,6 +74,11 @@ def __getattr__(name: str):
     value = getattr(globals()[_HOME[name]], name)
     globals()[name] = value
     return value
+
+
+def __dir__():
+    """The package's names, with the re-exports not yet read."""
+    return sorted({*globals(), *__all__})
 
 
 __version__ = "0.1.0"

@@ -44,6 +44,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+# `expansion` imports names of this module at its top; this binds the lazy
+# module the package registers for it (`bc2mvop._LAZY`), which loads only
+# when `xi_constants` reads it, so neither module meets the other half-run
 from . import expansion
 from .diffop import MatrixDiffOp
 from .leading import (C_VARS, PSI_VARS, X_VARS, _require_weight_regime,
