@@ -30,7 +30,7 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 
 # The names the package re-exports, by the submodule that defines them.
 _EXPORTS = {
-    "expansion": ("L_matrices", "d_coeffs", "phi_expansion",
+    "expansion": ("L_matrix", "d_coeffs", "phi_expansion",
                   "poly_matrix_psi", "poly_matrix_x"),
     "krawtchouk": ("poch",),
     "leading": ("leading_term", "leading_term_matrix", "weight_matrix_c",
@@ -84,7 +84,7 @@ def __dir__():
 __version__ = "0.1.0"
 
 __all__ = [
-    "CheckResult", "FAIL", "L_matrices", "MsfLabel", "MultiPoly", "PASS",
+    "CheckResult", "FAIL", "L_matrix", "MsfLabel", "MultiPoly", "PASS",
     "PairParams", "PolyMatrix", "REPORTED", "Weight", "casimir_eigenvalue",
     "casimir_eigenvalue_ip", "d_coeffs", "dualize", "gram", "in_region",
     "label_weight", "leading_term", "leading_term_matrix", "phi_expansion",

@@ -44,26 +44,17 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-# `expansion` imports names of this module at its top; this binds the lazy
-# module the package registers for it (`bc2mvop._LAZY`), which loads only
-# when `xi_constants` reads it, so neither module meets the other half-run
 from . import expansion
 from .diffop import MatrixDiffOp
-from .leading import (C_VARS, PSI_VARS, X_VARS, _require_weight_regime,
-                      at_point, leading_term_matrix, psi_in_c, psi_in_x)
+from .leading import (C1, C2, C_VARS, PSI1, PSI2, PSI_VARS, X_VARS,
+                      _require_weight_regime, at_point, leading_term_matrix,
+                      psi_in_c, psi_in_x)
 from .lie import (MsfLabel, PairParams, casimir_eigenvalue,
                   casimir_eigenvalue_ip, check_label, degree_pairs,
                   label_weight, labels_up_to, point_cache)
 from .matrices import PolyMatrix, solve_linear
 from .poly import MultiPoly, linear_combination
 from .report import CheckResult, FAIL, PASS, against_reference, decide
-
-
-@lru_cache(maxsize=None)
-def _c_atoms():
-    c1 = MultiPoly.var(C_VARS, "c1")
-    c2 = MultiPoly.var(C_VARS, "c2")
-    return c1, c2, MultiPoly.one(C_VARS)
 
 
 def vertical_term(params: PairParams, k: int) -> Fraction:
@@ -77,25 +68,23 @@ def vertical_term(params: PairParams, k: int) -> Fraction:
 def radial_denominator() -> MultiPoly:
     """2 c1^2 c2^2 (c2^2 - c1^2)^2, the denominator of every coefficient of
     ``radial_operator_c``."""
-    c1, c2, _ = _c_atoms()
-    return 2 * (c1 * c2 * (c2 * c2 - c1 * c1)) ** 2
+    return 2 * (C1 * C2 * (C2 * C2 - C1 * C1)) ** 2
 
 
 @lru_cache(maxsize=None)
 def _radial_scalar_c(m: int) -> MatrixDiffOp:
     """The scalar derivative part of ``radial_operator_c``, which reads m
     alone, as numerators over ``radial_denominator()``."""
-    c1, c2, one = _c_atoms()
-    c1sq, c2sq = c1 * c1, c2 * c2
+    c1sq, c2sq = C1 * C1, C2 * C2
     split = c2sq - c1sq                  # sin(t1+t2) sin(t1-t2)
-    q = c1 * c2 * split
+    q = C1 * C2 * split
     return MatrixDiffOp.scalar_op(C_VARS, {
-        (2, 0): -q * q * (one - c1sq),
-        (0, 2): -q * q * (one - c2sq),
-        (1, 0): q * c2 * (((2 * m - 1) * c1sq - one) * split
-                          + 4 * c1sq * (one - c1sq)),
-        (0, 1): q * c1 * (((2 * m - 1) * c2sq - one) * split
-                          - 4 * c2sq * (one - c2sq)),
+        (2, 0): -q * q * (1 - c1sq),
+        (0, 2): -q * q * (1 - c2sq),
+        (1, 0): q * C2 * (((2 * m - 1) * c1sq - 1) * split
+                          + 4 * c1sq * (1 - c1sq)),
+        (0, 1): q * C1 * (((2 * m - 1) * c2sq - 1) * split
+                          - 4 * c2sq * (1 - c2sq)),
     })
 
 
@@ -114,11 +103,10 @@ def radial_operator_c(params: PairParams) -> MatrixDiffOp:
     matrix built per point.  Row vectors act on the right, so the hop from
     component k+1 into k is entry (k+1, k); the hop matrix is symmetric."""
     m, a, b, n = params.m, params.a, params.b, params.size
-    c1, c2, one = _c_atoms()
-    c1sq, c2sq, cc = c1 * c1, c2 * c2, c1 * c1 * c2 * c2
+    c1sq, c2sq, cc = C1 * C1, C2 * C2, C1 * C1 * C2 * C2
     split = c2sq - c1sq
     stay = 4 * cc * (c1sq + c2sq - 2 * cc)
-    hop = -4 * cc * c1 * c2 * (2 * one - c1sq - c2sq)
+    hop = -4 * cc * C1 * C2 * (2 - c1sq - c2sq)
     rows = [[MultiPoly.zero(C_VARS)] * n for _ in range(n)]
     for k in range(n):
         moves = (k + 1) * (a - k) + k * (a - k + 1)     # raising + lowering
@@ -316,8 +304,7 @@ def eigenvalue_agreement_check(params: PairParams, dmax: int) -> CheckResult:
 @lru_cache(maxsize=None)
 def scalar_radial_psi(m: int) -> MatrixDiffOp:
     """The a = b = 0 radial operator as a scalar operator in (psi1, psi2)."""
-    p1 = MultiPoly.var(PSI_VARS, "psi1")
-    p2 = MultiPoly.var(PSI_VARS, "psi2")
+    p1, p2 = PSI1, PSI2
     return MatrixDiffOp.scalar_op(PSI_VARS, {
         (2, 0): 2 * p1 * p1 - 2 * p1 - 4 * p2,
         (0, 2): 4 * p2 * p2 - 2 * p1 * p2,
@@ -357,8 +344,7 @@ def conjugation_matrices(a: int, b: int) -> tuple[PolyMatrix, PolyMatrix]:
     """
     _require_weight_regime(a, b)
     n = a + 1
-    p1 = MultiPoly.var(PSI_VARS, "psi1")
-    p2 = MultiPoly.var(PSI_VARS, "psi2")
+    p1, p2 = PSI1, PSI2
     zero = MultiPoly.zero(PSI_VARS)
     rows1 = [[zero] * n for _ in range(n)]
     rows2 = [[zero] * n for _ in range(n)]
@@ -376,11 +362,10 @@ def gradient_pairing_verdict(a: int, b: int) -> CheckResult:
     """Defining identity of (C1, C2): pairing the torus gradients of the
     symmetric coordinates with the gradient of Q0 equals C_i Q0."""
     name = "conjugation matrix defining identity"
-    c1, c2, one = _c_atoms()
     q0 = leading_term_matrix(a, b)
     cm1, cm2 = conjugation_matrices(a, b)
-    w1 = (2 * c1 * (one - c1 * c1), 2 * c2 * (one - c2 * c2))
-    w2 = (w1[0] * c2 * c2, w1[1] * c1 * c1)
+    w1 = (2 * C1 * (1 - C1 * C1), 2 * C2 * (1 - C2 * C2))
+    w2 = (w1[0] * C2 * C2, w1[1] * C1 * C1)
     pc = psi_in_c()
     for tag_i, weights, cmat in (("first", w1, cm1), ("second", w2, cm2)):
         lhs = q0.map_entries(lambda e: weights[0] * e.derive("c1")
@@ -465,10 +450,8 @@ def xi_constants(m: int) -> dict:
     p0 = PairParams(m, 0, 0)
     phi1, phi2 = (expansion.poly_matrix_psi(p0, d).entry(0, 0)
                   for d in ((1, 0), (0, 1)))
-    p1 = MultiPoly.var(PSI_VARS, "psi1")
-    p2 = MultiPoly.var(PSI_VARS, "psi2")
-    return {"psi1": _in_eigenbasis(p1, [phi1]),
-            "psi2": _in_eigenbasis(p2, [phi1, phi2]),
+    return {"psi1": _in_eigenbasis(PSI1, [phi1]),
+            "psi2": _in_eigenbasis(PSI2, [phi1, phi2]),
             "phi1": phi1, "phi2": phi2}
 
 
@@ -476,12 +459,10 @@ def xi_references(m: int) -> dict:
     """The stored closed forms the xi suite compares with: the expansion
     constants of psi2 (they do not sum to 1) and the inversions phi1 (twice
     the solved one) and phi2, in (psi1, psi2)."""
-    p1 = MultiPoly.var(PSI_VARS, "psi1")
-    p2 = MultiPoly.var(PSI_VARS, "psi2")
     return {"psi2": (Fraction(2 * (m + 1) * (2 * m - 1), m * m * (m + 2) ** 2),
                      Fraction(2 * (m + 1), (m + 2) ** 2), Fraction(m - 1, m + 2)),
-            "phi1": ((m + 2) * p1 - 4) / m,
-            "phi2": (m * (m + 1) * p2 - (m + 1) * p1 + 2) / (m * (m - 1))}
+            "phi1": ((m + 2) * PSI1 - 4) / m,
+            "phi2": (m * (m + 1) * PSI2 - (m + 1) * PSI1 + 2) / (m * (m - 1))}
 
 
 def xi_suite(m: int) -> list[CheckResult]:

@@ -45,7 +45,7 @@ import sys
 from fractions import Fraction
 
 from . import (casimir, expansion, krawtchouk, leading, matrices,
-               orthogonality, poly)
+               orthogonality)
 from .lie import (MsfLabel, PairParams, casimir_eigenvalue_ip, check_label,
                   drop_point_caches, label_weight, weyl_dim)
 from .report import exit_code, render_json, render_text
@@ -250,9 +250,7 @@ def _moments_payload(args) -> dict:
     p, q = args.monomial
     if p < 0 or q < 0:
         raise ValueError(f"monomial exponents ({p},{q}) must be non-negative")
-    c1 = poly.MultiPoly.var(leading.C_VARS, "c1")
-    c2 = poly.MultiPoly.var(leading.C_VARS, "c2")
-    mono = (c1 ** (2 * p)) * (c2 ** (2 * q))
+    mono = (leading.C1 ** (2 * p)) * (leading.C2 ** (2 * q))
     # the integral first: it refuses m < 2, as the other payloads do
     delta = orthogonality.integrate_against_delta(args.m, mono)
     return {"kind": "moments", "m": args.m, "monomial": [p, q],

@@ -18,6 +18,10 @@ The size-(a+1) leading-term matrix Q0 has (i,k) entry
 a terminating hypergeometric sum.  The weight matrix is S = Q0 Q0^T,
 which is symmetric in c1 <-> c2 entrywise and so pushes down to psi.
 
+The coordinate variables are built here once, as the polynomials C1, C2
+over `C_VARS`, PSI1, PSI2 over `PSI_VARS` and X1, X2 over `X_VARS`; every
+other module reads them from here.
+
 Q0 and S read the K-type (a, b) alone, never m.  So every builder here
 takes (a, b), not a point, and Q0 and S in c, psi and x are cached on
 (a, b): every m shares one object.  A negative a or b is refused.  Each
@@ -37,41 +41,33 @@ from types import MappingProxyType
 
 from .krawtchouk import krawtchouk, poch
 from .lie import PairParams
-from .matrices import PolyMatrix, flip_matrix
+from .matrices import PolyMatrix
 from .poly import MultiPoly, symmetric_reduce
 from .report import CheckResult, FAIL, PASS, decide
 
 C_VARS = ("c1", "c2")
 PSI_VARS = ("psi1", "psi2")
 X_VARS = ("x1", "x2")
+C1, C2 = (MultiPoly.var(C_VARS, v) for v in C_VARS)
+PSI1, PSI2 = (MultiPoly.var(PSI_VARS, v) for v in PSI_VARS)
+X1, X2 = (MultiPoly.var(X_VARS, v) for v in X_VARS)
 
 
 @lru_cache(maxsize=None)
 def psi_in_c() -> Mapping[str, MultiPoly]:
     """psi in terms of c, built once and read-only."""
-    c1 = MultiPoly.var(C_VARS, "c1")
-    c2 = MultiPoly.var(C_VARS, "c2")
-    return MappingProxyType({"psi1": c1 * c1 + c2 * c2, "psi2": c1 * c1 * c2 * c2})
+    return MappingProxyType({"psi1": C1 * C1 + C2 * C2, "psi2": C1 * C1 * C2 * C2})
 
 
 def x_in_psi() -> dict[str, MultiPoly]:
-    p1 = MultiPoly.var(PSI_VARS, "psi1")
-    p2 = MultiPoly.var(PSI_VARS, "psi2")
-    two = MultiPoly.const(PSI_VARS, 2)
-    one = MultiPoly.one(PSI_VARS)
-    return {"x1": 2 * p1 - two, "x2": 4 * p2 - 2 * p1 + one}
+    return {"x1": 2 * PSI1 - 2, "x2": 4 * PSI2 - 2 * PSI1 + 1}
 
 
 @lru_cache(maxsize=None)
 def psi_in_x() -> Mapping[str, MultiPoly]:
     """psi in terms of x, built once and read-only."""
-    x1 = MultiPoly.var(X_VARS, "x1")
-    x2 = MultiPoly.var(X_VARS, "x2")
-    one = MultiPoly.one(X_VARS)
-    half = Fraction(1, 2)
-    quarter = Fraction(1, 4)
-    return MappingProxyType({"psi1": half * x1 + one,
-                             "psi2": quarter * (x1 + x2 + one)})
+    return MappingProxyType({"psi1": Fraction(1, 2) * X1 + 1,
+                             "psi2": Fraction(1, 4) * (X1 + X2 + 1)})
 
 
 @lru_cache(maxsize=None)
@@ -147,11 +143,9 @@ def det_reference_c(a: int, b: int) -> MultiPoly:
     const = Fraction(1)
     for n in range(a + 1):
         const /= Fraction(comb(a, n)) ** 2
-    c1 = MultiPoly.var(C_VARS, "c1")
-    c2 = MultiPoly.var(C_VARS, "c2")
-    c1c2 = c1 * c2
+    c1c2 = C1 * C2
     return const * (c1c2 ** (2 * b * (a + 1))) \
-        * ((c1c2 * (c1 * c1 - c2 * c2)) ** (a * (a + 1)))
+        * ((c1c2 * (C1 * C1 - C2 * C2)) ** (a * (a + 1)))
 
 
 def psi_reference_matrix(a: int, b: int) -> PolyMatrix:
@@ -161,8 +155,7 @@ def psi_reference_matrix(a: int, b: int) -> PolyMatrix:
     The b-dependence is the overall factor psi2^b; the b = 0 cores are kept
     verbatim so that a transcription slip cannot hide behind the generator.
     """
-    p1 = MultiPoly.var(PSI_VARS, "psi1")
-    p2 = MultiPoly.var(PSI_VARS, "psi2")
+    p1, p2 = PSI1, PSI2
     if a == 1:
         rows = [[p1, 2 * p2],
                 [2 * p2, p1 * p2]]
@@ -183,11 +176,8 @@ def psi_reference_matrix(a: int, b: int) -> PolyMatrix:
 def x_reference_matrix(a: int) -> PolyMatrix:
     """Stored x-form weight for sizes 2 and 3 at b = 0; any other size
     raises ValueError."""
-    x1 = MultiPoly.var(X_VARS, "x1")
-    x2 = MultiPoly.var(X_VARS, "x2")
-    one = MultiPoly.one(X_VARS)
-    u = Fraction(1, 2) * x1 + one       # = psi1
-    v = x1 + x2 + one                   # = 4 psi2
+    u = Fraction(1, 2) * X1 + 1         # = psi1
+    v = X1 + X2 + 1                     # = 4 psi2
     if a == 1:
         rows = [[u, Fraction(1, 2) * v],
                 [Fraction(1, 2) * v, Fraction(1, 4) * u * v]]
@@ -221,10 +211,8 @@ def swap_symmetry_verdict(a: int, b: int) -> CheckResult:
     """Swapping c1 <-> c2 reverses the column order of Q0."""
     name = "leading term reflection symmetry"
     q0 = leading_term_matrix(a, b)
-    swapped = q0.substitute(
-        {"c1": MultiPoly.var(C_VARS, "c2"), "c2": MultiPoly.var(C_VARS, "c1")},
-        C_VARS)
-    if swapped == q0 @ flip_matrix(a + 1, C_VARS):
+    swapped = q0.substitute({"c1": C2, "c2": C1}, C_VARS)
+    if all(swapped.row(i) == q0.row(i)[::-1] for i in range(a + 1)):
         return CheckResult(name, PASS)
     return CheckResult(name, FAIL, "Q0(c2,c1) != Q0 J")
 
@@ -232,7 +220,7 @@ def swap_symmetry_verdict(a: int, b: int) -> CheckResult:
 def weight_factor_verdict(a: int, b: int) -> CheckResult:
     """S at (a,b) equals (c1 c2)^(2b) times S at (a,0)."""
     name = "weight matrix b-factorization"
-    factor = (MultiPoly.var(C_VARS, "c1") * MultiPoly.var(C_VARS, "c2")) ** (2 * b)
+    factor = (C1 * C2) ** (2 * b)
     if weight_matrix_c(a, b) == weight_matrix_c(a, 0).scale(factor):
         return CheckResult(name, PASS)
     return CheckResult(name, FAIL, "factorization fails")

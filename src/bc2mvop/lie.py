@@ -164,14 +164,8 @@ class Weight(ValueTuple, namedtuple("Weight", "omega")):
         return Fraction(n * dot - sum(v) * sum(w), n)
 
 
-def zero_weight(m: int) -> Weight:
-    return Weight((0,) * (m + 1))
-
-
 def fundamental(m: int, i: int) -> Weight:
-    """omega_i; the out-of-range indices 0 and m+2 give the zero weight."""
-    if i in (0, m + 2):
-        return zero_weight(m)
+    """omega_i, for 1 <= i <= m+1."""
     if not 1 <= i <= m + 1:
         raise ValueError(f"fundamental weight index {i} out of range for m={m}")
     return Weight(tuple(1 if j == i - 1 else 0 for j in range(m + 1)))

@@ -195,14 +195,6 @@ class PolyMatrix:
     __repr__ = __str__
 
 
-def flip_matrix(n: int, vars: tuple[str, ...]) -> PolyMatrix:
-    """Anti-diagonal permutation matrix J, J[i][j] = 1 iff i + j = n - 1."""
-    z = MultiPoly.zero(vars)
-    o = MultiPoly.one(vars)
-    return PolyMatrix(n, n, [o if i + j == n - 1 else z
-                             for i in range(n) for j in range(n)])
-
-
 def conjugate_flip(mat: PolyMatrix) -> PolyMatrix:
     """J M J for the anti-diagonal flip J of matching size."""
     if mat.rows != mat.cols:

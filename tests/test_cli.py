@@ -90,7 +90,7 @@ def test_verify_xi_fails_on_a_wrong_move_weight(monkeypatch, capsys):
                     for t, w in real(params, label).items()}
         return doubled
     fails = _verify_xi_fails(monkeypatch, capsys, "lowering_moves",
-                             (casimir, expansion), wrong)
+                             (casimir,), wrong)
     assert any("scalar eigenfunctions solved (m=3)" in line for line in fails)
 
 
@@ -648,7 +648,7 @@ def test_verify_drops_each_points_gram_tables(monkeypatch, capsys):
                   casimir.pde_operator_psi, casimir.pde_operator_x,
                   casimir.label_vector, expansion._graph_node,
                   expansion._lowering_graph, expansion.poly_matrix_psi,
-                  expansion.poly_matrix_x, expansion.L_matrices,
+                  expansion.poly_matrix_x, expansion.L_matrix,
                   lie.label_weight, lie.bottom_weight):
         assert cache.cache_info().currsize == 0, cache.__name__
     assert orthogonality.moment.cache_info().currsize > 0

@@ -10,11 +10,11 @@ from pathlib import Path
 import pytest
 
 from bc2mvop import expansion
-from bc2mvop.expansion import (L_matrices, d_coeffs, d_recursion_check,
+from bc2mvop.expansion import (L_matrix, d_coeffs, d_recursion_check,
                                diagonal_degree_check, dual_bottom_check,
                                dual_eigenvalue_check, dual_involution_check,
                                dual_pde_check, duality_suite,
-                               inverse_reference_check,
+                               inverse_closed_corrected, inverse_reference_check,
                                normalization_check, pde_check, pde_suite,
                                phi_expansion, phi_zero_check, poly_matrix_psi,
                                poly_matrix_x, transition_inverse_check,
@@ -22,7 +22,7 @@ from bc2mvop.expansion import (L_matrices, d_coeffs, d_recursion_check,
 from bc2mvop.casimir import lowering_moves
 from bc2mvop.lie import (MsfLabel, PairParams, casimir_eigenvalue, degree_pair,
                          labels_up_to)
-from bc2mvop.matrices import frac_identity, frac_matmul
+from bc2mvop.matrices import frac_identity, frac_invert, frac_matmul
 from bc2mvop.poly import MultiPoly
 
 
@@ -43,15 +43,25 @@ def test_d_coeffs_sum_to_one():
 
 def test_transition_matrix_and_inverse():
     p = PairParams(3, 1, 0)
-    L, Linv = L_matrices(p)
+    L = L_matrix(p)
     assert L == ((F(1), F(0)), (F(-1, 3), F(4, 3)))
-    assert Linv == ((F(1), F(0)), (F(1, 4), F(3, 4)))
+    Linv = inverse_closed_corrected(p)
+    assert Linv == [[F(1), F(0)], [F(1, 4), F(3, 4)]]
     assert frac_matmul(L, Linv) == frac_identity(2)
+
+
+def test_corrected_closed_form_is_the_eliminated_inverse():
+    # elimination is the reference here: no command runs it on L
+    grid = [PairParams(m, a, b)
+            for m in (3, 4, 5) for a in (0, 1, 2, 3) for b in (0, 1, 2)]
+    for params in (*grid, PairParams(8, 6, 3), PairParams(3, 6, 0)):
+        assert inverse_closed_corrected(params) == frac_invert(L_matrix(params)), \
+            params
 
 
 def test_transition_is_lower_triangular_with_positive_diagonal():
     for params in (PairParams(3, 2, 1), PairParams(4, 3, 2)):
-        L, _ = L_matrices(params)
+        L = L_matrix(params)
         n = params.size
         for i in range(n):
             assert L[i][i] > 0
@@ -78,6 +88,23 @@ def test_transition_inverse_check_reads_the_closed_form(monkeypatch):
     assert transition_inverse_check(params).status == "FAIL"
 
 
+def test_one_perturbed_entry_of_L_fails_both_inverse_lines(monkeypatch):
+    params = PairParams(3, 2, 1)
+    real = expansion.L_matrix
+
+    def perturbed(p):
+        L = [list(row) for row in real(p)]
+        L[1][0] += 1
+        return tuple(map(tuple, L))
+    monkeypatch.setattr(expansion, "L_matrix", perturbed)
+    results = {r.name: r for r in transition_suite(params)}
+    for name in ("transition inverse exact", "inverse transition closed form"):
+        r = results[f"{name} {params.tag()}"]
+        assert r.status == "FAIL", (name, r.detail)
+    assert "is not the identity" in \
+        results[f"inverse transition closed form {params.tag()}"].detail
+
+
 def test_inverse_reference_reported_for_nontrivial_sizes():
     assert inverse_reference_check(PairParams(3, 0, 0)).status == "PASS"
     r = inverse_reference_check(PairParams(3, 1, 0))
@@ -101,7 +128,7 @@ def test_phi_expansion_scalar_case_by_hand():
 def test_phi_expansion_degree_zero_reproduces_transition_rows():
     for params in (PairParams(3, 1, 0), PairParams(3, 2, 1)):
         assert phi_zero_check(params).status == "PASS"
-        L, _ = L_matrices(params)
+        L = L_matrix(params)
         for i in range(params.size):
             coeffs = phi_expansion(params, MsfLabel(i, 0, 0))
             for j in range(params.size):
@@ -157,12 +184,12 @@ def _run_optimized(script: str) -> subprocess.CompletedProcess:
 
 _CORRUPTED_MOVE = """
     import sys
-    from bc2mvop import expansion
+    from bc2mvop import casimir, expansion
     from bc2mvop.lie import MsfLabel, PairParams
 
     if not sys.flags.optimize:
         sys.exit(3)
-    real = expansion.lowering_moves
+    real = casimir.lowering_moves
 
     def corrupted(params, label):
         moves = dict(real(params, label))
@@ -170,7 +197,7 @@ _CORRUPTED_MOVE = """
             moves[MsfLabel{target}] = 1
         return moves
 
-    expansion.lowering_moves = corrupted
+    casimir.lowering_moves = corrupted
     {patch}
     try:
         expansion.phi_expansion(PairParams{params}, MsfLabel{source})
@@ -219,7 +246,7 @@ def test_polynomials_have_unit_row_sums_at_identity():
 def test_matrix_polynomials_degree_zero_are_transition_matrices():
     p = PairParams(3, 1, 0)
     mat = poly_matrix_x(p, (0, 0))
-    L, _ = L_matrices(p)
+    L = L_matrix(p)
     for i in range(2):
         for j in range(2):
             e = mat.entry(i, j)

@@ -9,7 +9,7 @@ from bc2mvop.lie import (MsfLabel, PairParams, Weight, bottom_weight,
                          casimir_eigenvalue, casimir_eigenvalue_ip, degree_pairs,
                          dominance_leq, drop_point_caches, dualize, fundamental, label_weight,
                          labels_up_to, root_coordinates, spherical_lambda1,
-                         spherical_lambda2, weyl_dim, zero_weight)
+                         spherical_lambda2, weyl_dim)
 from bc2mvop.matrices import solve_linear
 from bc2mvop.report import CheckResult
 
@@ -74,7 +74,7 @@ def test_weyl_dim_small_cases():
     # SU(5): defining rep and adjoint
     assert weyl_dim(fundamental(3, 1)) == 5
     assert weyl_dim(spherical_lambda1(3)) == 24
-    assert weyl_dim(zero_weight(3)) == 1
+    assert weyl_dim(Weight((0,) * 4)) == 1
 
 
 def test_spherical_eigenvalues():
@@ -85,8 +85,8 @@ def test_spherical_eigenvalues():
 
 def test_dominance_order():
     m = 3
-    assert dominance_leq(zero_weight(m), spherical_lambda1(m))
-    assert not dominance_leq(spherical_lambda1(m), zero_weight(m))
+    assert dominance_leq(Weight((0,) * (m + 1)), spherical_lambda1(m))
+    assert not dominance_leq(spherical_lambda1(m), Weight((0,) * (m + 1)))
     # fundamental weights differ by a non-integral root combination
     coords = root_coordinates(fundamental(m, 2) - fundamental(m, 1))
     assert any(x.denominator != 1 for x in coords)
@@ -132,7 +132,7 @@ def test_label_enumeration_count():
 def test_zero_label_zero_weight():
     p = PairParams(3, 0, 0)
     w = label_weight(p, MsfLabel(0, 0, 0))
-    assert w == zero_weight(3)
+    assert w == Weight((0,) * 4)
     assert weyl_dim(w) == 1
     assert casimir_eigenvalue_ip(w) == 0
 
@@ -176,7 +176,7 @@ def test_dual_weights_are_diagram_flips():
 def test_weight_arithmetic():
     w = fundamental(3, 1) + 2 * fundamental(3, 2)
     assert w.omega == (1, 2, 0, 0)
-    assert w - w == zero_weight(3)
+    assert w - w == Weight((0,) * 4)
     assert (-1 * w).omega == (-1, -2, 0, 0)
 
 
@@ -211,10 +211,16 @@ def test_non_integral_or_negative_labels_are_refused():
 
 # ---- properties of the simple-root coordinates, on random weights ----
 
+def _omegas(m):
+    """[omega_0, ..., omega_{m+2}], with omega_0 = omega_{m+2} = 0."""
+    zero = Weight((0,) * (m + 1))
+    return [zero, *(fundamental(m, k) for k in range(1, m + 2)), zero]
+
+
 def _simple_roots(m):
     """alpha_k = 2 omega_k - omega_{k-1} - omega_{k+1}, for k = 1..m+1."""
-    return [fundamental(m, k) * 2 - fundamental(m, k - 1) - fundamental(m, k + 1)
-            for k in range(1, m + 2)]
+    omega = _omegas(m)
+    return [omega[k] * 2 - omega[k - 1] - omega[k + 1] for k in range(1, m + 2)]
 
 
 @st.composite
@@ -265,7 +271,7 @@ def test_dominance_reads_the_root_coordinates(case):
     # steps drawn too, plus omega_j (j = 0 adds nothing), which makes some
     # coordinates non-integral
     w1, steps, j = case
-    w2 = w1 + fundamental(w1.m, j)
+    w2 = w1 + _omegas(w1.m)[j]
     for n, alpha in zip(steps, _simple_roots(w1.m)):
         w2 = w2 + alpha * n
     coords = root_coordinates(w2 - w1)

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from bc2mvop.matrices import (PolyMatrix, _echelon, _primitive_row, conjugate_flip,
-                              flip_matrix, frac_det,
-                              frac_identity, frac_invert, frac_matmul, frac_rank,
-                              solve_linear)
+                              frac_det, frac_identity, frac_invert, frac_matmul,
+                              frac_rank, solve_linear)
 from bc2mvop.poly import MultiPoly
 
 V = ("x1", "x2")
@@ -57,13 +56,6 @@ def test_substitute_and_evaluate():
     sw = M.substitute({"x1": x2, "x2": x1}, V)
     assert sw.entry(0, 0) == x1 + x2
     assert sw.entry(0, 1) == x1 * x2
-
-
-def test_flip_matrix_is_involution():
-    J = flip_matrix(3, V)
-    assert J @ J == PolyMatrix.from_scalar_rows(V, frac_identity(3))
-    assert J.entry(0, 2) == MultiPoly.one(V)
-    assert J.entry(0, 0).is_zero
 
 
 def test_conjugate_flip_reverses_both_indices():

@@ -55,8 +55,8 @@ def test_dir_lists_every_public_name_before_it_is_read():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_each_module_loads_first_in_a_fresh_interpreter(module):
-    # `casimir` and `expansion` import each other at their tops, which works
-    # only while the package binds them lazily
+    # `casimir` and `expansion` bind each other as modules (`from . import`),
+    # not names, so either one can load first
     assert _run(f"import types\n"
                 f"import bc2mvop.{module} as module\n"
                 "module.__doc__\n"

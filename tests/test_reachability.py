@@ -46,8 +46,6 @@ UNREACHED = {
     "poly.MultiPoly.from_json": "the README's round trip reads an export back",
     "matrices.PolyMatrix.from_json": "the README's round trip",
     "lie.root_coordinates": "the reference tests hold dominance_leq against",
-    "lie.zero_weight": "fundamental's indices 0 and m+2, which the "
-                       "Cartan-matrix test reads",
 }
 
 # Lists the functions and methods the package defines, runs the commands

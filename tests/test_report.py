@@ -55,7 +55,7 @@ BROKEN_RELATIONS = {
     "inverse transition": (
         lambda: expansion.inverse_reference_check(PairParams(3, 1, 0)),
         (expansion, "inverse_closed_corrected", _doubled),
-        "exact inverse matches neither the display nor the +2-shifted form"),
+        "L times the +2-shifted form is not the identity"),
     "total mass": (
         lambda: orthogonality.total_mass_check(3),
         (orthogonality, "mass_claim", lambda claim: 2 * claim),
