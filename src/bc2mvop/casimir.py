@@ -11,7 +11,7 @@ Three layers, increasingly packaged:
    denominator D = 2 c1^2 c2^2 (c2^2 - c1^2)^2.  ``radial_apply`` applies
    it and returns the numerators over D.
 2. The scalar operator in (psi1, psi2) valid at a = b = 0, plus the
-   tridiagonal first-order matrices C1, C2 that absorb the conjugation by
+   tridiagonal first-order matrices A1, A2 that absorb the conjugation by
    the leading-term matrix for general (a, b).
 3. The x-coordinate family: the affine image of the psi-side operator
    under x1 = 2 psi1 - 2, x2 = 4 psi2 - 2 psi1 + 1, built by
@@ -21,7 +21,7 @@ Three layers, increasingly packaged:
 
 The operators and label vectors of one point are `point_cache`s, which
 `verify` drops when it leaves the point; the parts that read m alone stay,
-and so do (C1, C2): ``conjugation_matrices(a, b)`` takes the K-type alone
+and so do (A1, A2): ``conjugation_matrices(a, b)`` takes the K-type alone
 and is built once per (a, b).
 
 The radial-action checks all compare through ``_radial_mismatch``, against
@@ -33,7 +33,7 @@ the one check that reads it: a disagreement is REPORTED, both sides
 printed, only while its documented relation holds; otherwise it FAILs.
 
 ``casimir_suite`` decides the two scalar radial checks once per m and the
-defining identity of (C1, C2), a verdict of (a, b), once per (a, b), within
+defining identity of (A1, A2), a verdict of (a, b), once per (a, b), within
 the table of verdicts its caller passes: `verify` passes one table per
 run, and a fresh table decides afresh.  The other checks read the whole
 point.
@@ -46,15 +46,16 @@ from functools import lru_cache
 
 from . import expansion
 from .diffop import MatrixDiffOp
-from .leading import (C1, C2, C_VARS, PSI1, PSI2, PSI_VARS, X_VARS,
-                      _require_weight_regime, at_point, leading_term_matrix,
-                      psi_in_c, psi_in_x)
+from .leading import (C1, C2, C_VARS, PSI1, PSI2, PSI_IN_C, PSI_IN_X,
+                      PSI_VARS, X_VARS, _require_weight_regime,
+                      leading_term_matrix)
 from .lie import (MsfLabel, PairParams, casimir_eigenvalue,
                   casimir_eigenvalue_ip, check_label, degree_pairs,
                   label_weight, labels_up_to, point_cache)
 from .matrices import PolyMatrix, solve_linear
 from .poly import MultiPoly, linear_combination
-from .report import CheckResult, FAIL, PASS, against_reference, decide
+from .report import (CheckResult, FAIL, PASS, against_reference, at_point,
+                     decide)
 
 
 def vertical_term(params: PairParams, k: int) -> Fraction:
@@ -64,17 +65,15 @@ def vertical_term(params: PairParams, k: int) -> Fraction:
     return Fraction(m * u * u - 4 * u * v + m * v * v, 2 * (m + 2))
 
 
-@lru_cache(maxsize=None)
-def radial_denominator() -> MultiPoly:
-    """2 c1^2 c2^2 (c2^2 - c1^2)^2, the denominator of every coefficient of
-    ``radial_operator_c``."""
-    return 2 * (C1 * C2 * (C2 * C2 - C1 * C1)) ** 2
+# 2 c1^2 c2^2 (c2^2 - c1^2)^2, the denominator of every coefficient of
+# ``radial_operator_c``
+RADIAL_DENOMINATOR = 2 * (C1 * C2 * (C2 * C2 - C1 * C1)) ** 2
 
 
 @lru_cache(maxsize=None)
 def _radial_scalar_c(m: int) -> MatrixDiffOp:
     """The scalar derivative part of ``radial_operator_c``, which reads m
-    alone, as numerators over ``radial_denominator()``."""
+    alone, as numerators over ``RADIAL_DENOMINATOR``."""
     c1sq, c2sq = C1 * C1, C2 * C2
     split = c2sq - c1sq                  # sin(t1+t2) sin(t1-t2)
     q = C1 * C2 * split
@@ -98,7 +97,7 @@ def _lifted(scalar, m: int, n: int) -> MatrixDiffOp:
 @point_cache
 def radial_operator_c(params: PairParams) -> MatrixDiffOp:
     """The radial operator on M-type row vectors in (c1, c2), as numerators
-    over ``radial_denominator()``: the scalar derivative part, built once
+    over ``RADIAL_DENOMINATOR``: the scalar derivative part, built once
     per m and lifted once per (m, a+1), plus a tridiagonal zero-order
     matrix built per point.  Row vectors act on the right, so the hop from
     component k+1 into k is entry (k+1, k); the hop matrix is symmetric."""
@@ -110,7 +109,7 @@ def radial_operator_c(params: PairParams) -> MatrixDiffOp:
     rows = [[MultiPoly.zero(C_VARS)] * n for _ in range(n)]
     for k in range(n):
         moves = (k + 1) * (a - k) + k * (a - k + 1)     # raising + lowering
-        rows[k][k] = (vertical_term(params, k) * radial_denominator()
+        rows[k][k] = (vertical_term(params, k) * RADIAL_DENOMINATOR
                       + moves * stay + split * split
                       * ((a + b - k) ** 2 * c2sq + (b + k) ** 2 * c1sq))
         if k < a:
@@ -123,7 +122,7 @@ def radial_apply(params: PairParams, comps) -> tuple[MultiPoly, ...]:
     """Apply the radial operator to an M-type vector of polynomials in (c1,c2).
 
     ``radial_operator_c`` acts once on the row vector; the result holds the
-    numerators of the image over ``radial_denominator()``.
+    numerators of the image over ``RADIAL_DENOMINATOR``.
     """
     comps = list(comps)
     if len(comps) != params.size:
@@ -140,14 +139,13 @@ def _radial_mismatch(name: str, place: str, params: PairParams, comps,
     """None when the radial operator sends comps to want exactly, else the
     FAIL at place for the first differing component.
 
-    ``radial_apply`` gives numerators over D = ``radial_denominator()``, so
+    ``radial_apply`` gives numerators over D = ``RADIAL_DENOMINATOR``, so
     each one is compared with D want: Q[c1, c2] has no zero divisors and
     D != 0, so they agree exactly when the image is a polynomial equal to
     want.  The residual is the numerator minus D want, which is the
     numerator of image minus want over D."""
-    den = radial_denominator()
     for k, (g, w) in enumerate(zip(radial_apply(params, comps), want)):
-        dw = den * w
+        dw = RADIAL_DENOMINATOR * w
         if g != dw:
             return CheckResult(name, FAIL, f"{place}, component {k}",
                                residual=str(g - dw))
@@ -158,8 +156,7 @@ def _radial_mismatch(name: str, place: str, params: PairParams, comps,
 
 @lru_cache(maxsize=None)
 def _psi_power_c(d1: int, d2: int) -> MultiPoly:
-    pc = psi_in_c()
-    return pc["psi1"] ** d1 * pc["psi2"] ** d2
+    return PSI_IN_C["psi1"] ** d1 * PSI_IN_C["psi2"] ** d2
 
 
 def bottom_vector(params: PairParams, i: int) -> tuple[MultiPoly, ...]:
@@ -207,8 +204,7 @@ def scalar_eigen_check(m: int) -> CheckResult:
     """At a = b = 0 the operator sends psi1 and psi2 to the stated images."""
     name = f"radial action on symmetric coordinates (m={m})"
     params = PairParams(m, 0, 0)
-    pc = psi_in_c()
-    f1, f2 = pc["psi1"], pc["psi2"]
+    f1, f2 = PSI_IN_C["psi1"], PSI_IN_C["psi2"]
     for which, f, want in (("first", f1, (2 * m + 4) * f1 - 8),
                            ("second", f2, (4 * m + 4) * f2 - 2 * f1)):
         fail = _radial_mismatch(name, f"{which} coordinate", params, [f], [want])
@@ -323,12 +319,12 @@ def scalar_radial_agreement_check(m: int) -> CheckResult:
     name = f"scalar operator route agreement (m={m}, deg<={AGREEMENT_DEG})"
     params = PairParams(m, 0, 0)
     op = scalar_radial_psi(m)
-    pc = psi_in_c()
     for u, v in degree_pairs(AGREEMENT_DEG):
         mono = MultiPoly.monomial(PSI_VARS, (u, v))
-        via_psi = op.apply_scalar(mono).substitute(pc, C_VARS)
+        via_psi = op.apply_scalar(mono).substitute(PSI_IN_C, C_VARS)
+        power = PSI_IN_C["psi1"] ** u * PSI_IN_C["psi2"] ** v
         fail = _radial_mismatch(name, f"monomial ({u},{v})", params,
-                                [pc["psi1"] ** u * pc["psi2"] ** v], [via_psi])
+                                [power], [via_psi])
         if fail:
             return fail
     return CheckResult(name, PASS)
@@ -336,7 +332,7 @@ def scalar_radial_agreement_check(m: int) -> CheckResult:
 
 @lru_cache(maxsize=None)
 def conjugation_matrices(a: int, b: int) -> tuple[PolyMatrix, PolyMatrix]:
-    """First-order coefficient matrices (C1, C2), tridiagonal in size a+1,
+    """First-order coefficient matrices (A1, A2), tridiagonal in size a+1,
     built once per (a, b), which is all they read.
 
     Both share the same off-diagonals: (r, r-1) entry 2 r psi2 and (r, r+1)
@@ -359,18 +355,17 @@ def conjugation_matrices(a: int, b: int) -> tuple[PolyMatrix, PolyMatrix]:
 
 
 def gradient_pairing_verdict(a: int, b: int) -> CheckResult:
-    """Defining identity of (C1, C2): pairing the torus gradients of the
-    symmetric coordinates with the gradient of Q0 equals C_i Q0."""
+    """Defining identity of (A1, A2): pairing the torus gradients of the
+    symmetric coordinates with the gradient of Q0 equals A_i Q0."""
     name = "conjugation matrix defining identity"
     q0 = leading_term_matrix(a, b)
-    cm1, cm2 = conjugation_matrices(a, b)
+    a1, a2 = conjugation_matrices(a, b)
     w1 = (2 * C1 * (1 - C1 * C1), 2 * C2 * (1 - C2 * C2))
     w2 = (w1[0] * C2 * C2, w1[1] * C1 * C1)
-    pc = psi_in_c()
-    for tag_i, weights, cmat in (("first", w1, cm1), ("second", w2, cm2)):
+    for tag_i, weights, amat in (("first", w1, a1), ("second", w2, a2)):
         lhs = q0.map_entries(lambda e: weights[0] * e.derive("c1")
                              + weights[1] * e.derive("c2"))
-        rhs = cmat.substitute(pc, C_VARS) @ q0
+        rhs = amat.substitute(PSI_IN_C, C_VARS) @ q0
         if lhs != rhs:
             return CheckResult(name, FAIL, f"{tag_i} coordinate pairing fails")
     return CheckResult(name, PASS)
@@ -387,14 +382,14 @@ def shift_matrix(params: PairParams) -> PolyMatrix:
 @point_cache
 def _first_order_psi(params: PairParams) -> MatrixDiffOp:
     """The part of E that reads the whole point:
-    -dQ/dpsi1 C1 - dQ/dpsi2 C2 + Q (Lambda0 + shift)."""
+    -dQ/dpsi1 A1 - dQ/dpsi2 A2 + Q (Lambda0 + shift)."""
     n = params.size
-    c1m, c2m = conjugation_matrices(params.a, params.b)
+    a1, a2 = conjugation_matrices(params.a, params.b)
     lambda0 = PolyMatrix.diagonal(PSI_VARS, [
         casimir_eigenvalue(params, MsfLabel(i, 0, 0)) for i in range(n)])
     return MatrixDiffOp(PSI_VARS, {
-        (1, 0): c1m.scale(Fraction(-1)),
-        (0, 1): c2m.scale(Fraction(-1)),
+        (1, 0): a1.scale(Fraction(-1)),
+        (0, 1): a2.scale(Fraction(-1)),
         (0, 0): lambda0 + shift_matrix(params),
     })
 
@@ -403,7 +398,7 @@ def _first_order_psi(params: PairParams) -> MatrixDiffOp:
 def pde_operator_psi(params: PairParams) -> MatrixDiffOp:
     """Right-acting operator E with E(Q_d) = Lambda_d Q_d:
 
-    E(Q) = R0(Q) - dQ/dpsi1 C1 - dQ/dpsi2 C2 + Q (Lambda0 + shift),
+    E(Q) = R0(Q) - dQ/dpsi1 A1 - dQ/dpsi2 A2 + Q (Lambda0 + shift),
 
     with R0 = ``scalar_radial_psi(m)`` lifted once per (m, a+1) and the
     first-order part built per point."""
@@ -414,7 +409,7 @@ def pde_operator_psi(params: PairParams) -> MatrixDiffOp:
 @lru_cache(maxsize=None)
 def _scalar_radial_x(m: int) -> MatrixDiffOp:
     """``scalar_radial_psi(m)`` moved to (x1, x2), once per m."""
-    return scalar_radial_psi(m).change_vars_affine(X_VARS, psi_in_x())
+    return scalar_radial_psi(m).change_vars_affine(X_VARS, PSI_IN_X)
 
 
 @point_cache
@@ -424,7 +419,7 @@ def pde_operator_x(params: PairParams) -> MatrixDiffOp:
     lifted once per (m, a+1); per point only the first-order part is
     moved."""
     return (_lifted(_scalar_radial_x, params.m, params.size)
-            + _first_order_psi(params).change_vars_affine(X_VARS, psi_in_x()))
+            + _first_order_psi(params).change_vars_affine(X_VARS, PSI_IN_X))
 
 
 # ---- expansion of the symmetric coordinates in scalar eigenfunctions ----
@@ -526,7 +521,7 @@ def xi_suite(m: int) -> list[CheckResult]:
 def casimir_suite(params: PairParams, dmax: int,
                   verdicts: dict) -> list[CheckResult]:
     """The Casimir checks at one point; within ``verdicts`` the scalar
-    radial checks are decided once per m and the (C1, C2) identity once
+    radial checks are decided once per m and the (A1, A2) identity once
     per (a, b)."""
     return [
         decide(verdicts, scalar_eigen_check, params.m),

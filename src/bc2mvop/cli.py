@@ -48,7 +48,7 @@ from . import (casimir, expansion, krawtchouk, leading, matrices,
                orthogonality)
 from .lie import (MsfLabel, PairParams, casimir_eigenvalue_ip, check_label,
                   drop_point_caches, label_weight, weyl_dim)
-from .report import exit_code, render_json, render_text
+from .report import at_point, exit_code, render_json, render_text
 
 SUITES = ("krawtchouk", "weight", "casimir", "transition", "pde",
           "orthogonality", "indecomposable", "duality", "xi")
@@ -128,7 +128,7 @@ def _verify_results(args, grid: list[PairParams]):
 
     Every point prints each of its lines, but a check that reads less than
     the whole point is decided once: the weight, positivity,
-    indecomposability and (C1, C2) checks once per (a, b), and the two
+    indecomposability and (A1, A2) checks once per (a, b), and the two
     scalar radial checks of the Casimir suite once per m.  ``verdicts``
     holds those decisions for this run only, so a later run in the same
     process decides afresh.  When a point is done, everything built for it
@@ -154,8 +154,8 @@ def _verify_results(args, grid: list[PairParams]):
         if want("pde"):
             results += expansion.pde_suite(q, dmax)
         if want("orthogonality"):
-            results.append(leading.at_point(orthogonality.positivity_verdict,
-                                            q, verdicts))
+            results.append(at_point(orthogonality.positivity_verdict, q,
+                                    verdicts))
             results += orthogonality.orthogonality_suite(q, dmax)
             if args.numeric:
                 results += orthogonality.numeric_suite(q, dmax)

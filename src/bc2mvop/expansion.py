@@ -30,7 +30,7 @@ from types import MappingProxyType
 from . import casimir
 from .diffop import MatrixDiffOp
 from .krawtchouk import poch
-from .leading import PSI_VARS, X_VARS, psi_in_x
+from .leading import PSI_IN_X, PSI_VARS, X_VARS
 from .lie import (MsfLabel, PairParams, bottom_weight, casimir_eigenvalue,
                   casimir_eigenvalue_ip, casimir_numerator, check_label,
                   degree_pairs, dominance_leq, dualize, label_weight,
@@ -266,7 +266,7 @@ def poly_matrix_psi(params: PairParams, d: tuple[int, int]) -> PolyMatrix:
 
 @point_cache
 def poly_matrix_x(params: PairParams, d: tuple[int, int]) -> PolyMatrix:
-    return poly_matrix_psi(params, d).substitute(psi_in_x(), X_VARS)
+    return poly_matrix_psi(params, d).substitute(PSI_IN_X, X_VARS)
 
 
 def phi_zero_check(params: PairParams) -> CheckResult:

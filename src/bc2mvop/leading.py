@@ -19,21 +19,23 @@ a terminating hypergeometric sum.  The weight matrix is S = Q0 Q0^T,
 which is symmetric in c1 <-> c2 entrywise and so pushes down to psi.
 
 The coordinate variables are built here once, as the polynomials C1, C2
-over `C_VARS`, PSI1, PSI2 over `PSI_VARS` and X1, X2 over `X_VARS`; every
-other module reads them from here.
+over `C_VARS`, PSI1, PSI2 over `PSI_VARS` and X1, X2 over `X_VARS`, and so
+are the two coordinate maps, as read-only constants: `PSI_IN_C`, psi in
+terms of c, and `PSI_IN_X`, psi in terms of x.  Every other module reads
+them from here, and neither map is stated again, inverted or composed.
 
 Q0 and S read the K-type (a, b) alone, never m.  So every builder here
 takes (a, b), not a point, and Q0 and S in c, psi and x are cached on
 (a, b): every m shares one object.  A negative a or b is refused.  Each
-check of `weight_suite` is a verdict function of (a, b), and `at_point`
-gives its line at one point under the point's tag, decided once per (a, b)
-within the table of verdicts its caller passes.  `verify` passes one table
-per run; a fresh table, or a direct call of a verdict, decides afresh.
+check of `weight_suite` is a verdict function of (a, b), and
+`report.at_point` gives its line at one point under the point's tag,
+decided once per (a, b) within the table of verdicts its caller passes.
+`verify` passes one table per run; a fresh table, or a direct call of a
+verdict, decides afresh.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -43,7 +45,7 @@ from .krawtchouk import krawtchouk, poch
 from .lie import PairParams
 from .matrices import PolyMatrix
 from .poly import MultiPoly, symmetric_reduce
-from .report import CheckResult, FAIL, PASS, decide
+from .report import CheckResult, FAIL, PASS, at_point
 
 C_VARS = ("c1", "c2")
 PSI_VARS = ("psi1", "psi2")
@@ -53,35 +55,10 @@ PSI1, PSI2 = (MultiPoly.var(PSI_VARS, v) for v in PSI_VARS)
 X1, X2 = (MultiPoly.var(X_VARS, v) for v in X_VARS)
 
 
-@lru_cache(maxsize=None)
-def psi_in_c() -> Mapping[str, MultiPoly]:
-    """psi in terms of c, built once and read-only."""
-    return MappingProxyType({"psi1": C1 * C1 + C2 * C2, "psi2": C1 * C1 * C2 * C2})
-
-
-def x_in_psi() -> dict[str, MultiPoly]:
-    return {"x1": 2 * PSI1 - 2, "x2": 4 * PSI2 - 2 * PSI1 + 1}
-
-
-@lru_cache(maxsize=None)
-def psi_in_x() -> Mapping[str, MultiPoly]:
-    """psi in terms of x, built once and read-only."""
-    return MappingProxyType({"psi1": Fraction(1, 2) * X1 + 1,
+PSI_IN_C = MappingProxyType({"psi1": C1 * C1 + C2 * C2,
+                             "psi2": C1 * C1 * C2 * C2})
+PSI_IN_X = MappingProxyType({"psi1": Fraction(1, 2) * X1 + 1,
                              "psi2": Fraction(1, 4) * (X1 + X2 + 1)})
-
-
-@lru_cache(maxsize=None)
-def x_in_c() -> Mapping[str, MultiPoly]:
-    """Composition of x_in_psi with psi_in_c, built once and read-only."""
-    pc = psi_in_c()
-    return MappingProxyType({name: poly.substitute(pc, C_VARS)
-                             for name, poly in x_in_psi().items()})
-
-
-def at_point(verdict, params: PairParams, verdicts: dict) -> CheckResult:
-    """The line of a check that reads (a, b) alone: verdict(a, b) under the
-    tag of the point, decided once per (a, b) within ``verdicts``."""
-    return decide(verdicts, verdict, params.a, params.b).tagged(params.tag())
 
 
 def _require_weight_regime(a: int, b: int):
@@ -131,7 +108,7 @@ def weight_matrix_psi(a: int, b: int) -> PolyMatrix:
 
 @lru_cache(maxsize=None)
 def weight_matrix_x(a: int, b: int) -> PolyMatrix:
-    return weight_matrix_psi(a, b).substitute(psi_in_x(), X_VARS)
+    return weight_matrix_psi(a, b).substitute(PSI_IN_X, X_VARS)
 
 
 def det_reference_c(a: int, b: int) -> MultiPoly:
@@ -238,7 +215,7 @@ def determinant_verdict(a: int, b: int) -> CheckResult:
 def psi_consistency_verdict(a: int, b: int) -> CheckResult:
     """Pushing the psi-form back through psi(c) recovers S in c."""
     name = "weight matrix symmetric reduction"
-    back = weight_matrix_psi(a, b).substitute(psi_in_c(), C_VARS)
+    back = weight_matrix_psi(a, b).substitute(PSI_IN_C, C_VARS)
     if back == weight_matrix_c(a, b):
         return CheckResult(name, PASS)
     return CheckResult(name, FAIL, "round trip through psi failed")

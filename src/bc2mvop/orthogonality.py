@@ -16,8 +16,11 @@ integrand, substituted into (u, v), is symmetric, so it integrates as half
 the square [-1, 1]^2 against the Jacobi moments mu[k] = int u^k w(u) du.
 With u = 2y - 1 each mu[k] is a signed binomial sum of the same Beta
 numerators, so no second factorial table is needed.  Only the
-floating-point cross-check pulls back through the trigonometric cover
-`x_in_c`, so the exact values and their check share no coordinate map.
+floating-point cross-check works in (c1, c2), and it pulls R_d back from
+(psi1, psi2) through `PSI_IN_C`, never through x: the exact values read
+the family and S in x, the quadrature the family in psi and S = Q0 Q0^T
+in c, so the two share only the recursion's psi family, the thing they
+check.
 
 The density reads m alone and the scalar weight (m, b) alone, so
 `integrate_against_delta` takes m and `region_integral` takes (m, b),
@@ -64,14 +67,14 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 
-from .expansion import poly_matrix_x
-from .leading import (C_VARS, X_VARS, at_point, det_reference_c,
-                      weight_matrix_c, weight_matrix_x, x_in_c)
+from .expansion import poly_matrix_psi, poly_matrix_x
+from .leading import (C_VARS, PSI_IN_C, X_VARS, det_reference_c,
+                      weight_matrix_c, weight_matrix_x)
 from .lie import (MsfLabel, PairParams, degree_pair, degree_pairs,
                   label_weight, point_cache, weyl_dim)
 from .matrices import PolyMatrix, frac_det, frac_rank
 from .poly import MultiPoly, integer_view
-from .report import CheckResult, FAIL, PASS, against_reference
+from .report import CheckResult, FAIL, PASS, against_reference, at_point
 
 
 def beta_moment(m: int, p: int) -> Fraction:
@@ -245,7 +248,7 @@ def _weighted_moments(params: PairParams, dp: tuple[int, int]) -> tuple:
     table.reach(2 * top)
     mkl = {(k, l): table.nums[min(k, l), max(k, l)]
            for k in range(n) for l in range(n)}
-    exps = [(e1, e2) for e1 in range(top + 1) for e2 in range(top + 1 - e1)]
+    exps = degree_pairs(top)
     return rden * table.den, tuple(
         tuple({(e1, e2): sum(c * mkl[k, l][e1 + f1, e2 + f2]
                              for l in range(n)
@@ -469,11 +472,11 @@ def _quad_nodes(order: int):
 @point_cache
 def _factor_c(params: PairParams,
               d: tuple[int, int] | None) -> tuple[PolyMatrix, int]:
-    """The quadrature's factor in (c1, c2), R_d pulled back from x or S when
-    d is None, and the largest exponent of either variable in it.  The
-    pull-back is for the quadrature only: it reads no moment."""
+    """The quadrature's factor in (c1, c2), R_d pulled back from psi or S
+    when d is None, and the largest exponent of either variable in it.  The
+    pull-back is for the quadrature only: it reads no moment and no x."""
     mat = (weight_matrix_c(params.a, 0) if d is None
-           else poly_matrix_x(params, d).substitute(x_in_c(), C_VARS))
+           else poly_matrix_psi(params, d).substitute(PSI_IN_C, C_VARS))
     return mat, max((max(exp) for e in mat.entries for exp in e.nums),
                     default=0)
 

@@ -15,14 +15,15 @@ Three outcomes:
 stored one, and the only place a REPORTED line is made: a disagreement
 that breaks its documented relation is a FAIL.  `decide` gives a verdict
 once per key within the table of verdicts its caller passes, so a fresh
-table decides afresh.
+table decides afresh; `at_point` decides a verdict of the K-type (a, b)
+that way and prints its line under the tag of each point.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .lie import ValueTuple
+from .lie import PairParams, ValueTuple
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -65,6 +66,12 @@ def decide(verdicts: dict, verdict, *key) -> CheckResult:
     if (verdict, key) not in verdicts:
         verdicts[verdict, key] = verdict(*key)
     return verdicts[verdict, key]
+
+
+def at_point(verdict, params: PairParams, verdicts: dict) -> CheckResult:
+    """The line of a check that reads (a, b) alone: verdict(a, b) under the
+    tag of the point, decided once per (a, b) within ``verdicts``."""
+    return decide(verdicts, verdict, params.a, params.b).tagged(params.tag())
 
 
 def against_reference(name: str, derived, stored, related: bool, same: str,

@@ -25,7 +25,7 @@ from bc2mvop.casimir import (casimir_suite, conjugation_matrices,
 from bc2mvop.diffop import MatrixDiffOp
 from bc2mvop.expansion import duality_suite, pde_suite, transition_suite
 from bc2mvop.krawtchouk import STANDARD_PS, standard_suite
-from bc2mvop.leading import PSI_VARS, X_VARS, psi_in_x, weight_suite
+from bc2mvop.leading import PSI_IN_X, PSI_VARS, X_VARS, weight_suite
 from bc2mvop.lie import PairParams
 from bc2mvop.matrices import PolyMatrix
 from bc2mvop.orthogonality import (indecomposability_suite, numeric_suite,
@@ -111,15 +111,15 @@ def _printed_first_order_x(p: PairParams) -> tuple[PolyMatrix, PolyMatrix]:
 def test_operator_change_of_coordinates():
     # the printed scalar operator is the affine image of the psi-side one
     for m in (3, 4, 5):
-        assert (scalar_radial_psi(m).change_vars_affine(X_VARS, psi_in_x())
+        assert (scalar_radial_psi(m).change_vars_affine(X_VARS, PSI_IN_X)
                 == _printed_scalar_operator_x(m))
     # the printed first-order matrices are the exact negative of the affine
-    # image of (C1, C2), a global sign flip that `verify` does not print; at
+    # image of (A1, A2), a global sign flip that `verify` does not print; at
     # a = b = 0 both sides vanish and agree
     for p in GRID:
-        c1m, c2m = conjugation_matrices(p.a, p.b)
-        moved = MatrixDiffOp(PSI_VARS, {(1, 0): c1m, (0, 1): c2m}
-                             ).change_vars_affine(X_VARS, psi_in_x())
+        a1, a2 = conjugation_matrices(p.a, p.b)
+        moved = MatrixDiffOp(PSI_VARS, {(1, 0): a1, (0, 1): a2}
+                             ).change_vars_affine(X_VARS, PSI_IN_X)
         zero = PolyMatrix.zeros(p.size, p.size, X_VARS)
         image = tuple(moved.coeffs.get(idx, zero) for idx in ((1, 0), (0, 1)))
         printed = _printed_first_order_x(p)

@@ -7,17 +7,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bc2mvop import casimir, cli
-from bc2mvop.casimir import (bottom_lowering_check, casimir_suite,
-                             eigenvalue_agreement_check, general_lowering_check,
+from bc2mvop.casimir import (RADIAL_DENOMINATOR, bottom_lowering_check,
+                             casimir_suite, eigenvalue_agreement_check,
+                             general_lowering_check,
                              gradient_pairing_verdict, lowering_moves,
                              pde_operator_psi, pde_operator_x, radial_apply,
                              reference_table_comparison, scalar_eigen_check,
-                             radial_denominator,
                              scalar_radial_agreement_check, scalar_radial_psi,
                              vertical_term, xi_constants, xi_suite)
 from bc2mvop.diffop import MatrixDiffOp
-from bc2mvop.leading import (C_VARS, PSI_VARS, X_VARS, psi_in_c, psi_in_x,
-                             x_in_psi)
+from bc2mvop.leading import (C_VARS, PSI1, PSI2, PSI_IN_C, PSI_IN_X, PSI_VARS,
+                             X_VARS)
 from bc2mvop.lie import MsfLabel, PairParams, casimir_eigenvalue
 from bc2mvop.matrices import PolyMatrix
 from bc2mvop.poly import MultiPoly
@@ -115,10 +115,9 @@ def test_radial_operator_matches_scalar_psi_operator(m, coeffs):
     # operator on f, pulled back, over the radial denominator; degrees reach
     # 5, past AGREEMENT_DEG
     f = MultiPoly(PSI_VARS, coeffs)
-    pc = psi_in_c()
-    got = radial_apply(PairParams(m, 0, 0), [f.substitute(pc, C_VARS)])[0]
-    assert got == radial_denominator() * (
-        scalar_radial_psi(m).apply_scalar(f).substitute(pc, C_VARS))
+    got = radial_apply(PairParams(m, 0, 0), [f.substitute(PSI_IN_C, C_VARS)])[0]
+    assert got == RADIAL_DENOMINATOR * (
+        scalar_radial_psi(m).apply_scalar(f).substitute(PSI_IN_C, C_VARS))
 
 
 def _perturb_first_order(monkeypatch, extra: MultiPoly):
@@ -175,7 +174,7 @@ def test_operator_remainder_fails_each_check(monkeypatch, capsys):
 def test_exactly_dividing_operator_defect_fails(monkeypatch, capsys):
     # denominator * c1 divides exactly, so only the comparisons catch it
     _perturb_first_order(monkeypatch,
-                         radial_denominator() * MultiPoly.var(C_VARS, "c1"))
+                         RADIAL_DENOMINATOR * MultiPoly.var(C_VARS, "c1"))
     code, fails = _fail_lines(capsys)
     assert code == 1
     for check in RADIAL_CHECKS:
@@ -198,7 +197,7 @@ def test_radial_mismatch_residual_is_the_numerator_minus_d_want():
         off[k] = off[k] + c1
         r = casimir._radial_mismatch("check", "i=0", p, row, off)
         assert (r.status, r.detail) == ("FAIL", f"i=0, component {k}")
-        assert r.residual == str(-(radial_denominator() * c1))
+        assert r.residual == str(-(RADIAL_DENOMINATOR * c1))
     # c1 alone is outside the eigenfunction span: no want matches its image
     zero = MultiPoly.zero(C_VARS)
     r = casimir._radial_mismatch("check", "c1", p, (c1, zero), (zero, zero))
@@ -207,9 +206,11 @@ def test_radial_mismatch_residual_is_the_numerator_minus_d_want():
 
 def test_operator_transform_checks():
     # the x-side operator is the affine image of the psi side, and moving it
-    # back returns the psi-side operator
+    # back, through x in terms of psi stated here, returns the psi-side
+    # operator
+    x_in_psi = {"x1": 2 * PSI1 - 2, "x2": 4 * PSI2 - 2 * PSI1 + 1}
     for p in (PairParams(3, 1, 0), PairParams(4, 2, 1)):
-        assert (pde_operator_x(p).change_vars_affine(PSI_VARS, x_in_psi())
+        assert (pde_operator_x(p).change_vars_affine(PSI_VARS, x_in_psi)
                 == pde_operator_psi(p))
 
 
@@ -229,7 +230,7 @@ def test_x_family_first_order_coefficients():
             -2 * x1 * x1 + 4 * x2 * x2 + 4 * x2
         assert op.coeffs[1, 1].entry(0, 0) == 4 * x1 * x2 - 4 * x1
         # at a = b = 0 the operator is its scalar part alone
-        r0x = scalar_radial_psi(m).change_vars_affine(X_VARS, psi_in_x())
+        r0x = scalar_radial_psi(m).change_vars_affine(X_VARS, PSI_IN_X)
         assert op == r0x
 
 

@@ -726,7 +726,7 @@ def test_verify_builds_each_shared_part_once_per_parameters_it_reads(
     # sizes 1 (the scalar checks), 2 and 3 in c; 2 and 3 in psi and in x
     assert [cache.cache_info().misses for cache in per_m] == [2, 2, 2]
     assert set(lifts.values()) == {1} and len(lifts) == 2 * (3 + 2 + 2)
-    # (C1, C2), Q0 and S in c and psi once per (a, b) of the grid, and S in
+    # (A1, A2), Q0 and S in c and psi once per (a, b) of the grid, and S in
     # x once per a: the moment tables and the stored displays read it at
     # b = 0 alone
     assert [cache.cache_info().misses for cache in per_ab] == [4, 4, 4, 4, 2]

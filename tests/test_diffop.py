@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from bc2mvop.casimir import radial_operator_c
 from bc2mvop.diffop import ALLOWED_IDX, MatrixDiffOp
-from bc2mvop.leading import PSI_VARS, X_VARS, psi_in_x, x_in_psi
+from bc2mvop.leading import PSI1, PSI2, PSI_IN_X, PSI_VARS, X_VARS
 from bc2mvop.lie import PairParams
 from bc2mvop.matrices import PolyMatrix, frac_det, frac_invert
 from bc2mvop.poly import MultiPoly
@@ -127,10 +127,14 @@ def _operators(draw):
         for idx in idxs})
 
 
+# x in terms of psi, stated here as the inverse of the program's PSI_IN_X
+X_IN_PSI = {"x1": 2 * PSI1 - 2, "x2": 4 * PSI2 - 2 * PSI1 + 1}
+
+
 @given(_operators())
 def test_affine_change_then_its_inverse_is_the_identity(op):
-    there = op.change_vars_affine(X_VARS, psi_in_x())
-    assert there.change_vars_affine(PSI_VARS, x_in_psi()) == op
+    there = op.change_vars_affine(X_VARS, PSI_IN_X)
+    assert there.change_vars_affine(PSI_VARS, X_IN_PSI) == op
 
 
 @given(_operators(), st.data())
@@ -138,9 +142,9 @@ def test_affine_change_commutes_with_the_action(op, data):
     rows = data.draw(st.integers(1, 2))
     F_ = PolyMatrix(rows, op.size, data.draw(
         st.lists(_polys, min_size=rows * op.size, max_size=rows * op.size)))
-    moved = op.change_vars_affine(X_VARS, psi_in_x())
-    assert (moved.apply(F_.substitute(psi_in_x(), X_VARS))
-            == op.apply(F_).substitute(psi_in_x(), X_VARS))
+    moved = op.change_vars_affine(X_VARS, PSI_IN_X)
+    assert (moved.apply(F_.substitute(PSI_IN_X, X_VARS))
+            == op.apply(F_).substitute(PSI_IN_X, X_VARS))
 
 
 @st.composite

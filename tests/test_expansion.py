@@ -256,10 +256,10 @@ def test_matrix_polynomials_degree_zero_are_transition_matrices():
 
 
 def test_psi_and_x_polynomials_are_the_same_object():
-    from bc2mvop.leading import psi_in_x, X_VARS
+    from bc2mvop.leading import PSI_IN_X, X_VARS
     p = PairParams(3, 1, 0)
     d = (1, 1)
-    assert (poly_matrix_psi(p, d).substitute(psi_in_x(), X_VARS)
+    assert (poly_matrix_psi(p, d).substitute(PSI_IN_X, X_VARS)
             == poly_matrix_x(p, d))
 
 

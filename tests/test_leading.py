@@ -7,13 +7,13 @@ import pytest
 
 from bc2mvop import leading
 from bc2mvop.casimir import conjugation_matrices
-from bc2mvop.leading import (C_VARS, PSI_VARS, X_VARS, det_reference_c,
+from bc2mvop.leading import (C1, C2, C_VARS, PSI1, PSI2, PSI_IN_C, PSI_IN_X,
+                             PSI_VARS, X_VARS, det_reference_c,
                              krawtchouk_route_verdict, leading_term,
                              leading_term_matrix,
                              psi_reference_matrix, weight_matrix_c,
                              weight_matrix_psi, weight_matrix_x, weight_suite,
-                             x_in_c, x_in_psi, x_reference_matrix, psi_in_c,
-                             psi_in_x)
+                             x_reference_matrix)
 from bc2mvop.lie import PairParams
 from bc2mvop.matrices import PolyMatrix
 from bc2mvop.orthogonality import indecomposability_check
@@ -24,9 +24,16 @@ SAMPLE = [PairParams(3, 0, 0), PairParams(3, 1, 0), PairParams(3, 1, 2),
 K_TYPES = [(p.a, p.b) for p in SAMPLE]
 
 
+# x in terms of psi and of c, stated here as the references that the
+# program's maps PSI_IN_X and PSI_IN_C are checked against
+X_IN_PSI = {"x1": 2 * PSI1 - 2, "x2": 4 * PSI2 - 2 * PSI1 + 1}
+X_IN_C = {"x1": 2 * (C1 * C1 + C2 * C2) - 2,
+          "x2": 4 * C1 * C1 * C2 * C2 - 2 * (C1 * C1 + C2 * C2) + 1}
+
+
 def test_coordinate_maps_are_mutually_inverse():
-    fwd = x_in_psi()
-    back = psi_in_x()
+    fwd = X_IN_PSI
+    back = PSI_IN_X
     p1 = MultiPoly.var(PSI_VARS, "psi1")
     p2 = MultiPoly.var(PSI_VARS, "psi2")
     assert back["psi1"].substitute(fwd, PSI_VARS) == p1
@@ -35,17 +42,18 @@ def test_coordinate_maps_are_mutually_inverse():
     x2 = MultiPoly.var(X_VARS, "x2")
     assert fwd["x1"].substitute(back, X_VARS) == x1
     assert fwd["x2"].substitute(back, X_VARS) == x2
+    # and psi(c) carries x(psi) to x(c)
+    for name, x in fwd.items():
+        assert x.substitute(PSI_IN_C, C_VARS) == X_IN_C[name], name
 
 
 def test_identity_point_in_all_coordinates():
     # c = (1,1) maps to psi = (2,1) maps to x = (2,1)
-    pc = psi_in_c()
     at_one = {"c1": F(1), "c2": F(1)}
-    assert pc["psi1"].evaluate(at_one) == 2
-    assert pc["psi2"].evaluate(at_one) == 1
-    xc = x_in_c()
-    assert xc["x1"].evaluate(at_one) == 2
-    assert xc["x2"].evaluate(at_one) == 1
+    assert PSI_IN_C["psi1"].evaluate(at_one) == 2
+    assert PSI_IN_C["psi2"].evaluate(at_one) == 1
+    assert X_IN_C["x1"].evaluate(at_one) == 2
+    assert X_IN_C["x2"].evaluate(at_one) == 1
 
 
 def test_size_two_leading_terms_by_hand():

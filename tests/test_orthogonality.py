@@ -10,8 +10,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from bc2mvop import cli, lie, orthogonality
-from bc2mvop.expansion import poly_matrix_x
-from bc2mvop.leading import C_VARS, X_VARS, weight_matrix_x, x_in_c
+from bc2mvop.expansion import poly_matrix_psi, poly_matrix_x
+from bc2mvop.leading import (C1, C2, C_VARS, PSI_IN_C, X_VARS,
+                             weight_matrix_x)
 from bc2mvop.lie import MsfLabel, PairParams, label_weight, weyl_dim
 from bc2mvop.matrices import PolyMatrix
 from bc2mvop.orthogonality import (_beta_numerators, beta_moment, gram,
@@ -141,12 +142,18 @@ def test_moment_table_matches_koornwinder_coordinates():
                         (m, b, i, j)
 
 
+# x in terms of c, the trigonometric cover, stated here: the program keeps
+# no map into x, so this is an independent reference for the pull-backs
+X_IN_C = {"x1": 2 * (C1 * C1 + C2 * C2) - 2,
+          "x2": 4 * C1 * C1 * C2 * C2 - 2 * (C1 * C1 + C2 * C2) + 1}
+
+
 def _pulled_back_integral(m, b, M):
     """2^(2m+2b-1) times the integral of M(x(c)) (c1 c2)^(2b) against the
     group density: the region weight and its Jacobian, pulled back through
     the cover, are 2^(1-2m-2b) times that density times (c1 c2)^(2b)."""
     weight = MultiPoly.monomial(C_VARS, (2 * b, 2 * b))
-    pulled = M.substitute(x_in_c(), C_VARS) * weight
+    pulled = M.substitute(X_IN_C, C_VARS) * weight
     return 2 ** (2 * m + 2 * b - 1) * integrate_against_delta(m, pulled)
 
 
@@ -317,9 +324,10 @@ def test_corrupted_moment_fails_exact_and_numeric_checks(corrupted_moment):
 
 def test_a_wrong_cover_fails_the_quadrature_and_no_exact_line(monkeypatch,
                                                              capsys):
-    # the exact route never reads x_in_c: with x2 pulled back off by c1^2,
-    # every exact line stays as it was and the quadrature disagrees wherever
-    # it reads a non-constant R_d, that is at every pair but (0,0), (0,0)
+    # the exact route never reads orthogonality's PSI_IN_C: with psi2 pulled
+    # back off by c1^2, every exact line stays as it was and the quadrature disagrees
+    # wherever it reads a non-constant R_d, that is at every pair but
+    # (0,0), (0,0)
     argv = ["verify", "orthogonality", "--m", "3", "--a", "1", "--b", "1",
             "--dmax", "1", "--numeric", "--format", "json"]
 
@@ -333,9 +341,8 @@ def test_a_wrong_cover_fails_the_quadrature_and_no_exact_line(monkeypatch,
                 if not r["identity"].startswith("numeric quadrature agreement")]
 
     before = results()
-    cover = x_in_c()
-    monkeypatch.setattr(orthogonality, "x_in_c", lambda: {
-        **cover, "x2": cover["x2"] + MultiPoly.monomial(C_VARS, (2, 0))})
+    off = PSI_IN_C["psi2"] + MultiPoly.monomial(C_VARS, (2, 0))
+    monkeypatch.setattr(orthogonality, "PSI_IN_C", {**PSI_IN_C, "psi2": off})
     try:
         after = results()
     finally:
@@ -348,6 +355,41 @@ def test_a_wrong_cover_fails_the_quadrature_and_no_exact_line(monkeypatch,
         (f"d={d} d'={dp}", "FAIL") for d, dp in (
             ("(0,0)", "(0,1)"), ("(0,0)", "(1,0)"), ("(0,1)", "(0,1)"),
             ("(0,1)", "(1,0)"), ("(1,0)", "(1,0)"))]
+
+
+def test_quadrature_pull_back_from_psi_equals_the_route_through_x():
+    # the old route, R_d in x pulled back through the cover, kept as a
+    # reference: the quadrature's pull-back from psi is the same polynomial,
+    # so every float it makes keeps its bits
+    for p in (PairParams(m, a, b) for m in (3, 4, 5) for a in range(4)
+              for b in range(3)):
+        for d in lie.degree_pairs(2):
+            via_psi = poly_matrix_psi(p, d).substitute(PSI_IN_C, C_VARS)
+            assert via_psi == poly_matrix_x(p, d).substitute(X_IN_C, C_VARS), \
+                (p, d)
+            assert orthogonality._factor_c(p, d)[0] == via_psi, (p, d)
+        lie.drop_point_caches()
+
+
+def test_a_perturbed_x_family_fails_every_quadrature_line(monkeypatch):
+    # the exact Gram reads the x family, the quadrature the psi family: with
+    # x1^|d|/1000 added to every entry of every R_d in x, the two disagree
+    # on every pair, the constant (0,0), (0,0) one included
+    real = orthogonality.poly_matrix_x
+
+    def perturbed(params, d):
+        bump = F(1, 1000) * MultiPoly.monomial(X_VARS, (sum(d), 0))
+        return real(params, d).map_entries(lambda e: e + bump)
+
+    _clear_module_caches()
+    monkeypatch.setattr(orthogonality, "poly_matrix_x", perturbed)
+    try:
+        lines = numeric_suite(PairParams(3, 1, 0), 1)
+    finally:
+        _clear_module_caches()
+    assert len(lines) == 6
+    assert all(r.status == "FAIL" for r in lines), [
+        (r.name, r.status) for r in lines]
 
 
 def test_total_mass_reported_with_reciprocal():

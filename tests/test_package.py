@@ -1,5 +1,6 @@
 """The package's public names and its lazy submodules."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -84,3 +85,40 @@ def test_a_dotted_import_loads_the_module_at_once():
                 "import bc2mvop.diffop\n"
                 "print(type(sys.modules['bc2mvop.diffop']) is types.ModuleType)"
                 ) == ["True"]
+
+
+_CACHES = ("lru_cache", "point_cache")
+
+
+def _cached_without_parameters(tree):
+    """(line, name) of each function in tree under a cache decorator that
+    takes no parameter at all."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        if (args.posonlyargs or args.args or args.kwonlyargs or args.vararg
+                or args.kwarg):
+            continue
+        for dec in node.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            if ast.unparse(target).rsplit(".", 1)[-1] in _CACHES:
+                yield node.lineno, node.name
+
+
+def test_no_function_without_parameters_is_cached():
+    # a value that reads nothing is a constant: it is built once at import,
+    # not behind a cache that every reader calls.  The rule sees each form
+    # of the decorators, and passes a cached function that takes a value
+    sample = ast.parse("@lru_cache(maxsize=None)\ndef a(): pass\n"
+                       "@functools.lru_cache\ndef b(): pass\n"
+                       "@point_cache\ndef c(): pass\n"
+                       "@point_cache\ndef d(params): pass\n"
+                       "def e(): pass\n")
+    assert [name for _, name in _cached_without_parameters(sample)] == [
+        "a", "b", "c"]
+    offenders = [f"{path.name}:{line} {name}"
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 for line, name in _cached_without_parameters(
+                     ast.parse(path.read_text()))]
+    assert offenders == []

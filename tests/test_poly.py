@@ -6,7 +6,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import example, given, strategies as st
 
-from bc2mvop.leading import PSI_VARS, X_VARS, psi_in_x, x_in_psi
+from bc2mvop.leading import PSI1, PSI2, PSI_IN_X, PSI_VARS, X_VARS
 from bc2mvop.poly import (MultiPoly, VariableMismatch, integer_view,
                           linear_combination, substitute_all, symmetric_reduce)
 
@@ -196,7 +196,9 @@ def test_linear_combination_refuses_mixed_variables():
 
 @given(_polys(PSI_VARS))
 def test_psi_to_x_and_back_is_the_identity(p):
-    assert p.substitute(psi_in_x(), X_VARS).substitute(x_in_psi(), PSI_VARS) == p
+    # x in terms of psi, stated here as the inverse of the program's PSI_IN_X
+    x_in_psi = {"x1": 2 * PSI1 - 2, "x2": 4 * PSI2 - 2 * PSI1 + 1}
+    assert p.substitute(PSI_IN_X, X_VARS).substitute(x_in_psi, PSI_VARS) == p
 
 
 @given(_polys())
