@@ -5,24 +5,24 @@ Three layers, increasingly packaged:
 1. ``radial_operator_c``: the raw radial operator on length-(a+1) row
    vectors of polynomials on the torus (component k = M-type k) in
    (c1, c2), a ``MatrixDiffOp`` cached per parameter triple, whose scalar
-   derivative part is built once per m and lifted once per (m, a+1).  The
-   torus derivatives and the cotangent factors are rationalized via
-   s^2 = 1 - c^2, so every coefficient is a numerator over the fixed
-   denominator D = 2 c1^2 c2^2 (c2^2 - c1^2)^2.  ``radial_apply`` applies
-   it and returns the numerators over D.
+   derivative part is built once per m.  The torus derivatives and the
+   cotangent factors are rationalized via s^2 = 1 - c^2, so every
+   coefficient is a numerator over the fixed denominator
+   D = 2 c1^2 c2^2 (c2^2 - c1^2)^2.  ``radial_apply`` applies it and
+   returns the numerators over D.
 2. The scalar operator in (psi1, psi2) valid at a = b = 0, plus the
    tridiagonal first-order matrices A1, A2 that absorb the conjugation by
    the leading-term matrix for general (a, b).
-3. The x-coordinate family: the affine image of the psi-side operator
-   under x1 = 2 psi1 - 2, x2 = 4 psi2 - 2 psi1 + 1, built by
-   ``MatrixDiffOp.change_vars_affine`` and nowhere else: the scalar part
-   once per m, the first-order part per point.  No stored x-coordinate
-   coefficients are kept beside it.
+3. The x-coordinate family: the psi-side operator E of a point moved
+   whole under x1 = 2 psi1 - 2, x2 = 4 psi2 - 2 psi1 + 1, by
+   ``MatrixDiffOp.change_vars_affine`` and nowhere else.  No stored
+   x-coordinate coefficients are kept beside it.
 
 The operators and label vectors of one point are `point_cache`s, which
-`verify` drops when it leaves the point; the parts that read m alone stay,
-and so do (A1, A2): ``conjugation_matrices(a, b)`` takes the K-type alone
-and is built once per (a, b).
+`verify` drops when it leaves the point.  The scalar parts, which read m
+alone, stay, since several points share them, and so do (A1, A2):
+``conjugation_matrices(a, b)`` takes the K-type alone and is built once
+per (a, b).
 
 The radial-action checks all compare through ``_radial_mismatch``, against
 expected vectors formed as one integer combination per component: an
@@ -87,20 +87,13 @@ def _radial_scalar_c(m: int) -> MatrixDiffOp:
     })
 
 
-@lru_cache(maxsize=None)
-def _lifted(scalar, m: int, n: int) -> MatrixDiffOp:
-    """scalar(m), an operator that reads m alone, lifted to size n: once per
-    (scalar, m, n), kept for the whole process."""
-    return scalar(m).lift(n)
-
-
 @point_cache
 def radial_operator_c(params: PairParams) -> MatrixDiffOp:
     """The radial operator on M-type row vectors in (c1, c2), as numerators
     over ``RADIAL_DENOMINATOR``: the scalar derivative part, built once
-    per m and lifted once per (m, a+1), plus a tridiagonal zero-order
-    matrix built per point.  Row vectors act on the right, so the hop from
-    component k+1 into k is entry (k+1, k); the hop matrix is symmetric."""
+    per m and lifted to size a+1, plus a tridiagonal zero-order matrix.
+    Row vectors act on the right, so the hop from component k+1 into k is
+    entry (k+1, k); the hop matrix is symmetric."""
     m, a, b, n = params.m, params.a, params.b, params.size
     c1sq, c2sq, cc = C1 * C1, C2 * C2, C1 * C1 * C2 * C2
     split = c2sq - c1sq
@@ -114,7 +107,7 @@ def radial_operator_c(params: PairParams) -> MatrixDiffOp:
                       * ((a + b - k) ** 2 * c2sq + (b + k) ** 2 * c1sq))
         if k < a:
             rows[k + 1][k] = rows[k][k + 1] = (k + 1) * (a - k) * hop
-    return (_lifted(_radial_scalar_c, m, n)
+    return (_radial_scalar_c(m).lift(n)
             + MatrixDiffOp(C_VARS, {(0, 0): PolyMatrix.from_rows(rows)}))
 
 
@@ -322,9 +315,8 @@ def scalar_radial_agreement_check(m: int) -> CheckResult:
     for u, v in degree_pairs(AGREEMENT_DEG):
         mono = MultiPoly.monomial(PSI_VARS, (u, v))
         via_psi = op.apply_scalar(mono).substitute(PSI_IN_C, C_VARS)
-        power = PSI_IN_C["psi1"] ** u * PSI_IN_C["psi2"] ** v
         fail = _radial_mismatch(name, f"monomial ({u},{v})", params,
-                                [power], [via_psi])
+                                [_psi_power_c(u, v)], [via_psi])
         if fail:
             return fail
     return CheckResult(name, PASS)
@@ -380,46 +372,27 @@ def shift_matrix(params: PairParams) -> PolyMatrix:
 
 
 @point_cache
-def _first_order_psi(params: PairParams) -> MatrixDiffOp:
-    """The part of E that reads the whole point:
-    -dQ/dpsi1 A1 - dQ/dpsi2 A2 + Q (Lambda0 + shift)."""
-    n = params.size
-    a1, a2 = conjugation_matrices(params.a, params.b)
-    lambda0 = PolyMatrix.diagonal(PSI_VARS, [
-        casimir_eigenvalue(params, MsfLabel(i, 0, 0)) for i in range(n)])
-    return MatrixDiffOp(PSI_VARS, {
-        (1, 0): a1.scale(Fraction(-1)),
-        (0, 1): a2.scale(Fraction(-1)),
-        (0, 0): lambda0 + shift_matrix(params),
-    })
-
-
-@point_cache
 def pde_operator_psi(params: PairParams) -> MatrixDiffOp:
     """Right-acting operator E with E(Q_d) = Lambda_d Q_d:
 
     E(Q) = R0(Q) - dQ/dpsi1 A1 - dQ/dpsi2 A2 + Q (Lambda0 + shift),
 
-    with R0 = ``scalar_radial_psi(m)`` lifted once per (m, a+1) and the
-    first-order part built per point."""
-    return (_lifted(scalar_radial_psi, params.m, params.size)
-            + _first_order_psi(params))
-
-
-@lru_cache(maxsize=None)
-def _scalar_radial_x(m: int) -> MatrixDiffOp:
-    """``scalar_radial_psi(m)`` moved to (x1, x2), once per m."""
-    return scalar_radial_psi(m).change_vars_affine(X_VARS, PSI_IN_X)
+    with R0 = ``scalar_radial_psi(m)`` lifted to size a+1."""
+    a1, a2 = conjugation_matrices(params.a, params.b)
+    lambda0 = PolyMatrix.diagonal(PSI_VARS, [
+        casimir_eigenvalue(params, MsfLabel(i, 0, 0))
+        for i in range(params.size)])
+    return scalar_radial_psi(params.m).lift(params.size) + MatrixDiffOp(
+        PSI_VARS, {(1, 0): a1.scale(Fraction(-1)),
+                   (0, 1): a2.scale(Fraction(-1)),
+                   (0, 0): lambda0 + shift_matrix(params)})
 
 
 @point_cache
 def pde_operator_x(params: PairParams) -> MatrixDiffOp:
-    """The psi-side operator E moved to (x1, x2) by the affine change.  The
-    change is linear in the coefficients, so R0 is moved once per m and
-    lifted once per (m, a+1); per point only the first-order part is
-    moved."""
-    return (_lifted(_scalar_radial_x, params.m, params.size)
-            + _first_order_psi(params).change_vars_affine(X_VARS, PSI_IN_X))
+    """The psi-side operator E moved whole to (x1, x2) by the affine
+    change."""
+    return pde_operator_psi(params).change_vars_affine(X_VARS, PSI_IN_X)
 
 
 # ---- expansion of the symmetric coordinates in scalar eigenfunctions ----

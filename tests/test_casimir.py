@@ -214,6 +214,26 @@ def test_operator_transform_checks():
                 == pde_operator_psi(p))
 
 
+def test_operator_equals_its_parts_moved_one_by_one():
+    # a second route to E, stated here as the reference: R0 moved to x once
+    # and then lifted, plus the first-order part
+    # -d/dpsi1 A1 - d/dpsi2 A2 + Lambda0 + shift built and moved on its own
+    grid = [PairParams(m, a, b) for m in (3, 4, 5) for a in range(4)
+            for b in range(3)]              # verify's default grid
+    for p in grid + [PairParams(8, 6, 3), PairParams(3, 6, 0)]:
+        a1, a2 = casimir.conjugation_matrices(p.a, p.b)
+        lambda0 = PolyMatrix.diagonal(PSI_VARS, [
+            casimir_eigenvalue(p, MsfLabel(i, 0, 0)) for i in range(p.size)])
+        first = MatrixDiffOp(PSI_VARS, {
+            (1, 0): a1.scale(F(-1)), (0, 1): a2.scale(F(-1)),
+            (0, 0): lambda0 + casimir.shift_matrix(p)})
+        r0 = scalar_radial_psi(p.m)
+        r0x = r0.change_vars_affine(X_VARS, PSI_IN_X)
+        assert pde_operator_psi(p) == r0.lift(p.size) + first
+        assert pde_operator_x(p) == (
+            r0x.lift(p.size) + first.change_vars_affine(X_VARS, PSI_IN_X))
+
+
 def test_x_family_first_order_coefficients():
     # scalar part of the x-coordinate family, first-order coefficients
     x1 = MultiPoly.var(X_VARS, "x1")

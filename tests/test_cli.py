@@ -1,17 +1,21 @@
 """Command-line interface: exit codes, payloads, determinism."""
 
+import ast
 import hashlib
+import importlib
 import json
 import os
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from bc2mvop import casimir, cli, expansion, leading, lie, orthogonality
 from bc2mvop.diffop import MatrixDiffOp
-from bc2mvop.leading import C_VARS, weight_matrix_psi, weight_matrix_x
+from bc2mvop.leading import (C_VARS, PSI_VARS, X_VARS, weight_matrix_psi,
+                             weight_matrix_x)
 from bc2mvop.expansion import poly_matrix_x
 from bc2mvop.lie import PairParams
 from bc2mvop.matrices import PolyMatrix
@@ -134,6 +138,37 @@ def test_verify_json_puts_a_fail_residual_at_the_top_level(monkeypatch,
     assert all(set(r) == {"identity", "status", "detail", "residual"}
                for r in fails)
     assert all("data" not in r for r in results)
+
+
+@pytest.mark.parametrize("attr, vars", [("pde_operator_x", X_VARS),
+                                         ("pde_operator_psi", PSI_VARS)])
+def test_verify_pde_fails_on_a_wrong_operator(monkeypatch, capsys, attr,
+                                               vars):
+    # the first variable times I added at order 0 to E in one coordinate
+    # system; breaking E in psi breaks it in x too, and psi is checked first
+    real = getattr(casimir, attr)
+
+    def broken(params):
+        bump = PolyMatrix.diagonal(vars, [1] * params.size).scale(
+            MultiPoly.var(vars, vars[0]))
+        return real(params) + MatrixDiffOp(vars, {(0, 0): bump})
+    monkeypatch.setattr(casimir, attr, broken)
+    argv = ["verify", "pde", "--m", "3", "--a", "1", "--b", "0", "--dmax", "1"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 3
+    assert all(line.endswith(f"  {vars[0][:-1]} coordinates, entry (0, 0)")
+               for line in fails)
+    code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+    assert code == 1
+    fails = [r for r in json.loads(out)["results"] if r["status"] == "FAIL"]
+    assert len(fails) == 3
+    assert all(set(r) == {"identity", "status", "detail", "residual"}
+               for r in fails)
+    # Q_(0,0) is the identity, so its residual is the bump itself
+    assert next(r["residual"] for r in fails
+                if r["identity"].endswith("d=(0,0)")) == vars[0]
 
 
 @pytest.mark.parametrize("argv", [
@@ -624,11 +659,28 @@ def test_verify_loads_only_the_modules_its_suites_read():
     assert "bc2mvop.orthogonality" not in pde_run
 
 
+PACKAGE = Path(casimir.__file__).parent
+
+
+def _point_caches():
+    """Every function the package puts under ``@point_cache``, found in its
+    source and read from its module."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                    ast.unparse(dec).rsplit(".", 1)[-1] == "point_cache"
+                    for dec in node.decorator_list):
+                yield getattr(importlib.import_module(f"bc2mvop.{path.stem}"),
+                              node.name)
+
+
 def test_verify_drops_each_points_gram_tables(monkeypatch, capsys):
     grams = orthogonality._gram_cached.cache_info()
+    caches = list(_point_caches())
     # a plain function patched over a per-point cache, as the mutation tests
     # do, must not keep the drop from emptying the real cache
     real = casimir.radial_operator_c
+    assert real in caches
     built = []
     monkeypatch.setattr(casimir, "radial_operator_c",
                         lambda params: built.append(params) or real(params))
@@ -636,20 +688,11 @@ def test_verify_drops_each_points_gram_tables(monkeypatch, capsys):
                             "--b", "0,1", "--dmax", "1", "--numeric"], capsys)
     assert code == 0 and "FAIL" not in out
     assert built
-    # the Gram matrices and tables, the quadrature's factors with their
-    # degrees, mesh and factor values, the operators, the lowering
-    # graphs and vectors, both families, the transition matrices and the
-    # weights of both points are gone; the moments stay, and the quadrature
-    # still read each point's Gram matrices from the cache
-    for cache in (orthogonality._gram_cached, orthogonality._weighted_moments,
-                  orthogonality._matrix_moments, orthogonality._factor_c,
-                  orthogonality._node_mesh,
-                  orthogonality._mesh_values, real, casimir._first_order_psi,
-                  casimir.pde_operator_psi, casimir.pde_operator_x,
-                  casimir.label_vector, expansion._graph_node,
-                  expansion._lowering_graph, expansion.poly_matrix_psi,
-                  expansion.poly_matrix_x, expansion.L_matrix,
-                  lie.label_weight, lie.bottom_weight):
+    # every point cache is empty: among them the Gram matrices and tables,
+    # the quadrature's factors, the operators, both families and the
+    # weights of both points.  The moments stay, and the quadrature still
+    # read each point's Gram matrices from the cache
+    for cache in caches:
         assert cache.cache_info().currsize == 0, cache.__name__
     assert orthogonality.moment.cache_info().currsize > 0
     assert orthogonality._gram_cached.cache_info().hits > grams.hits
@@ -685,21 +728,22 @@ SHARED_GRID = ["verify", "all", "--m", "3,4", "--a", "1,2", "--b", "0,1",
 
 def test_verify_builds_each_shared_part_once_per_parameters_it_reads(
         monkeypatch, capsys):
-    per_m = (casimir._radial_scalar_c, casimir.scalar_radial_psi,
-             casimir._scalar_radial_x)
+    per_m = (casimir._radial_scalar_c, casimir.scalar_radial_psi)
     per_ab = (casimir.conjugation_matrices, leading.leading_term_matrix,
               leading.weight_matrix_c, leading.weight_matrix_psi,
               leading.weight_matrix_x)
     # start with no point's tables, and with the per-m and per-(a, b) parts,
     # which live for the whole process, empty
     lie.drop_point_caches()
-    for cache in (*per_m, casimir._lifted, *per_ab):
+    for cache in (*per_m, *per_ab):
         cache.cache_clear()
     lifts = Counter()
     real_lift = MatrixDiffOp.lift
 
     def lift(op, n):
-        lifts[id(op), n] += 1
+        # which builder lifts which scalar part, at which point
+        caller = sys._getframe(1)
+        lifts[caller.f_code.co_name, caller.f_locals["params"], id(op), n] += 1
         return real_lift(op, n)
     monkeypatch.setattr(MatrixDiffOp, "lift", lift)
     # each drop ends a point: read what the point built before it is emptied
@@ -722,10 +766,18 @@ def test_verify_builds_each_shared_part_once_per_parameters_it_reads(
 
     code, _, _ = run_cli(SHARED_GRID, capsys)
     assert code == 0
-    # the scalar radial parts once per m, each lifted once per (m, a+1):
-    # sizes 1 (the scalar checks), 2 and 3 in c; 2 and 3 in psi and in x
-    assert [cache.cache_info().misses for cache in per_m] == [2, 2, 2]
-    assert set(lifts.values()) == {1} and len(lifts) == 2 * (3 + 2 + 2)
+    # the scalar radial parts once per m; each point's operator in c, the
+    # scalar checks' (m, 0, 0) among them, and in psi lifts its m's part once
+    assert [cache.cache_info().misses for cache in per_m] == [2, 2]
+    points = [PairParams(m, a, b) for m in (3, 4) for a in (1, 2)
+              for b in (0, 1)]
+    want = Counter()
+    for builder, scalar, at in (
+            ("radial_operator_c", casimir._radial_scalar_c,
+             points + [PairParams(3, 0, 0), PairParams(4, 0, 0)]),
+            ("pde_operator_psi", casimir.scalar_radial_psi, points)):
+        want.update((builder, p, id(scalar(p.m)), p.size) for p in at)
+    assert lifts == want
     # (A1, A2), Q0 and S in c and psi once per (a, b) of the grid, and S in
     # x once per a: the moment tables and the stored displays read it at
     # b = 0 alone
