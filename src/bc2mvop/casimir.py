@@ -99,16 +99,16 @@ def radial_operator_c(params: PairParams) -> MatrixDiffOp:
     split = c2sq - c1sq
     stay = 4 * cc * (c1sq + c2sq - 2 * cc)
     hop = -4 * cc * C1 * C2 * (2 - c1sq - c2sq)
-    rows = [[MultiPoly.zero(C_VARS)] * n for _ in range(n)]
+    entries = {}
     for k in range(n):
         moves = (k + 1) * (a - k) + k * (a - k + 1)     # raising + lowering
-        rows[k][k] = (vertical_term(params, k) * RADIAL_DENOMINATOR
-                      + moves * stay + split * split
-                      * ((a + b - k) ** 2 * c2sq + (b + k) ** 2 * c1sq))
+        entries[k, k] = (vertical_term(params, k) * RADIAL_DENOMINATOR
+                         + moves * stay + split * split
+                         * ((a + b - k) ** 2 * c2sq + (b + k) ** 2 * c1sq))
         if k < a:
-            rows[k + 1][k] = rows[k][k + 1] = (k + 1) * (a - k) * hop
-    return (_radial_scalar_c(m).lift(n)
-            + MatrixDiffOp(C_VARS, {(0, 0): PolyMatrix.from_rows(rows)}))
+            entries[k + 1, k] = entries[k, k + 1] = (k + 1) * (a - k) * hop
+    return (_radial_scalar_c(m).lift(n) + MatrixDiffOp(
+        C_VARS, {(0, 0): PolyMatrix.from_entries(n, C_VARS, entries)}))
 
 
 def radial_apply(params: PairParams, comps) -> tuple[MultiPoly, ...]:
@@ -325,25 +325,19 @@ def scalar_radial_agreement_check(m: int) -> CheckResult:
 @lru_cache(maxsize=None)
 def conjugation_matrices(a: int, b: int) -> tuple[PolyMatrix, PolyMatrix]:
     """First-order coefficient matrices (A1, A2), tridiagonal in size a+1,
-    built once per (a, b), which is all they read.
-
-    Both share the same off-diagonals: (r, r-1) entry 2 r psi2 and (r, r+1)
-    entry 2 (a-r).
-    """
+    built once per (a, b), which is all they read: each its own diagonal
+    plus the off-diagonals both share, (r, r-1) entry 2 r psi2 and (r, r+1)
+    entry 2 (a-r)."""
     _require_weight_regime(a, b)
     n = a + 1
-    p1, p2 = PSI1, PSI2
-    zero = MultiPoly.zero(PSI_VARS)
-    rows1 = [[zero] * n for _ in range(n)]
-    rows2 = [[zero] * n for _ in range(n)]
-    for r in range(n):
-        rows1[r][r] = 2 * (a + 2 * b + 2 * r) - 2 * (a + b + r) * p1
-        rows2[r][r] = 2 * (b + r) * p1 - 2 * (a + 2 * b + 2 * r) * p2
-        if r > 0:
-            rows1[r][r - 1] = rows2[r][r - 1] = 2 * r * p2
-        if r < n - 1:
-            rows1[r][r + 1] = rows2[r][r + 1] = MultiPoly.const(PSI_VARS, 2 * (a - r))
-    return PolyMatrix.from_rows(rows1), PolyMatrix.from_rows(rows2)
+    off = {(r, r - 1): 2 * r * PSI2 for r in range(1, n)}
+    off.update({(r, r + 1): 2 * (a - r) for r in range(a)})
+    diag1 = {(r, r): 2 * (a + 2 * b + 2 * r) - 2 * (a + b + r) * PSI1
+             for r in range(n)}
+    diag2 = {(r, r): 2 * (b + r) * PSI1 - 2 * (a + 2 * b + 2 * r) * PSI2
+             for r in range(n)}
+    return (PolyMatrix.from_entries(n, PSI_VARS, off | diag1),
+            PolyMatrix.from_entries(n, PSI_VARS, off | diag2))
 
 
 def gradient_pairing_verdict(a: int, b: int) -> CheckResult:
@@ -363,29 +357,23 @@ def gradient_pairing_verdict(a: int, b: int) -> CheckResult:
     return CheckResult(name, PASS)
 
 
-def shift_matrix(params: PairParams) -> PolyMatrix:
-    n, b = params.size, params.b
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for r in range(1, n):
-        rows[r][r - 1] = Fraction(-2 * r * (b + r))
-    return PolyMatrix.from_scalar_rows(PSI_VARS, rows)
-
-
 @point_cache
 def pde_operator_psi(params: PairParams) -> MatrixDiffOp:
     """Right-acting operator E with E(Q_d) = Lambda_d Q_d:
 
     E(Q) = R0(Q) - dQ/dpsi1 A1 - dQ/dpsi2 A2 + Q (Lambda0 + shift),
 
-    with R0 = ``scalar_radial_psi(m)`` lifted to size a+1."""
-    a1, a2 = conjugation_matrices(params.a, params.b)
-    lambda0 = PolyMatrix.diagonal(PSI_VARS, [
-        casimir_eigenvalue(params, MsfLabel(i, 0, 0))
-        for i in range(params.size)])
-    return scalar_radial_psi(params.m).lift(params.size) + MatrixDiffOp(
-        PSI_VARS, {(1, 0): a1.scale(Fraction(-1)),
-                   (0, 1): a2.scale(Fraction(-1)),
-                   (0, 0): lambda0 + shift_matrix(params)})
+    with R0 = ``scalar_radial_psi(m)`` lifted to size a+1, Lambda0 the
+    eigenvalues of the labels (i, 0, 0) at (i, i), and the shift -2 r (b+r)
+    at (r, r-1)."""
+    n, b = params.size, params.b
+    a1, a2 = conjugation_matrices(params.a, b)
+    zero_order = {(i, i): casimir_eigenvalue(params, MsfLabel(i, 0, 0))
+                  for i in range(n)}
+    zero_order.update({(r, r - 1): -2 * r * (b + r) for r in range(1, n)})
+    return scalar_radial_psi(params.m).lift(n) + MatrixDiffOp(
+        PSI_VARS, {(1, 0): a1.scale(-1), (0, 1): a2.scale(-1),
+                   (0, 0): PolyMatrix.from_entries(n, PSI_VARS, zero_order)})
 
 
 @point_cache

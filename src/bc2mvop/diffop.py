@@ -63,6 +63,8 @@ class MatrixDiffOp:
                 clean[idx] = mat
         if size is None:
             raise ValueError("operator needs at least one coefficient to fix its size")
+        if not clean:       # the zero operator: one zero coefficient fixes its size
+            clean[(0, 0)] = PolyMatrix.from_entries(size, vars, {})
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "coeffs", MappingProxyType(clean))
@@ -75,24 +77,17 @@ class MatrixDiffOp:
     def scalar_op(cls, vars: tuple[str, str],
                   coeffs: Mapping[tuple[int, int], MultiPoly]) -> "MatrixDiffOp":
         mats = {idx: PolyMatrix(1, 1, [p]) for idx, p in coeffs.items()}
-        if not mats:
-            mats = {(0, 0): PolyMatrix.zeros(1, 1, tuple(vars))}
-        return cls(vars, mats)
+        return cls(vars, mats or {(0, 0): PolyMatrix.from_entries(1, tuple(vars), {})})
 
     def lift(self, n: int) -> "MatrixDiffOp":
         """Tensor a scalar (1x1) operator with the identity of size n: each
         coefficient p becomes p I, built as its entries, not as a product."""
         if self.size != 1:
             raise ValueError("lift applies to scalar operators")
-        zero = MultiPoly.zero(self.vars)
-        out = {}
-        for idx, mat in self.coeffs.items():
-            p = mat.entry(0, 0)
-            out[idx] = PolyMatrix(n, n, [p if i == j else zero
-                                         for i in range(n) for j in range(n)])
-        if not out:
-            out[(0, 0)] = PolyMatrix.zeros(n, n, self.vars)
-        return MatrixDiffOp(self.vars, out)
+        return MatrixDiffOp(self.vars, {
+            idx: PolyMatrix.from_entries(n, self.vars,
+                                         {(i, i): mat.entry(0, 0) for i in range(n)})
+            for idx, mat in self.coeffs.items()})
 
     def __add__(self, other: "MatrixDiffOp") -> "MatrixDiffOp":
         if self.vars != other.vars or self.size != other.size:
@@ -100,8 +95,6 @@ class MatrixDiffOp:
         out = dict(self.coeffs)
         for idx, mat in other.coeffs.items():
             out[idx] = out[idx] + mat if idx in out else mat
-        if not out:
-            out[(0, 0)] = PolyMatrix.zeros(self.size, self.size, self.vars)
         return MatrixDiffOp(self.vars, out)
 
     def __eq__(self, other):
@@ -198,7 +191,7 @@ class MatrixDiffOp:
                           for new in new_vars] for old in self.vars])
 
         def first_order(i: int) -> dict[tuple[int, int], Fraction]:
-            return {(1, 0): J[0][i], (0, 1): J[1][i]}
+            return {k: v for k, v in {(1, 0): J[0][i], (0, 1): J[1][i]}.items() if v}
 
         def second_order(i: int, j: int) -> dict[tuple[int, int], Fraction]:
             out: dict[tuple[int, int], Fraction] = {}
@@ -222,6 +215,4 @@ class MatrixDiffOp:
             for new_idx, factor in translation[idx].items():
                 piece = new_mat.scale(factor)
                 out[new_idx] = out[new_idx] + piece if new_idx in out else piece
-        if not out:
-            out[(0, 0)] = PolyMatrix.zeros(self.size, self.size, new_vars)
         return MatrixDiffOp(new_vars, out)

@@ -41,7 +41,7 @@ class PolyMatrix:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[MultiPoly]]) -> "PolyMatrix":
         r = len(rows)
-        c = len(rows[0])
+        c = len(rows[0]) if rows else 0
         flat = []
         for row in rows:
             if len(row) != c:
@@ -50,21 +50,20 @@ class PolyMatrix:
         return cls(r, c, flat)
 
     @classmethod
-    def from_scalar_rows(cls, vars: tuple[str, ...],
-                         rows: Sequence[Sequence[Fraction]]) -> "PolyMatrix":
-        return cls.from_rows([[MultiPoly.const(vars, x) for x in row] for row in rows])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, vars: tuple[str, ...]) -> "PolyMatrix":
-        z = MultiPoly.zero(vars)
-        return cls(rows, cols, [z] * (rows * cols))
-
-    @classmethod
-    def diagonal(cls, vars: tuple[str, ...], diag: Sequence[Fraction]) -> "PolyMatrix":
-        n = len(diag)
-        z = MultiPoly.zero(vars)
-        return cls(n, n, [MultiPoly.const(vars, diag[i]) if i == j else z
-                          for i in range(n) for j in range(n)])
+    def from_entries(cls, n: int, vars: tuple[str, ...], entries: Mapping[
+            tuple[int, int], MultiPoly | Fraction | int]) -> "PolyMatrix":
+        """The n x n matrix over vars with the given (i, j) entries, each a
+        polynomial or a number, and zeros elsewhere."""
+        flat = [MultiPoly.zero(vars)] * (n * n)
+        for (i, j), e in entries.items():
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"entry ({i}, {j}) outside a {n}x{n} matrix")
+            if not isinstance(e, MultiPoly):
+                e = MultiPoly.const(vars, e)
+            elif e.vars != vars:
+                raise VariableMismatch(f"entry vars {e.vars} != {vars}")
+            flat[i * n + j] = e
+        return cls(n, n, flat)
 
     # ---- access ----
 
@@ -108,8 +107,8 @@ class PolyMatrix:
         return PolyMatrix(self.rows, other.cols, out)
 
     def scale(self, c) -> "PolyMatrix":
-        """Multiply every entry by a scalar or polynomial."""
-        return PolyMatrix(self.rows, self.cols, [e * c for e in self.entries])
+        """Multiply every nonzero entry by a scalar or polynomial."""
+        return self.map_entries(lambda e: e * c if e.nums else e)
 
     def scale_rows(self, factors: Sequence) -> "PolyMatrix":
         """Multiply row i by factors[i]: the product diag(factors) @ self,

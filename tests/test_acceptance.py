@@ -120,7 +120,7 @@ def test_operator_change_of_coordinates():
         a1, a2 = conjugation_matrices(p.a, p.b)
         moved = MatrixDiffOp(PSI_VARS, {(1, 0): a1, (0, 1): a2}
                              ).change_vars_affine(X_VARS, PSI_IN_X)
-        zero = PolyMatrix.zeros(p.size, p.size, X_VARS)
+        zero = PolyMatrix.from_entries(p.size, X_VARS, {})
         image = tuple(moved.coeffs.get(idx, zero) for idx in ((1, 0), (0, 1)))
         printed = _printed_first_order_x(p)
         assert tuple(c.scale(Fraction(-1)) for c in image) == printed, p

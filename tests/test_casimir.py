@@ -16,8 +16,8 @@ from bc2mvop.casimir import (RADIAL_DENOMINATOR, bottom_lowering_check,
                              scalar_radial_agreement_check, scalar_radial_psi,
                              vertical_term, xi_constants, xi_suite)
 from bc2mvop.diffop import MatrixDiffOp
-from bc2mvop.leading import (C_VARS, PSI1, PSI2, PSI_IN_C, PSI_IN_X, PSI_VARS,
-                             X_VARS)
+from bc2mvop.leading import (C1, C2, C_VARS, PSI1, PSI2, PSI_IN_C, PSI_IN_X,
+                             PSI_VARS, X_VARS)
 from bc2mvop.lie import MsfLabel, PairParams, casimir_eigenvalue
 from bc2mvop.matrices import PolyMatrix
 from bc2mvop.poly import MultiPoly
@@ -126,7 +126,8 @@ def _perturb_first_order(monkeypatch, extra: MultiPoly):
     real = casimir.radial_operator_c
 
     def perturbed(params):
-        bump = PolyMatrix.diagonal(C_VARS, [1] * params.size).scale(extra)
+        bump = PolyMatrix.from_entries(params.size, C_VARS,
+                                       {(i, i): extra for i in range(params.size)})
         return real(params) + MatrixDiffOp(C_VARS, {(1, 0): bump})
     monkeypatch.setattr(casimir, "radial_operator_c", perturbed)
 
@@ -214,19 +215,100 @@ def test_operator_transform_checks():
                 == pde_operator_psi(p))
 
 
+# verify's default grid, and three points past it
+_GRID = [PairParams(m, a, b) for m in (3, 4, 5) for a in range(4)
+         for b in range(3)]
+_POINTS = _GRID + [PairParams(8, 6, 3), PairParams(3, 6, 0), PairParams(2, 2, 1)]
+
+
+# ---- each coefficient matrix as a zero-filled row table, the reference ----
+
+def _table(vars, rows):
+    """The matrix with these rows over vars; a number is a constant."""
+    return PolyMatrix.from_rows([
+        [e if isinstance(e, MultiPoly) else MultiPoly.const(vars, e) for e in row]
+        for row in rows])
+
+
+def _lifted_table(op, n):
+    """The scalar operator op with each coefficient p written as the table
+    of p I."""
+    return MatrixDiffOp(op.vars, {
+        idx: _table(op.vars, [[c.entry(0, 0) if i == j else 0 for j in range(n)]
+                              for i in range(n)])
+        for idx, c in op.coeffs.items()})
+
+
+def _conjugation_tables(a, b):
+    n = a + 1
+    rows1 = [[0] * n for _ in range(n)]
+    rows2 = [[0] * n for _ in range(n)]
+    for r in range(n):
+        rows1[r][r] = 2 * (a + 2 * b + 2 * r) - 2 * (a + b + r) * PSI1
+        rows2[r][r] = 2 * (b + r) * PSI1 - 2 * (a + 2 * b + 2 * r) * PSI2
+        if r > 0:
+            rows1[r][r - 1] = rows2[r][r - 1] = 2 * r * PSI2
+        if r < n - 1:
+            rows1[r][r + 1] = rows2[r][r + 1] = 2 * (a - r)
+    return _table(PSI_VARS, rows1), _table(PSI_VARS, rows2)
+
+
+def _zero_order_table(p):
+    """Lambda0, the diagonal of the eigenvalues of the labels (i, 0, 0),
+    plus the shift, the subdiagonal -2 r (b+r), each as a table."""
+    n = p.size
+    lambda0 = [[casimir_eigenvalue(p, MsfLabel(i, 0, 0)) if i == j else 0
+                for j in range(n)] for i in range(n)]
+    shift = [[-2 * r * (p.b + r) if j == r - 1 else 0 for j in range(n)]
+             for r in range(n)]
+    return _table(PSI_VARS, lambda0) + _table(PSI_VARS, shift)
+
+
+def _first_order_table(p):
+    """-d/dpsi1 A1 - d/dpsi2 A2 + Lambda0 + shift, from the tables."""
+    a1, a2 = _conjugation_tables(p.a, p.b)
+    return MatrixDiffOp(PSI_VARS, {(1, 0): a1.scale(F(-1)),
+                                   (0, 1): a2.scale(F(-1)),
+                                   (0, 0): _zero_order_table(p)})
+
+
+def _radial_table(p):
+    """The radial operator's zero-order stay/hop matrix as a table, plus
+    the scalar part lifted as a table."""
+    m, a, b, n = p.m, p.a, p.b, p.size
+    c1sq, c2sq, cc = C1 * C1, C2 * C2, C1 * C1 * C2 * C2
+    split = c2sq - c1sq
+    stay = 4 * cc * (c1sq + c2sq - 2 * cc)
+    hop = -4 * cc * C1 * C2 * (2 - c1sq - c2sq)
+    rows = [[0] * n for _ in range(n)]
+    for k in range(n):
+        moves = (k + 1) * (a - k) + k * (a - k + 1)
+        rows[k][k] = (vertical_term(p, k) * RADIAL_DENOMINATOR
+                      + moves * stay + split * split
+                      * ((a + b - k) ** 2 * c2sq + (b + k) ** 2 * c1sq))
+        if k < a:
+            rows[k + 1][k] = rows[k][k + 1] = (k + 1) * (a - k) * hop
+    return (_lifted_table(casimir._radial_scalar_c(m), n)
+            + MatrixDiffOp(C_VARS, {(0, 0): _table(C_VARS, rows)}))
+
+
+def test_operators_equal_their_zero_filled_tables():
+    for p in _POINTS:
+        assert (casimir.conjugation_matrices(p.a, p.b)
+                == _conjugation_tables(p.a, p.b)), p
+        want = (_lifted_table(scalar_radial_psi(p.m), p.size)
+                + _first_order_table(p))
+        assert pde_operator_psi(p) == want, p
+        assert pde_operator_x(p) == want.change_vars_affine(X_VARS, PSI_IN_X), p
+        assert casimir.radial_operator_c(p) == _radial_table(p), p
+
+
 def test_operator_equals_its_parts_moved_one_by_one():
     # a second route to E, stated here as the reference: R0 moved to x once
     # and then lifted, plus the first-order part
     # -d/dpsi1 A1 - d/dpsi2 A2 + Lambda0 + shift built and moved on its own
-    grid = [PairParams(m, a, b) for m in (3, 4, 5) for a in range(4)
-            for b in range(3)]              # verify's default grid
-    for p in grid + [PairParams(8, 6, 3), PairParams(3, 6, 0)]:
-        a1, a2 = casimir.conjugation_matrices(p.a, p.b)
-        lambda0 = PolyMatrix.diagonal(PSI_VARS, [
-            casimir_eigenvalue(p, MsfLabel(i, 0, 0)) for i in range(p.size)])
-        first = MatrixDiffOp(PSI_VARS, {
-            (1, 0): a1.scale(F(-1)), (0, 1): a2.scale(F(-1)),
-            (0, 0): lambda0 + casimir.shift_matrix(p)})
+    for p in _GRID + [PairParams(8, 6, 3), PairParams(3, 6, 0)]:
+        first = _first_order_table(p)
         r0 = scalar_radial_psi(p.m)
         r0x = r0.change_vars_affine(X_VARS, PSI_IN_X)
         assert pde_operator_psi(p) == r0.lift(p.size) + first

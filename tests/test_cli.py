@@ -115,8 +115,9 @@ def _break_radial_operator(monkeypatch):
     real = casimir.radial_operator_c
 
     def broken(params):
-        bump = PolyMatrix.diagonal(C_VARS, [1] * params.size).scale(
-            MultiPoly.var(C_VARS, "c1"))
+        c1 = MultiPoly.var(C_VARS, "c1")
+        bump = PolyMatrix.from_entries(params.size, C_VARS,
+                                       {(i, i): c1 for i in range(params.size)})
         return real(params) + MatrixDiffOp(C_VARS, {(1, 0): bump})
     monkeypatch.setattr(casimir, "radial_operator_c", broken)
 
@@ -149,8 +150,9 @@ def test_verify_pde_fails_on_a_wrong_operator(monkeypatch, capsys, attr,
     real = getattr(casimir, attr)
 
     def broken(params):
-        bump = PolyMatrix.diagonal(vars, [1] * params.size).scale(
-            MultiPoly.var(vars, vars[0]))
+        first = MultiPoly.var(vars, vars[0])
+        bump = PolyMatrix.from_entries(params.size, vars,
+                                       {(i, i): first for i in range(params.size)})
         return real(params) + MatrixDiffOp(vars, {(0, 0): bump})
     monkeypatch.setattr(casimir, attr, broken)
     argv = ["verify", "pde", "--m", "3", "--a", "1", "--b", "0", "--dmax", "1"]

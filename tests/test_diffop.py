@@ -35,7 +35,7 @@ def test_scalar_op_with_polynomial_coefficient():
 
 def test_right_side_matrix_action():
     p1, p2 = psi_vars()
-    C = PolyMatrix.from_scalar_rows(PV, [[0, 1], [0, 0]])
+    C = PolyMatrix.from_entries(2, PV, {(0, 1): 1})
     op = MatrixDiffOp(PV, {(1, 0): C})
     F_ = PolyMatrix.from_rows([[p1, p2], [p2, p1 * p1]])
     out = op.apply(F_)
@@ -103,10 +103,36 @@ def test_cached_operator_coefficients_are_read_only():
     op = radial_operator_c(PairParams(3, 1, 0))
     before = op.apply(PolyMatrix(1, 2, [MultiPoly.var(op.vars, "c1")] * 2))
     with pytest.raises(TypeError):
-        op.coeffs[(0, 0)] = PolyMatrix.zeros(2, 2, op.vars)
+        op.coeffs[(0, 0)] = PolyMatrix.from_entries(2, op.vars, {})
     with pytest.raises(TypeError):
         del op.coeffs[(2, 0)]
     assert op.apply(PolyMatrix(1, 2, [MultiPoly.var(op.vars, "c1")] * 2)) == before
+
+
+def _zero_op(n, vars=PSI_VARS):
+    """The zero operator of size n, written as its one zero coefficient."""
+    return MatrixDiffOp(vars, {(0, 0): PolyMatrix.from_entries(n, vars, {})})
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_zero_operator_keeps_one_zero_coefficient_of_its_size(n):
+    zeros = PolyMatrix.from_entries(n, PSI_VARS, {})
+    op = MatrixDiffOp(PSI_VARS, {(2, 0): zeros, (0, 1): zeros})
+    assert dict(op.coeffs) == {(0, 0): zeros}
+    assert op.size == n
+    assert op == _zero_op(n) and hash(op) == hash(_zero_op(n))
+    assert op != _zero_op(n + 1)
+    # a sum that cancels, and the zero operator's lift, move and sums
+    p1, p2 = psi_vars()
+    scal = MatrixDiffOp.scalar_op(PSI_VARS, {(1, 1): p1, (0, 0): p2})
+    minus = MatrixDiffOp.scalar_op(PSI_VARS, {(1, 1): -p1, (0, 0): -p2})
+    assert scal + minus == _zero_op(1)
+    assert MatrixDiffOp.scalar_op(PSI_VARS, {}) == _zero_op(1)
+    assert _zero_op(1).lift(n) == op
+    assert op + op == op
+    assert op.change_vars_affine(X_VARS, PSI_IN_X) == _zero_op(n, X_VARS)
+    F_ = PolyMatrix(2, n, [p1 * p2] * (2 * n))
+    assert op.apply(F_).is_zero
 
 
 # ---- properties of the affine change, on random small operators ----
@@ -164,14 +190,15 @@ def test_conjugating_the_coefficients_commutes_with_the_action(op, data):
     # is what the dual-family equation adds to the psi-side one
     n = op.size
     rows = data.draw(_constant_invertible(n))
-    P = PolyMatrix.from_scalar_rows(PSI_VARS, rows)
-    P_inv = PolyMatrix.from_scalar_rows(PSI_VARS, frac_invert(rows))
+    def const(A):
+        return PolyMatrix.from_entries(n, PSI_VARS, {
+            (i, j): x for i, row in enumerate(A) for j, x in enumerate(row)})
+    P, P_inv = const(rows), const(frac_invert(rows))
     k = data.draw(st.integers(1, 2))
     F_ = PolyMatrix(k, n, data.draw(
         st.lists(_polys, min_size=k * n, max_size=k * n)))
-    moved = MatrixDiffOp(PSI_VARS, {
-        (0, 0): PolyMatrix.zeros(n, n, PSI_VARS),
-        **{idx: P_inv @ c @ P for idx, c in op.coeffs.items()}})
+    moved = MatrixDiffOp(PSI_VARS, {idx: P_inv @ c @ P
+                                    for idx, c in op.coeffs.items()})
     assert moved.apply(F_ @ P) == op.apply(F_) @ P
 
 
@@ -190,7 +217,8 @@ def test_affine_change_refuses_a_non_affine_or_singular_substitution():
 def _reference_apply(op, F_):
     """sum_idx (d^idx F) @ coeff[idx], in Fraction arithmetic."""
     u, v = op.vars
-    acc = PolyMatrix.zeros(F_.rows, F_.cols, op.vars)
+    acc = PolyMatrix(F_.rows, F_.cols,
+                     [MultiPoly.zero(op.vars)] * (F_.rows * F_.cols))
     for (i1, i2), mat in op.coeffs.items():
         dF = F_
         for name, times in ((u, i1), (v, i2)):

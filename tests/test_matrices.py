@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 from bc2mvop.matrices import (PolyMatrix, _echelon, _primitive_row, conjugate_flip,
                               frac_det, frac_identity, frac_invert, frac_matmul,
                               frac_rank, solve_linear)
-from bc2mvop.poly import MultiPoly
+from bc2mvop.poly import MultiPoly, VariableMismatch
 
 V = ("x1", "x2")
 
@@ -28,10 +28,45 @@ def test_matmul_and_transpose():
     assert A.transpose().entry(1, 0) == x2
 
 
-def test_from_scalar_rows():
-    M = PolyMatrix.from_scalar_rows(V, [[1, F(1, 2)], [0, -3]])
-    assert M.entry(0, 1) == MultiPoly.const(V, F(1, 2))
-    assert M.entry(1, 1) == MultiPoly.const(V, -3)
+def _const_matrix(rows):
+    """The square matrix of constant polynomials over V with these rows."""
+    return PolyMatrix.from_entries(len(rows), V, {
+        (i, j): x for i, row in enumerate(rows) for j, x in enumerate(row)})
+
+
+def test_from_entries():
+    x1, x2 = x_vars()
+    M = PolyMatrix.from_entries(3, V, {(0, 1): F(1, 2), (2, 0): x1 * x2,
+                                       (1, 1): -3})
+    zero = MultiPoly.zero(V)
+    assert M == PolyMatrix.from_rows([
+        [zero, MultiPoly.const(V, F(1, 2)), zero],
+        [zero, MultiPoly.const(V, -3), zero],
+        [x1 * x2, zero, zero]])
+    # a number and its constant polynomial give the same matrix
+    assert M == PolyMatrix.from_entries(3, V, {
+        (0, 1): MultiPoly.const(V, F(1, 2)), (2, 0): x1 * x2,
+        (1, 1): MultiPoly.const(V, -3)})
+    assert PolyMatrix.from_entries(2, V, {}).is_zero
+
+
+@pytest.mark.parametrize("key", [(2, 0), (0, 2), (-1, 0), (0, -1)])
+def test_from_entries_refuses_a_key_outside_the_matrix(key):
+    with pytest.raises(ValueError, match="outside a 2x2 matrix"):
+        PolyMatrix.from_entries(2, V, {key: 1})
+
+
+def test_from_entries_refuses_an_entry_over_other_variables():
+    other = MultiPoly.var(("psi1", "psi2"), "psi1")
+    for n in (1, 2):
+        with pytest.raises(VariableMismatch):
+            PolyMatrix.from_entries(n, V, {(0, 0): other})
+
+
+@pytest.mark.parametrize("rows", [[], [[]]])
+def test_from_rows_refuses_an_empty_matrix(rows):
+    with pytest.raises(ValueError, match="matrix dimensions must be positive"):
+        PolyMatrix.from_rows(rows)
 
 
 def test_det_two_by_two():
@@ -294,7 +329,7 @@ def _square_matrices(draw):
 @example([[F(1, 3), F(2, 7)], [F(-2, 3), F(-4, 7)]])
 def test_det_matches_the_laplace_expansion(A):
     got = frac_det(A)
-    want = PolyMatrix.from_scalar_rows(V, A).det().constant_value()
+    want = _const_matrix(A).det().constant_value()
     if got != want:
         pytest.fail(f"det {got}, Laplace expansion {want}")
 
@@ -312,7 +347,7 @@ def test_solve_and_invert_multiply_back(system):
     n = len(A)
     column = [[x] for x in b]
     # the Laplace expansion decides singularity, independently of the echelon
-    if PolyMatrix.from_scalar_rows(V, A).det().is_zero:
+    if _const_matrix(A).det().is_zero:
         with pytest.raises(ValueError, match="matrix is singular"):
             frac_invert(A)
         if solve_linear(A, b) is not None:
@@ -352,4 +387,5 @@ def test_int_rows_and_their_fraction_copies_agree(rows):
         st.lists(_rank_fracs, min_size=s[0], max_size=s[0]))))
 def test_scale_rows_is_the_product_with_the_diagonal(case):
     M, diag = case
-    assert M.scale_rows(diag) == PolyMatrix.diagonal(V, diag) @ M
+    D = PolyMatrix.from_entries(len(diag), V, {(i, i): x for i, x in enumerate(diag)})
+    assert M.scale_rows(diag) == D @ M

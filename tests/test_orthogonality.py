@@ -245,7 +245,7 @@ def skewed_family(monkeypatch):
     """Every R_d plus x1^|d| N for one matrix N that is not symmetric, so
     that the Gram matrices of distinct degrees are neither zero nor
     symmetric."""
-    shift = PolyMatrix.from_scalar_rows(X_VARS, [[0, 1, 0], [0, 0, 2], [0, 0, 0]])
+    shift = PolyMatrix.from_entries(3, X_VARS, {(0, 1): 1, (1, 2): 2})
 
     def skewed(params, d):
         power = MultiPoly.monomial(X_VARS, (sum(d), 0))

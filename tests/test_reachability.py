@@ -46,9 +46,6 @@ UNREACHED = {
     "poly.MultiPoly.from_json": "the README's round trip reads an export back",
     "matrices.PolyMatrix.from_json": "the README's round trip",
     "lie.root_coordinates": "the reference tests hold dominance_leq against",
-    "matrices.PolyMatrix.zeros": "the zero operator's coefficient: no command "
-    "builds an empty operator, but one is valid (the first-order part of E "
-    "at a = b = 0 is zero, and the hypothesis operators draw zero matrices)",
 }
 
 # Lists the functions and methods the package defines, runs the commands
