@@ -8,17 +8,16 @@ on the right only: the action on a matrix function F is
 
 i.e. coefficient matrices multiply from the right.
 
-The action runs on the integer numerators the polynomials store.  Each
-operator rescales the numerators of all its coefficient matrices to their
-common denominator once, on its first application, and keeps them; the
-entries of F are rescaled to theirs on each call.  Each output entry is
-accumulated as one integer numerator per monomial, with derivatives taken
-as falling factorials of the exponents, over the product of the two
-denominators; the exponent pair (e1, e2) is packed into the one int
-e1 << 32 | e2 while it accumulates, so a product of monomials is one
-integer addition.  This relies on one condition: the coefficient matrices never
+The action runs on the integer numerators the polynomials store.  On its
+first application an operator rescales all its coefficient matrices to one
+common denominator and keeps them with an image table: for each coefficient
+row k and each monomial x^e met in column k of some F, the image of x^e,
+i.e. per column j the numerators of sum_idx d^idx x^e coeff[idx][k, j],
+with derivatives taken as falling factorials.  D(F) sums c times the image
+of x^e over the terms c x^e of each F[r, k], over the product of the two
+denominators.  This relies on one condition: the coefficient matrices never
 change after construction (``coeffs`` is a read-only mapping of immutable
-PolyMatrix values), so the stored numerators stay the operator's own.
+PolyMatrix values), so the stored numerators and images stay the operator's own.
 """
 
 from __future__ import annotations
@@ -31,10 +30,24 @@ from types import MappingProxyType
 from .matrices import PolyMatrix, frac_invert
 from .poly import MultiPoly, VariableMismatch, integer_view
 
-_SHIFT = 32
-_MASK = (1 << _SHIFT) - 1
-
 ALLOWED_IDX = frozenset({(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)})
+
+
+def _image(row: list, e: tuple[int, int]) -> tuple:
+    """The image of x^e under one coefficient row, given as its nonzero
+    entries (idx, j, numerators): the pairs (j, terms) of the numerators of
+    sum_idx d^idx x^e coeff[idx][k, j], where d^idx x^e = (e1)_i1 (e2)_i2
+    x^(e - idx).  Empty when e lies below every derivative index."""
+    e1, e2 = e
+    cols: dict[int, dict] = {}
+    for (i1, i2), j, terms in row:
+        if e1 >= i1 and e2 >= i2:
+            f, s1, s2 = math.perm(e1, i1) * math.perm(e2, i2), e1 - i1, e2 - i2
+            col = cols.setdefault(j, {})
+            for (g1, g2), y in terms.items():
+                g = (g1 + s1, g2 + s2)
+                col[g] = col[g] + f * y if g in col else f * y
+    return tuple((j, tuple(col.items())) for j, col in cols.items())
 
 
 class MatrixDiffOp:
@@ -108,63 +121,48 @@ class MatrixDiffOp:
 
     # ---- action ----
 
-    def _integer_view(self) -> tuple[int, tuple]:
-        """One denominator for every coefficient matrix, and per row k of
-        the coefficients the nonzero entries (idx, j, numerator terms) of
-        coeff[idx][k, j], each exponent packed into one int (see `apply`);
-        built on the first call and kept."""
+    def _integer_view(self) -> tuple[int, list[list], list[dict]]:
+        """One denominator for every coefficient matrix; per row k of the
+        coefficients, the nonzero entries (idx, j, numerators) of
+        coeff[idx][k, j]; and per row k the table of images (see `apply`),
+        empty at first.  Built on the first call and kept."""
         if self._view is None:
             n = self.size
             mats = list(self.coeffs.items())
             den, nums = integer_view(e for _, mat in mats for e in mat.entries)
-            rows = [[] for _ in range(n)]
-            for t, (idx, _) in enumerate(mats):
-                for k in range(n):
-                    for j in range(n):
-                        terms = nums[(t * n + k) * n + j]
-                        if terms:
-                            rows[k].append((idx, j, tuple(
-                                (e1 << _SHIFT | e2, c) for (e1, e2), c in terms.items())))
-            object.__setattr__(self, "_view", (den, tuple(map(tuple, rows))))
+            rows = [[(idx, j, nums[(t * n + k) * n + j])
+                     for t, (idx, _) in enumerate(mats) for j in range(n)
+                     if nums[(t * n + k) * n + j]] for k in range(n)]
+            object.__setattr__(self, "_view", (den, rows, [{} for _ in range(n)]))
         return self._view
 
     def apply(self, F: PolyMatrix) -> PolyMatrix:
-        """D(F), accumulated on exponents packed as e1 << _SHIFT | e2, so
-        that adding two packed exponents adds them coordinatewise (no
-        exponent reaches 2^_SHIFT)."""
+        """D(F): each term c x^e of F[r, k] adds c times the image of x^e
+        under coefficient row k to row r of the output.  An image is built
+        the first time its monomial is met and kept, which is sound because
+        the coefficients never change after construction."""
         if F.vars != self.vars:
             raise VariableMismatch(f"function vars {F.vars} != operator vars {self.vars}")
         if F.cols != self.size:
             raise ValueError(f"F has {F.cols} columns, operator size {self.size}")
         n = self.size
-        oden, op_rows = self._integer_view()
+        oden, rows, images = self._integer_view()
         fden, fnums = integer_view(F.entries)
         out = []
         for r in range(F.rows):
             # acc[j][exp]: numerator of sum_idx sum_k d^idx F[r,k] coeff[idx][k,j]
             acc = [{} for _ in range(n)]
             for k in range(n):
-                fterms = fnums[r * n + k]
-                if not fterms:
-                    continue
-                derived = {}
-                for (i1, i2), j, cterms in op_rows[k]:
-                    dF = derived.get((i1, i2))
-                    if dF is None:
-                        # d^idx x^e = (e1)_i1 (e2)_i2 x^(e - idx)
-                        dF = derived[i1, i2] = [
-                            ((e1 - i1) << _SHIFT | (e2 - i2),
-                             c * math.perm(e1, i1) * math.perm(e2, i2))
-                            for (e1, e2), c in fterms.items()
-                            if e1 >= i1 and e2 >= i2]
-                    row = acc[j]
-                    for a, x in dF:
-                        for g, y in cterms:
-                            e = a + g
-                            row[e] = row[e] + x * y if e in row else x * y
-            out.extend(MultiPoly._over(self.vars, {(e >> _SHIFT, e & _MASK): c
-                                                   for e, c in nums.items()},
-                                       oden * fden) for nums in acc)
+                table = images[k]
+                for e, c in fnums[r * n + k].items():
+                    image = table.get(e)
+                    if image is None:
+                        image = table[e] = _image(rows[k], e)
+                    for j, terms in image:
+                        col = acc[j]
+                        for g, y in terms:
+                            col[g] = col[g] + c * y if g in col else c * y
+            out.extend(MultiPoly._over(self.vars, col, oden * fden) for col in acc)
         return PolyMatrix(F.rows, n, out)
 
     def apply_scalar(self, f: MultiPoly) -> MultiPoly:
@@ -183,36 +181,36 @@ class MatrixDiffOp:
         linear part d(old)/d(new) is inverted to give the chain rule
         d/d(old) = sum_new d(new)/d(old) d/d(new).  A non-affine backsub
         raises ValueError ("not a constant polynomial"), and so does a
-        singular one ("matrix is singular").
+        singular one ("matrix is singular") and a new_vars of other than two
+        names; a backsub with no image for an old variable raises
+        VariableMismatch.
         """
         new_vars = tuple(new_vars)
+        if len(new_vars) != 2:
+            raise ValueError("operators act in exactly two variables")
+        for old in self.vars:
+            if old not in backsub:
+                raise VariableMismatch(f"backsub has no image for {old!r}")
         # J[k][i] = d(new_k)/d(old_i)
         J = frac_invert([[backsub[old].derive(new).constant_value()
                           for new in new_vars] for old in self.vars])
 
-        def first_order(i: int) -> dict[tuple[int, int], Fraction]:
-            return {k: v for k, v in {(1, 0): J[0][i], (0, 1): J[1][i]}.items() if v}
+        def chain(olds: tuple[int, ...]) -> dict[tuple[int, int], Fraction]:
+            # the product of d/d(old_i) over i in olds, as factors of d^idx
+            # in new_vars, zeros dropped
+            out = {(0, 0): Fraction(1)}
+            for i in olds:
+                step: dict[tuple[int, int], Fraction] = {}
+                for (a, b), v in out.items():
+                    for idx, w in (((a + 1, b), J[0][i]), ((a, b + 1), J[1][i])):
+                        step[idx] = step.get(idx, 0) + v * w
+                out = step
+            return {idx: v for idx, v in out.items() if v}
 
-        def second_order(i: int, j: int) -> dict[tuple[int, int], Fraction]:
-            out: dict[tuple[int, int], Fraction] = {}
-            for k, dk in ((0, (1, 0)), (1, (0, 1))):
-                for l, dl in ((0, (1, 0)), (1, (0, 1))):
-                    idx = (dk[0] + dl[0], dk[1] + dl[1])
-                    out[idx] = out.get(idx, Fraction(0)) + J[k][i] * J[l][j]
-            return {k: v for k, v in out.items() if v != 0}
-
-        translation = {
-            (0, 0): {(0, 0): Fraction(1)},
-            (1, 0): first_order(0),
-            (0, 1): first_order(1),
-            (2, 0): second_order(0, 0),
-            (0, 2): second_order(1, 1),
-            (1, 1): second_order(0, 1),
-        }
         out: dict[tuple[int, int], PolyMatrix] = {}
         for idx, mat in self.coeffs.items():
             new_mat = mat.substitute(backsub, new_vars)
-            for new_idx, factor in translation[idx].items():
+            for new_idx, factor in chain((0,) * idx[0] + (1,) * idx[1]).items():
                 piece = new_mat.scale(factor)
                 out[new_idx] = out[new_idx] + piece if new_idx in out else piece
         return MatrixDiffOp(new_vars, out)

@@ -10,7 +10,7 @@ from bc2mvop.diffop import ALLOWED_IDX, MatrixDiffOp
 from bc2mvop.leading import PSI1, PSI2, PSI_IN_X, PSI_VARS, X_VARS
 from bc2mvop.lie import PairParams
 from bc2mvop.matrices import PolyMatrix, frac_det, frac_invert
-from bc2mvop.poly import MultiPoly
+from bc2mvop.poly import MultiPoly, VariableMismatch
 
 PV = ("psi1", "psi2")
 XV = ("x1", "x2")
@@ -210,6 +210,12 @@ def test_affine_change_refuses_a_non_affine_or_singular_substitution():
         op.change_vars_affine(XV, {"psi1": x1 * x1, "psi2": x2})
     with pytest.raises(ValueError, match="matrix is singular"):
         op.change_vars_affine(XV, {"psi1": x1 + x2, "psi2": 2 * x1 + 2 * x2})
+    # an old variable with no image, and one new variable for two old ones
+    with pytest.raises(VariableMismatch, match="'psi2'"):
+        op.change_vars_affine(XV, {"psi1": x1})
+    y = MultiPoly.var(("y",), "y")
+    with pytest.raises(ValueError, match="operators act in exactly two variables"):
+        op.change_vars_affine(("y",), {"psi1": y, "psi2": 2 * y})
 
 
 # ---- the integer action against a Fraction reference ----
@@ -272,3 +278,35 @@ _ZERO = MultiPoly.zero(PSI_VARS)
 def test_apply_matches_the_fraction_reference(op_and_F):
     op, F_ = op_and_F
     assert op.apply(F_) == _reference_apply(op, F_)
+
+
+def test_later_applications_read_the_images_of_earlier_ones():
+    # no (0, 0) coefficient, so x1 and 1 lie below every derivative index
+    # and their images are empty
+    p1, p2 = PSI1, PSI2
+    coeffs = {(2, 0): PolyMatrix.from_entries(2, PSI_VARS, {(0, 0): p1, (0, 1): F(1, 3),
+                                                            (1, 1): p2}),
+              (1, 1): PolyMatrix.from_entries(2, PSI_VARS, {(0, 1): 2, (1, 0): p1 * p2}),
+              (0, 2): PolyMatrix.from_entries(2, PSI_VARS, {(0, 0): F(1, 2), (1, 0): p2,
+                                                            (1, 1): -1})}
+    op = MatrixDiffOp(PSI_VARS, coeffs)
+    shared, one = p1 ** 2 * p2, MultiPoly.one(PSI_VARS)
+    Fs = [
+        # two rows that share their monomials, column by column
+        PolyMatrix.from_rows([[shared + F(1, 3) * p2 ** 2, p1 ** 3],
+                              [shared - p2 ** 2, 5 * p1 ** 3 + p1]]),
+        # 7 x1^2 x2 reads the image built above; x1 and 1 have empty images
+        PolyMatrix.from_rows([[p1 + 7 * shared, one]]),
+        PolyMatrix.from_rows([[p1 ** 3 * p2 ** 2, p2 ** 2 - shared]]),
+    ]
+    images = op._integer_view()[2]
+    assert op.apply(Fs[0]) == _reference_apply(op, Fs[0])
+    built = [dict(table) for table in images]
+    for F_ in Fs[1:] + Fs[:1]:
+        assert op.apply(F_) == _reference_apply(op, F_)
+    # the images the first call built are the ones the later calls read
+    assert all(images[k][e] is image for k in (0, 1) for e, image in built[k].items())
+    assert images[0][(1, 0)] == () and images[1][(0, 0)] == ()
+    fresh = MatrixDiffOp(PSI_VARS, coeffs)
+    assert op == fresh and hash(op) == hash(fresh)
+    assert all(fresh.apply(F_) == op.apply(F_) for F_ in Fs)
