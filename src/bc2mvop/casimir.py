@@ -65,25 +65,26 @@ def vertical_term(params: PairParams, k: int) -> Fraction:
     return Fraction(m * u * u - 4 * u * v + m * v * v, 2 * (m + 2))
 
 
-# 2 c1^2 c2^2 (c2^2 - c1^2)^2, the denominator of every coefficient of
-# ``radial_operator_c``
-RADIAL_DENOMINATOR = 2 * (C1 * C2 * (C2 * C2 - C1 * C1)) ** 2
+# c1^2, c2^2, their split sin(t1+t2) sin(t1-t2), the torus polynomial
+# q = c1 c2 (c2^2 - c1^2), and 2 q^2, the denominator of every coefficient
+# of ``radial_operator_c``
+C1SQ, C2SQ = C1 * C1, C2 * C2
+SPLIT = C2SQ - C1SQ
+TORUS_Q = C1 * C2 * SPLIT
+RADIAL_DENOMINATOR = 2 * TORUS_Q * TORUS_Q
 
 
 @lru_cache(maxsize=None)
 def _radial_scalar_c(m: int) -> MatrixDiffOp:
     """The scalar derivative part of ``radial_operator_c``, which reads m
     alone, as numerators over ``RADIAL_DENOMINATOR``."""
-    c1sq, c2sq = C1 * C1, C2 * C2
-    split = c2sq - c1sq                  # sin(t1+t2) sin(t1-t2)
-    q = C1 * C2 * split
     return MatrixDiffOp.scalar_op(C_VARS, {
-        (2, 0): -q * q * (1 - c1sq),
-        (0, 2): -q * q * (1 - c2sq),
-        (1, 0): q * C2 * (((2 * m - 1) * c1sq - 1) * split
-                          + 4 * c1sq * (1 - c1sq)),
-        (0, 1): q * C1 * (((2 * m - 1) * c2sq - 1) * split
-                          - 4 * c2sq * (1 - c2sq)),
+        (2, 0): -TORUS_Q * TORUS_Q * (1 - C1SQ),
+        (0, 2): -TORUS_Q * TORUS_Q * (1 - C2SQ),
+        (1, 0): TORUS_Q * C2 * (((2 * m - 1) * C1SQ - 1) * SPLIT
+                                + 4 * C1SQ * (1 - C1SQ)),
+        (0, 1): TORUS_Q * C1 * (((2 * m - 1) * C2SQ - 1) * SPLIT
+                                - 4 * C2SQ * (1 - C2SQ)),
     })
 
 
@@ -95,16 +96,15 @@ def radial_operator_c(params: PairParams) -> MatrixDiffOp:
     Row vectors act on the right, so the hop from component k+1 into k is
     entry (k+1, k); the hop matrix is symmetric."""
     m, a, b, n = params.m, params.a, params.b, params.size
-    c1sq, c2sq, cc = C1 * C1, C2 * C2, C1 * C1 * C2 * C2
-    split = c2sq - c1sq
-    stay = 4 * cc * (c1sq + c2sq - 2 * cc)
-    hop = -4 * cc * C1 * C2 * (2 - c1sq - c2sq)
+    cc = C1SQ * C2SQ
+    stay = 4 * cc * (C1SQ + C2SQ - 2 * cc)
+    hop = -4 * cc * C1 * C2 * (2 - C1SQ - C2SQ)
     entries = {}
     for k in range(n):
         moves = (k + 1) * (a - k) + k * (a - k + 1)     # raising + lowering
         entries[k, k] = (vertical_term(params, k) * RADIAL_DENOMINATOR
-                         + moves * stay + split * split
-                         * ((a + b - k) ** 2 * c2sq + (b + k) ** 2 * c1sq))
+                         + moves * stay + SPLIT * SPLIT
+                         * ((a + b - k) ** 2 * C2SQ + (b + k) ** 2 * C1SQ))
         if k < a:
             entries[k + 1, k] = entries[k, k + 1] = (k + 1) * (a - k) * hop
     return (_radial_scalar_c(m).lift(n) + MatrixDiffOp(

@@ -28,7 +28,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .matrices import PolyMatrix, frac_invert
-from .poly import MultiPoly, VariableMismatch, integer_view
+from .poly import MultiPoly, VariableMismatch, distinct_vars, integer_view
 
 ALLOWED_IDX = frozenset({(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)})
 
@@ -182,10 +182,10 @@ class MatrixDiffOp:
         d/d(old) = sum_new d(new)/d(old) d/d(new).  A non-affine backsub
         raises ValueError ("not a constant polynomial"), and so does a
         singular one ("matrix is singular") and a new_vars of other than two
-        names; a backsub with no image for an old variable raises
-        VariableMismatch.
+        names; a backsub with no image for an old variable, and a new_vars
+        that repeats a name, raise VariableMismatch.
         """
-        new_vars = tuple(new_vars)
+        new_vars = distinct_vars(new_vars)
         if len(new_vars) != 2:
             raise ValueError("operators act in exactly two variables")
         for old in self.vars:

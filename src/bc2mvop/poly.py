@@ -14,15 +14,16 @@ view mapping each exponent to its coefficient Fraction(num, den), for
 printing, serialization and callers that want rationals.
 
 The public constructor `MultiPoly(vars, terms)` (and `from_json`) checks
-outside input: every exponent is converted with `operator.index`, must have
-the arity of `vars` and no negative entry, and every coefficient is wrapped
-in `Fraction`.  The results of arithmetic are built from ints by the private
-constructor `MultiPoly._over`, which drops zero numerators, divides by the
-common gcd once and makes the denominator positive.  It checks nothing else
-and relies on one condition: its keys come from valid polynomials over the
-same variable tuple, so every key is already a tuple of non-negative ints of
-the right arity (a sum or difference of such tuples that was checked to
-stay non-negative).
+outside input: no name repeats in `vars` (`zero` and `const`, through which
+the other constructors pass, check that too), every exponent is converted
+with `operator.index`, must have the arity of `vars` and no negative
+entry, and every coefficient is wrapped in `Fraction`.  The results of
+arithmetic are built from ints by the private constructor `MultiPoly._over`,
+which drops zero numerators, divides by the common gcd once and makes the
+denominator positive.  It checks nothing else and relies on one condition:
+its keys come from valid polynomials over the same variable tuple, so every
+key is already a tuple of non-negative ints of the right arity (a sum or
+difference of such tuples that was checked to stay non-negative).
 
 No routine mutates a stored `nums`: every result is a new dict, and
 `integer_view` also hands out new dicts, never `p.nums` itself.
@@ -30,7 +31,9 @@ No routine mutates a stored `nums`: every result is a new dict, and
 Two module functions work on many polynomials at once: `linear_combination`
 sums scalar multiples as one integer combination over one denominator, and
 `substitute_all` composes polynomials with the same images, sharing the
-powers of the images and the image of each monomial between them.
+powers of the images and the image of each monomial between them.  It and
+`MultiPoly.evaluate` put the images (or the values) over one common
+denominator D, and lift a term of total degree k by D^(top - k).
 """
 
 from __future__ import annotations
@@ -54,6 +57,15 @@ def _grlex_key(exp: tuple[int, ...]) -> tuple:
 
 class VariableMismatch(ValueError):
     pass
+
+
+def distinct_vars(vars: Iterable[str]) -> tuple[str, ...]:
+    """vars as a tuple; a name given twice raises VariableMismatch."""
+    vars = tuple(vars)
+    if len(set(vars)) != len(vars):
+        repeated = next(v for i, v in enumerate(vars) if v in vars[:i])
+        raise VariableMismatch(f"variable {repeated!r} repeated in {vars}")
+    return vars
 
 
 def integer_view(polys: Iterable["MultiPoly"]) -> tuple[int, list[dict]]:
@@ -101,7 +113,7 @@ class MultiPoly:
     __slots__ = ("vars", "nums", "den")
 
     def __init__(self, vars: tuple[str, ...], terms: Mapping[tuple[int, ...], Fraction]):
-        vars = tuple(vars)
+        vars = distinct_vars(vars)
         clean: dict[tuple[int, ...], Fraction] = {}
         n = len(vars)
         for exp, coeff in terms.items():
@@ -144,12 +156,13 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, vars: tuple[str, ...]) -> "MultiPoly":
-        return cls._over(tuple(vars), {}, 1)
+        return cls._over(distinct_vars(vars), {}, 1)
 
     @classmethod
     def const(cls, vars: tuple[str, ...], c) -> "MultiPoly":
         c = Fraction(c)
-        return cls._over(tuple(vars), {(0,) * len(vars): c.numerator}, c.denominator)
+        vars = distinct_vars(vars)
+        return cls._over(vars, {(0,) * len(vars): c.numerator}, c.denominator)
 
     @classmethod
     def one(cls, vars: tuple[str, ...]) -> "MultiPoly":
@@ -304,12 +317,9 @@ class MultiPoly:
 
     def substitute(self, images: Mapping[str, "MultiPoly"],
                    out_vars: tuple[str, ...]) -> "MultiPoly":
-        """Compose: replace each variable by the given polynomial image, a
-        polynomial over ``out_vars``.
-
-        Variables without an explicit image must exist in the output
-        variable tuple and map to themselves.
-        """
+        """Compose: replace each variable by its image in ``images``, a
+        polynomial over ``out_vars``.  A variable with no image raises
+        VariableMismatch."""
         return substitute_all([self], images, out_vars)[0]
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
@@ -317,17 +327,18 @@ class MultiPoly:
         if missing:
             raise VariableMismatch(f"no value for {missing}")
         vals = [Fraction(point[v]) for v in self.vars]
-        # each value p/q enters as p^k q^(top-k) over the denominator q^top
-        tops = [max((e[i] for e in self.nums), default=0) for i in range(len(vals))]
+        # the values as numerators over one denominator D; a term of total
+        # degree k is lifted by D^(top - k) to the denominator den * D^top
+        D = math.lcm(*(val.denominator for val in vals))
+        nums = [val.numerator * (D // val.denominator) for val in vals]
+        top = max(map(sum, self.nums), default=0)
         acc = 0
         for exp, c in self.nums.items():
-            for val, k, top in zip(vals, exp, tops):
-                c *= val.numerator ** k * val.denominator ** (top - k)
+            c *= D ** (top - sum(exp))
+            for n, k in zip(nums, exp):
+                c *= n ** k
             acc += c
-        den = self.den
-        for val, top in zip(vals, tops):
-            den *= val.denominator ** top
-        return Fraction(acc, den)
+        return Fraction(acc, self.den * D ** top)
 
     # ---- serialization / printing ----
 
@@ -379,30 +390,27 @@ class MultiPoly:
 def substitute_all(polys: Iterable[MultiPoly], images: Mapping[str, MultiPoly],
                    out_vars: tuple[str, ...]) -> list[MultiPoly]:
     """MultiPoly.substitute of each polynomial (all over one variable tuple)
-    with the same images.  The powers of the images and the image of each
-    monomial are formed once, as numerators, and shared between them."""
+    with the same images.  The images are put over one common denominator
+    D, so the image of x^e is numerators over D^|e|; a term c x^e of a
+    polynomial of total degree top is lifted by D^(top - |e|) to the
+    denominator den * D^top.  The powers of the images and the image of
+    each monomial are formed once and shared between the polynomials."""
     polys = list(polys)
     vars = polys[0].vars
     out_vars = tuple(out_vars)
-    full: list[MultiPoly] = []
     for v in vars:
-        if v in images:
-            img = images[v]
-            if img.vars != out_vars:
-                raise VariableMismatch(
-                    f"image of {v!r} has vars {img.vars}, expected {out_vars}")
-            full.append(img)
-        else:
-            full.append(MultiPoly.var(out_vars, v))
-    # each image over its own denominator, its powers as numerators
-    dens = [img.den for img in full]
-    imgs = [img.nums for img in full]
+        if v not in images:
+            raise VariableMismatch(f"no image for {v!r}")
+        if images[v].vars != out_vars:
+            raise VariableMismatch(
+                f"image of {v!r} has vars {images[v].vars}, expected {out_vars}")
+    D, imgs = integer_view(images[v] for v in vars)
     unit = {(0,) * len(out_vars): 1}
-    pows = [[unit] for _ in dens]
+    pows = [[unit] for _ in imgs]
     monos: dict[tuple[int, ...], dict] = {}
 
     def image(exp: tuple[int, ...]) -> dict:
-        # numerators of the image of x^exp over prod den_i^exp_i
+        # numerators of the image of x^exp over D^|exp|
         term = monos.get(exp)
         if term is None:
             term = unit
@@ -419,20 +427,13 @@ def substitute_all(polys: Iterable[MultiPoly], images: Mapping[str, MultiPoly],
     for p in polys:
         if p.vars != vars:
             raise VariableMismatch(f"{p.vars} vs {vars}")
-        # a term with x_i^k is lifted by den_i^(top_i - k) to the common
-        # denominator p.den * prod den_i^top_i
-        tops = [max((e[i] for e in p.nums), default=0) for i in range(len(dens))]
+        top = max(map(sum, p.nums), default=0)
         acc: dict[tuple[int, ...], int] = {}
         for exp, c in p.nums.items():
-            for vden, top, k in zip(dens, tops, exp):
-                if vden != 1:
-                    c *= vden ** (top - k)
+            c *= D ** (top - sum(exp))
             for e, t in image(exp).items():
                 acc[e] = acc[e] + c * t if e in acc else c * t
-        den = p.den
-        for vden, top in zip(dens, tops):
-            den *= vden ** top
-        out.append(MultiPoly._over(out_vars, acc, den))
+        out.append(MultiPoly._over(out_vars, acc, p.den * D ** top))
     return out
 
 
@@ -451,22 +452,17 @@ def symmetric_reduce(p: MultiPoly, out_vars: tuple[str, str]) -> MultiPoly:
     for (e1, e2), c in p.nums.items():
         if p.nums.get((e2, e1), 0) != c:
             raise ValueError(f"not swap-symmetric at exponents ({e1},{e2})")
-    # work on q(s,t) = p with s=u^2, t=v^2
-    sv = ("_s", "_t")
-    rem = MultiPoly._over(sv, {(e1 // 2, e2 // 2): c for (e1, e2), c in p.nums.items()},
-                          p.den)
-    out: dict[tuple[int, int], Fraction] = {}
-    e1p = MultiPoly(sv, {(1, 0): Fraction(1), (0, 1): Fraction(1)})
-    e2p = MultiPoly(sv, {(1, 1): Fraction(1)})
-    while not rem.is_zero:
-        # lex-leading term has alpha >= beta by symmetry
-        exp = max(rem.nums)
-        alpha, beta = exp
-        c = Fraction(rem.nums[exp], rem.den)
-        if alpha < beta:
-            raise AssertionError("symmetric reduction invariant broken")
-        key = (alpha - beta, beta)
-        out[key] = out.get(key, Fraction(0)) + c
-        rem = rem - c * (e1p ** (alpha - beta)) * (e2p ** beta)
-    result = MultiPoly(tuple(out_vars), out)
-    return result
+    if not p.nums:
+        return MultiPoly.zero(out_vars)
+    # q(s, t) = p with s = u^2, t = v^2 is half the sum of c (s^i t^j + s^j t^i)
+    # over its terms c s^i t^j, and s^i t^j + s^j t^i = psi2^min(i,j) P_|i-j|
+    # for the power sums P_k = s^k + t^k = psi1 P_(k-1) - psi2 P_(k-2),
+    # P_0 = 2, P_1 = psi1 (Macdonald, Symmetric Functions, ch. I §2)
+    psi1, psi2 = (MultiPoly.var(out_vars, v) for v in out_vars)
+    power_sums = [MultiPoly.const(out_vars, 2), psi1]
+    for _ in range(max(abs(e1 - e2) for e1, e2 in p.nums) // 2 - 1):
+        power_sums.append(psi1 * power_sums[-1] - psi2 * power_sums[-2])
+    half = Fraction(1, 2 * p.den)
+    return linear_combination(
+        (c * half, psi2 ** (min(e1, e2) // 2) * power_sums[abs(e1 - e2) // 2])
+        for (e1, e2), c in p.nums.items())

@@ -216,6 +216,9 @@ def test_affine_change_refuses_a_non_affine_or_singular_substitution():
     y = MultiPoly.var(("y",), "y")
     with pytest.raises(ValueError, match="operators act in exactly two variables"):
         op.change_vars_affine(("y",), {"psi1": y, "psi2": 2 * y})
+    # a new variable named twice, refused before the Jacobian is inverted
+    with pytest.raises(VariableMismatch, match="'x1' repeated"):
+        op.change_vars_affine(("x1", "x1"), PSI_IN_X)
 
 
 # ---- the integer action against a Fraction reference ----

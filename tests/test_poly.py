@@ -6,7 +6,8 @@ from math import gcd, lcm
 import pytest
 from hypothesis import example, given, strategies as st
 
-from bc2mvop.leading import PSI1, PSI2, PSI_IN_X, PSI_VARS, X_VARS
+from bc2mvop.leading import (C_VARS, PSI1, PSI2, PSI_IN_C, PSI_IN_X, PSI_VARS,
+                             X_VARS)
 from bc2mvop.poly import (MultiPoly, VariableMismatch, integer_view,
                           linear_combination, substitute_all, symmetric_reduce)
 
@@ -77,6 +78,10 @@ def test_substitute_composition():
     p2 = MultiPoly.var(pv, "psi2")
     q = (p1 ** 2 - 4 * p2).substitute(images, CV)
     assert q == (c1 * c1 - c2 * c2) ** 2
+    # a variable with no image is refused, even where out_vars has its name
+    out = ("c1", "psi2")
+    with pytest.raises(VariableMismatch, match="no image for 'psi2'"):
+        (p1 + p2).substitute({"psi1": MultiPoly.var(out, "c1")}, out)
 
 
 def test_symmetric_reduce_elementary():
@@ -88,6 +93,26 @@ def test_symmetric_reduce_elementary():
     assert symmetric_reduce(c1 * c1 * c2 * c2, ev) == e2
     # power sum of the squares
     assert symmetric_reduce(c1 ** 4 + c2 ** 4, ev) == e1 * e1 - 2 * e2
+
+
+def test_symmetric_reduce_refuses_what_is_not_a_function_of_psi():
+    c1, c2 = c_vars()
+    with pytest.raises(ValueError, match="odd exponent pair"):
+        symmetric_reduce(c1 * c1 * c2, PSI_VARS)
+    with pytest.raises(ValueError, match="not swap-symmetric"):
+        symmetric_reduce(c1 ** 4 + 2 * c2 ** 4, PSI_VARS)
+    with pytest.raises(VariableMismatch, match="2-variable"):
+        symmetric_reduce(MultiPoly.one(("c1", "c2", "c3")), PSI_VARS)
+
+
+def test_a_repeated_variable_name_is_refused():
+    # x twice would make var x the product x*x, and d/dx of it x, not 1
+    xx = ("x", "x")
+    for build in (lambda: MultiPoly.var(xx, "x"), lambda: MultiPoly.const(xx, 3),
+                  lambda: MultiPoly.one(xx), lambda: MultiPoly.zero(xx),
+                  lambda: MultiPoly(("y", "x", "y"), {(1, 0, 0): 1})):
+        with pytest.raises(VariableMismatch, match="repeated"):
+            build()
 
 
 def test_json_round_trip_is_canonical():
@@ -175,6 +200,16 @@ def test_substitute_all_matches_one_substitution_each(p, q, images):
     polys = [p, q, p * q, p]
     assert substitute_all(polys, images, PSI_VARS) == [
         f.substitute(images, PSI_VARS) for f in polys]
+
+
+@given(_polys(coeffs=_wide_coeffs))
+@example(MultiPoly(CV, {(5, 0): F(2, 3), (3, 1): F(-1, 5), (2, 2): 1, (0, 0): 7}))
+def test_symmetric_reduce_inverts_psi_in_c(q):
+    # p = q(c1^2, c2^2) + q(c2^2, c1^2) is even and swap-symmetric
+    c1, c2 = c_vars()
+    p = (q.substitute({"c1": c1 * c1, "c2": c2 * c2}, C_VARS)
+         + q.substitute({"c1": c2 * c2, "c2": c1 * c1}, C_VARS))
+    assert symmetric_reduce(p, PSI_VARS).substitute(PSI_IN_C, C_VARS) == p
 
 
 @given(st.lists(st.tuples(st.one_of(st.integers(-4, 4), _wide_coeffs),
