@@ -31,12 +31,16 @@ stored lowering table and the stored xi constants and inversions are
 compared with what we derive by `report.against_reference`, each beside
 the one check that reads it: a disagreement is REPORTED, both sides
 printed, only while its documented relation holds; otherwise it FAILs.
+This module reads no polynomial family: ``xi_suite`` checks the xi
+constants its caller passes, which ``expansion.xi_constants`` solves from
+the a = b = 0 family.
 
-``casimir_suite`` decides the two scalar radial checks once per m and the
-defining identity of (A1, A2), a verdict of (a, b), once per (a, b), within
-the table of verdicts its caller passes: `verify` passes one table per
-run, and a fresh table decides afresh.  The other checks read the whole
-point.
+``casimir_suite`` decides the two scalar radial checks once per m, on
+``_radial_scalar_c(m)``, the whole radial operator at a = b = 0, so they
+build nothing for a point; and the defining identity of (A1, A2), a
+verdict of (a, b), once per (a, b), within the table of verdicts its
+caller passes: `verify` passes one table per run, and a fresh table
+decides afresh.  The other checks read the whole point.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from . import expansion
 from .diffop import MatrixDiffOp
 from .leading import (C1, C2, C_VARS, PSI1, PSI2, PSI_IN_C, PSI_IN_X,
                       PSI_VARS, X_VARS, _require_weight_regime,
@@ -52,7 +55,7 @@ from .leading import (C1, C2, C_VARS, PSI1, PSI2, PSI_IN_C, PSI_IN_X,
 from .lie import (MsfLabel, PairParams, casimir_eigenvalue,
                   casimir_eigenvalue_ip, check_label, degree_pairs,
                   label_weight, labels_up_to, point_cache)
-from .matrices import PolyMatrix, solve_linear
+from .matrices import PolyMatrix
 from .poly import MultiPoly, linear_combination
 from .report import (CheckResult, FAIL, PASS, against_reference, at_point,
                      decide)
@@ -127,17 +130,16 @@ def radial_apply(params: PairParams, comps) -> tuple[MultiPoly, ...]:
         PolyMatrix(1, params.size, comps)).entries
 
 
-def _radial_mismatch(name: str, place: str, params: PairParams, comps,
-                     want) -> CheckResult | None:
-    """None when the radial operator sends comps to want exactly, else the
-    FAIL at place for the first differing component.
+def _radial_mismatch(name: str, place: str, images, want) -> CheckResult | None:
+    """None when the radial images equal want exactly, else the FAIL at
+    place for the first differing component.
 
-    ``radial_apply`` gives numerators over D = ``RADIAL_DENOMINATOR``, so
-    each one is compared with D want: Q[c1, c2] has no zero divisors and
-    D != 0, so they agree exactly when the image is a polynomial equal to
-    want.  The residual is the numerator minus D want, which is the
-    numerator of image minus want over D."""
-    for k, (g, w) in enumerate(zip(radial_apply(params, comps), want)):
+    The images are numerators over D = ``RADIAL_DENOMINATOR``, as
+    ``radial_apply`` gives them, so each one is compared with D want:
+    Q[c1, c2] has no zero divisors and D != 0, so they agree exactly when
+    the image is a polynomial equal to want.  The residual is the numerator
+    minus D want, which is the numerator of image minus want over D."""
+    for k, (g, w) in enumerate(zip(images, want)):
         dw = RADIAL_DENOMINATOR * w
         if g != dw:
             return CheckResult(name, FAIL, f"{place}, component {k}",
@@ -181,10 +183,9 @@ def lowering_moves(params: PairParams, label: MsfLabel) -> dict[MsfLabel, int]:
     ]
     out: dict[MsfLabel, int] = {}
     for (ti, td1, td2), coeff in raw:
-        valid = 0 <= ti <= a and td1 >= 0 and td2 >= 0
         if coeff == 0:
             continue
-        if not valid:
+        if not (0 <= ti <= a and td1 >= 0 and td2 >= 0):
             raise AssertionError(
                 f"nonzero lowering coefficient {coeff} aims at invalid label "
                 f"({ti},{td1},{td2}) from {label}")
@@ -194,13 +195,14 @@ def lowering_moves(params: PairParams, label: MsfLabel) -> dict[MsfLabel, int]:
 
 
 def scalar_eigen_check(m: int) -> CheckResult:
-    """At a = b = 0 the operator sends psi1 and psi2 to the stated images."""
+    """At a = b = 0 the operator, ``_radial_scalar_c(m)`` alone there, sends
+    psi1 and psi2 to the stated images."""
     name = f"radial action on symmetric coordinates (m={m})"
-    params = PairParams(m, 0, 0)
+    op = _radial_scalar_c(m).apply_scalar
     f1, f2 = PSI_IN_C["psi1"], PSI_IN_C["psi2"]
     for which, f, want in (("first", f1, (2 * m + 4) * f1 - 8),
                            ("second", f2, (4 * m + 4) * f2 - 2 * f1)):
-        fail = _radial_mismatch(name, f"{which} coordinate", params, [f], [want])
+        fail = _radial_mismatch(name, f"{which} coordinate", [op(f)], [want])
         if fail:
             return fail
     return CheckResult(name, PASS)
@@ -223,7 +225,7 @@ def bottom_lowering_check(params: PairParams) -> CheckResult:
         if i:
             terms.append((-2 * i * (params.b + i), bottom_vector(params, i - 1)))
         want = _combine(terms)
-        fail = _radial_mismatch(name, f"i={i}", params, row, want)
+        fail = _radial_mismatch(name, f"i={i}", radial_apply(params, row), want)
         if fail:
             return fail
     return CheckResult(name, PASS, f"{params.size} bottom rows")
@@ -233,18 +235,17 @@ def general_lowering_check(params: PairParams, dmax: int) -> CheckResult:
     """Triangular recursion: radial operator on a general label equals the
     eigenvalue term plus the seven-move table, exactly."""
     name = f"triangular recursion table {params.tag()} dmax={dmax}"
-    count = 0
-    for label in labels_up_to(params, dmax):
+    labels = labels_up_to(params, dmax)
+    for label in labels:
         vector = label_vector(params, label)
         terms = [(casimir_eigenvalue(params, label), vector)]
         terms += [(coeff, label_vector(params, target))
                   for target, coeff in lowering_moves(params, label).items()]
-        want = _combine(terms)
-        fail = _radial_mismatch(name, f"label {label}", params, vector, want)
+        fail = _radial_mismatch(name, f"label {label}",
+                                radial_apply(params, vector), _combine(terms))
         if fail:
             return fail
-        count += 1
-    return CheckResult(name, PASS, f"{count} labels")
+    return CheckResult(name, PASS, f"{len(labels)} labels")
 
 
 def reference_table_comparison(params: PairParams, dmax: int) -> CheckResult:
@@ -307,16 +308,16 @@ AGREEMENT_DEG = 3
 
 
 def scalar_radial_agreement_check(m: int) -> CheckResult:
-    """Two independent code paths for the scalar operator must agree on all
-    monomials psi1^u psi2^v with u+v <= AGREEMENT_DEG."""
+    """Two independent code paths for the scalar operator, in psi and in c
+    (``_radial_scalar_c``), must agree on all monomials psi1^u psi2^v with
+    u+v <= AGREEMENT_DEG."""
     name = f"scalar operator route agreement (m={m}, deg<={AGREEMENT_DEG})"
-    params = PairParams(m, 0, 0)
-    op = scalar_radial_psi(m)
+    op, op_c = scalar_radial_psi(m), _radial_scalar_c(m).apply_scalar
     for u, v in degree_pairs(AGREEMENT_DEG):
         mono = MultiPoly.monomial(PSI_VARS, (u, v))
         via_psi = op.apply_scalar(mono).substitute(PSI_IN_C, C_VARS)
-        fail = _radial_mismatch(name, f"monomial ({u},{v})", params,
-                                [_psi_power_c(u, v)], [via_psi])
+        fail = _radial_mismatch(name, f"monomial ({u},{v})",
+                                [op_c(_psi_power_c(u, v))], [via_psi])
         if fail:
             return fail
     return CheckResult(name, PASS)
@@ -346,8 +347,8 @@ def gradient_pairing_verdict(a: int, b: int) -> CheckResult:
     name = "conjugation matrix defining identity"
     q0 = leading_term_matrix(a, b)
     a1, a2 = conjugation_matrices(a, b)
-    w1 = (2 * C1 * (1 - C1 * C1), 2 * C2 * (1 - C2 * C2))
-    w2 = (w1[0] * C2 * C2, w1[1] * C1 * C1)
+    w1 = (2 * C1 * (1 - C1SQ), 2 * C2 * (1 - C2SQ))
+    w2 = (w1[0] * C2SQ, w1[1] * C1SQ)
     for tag_i, weights, amat in (("first", w1, a1), ("second", w2, a2)):
         lhs = q0.map_entries(lambda e: weights[0] * e.derive("c1")
                              + weights[1] * e.derive("c2"))
@@ -383,34 +384,6 @@ def pde_operator_x(params: PairParams) -> MatrixDiffOp:
     return pde_operator_psi(params).change_vars_affine(X_VARS, PSI_IN_X)
 
 
-# ---- expansion of the symmetric coordinates in scalar eigenfunctions ----
-
-def _in_eigenbasis(poly: MultiPoly, eigenfunctions: list[MultiPoly]):
-    """Coordinates of poly in the basis {1} + the given eigenfunctions,
-    solved exactly."""
-    basis = [MultiPoly.one(PSI_VARS), *eigenfunctions]
-    support = sorted({e for p in basis for e in p.nums} | set(poly.nums))
-    rows = [[p.coefficient(exp) for p in basis] for exp in support]
-    rhs = [poly.coefficient(exp) for exp in support]
-    sol = solve_linear(rows, rhs)
-    if sol is None:
-        raise AssertionError("eigenbasis expansion failed (cannot happen)")
-    return tuple(sol)
-
-
-def xi_constants(m: int) -> dict:
-    """Expansion constants of psi1 and psi2 in the scalar eigenfunctions
-    phi1 = phi_(1,0) and phi2 = phi_(0,1), read from the a = b = 0 family:
-    each is the eigenfunction with that top monomial, equal to 1 at
-    (psi1, psi2) = (2, 1)."""
-    p0 = PairParams(m, 0, 0)
-    phi1, phi2 = (expansion.poly_matrix_psi(p0, d).entry(0, 0)
-                  for d in ((1, 0), (0, 1)))
-    return {"psi1": _in_eigenbasis(PSI1, [phi1]),
-            "psi2": _in_eigenbasis(PSI2, [phi1, phi2]),
-            "phi1": phi1, "phi2": phi2}
-
-
 def xi_references(m: int) -> dict:
     """The stored closed forms the xi suite compares with: the expansion
     constants of psi2 (they do not sum to 1) and the inversions phi1 (twice
@@ -421,24 +394,21 @@ def xi_references(m: int) -> dict:
             "phi2": (m * (m + 1) * PSI2 - (m + 1) * PSI1 + 2) / (m * (m - 1))}
 
 
-def xi_suite(m: int) -> list[CheckResult]:
-    data = xi_constants(m)
+def xi_suite(m: int, data: dict) -> list[CheckResult]:
+    """The checks of ``data``, the xi constants of m that
+    ``expansion.xi_constants(m)`` solves, against ``xi_references(m)``."""
     refs = xi_references(m)
     out = []
-    op = scalar_radial_psi(m)
-    p0 = PairParams(m, 0, 0)
-    ok = True
+    op, p0 = scalar_radial_psi(m), PairParams(m, 0, 0)
     details = []
     for d, phi in (((1, 0), data["phi1"]), ((0, 1), data["phi2"])):
         c = casimir_eigenvalue(p0, MsfLabel(0, *d))
         if op.apply_scalar(phi) != c * phi:
-            ok = False
             details.append(f"eigen-equation fails at degree {d}")
         if phi.evaluate({"psi1": Fraction(2), "psi2": Fraction(1)}) != 1:
-            ok = False
             details.append(f"identity normalization fails at degree {d}")
     out.append(CheckResult(f"scalar eigenfunctions solved (m={m})",
-                           PASS if ok else FAIL, "; ".join(details)))
+                           FAIL if details else PASS, "; ".join(details)))
 
     s0, s1 = data["psi1"]
     want = (Fraction(4, m + 2), Fraction(2 * m, m + 2))

@@ -135,7 +135,7 @@ def _verify_results(args, grid: list[PairParams]):
     alone is dropped (`drop_point_caches`): its weights, families,
     transition matrices, operators, lowering graphs, Gram matrices, moment
     tables and quadrature values.  The per-m checks drop once more at the
-    end, for the a = b = 0 families the xi suite reads."""
+    end, for the a = b = 0 families that `expansion.xi_constants` reads."""
     want = lambda s: args.suite in ("all", s)
     dmax = 2 if args.dmax is None else args.dmax
     verdicts = {}
@@ -168,7 +168,7 @@ def _verify_results(args, grid: list[PairParams]):
         if want("orthogonality"):
             results.append(orthogonality.total_mass_check(m))
         if want("xi"):
-            results += casimir.xi_suite(m)
+            results += casimir.xi_suite(m, expansion.xi_constants(m))
     drop_point_caches()
     return results
 

@@ -89,8 +89,7 @@ class MatrixDiffOp:
     @classmethod
     def scalar_op(cls, vars: tuple[str, str],
                   coeffs: Mapping[tuple[int, int], MultiPoly]) -> "MatrixDiffOp":
-        mats = {idx: PolyMatrix(1, 1, [p]) for idx, p in coeffs.items()}
-        return cls(vars, mats or {(0, 0): PolyMatrix.from_entries(1, tuple(vars), {})})
+        return cls(vars, {idx: PolyMatrix(1, 1, [p]) for idx, p in coeffs.items()})
 
     def lift(self, n: int) -> "MatrixDiffOp":
         """Tensor a scalar (1x1) operator with the identity of size n: each

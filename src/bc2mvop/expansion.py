@@ -12,7 +12,9 @@ The chain implemented here:
   common denominator and rescales them all only when an eigenvalue
   difference does not divide the next coefficient;
 * the matrix polynomial family in (psi1, psi2) and in (x1, x2) built by
-  grouping an expansion by bottom index;
+  grouping an expansion by bottom index, and the xi constants: psi1 and
+  psi2 in the scalar eigenfunctions of its a = b = 0 member, which
+  `casimir.xi_suite` checks;
 * the eigenvalue equation for the assembled operator family, in both
   coordinate systems;
 * the dual-parameter family, realized by flip conjugation, with eigenvalues
@@ -30,12 +32,13 @@ from types import MappingProxyType
 from . import casimir
 from .diffop import MatrixDiffOp
 from .krawtchouk import poch
-from .leading import PSI_IN_X, PSI_VARS, X_VARS
+from .leading import PSI1, PSI2, PSI_IN_X, PSI_VARS, X_VARS
 from .lie import (MsfLabel, PairParams, bottom_weight, casimir_eigenvalue,
                   casimir_eigenvalue_ip, casimir_numerator, check_label,
-                  degree_pairs, dominance_leq, dualize, label_weight,
-                  labels_up_to, point_cache)
-from .matrices import PolyMatrix, conjugate_flip, frac_identity, frac_matmul
+                  degree_pair, degree_pairs, dominance_leq, dualize,
+                  label_weight, labels_up_to, point_cache)
+from .matrices import (PolyMatrix, conjugate_flip, frac_identity, frac_matmul,
+                       solve_linear)
 from .poly import MultiPoly
 from .report import CheckResult, FAIL, PASS, against_reference
 
@@ -251,7 +254,7 @@ def phi_expansion(params: PairParams, label: MsfLabel) -> dict[MsfLabel, Fractio
 
 @point_cache
 def poly_matrix_psi(params: PairParams, d: tuple[int, int]) -> PolyMatrix:
-    n = params.size
+    d, n = degree_pair(d), params.size
     rows = []
     for i in range(n):
         coeffs = phi_expansion(params, MsfLabel(i, d[0], d[1]))
@@ -267,6 +270,31 @@ def poly_matrix_psi(params: PairParams, d: tuple[int, int]) -> PolyMatrix:
 @point_cache
 def poly_matrix_x(params: PairParams, d: tuple[int, int]) -> PolyMatrix:
     return poly_matrix_psi(params, d).substitute(PSI_IN_X, X_VARS)
+
+
+def _in_eigenbasis(poly: MultiPoly, eigenfunctions: list[MultiPoly]):
+    """Coordinates of poly in the basis {1} + the given eigenfunctions,
+    solved exactly."""
+    basis = [MultiPoly.one(PSI_VARS), *eigenfunctions]
+    support = sorted({e for p in basis for e in p.nums} | set(poly.nums))
+    rows = [[p.coefficient(exp) for p in basis] for exp in support]
+    rhs = [poly.coefficient(exp) for exp in support]
+    sol = solve_linear(rows, rhs)
+    if sol is None:
+        raise AssertionError("eigenbasis expansion failed (cannot happen)")
+    return tuple(sol)
+
+
+def xi_constants(m: int) -> dict:
+    """Expansion constants of psi1 and psi2 in the scalar eigenfunctions
+    phi1 = phi_(1,0) and phi2 = phi_(0,1), read from the a = b = 0 family:
+    each is the eigenfunction with that top monomial, equal to 1 at
+    (psi1, psi2) = (2, 1).  ``casimir.xi_suite`` checks them."""
+    p0 = PairParams(m, 0, 0)
+    phi1, phi2 = (poly_matrix_psi(p0, d).entry(0, 0) for d in ((1, 0), (0, 1)))
+    return {"psi1": _in_eigenbasis(PSI1, [phi1]),
+            "psi2": _in_eigenbasis(PSI2, [phi1, phi2]),
+            "phi1": phi1, "phi2": phi2}
 
 
 def phi_zero_check(params: PairParams) -> CheckResult:

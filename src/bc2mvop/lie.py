@@ -75,9 +75,11 @@ _POINT_CACHES = []
 
 def point_cache(fn):
     """fn under an unbounded lru_cache whose entries belong to one parameter
-    point: `drop_point_caches` empties it when `verify` leaves the point,
-    which it never returns to.  Its hit and miss counts keep counting across
-    drops, as if every entry were kept; only ``cache_clear`` resets them."""
+    point: `drop_point_caches` empties it when `verify`'s grid loop leaves
+    the point, which the loop never returns to; the per-m section after the
+    loop reads the a = b = 0 point afresh, and the final drop empties it.
+    Its hit and miss counts keep counting across drops, as if every entry
+    were kept; only ``cache_clear`` resets them."""
     cached = lru_cache(maxsize=None)(fn)
     info, clear = cached.cache_info, cached.cache_clear
     dropped = [0, 0]     # the hits and misses of the entries dropped so far

@@ -55,9 +55,10 @@ printed deviations do not depend on the sharing.
 The Gram matrices, the matrix moment table, the tables U, and the
 quadrature's pull-backs of R_d to (c1, c2), factor degrees, mesh and
 factor values are `point_cache`s: `verify` drops them, with the point's
-weights, families, operators and lowering graphs, when it leaves the
-point, which it never returns to.  The per-(m, b) moments and the node
-vectors stay.
+weights, families, operators and lowering graphs, when its grid loop
+leaves the point, which the loop never returns to; the per-m section after
+the loop reads the a = b = 0 point afresh, and the final drop empties it.
+The per-(m, b) moments and the node vectors stay.
 """
 
 from __future__ import annotations

@@ -21,9 +21,10 @@ import pytest
 
 from bc2mvop import cli
 from bc2mvop.casimir import (casimir_suite, conjugation_matrices,
-                             scalar_radial_psi, xi_constants, xi_suite)
+                             scalar_radial_psi, xi_suite)
 from bc2mvop.diffop import MatrixDiffOp
-from bc2mvop.expansion import duality_suite, pde_suite, transition_suite
+from bc2mvop.expansion import (duality_suite, pde_suite, transition_suite,
+                               xi_constants)
 from bc2mvop.krawtchouk import STANDARD_PS, standard_suite
 from bc2mvop.leading import PSI_IN_X, PSI_VARS, X_VARS, weight_suite
 from bc2mvop.lie import PairParams
@@ -173,12 +174,13 @@ def test_quadrature_agrees_with_exact_integrals():
 
 def test_eigenfunction_constants_derived_and_discrepancies_reported():
     for m in (3, 4, 5):
-        t0, t1, t2 = xi_constants(m)["psi2"]
+        data = xi_constants(m)
+        t0, t1, t2 = data["psi2"]
         assert t0 == Fraction(2, (m + 1) * (m + 2))
         assert t1 == Fraction(2, m + 2)
         assert t2 == Fraction(m - 1, m + 1)
         assert t0 + t1 + t2 == 1
-        results = xi_suite(m)
+        results = xi_suite(m, data)
         assert_no_fail(results)
         assert [r.name for r in results if r.status == REPORTED] == \
             [f"second coordinate expansion constants (m={m})",

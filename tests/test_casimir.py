@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from bc2mvop import casimir, cli
+from bc2mvop import casimir, cli, lie
 from bc2mvop.casimir import (RADIAL_DENOMINATOR, bottom_lowering_check,
                              casimir_suite, eigenvalue_agreement_check,
                              general_lowering_check,
@@ -14,8 +14,9 @@ from bc2mvop.casimir import (RADIAL_DENOMINATOR, bottom_lowering_check,
                              pde_operator_psi, pde_operator_x, radial_apply,
                              reference_table_comparison, scalar_eigen_check,
                              scalar_radial_agreement_check, scalar_radial_psi,
-                             vertical_term, xi_constants, xi_suite)
+                             vertical_term, xi_suite)
 from bc2mvop.diffop import MatrixDiffOp
+from bc2mvop.expansion import xi_constants
 from bc2mvop.leading import (C1, C2, C_VARS, PSI1, PSI2, PSI_IN_C, PSI_IN_X,
                              PSI_VARS, X_VARS)
 from bc2mvop.lie import MsfLabel, PairParams, casimir_eigenvalue
@@ -121,15 +122,13 @@ def test_radial_operator_matches_scalar_psi_operator(m, coeffs):
 
 
 def _perturb_first_order(monkeypatch, extra: MultiPoly):
-    """Add extra times the identity to the (1,0) coefficient of the radial
-    numerator operator."""
-    real = casimir.radial_operator_c
-
-    def perturbed(params):
-        bump = PolyMatrix.from_entries(params.size, C_VARS,
-                                       {(i, i): extra for i in range(params.size)})
-        return real(params) + MatrixDiffOp(C_VARS, {(1, 0): bump})
-    monkeypatch.setattr(casimir, "radial_operator_c", perturbed)
+    """Add extra to the (1,0) coefficient of the scalar part of the radial
+    numerator operator: the per-m checks apply that part, and every
+    point's operator lifts it, so extra times the identity joins it."""
+    real = casimir._radial_scalar_c
+    monkeypatch.setattr(casimir, "_radial_scalar_c", lambda m: real(m) + (
+        MatrixDiffOp.scalar_op(C_VARS, {(1, 0): extra})))
+    lie.drop_point_caches()  # no operator built before the mutation is read
 
 
 def _fail_lines(capsys):
@@ -196,12 +195,13 @@ def test_radial_mismatch_residual_is_the_numerator_minus_d_want():
     for k in range(2):
         off = list(want)
         off[k] = off[k] + c1
-        r = casimir._radial_mismatch("check", "i=0", p, row, off)
+        r = casimir._radial_mismatch("check", "i=0", radial_apply(p, row), off)
         assert (r.status, r.detail) == ("FAIL", f"i=0, component {k}")
         assert r.residual == str(-(RADIAL_DENOMINATOR * c1))
     # c1 alone is outside the eigenfunction span: no want matches its image
     zero = MultiPoly.zero(C_VARS)
-    r = casimir._radial_mismatch("check", "c1", p, (c1, zero), (zero, zero))
+    r = casimir._radial_mismatch("check", "c1", radial_apply(p, (c1, zero)),
+                                 (zero, zero))
     assert r.status == "FAIL" and r.residual not in ("", "0")
 
 
@@ -358,7 +358,7 @@ def test_xi_constants_by_hand():
 
 
 def test_xi_suite_statuses():
-    statuses = [r.status for r in xi_suite(4)]
+    statuses = [r.status for r in xi_suite(4, xi_constants(4))]
     assert statuses.count("FAIL") == 0
     assert statuses.count("REPORTED") == 2
 
@@ -367,7 +367,7 @@ def test_second_inversion_fail_prints_both_sides(monkeypatch):
     real = casimir.xi_references
     monkeypatch.setattr(casimir, "xi_references",
                         lambda m: {**real(m), "phi2": 2 * real(m)["phi2"]})
-    r = next(r for r in xi_suite(4)
+    r = next(r for r in xi_suite(4, xi_constants(4))
              if r.name == "second eigenfunction inversion (m=4)")
     assert r.status == "FAIL"
     ref, got = casimir.xi_references(4)["phi2"], xi_constants(4)["phi2"]

@@ -110,16 +110,13 @@ def test_verify_json_format(capsys):
 
 
 def _break_radial_operator(monkeypatch):
-    """Add c1 d/dc1 to every radial operator: a mutation that the radial
-    checks catch and the others do not read."""
-    real = casimir.radial_operator_c
-
-    def broken(params):
-        c1 = MultiPoly.var(C_VARS, "c1")
-        bump = PolyMatrix.from_entries(params.size, C_VARS,
-                                       {(i, i): c1 for i in range(params.size)})
-        return real(params) + MatrixDiffOp(C_VARS, {(1, 0): bump})
-    monkeypatch.setattr(casimir, "radial_operator_c", broken)
+    """Add c1 d/dc1 to the scalar part of every radial operator, which the
+    per-m checks apply and each point's operator lifts: a mutation that the
+    radial checks catch and the others do not read."""
+    real = casimir._radial_scalar_c
+    bump = MatrixDiffOp.scalar_op(C_VARS, {(1, 0): MultiPoly.var(C_VARS, "c1")})
+    monkeypatch.setattr(casimir, "_radial_scalar_c", lambda m: real(m) + bump)
+    lie.drop_point_caches()  # no operator built before the mutation is read
 
 
 def test_verify_json_puts_a_fail_residual_at_the_top_level(monkeypatch,
@@ -768,15 +765,15 @@ def test_verify_builds_each_shared_part_once_per_parameters_it_reads(
 
     code, _, _ = run_cli(SHARED_GRID, capsys)
     assert code == 0
-    # the scalar radial parts once per m; each point's operator in c, the
-    # scalar checks' (m, 0, 0) among them, and in psi lifts its m's part once
+    # the scalar radial parts once per m; each point's operator in c and in
+    # psi lifts its m's part once, and the per-m checks apply the c-side
+    # part unlifted, at no placeholder point
     assert [cache.cache_info().misses for cache in per_m] == [2, 2]
     points = [PairParams(m, a, b) for m in (3, 4) for a in (1, 2)
               for b in (0, 1)]
     want = Counter()
     for builder, scalar, at in (
-            ("radial_operator_c", casimir._radial_scalar_c,
-             points + [PairParams(3, 0, 0), PairParams(4, 0, 0)]),
+            ("radial_operator_c", casimir._radial_scalar_c, points),
             ("pde_operator_psi", casimir.scalar_radial_psi, points)):
         want.update((builder, p, id(scalar(p.m)), p.size) for p in at)
     assert lifts == want
@@ -805,6 +802,24 @@ def test_report_does_not_depend_on_grid_order(capsys):
     assert code == code2 == 0
     assert forward != backward
     assert sorted(forward.splitlines()) == sorted(backward.splitlines())
+
+
+def test_point_caches_miss_alike_in_any_grid_order(capsys):
+    # the grid loop never returns to a point, and the per-m checks build
+    # nothing for a point (m, 0, 0) off it or ahead of it: each point's
+    # tables are built once whatever the order of the axes
+    caches = list(_point_caches())
+    misses = []
+    for axes in (["--m", "3,4", "--a", "0,1", "--b", "0,1"],
+                 ["--m", "4,3", "--a", "1,0", "--b", "1,0"]):
+        for cache in caches:
+            cache.cache_clear()
+        code, out, _ = run_cli(["verify", "all", *axes, "--dmax", "1",
+                                "--numeric"], capsys)
+        assert code == 0 and "FAIL" not in out
+        misses.append({f"{cache.__module__}.{cache.__qualname__}":
+                       cache.cache_info().misses for cache in caches})
+    assert misses[0] == misses[1]
 
 
 def test_report_does_not_depend_on_optimize_flag():

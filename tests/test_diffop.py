@@ -127,7 +127,11 @@ def test_zero_operator_keeps_one_zero_coefficient_of_its_size(n):
     scal = MatrixDiffOp.scalar_op(PSI_VARS, {(1, 1): p1, (0, 0): p2})
     minus = MatrixDiffOp.scalar_op(PSI_VARS, {(1, 1): -p1, (0, 0): -p2})
     assert scal + minus == _zero_op(1)
-    assert MatrixDiffOp.scalar_op(PSI_VARS, {}) == _zero_op(1)
+    # no coefficient at all fixes no size, scalar or not
+    for empty in (lambda: MatrixDiffOp(PSI_VARS, {}),
+                  lambda: MatrixDiffOp.scalar_op(PSI_VARS, {})):
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            empty()
     assert _zero_op(1).lift(n) == op
     assert op + op == op
     assert op.change_vars_affine(X_VARS, PSI_IN_X) == _zero_op(n, X_VARS)

@@ -289,6 +289,19 @@ def test_degree_pair_of_wrong_length_or_sign_is_refused():
             degree_pair(d)
 
 
+def test_family_builders_refuse_a_malformed_degree():
+    # the builders read d[0] and d[1] alone: a third entry was ignored, so
+    # R_(1,0) was built and cached under (1, 0, 5), and (1,) raised
+    # IndexError.  A refused degree caches nothing
+    p = PairParams(3, 1, 0)
+    for build in (poly_matrix_psi, poly_matrix_x):
+        before = build.cache_info().currsize
+        for d in ((1, 0, 5), (0, 1, 9), (1,)):
+            with pytest.raises(ValueError, match="degree pair"):
+                build(p, d)
+        assert build.cache_info().currsize == before
+
+
 def test_duality_checks():
     for params in (PairParams(3, 1, 0), PairParams(3, 2, 1)):
         assert dual_bottom_check(params).status == "PASS"

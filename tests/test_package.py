@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -56,8 +57,8 @@ def test_dir_lists_every_public_name_before_it_is_read():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_each_module_loads_first_in_a_fresh_interpreter(module):
-    # `casimir` and `expansion` bind each other as modules (`from . import`),
-    # not names, so either one can load first
+    # a module that binds another lazily (`from . import`) loads it only
+    # when it reads one of its names
     assert _run(f"import types\n"
                 f"import bc2mvop.{module} as module\n"
                 "module.__doc__\n"
@@ -122,3 +123,28 @@ def test_no_function_without_parameters_is_cached():
                  for line, name in _cached_without_parameters(
                      ast.parse(path.read_text()))]
     assert offenders == []
+
+
+def _relative_imports(tree) -> set[str]:
+    """The package modules that tree imports by a relative import, in
+    either form."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.update([node.module.partition(".")[0]] if node.module
+                       else (alias.name for alias in node.names))
+    return out
+
+
+def test_relative_imports_form_no_cycle():
+    # the modules depend one way: the recursion reads the operators, the
+    # xi constants read the family, and `casimir` reads no family
+    sample = ast.parse("from . import a, b\nfrom .c import d\n"
+                       "from .. import e\nimport f\n")
+    assert _relative_imports(sample) == {"a", "b", "c"}
+    graph = {path.stem: _relative_imports(ast.parse(path.read_text()))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as err:
+        pytest.fail(f"relative import cycle: {' -> '.join(err.args[1])}")
