@@ -12,9 +12,8 @@ The chain implemented here:
   common denominator and rescales them all only when an eigenvalue
   difference does not divide the next coefficient;
 * the matrix polynomial family in (psi1, psi2) and in (x1, x2) built by
-  grouping an expansion by bottom index, and the xi constants: psi1 and
-  psi2 in the scalar eigenfunctions of its a = b = 0 member, which
-  `casimir.xi_suite` checks;
+  grouping an expansion by bottom index, and the xi constants read from
+  its a = b = 0 member, which `casimir.xi_suite` checks;
 * the eigenvalue equation for the assembled operator family, in both
   coordinate systems;
 * the dual-parameter family, realized by flip conjugation, with eigenvalues
