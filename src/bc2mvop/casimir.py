@@ -24,15 +24,17 @@ alone, stay, since several points share them, and so do (A1, A2):
 ``conjugation_matrices(a, b)`` takes the K-type alone and is built once
 per (a, b).
 
-The radial-action checks all compare through ``_radial_mismatch``, against
-expected vectors formed as one integer combination per component: an
-identity A(v) = want holds when each numerator of A(v) equals D want.  The
-stored lowering table and the stored xi constants and inversions are
-compared with what we derive (the xi constants, which ``xi_suite`` is
-passed, by ``expansion.xi_constants``: this module reads no family) by
-`report.against_reference`, each beside the one check that reads it: a
-disagreement is REPORTED, both sides printed, only while its documented
-relation holds; otherwise it FAILs.
+The radial-action checks all compare through ``_radial_mismatch``: an
+identity A(v) = want holds when each numerator of A(v) equals D want.  Both
+lowering checks go through ``_lowering_mismatch``, which forms want from a
+label's eigenvalue and a table of moves, one integer combination per
+component: the bottom check passes its own stored drop, the recursion
+check ``lowering_moves``.  The stored lowering table and the stored xi
+constants and inversions are compared with what we derive (the xi
+constants, which ``xi_suite`` is passed, by ``expansion.xi_constants``:
+this module reads no family) by `report.against_reference`, each beside
+the one check that reads it: a disagreement is REPORTED, both sides
+printed, only while its documented relation holds; otherwise it FAILs.
 
 ``casimir_suite`` decides the two scalar radial checks once per m, on
 ``_radial_scalar_c(m)``, the whole radial operator at a = b = 0, so they
@@ -48,8 +50,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .diffop import MatrixDiffOp
-from .leading import (C1, C2, C_VARS, PSI1, PSI2, PSI_IN_C, PSI_IN_X,
-                      PSI_VARS, X_VARS, _require_weight_regime,
+from .leading import (C1, C2, C_VARS, IDENTITY_PSI, PSI1, PSI2, PSI_IN_C,
+                      PSI_IN_X, PSI_VARS, X_VARS, _require_weight_regime,
                       leading_term_matrix)
 from .lie import (MsfLabel, PairParams, casimir_eigenvalue,
                   casimir_eigenvalue_ip, check_label, degree_pairs,
@@ -117,14 +119,10 @@ def radial_apply(params: PairParams, comps) -> tuple[MultiPoly, ...]:
     """Apply the radial operator to an M-type vector of polynomials in (c1,c2).
 
     ``radial_operator_c`` acts once on the row vector; the result holds the
-    numerators of the image over ``RADIAL_DENOMINATOR``.
+    numerators of the image over ``RADIAL_DENOMINATOR``.  A vector of the
+    wrong length is refused by ``PolyMatrix``, one in other variables by
+    ``MatrixDiffOp.apply``, both with ValueError.
     """
-    comps = list(comps)
-    if len(comps) != params.size:
-        raise ValueError(f"need {params.size} components, got {len(comps)}")
-    for g in comps:
-        if not isinstance(g, MultiPoly) or g.vars != C_VARS:
-            raise ValueError("components must be MultiPoly in (c1, c2)")
     return radial_operator_c(params).apply(
         PolyMatrix(1, params.size, comps)).entries
 
@@ -153,17 +151,14 @@ def _psi_power_c(d1: int, d2: int) -> MultiPoly:
     return PSI_IN_C["psi1"] ** d1 * PSI_IN_C["psi2"] ** d2
 
 
-def bottom_vector(params: PairParams, i: int) -> tuple[MultiPoly, ...]:
-    """Row i of the leading-term matrix: the M-type vector at the bottom."""
-    return tuple(leading_term_matrix(params.a, params.b).row(i))
-
-
 @point_cache
 def label_vector(params: PairParams, label: MsfLabel) -> tuple[MultiPoly, ...]:
-    """psi1^d1 psi2^d2 times the bottom vector, in (c1, c2)."""
+    """psi1^d1 psi2^d2 times the bottom vector, row i of the leading-term
+    matrix, in (c1, c2)."""
     check_label(params, label)
     factor = _psi_power_c(label.d1, label.d2)
-    return tuple(factor * q for q in bottom_vector(params, label.i))
+    return tuple(factor * q for q in
+                 leading_term_matrix(params.a, params.b).row(label.i))
 
 
 def lowering_moves(params: PairParams, label: MsfLabel) -> dict[MsfLabel, int]:
@@ -208,24 +203,30 @@ def scalar_eigen_check(m: int) -> CheckResult:
     return CheckResult(name, PASS)
 
 
-def _combine(terms) -> list[MultiPoly]:
-    """The M-type vector sum c v over the (c, v) pairs, each component one
-    integer combination over one denominator."""
-    return [linear_combination((c, v[k]) for c, v in terms)
-            for k in range(len(terms[0][1]))]
+def _lowering_mismatch(name: str, place: str, params: PairParams,
+                       label: MsfLabel, moves: dict) -> CheckResult | None:
+    """None when the radial operator sends the label's vector to its
+    eigenvalue times that vector plus coeff times the target's vector for
+    each move, else ``_radial_mismatch``'s FAIL at place.  The wanted
+    vector is one integer combination per component."""
+    vector = label_vector(params, label)
+    terms = [(casimir_eigenvalue(params, label), vector)]
+    terms += [(coeff, label_vector(params, target))
+              for target, coeff in moves.items()]
+    want = [linear_combination((c, v[k]) for c, v in terms)
+            for k in range(params.size)]
+    return _radial_mismatch(name, place, radial_apply(params, vector), want)
 
 
 def bottom_lowering_check(params: PairParams) -> CheckResult:
     """Radial operator on bottom vector i: eigenvalue c_{nu_i} plus a single
-    drop to i-1 with coefficient -2i(b+i)."""
+    drop to i-1 with coefficient -2i(b+i), stored here apart from
+    ``lowering_moves``."""
     name = f"bottom lowering identity {params.tag()}"
     for i in range(params.size):
-        row = bottom_vector(params, i)
-        terms = [(casimir_eigenvalue(params, MsfLabel(i, 0, 0)), row)]
-        if i:
-            terms.append((-2 * i * (params.b + i), bottom_vector(params, i - 1)))
-        want = _combine(terms)
-        fail = _radial_mismatch(name, f"i={i}", radial_apply(params, row), want)
+        drop = {MsfLabel(i - 1, 0, 0): -2 * i * (params.b + i)} if i else {}
+        fail = _lowering_mismatch(name, f"i={i}", params, MsfLabel(i, 0, 0),
+                                  drop)
         if fail:
             return fail
     return CheckResult(name, PASS, f"{params.size} bottom rows")
@@ -237,12 +238,8 @@ def general_lowering_check(params: PairParams, dmax: int) -> CheckResult:
     name = f"triangular recursion table {params.tag()} dmax={dmax}"
     count = 0
     for label in labels_up_to(params, dmax):
-        vector = label_vector(params, label)
-        terms = [(casimir_eigenvalue(params, label), vector)]
-        terms += [(coeff, label_vector(params, target))
-                  for target, coeff in lowering_moves(params, label).items()]
-        fail = _radial_mismatch(name, f"label {label}",
-                                radial_apply(params, vector), _combine(terms))
+        fail = _lowering_mismatch(name, f"label {label}", params, label,
+                                  lowering_moves(params, label))
         if fail:
             return fail
         count += 1
@@ -406,7 +403,7 @@ def xi_suite(m: int, data: dict) -> list[CheckResult]:
         c = casimir_eigenvalue(p0, MsfLabel(0, *d))
         if op.apply_scalar(phi) != c * phi:
             details.append(f"eigen-equation fails at degree {d}")
-        if phi.evaluate({"psi1": Fraction(2), "psi2": Fraction(1)}) != 1:
+        if phi.evaluate(IDENTITY_PSI) != 1:
             details.append(f"identity normalization fails at degree {d}")
     out.append(CheckResult(f"scalar eigenfunctions solved (m={m})",
                            FAIL if details else PASS, "; ".join(details)))

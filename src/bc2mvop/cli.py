@@ -46,7 +46,7 @@ from fractions import Fraction
 
 from . import (casimir, expansion, krawtchouk, leading, matrices,
                orthogonality)
-from .lie import (MsfLabel, PairParams, casimir_eigenvalue_ip, check_label,
+from .lie import (MsfLabel, PairParams, casimir_eigenvalue_ip,
                   drop_point_caches, label_weight, weyl_dim)
 from .report import at_point, exit_code, render_json, render_text
 
@@ -222,8 +222,6 @@ def _weight_payload(args) -> dict:
 def _polys_payload(args) -> dict:
     params = _construction_params(args.m, args.a, args.b)
     d = tuple(args.d)
-    if min(d) < 0:
-        raise ValueError(f"degree d={d} must be non-negative")
     mat = (expansion.poly_matrix_psi(params, d) if args.coords == "psi"
            else expansion.poly_matrix_x(params, d))
     eigs = [str(casimir_eigenvalue_ip(label_weight(params, MsfLabel(i, d[0], d[1]))))
@@ -235,14 +233,9 @@ def _polys_payload(args) -> dict:
 
 def _dims_payload(args) -> dict:
     params = PairParams(args.m, args.a, args.b)
-    i, d1, d2 = args.label
-    if d1 < 0 or d2 < 0:
-        raise ValueError(f"label degrees ({d1},{d2}) must be non-negative")
-    label = MsfLabel(i, d1, d2)
-    check_label(params, label)
-    w = label_weight(params, label)
+    w = label_weight(params, MsfLabel(*args.label))
     return {"kind": "dims", "m": params.m, "a": params.a, "b": params.b,
-            "label": [i, d1, d2], "omega": list(w.omega),
+            "label": list(args.label), "omega": list(w.omega),
             "dim": weyl_dim(w), "eigenvalue": str(casimir_eigenvalue_ip(w))}
 
 

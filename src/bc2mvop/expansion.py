@@ -31,7 +31,7 @@ from types import MappingProxyType
 from . import casimir
 from .diffop import MatrixDiffOp
 from .krawtchouk import poch
-from .leading import PSI1, PSI2, PSI_IN_X, PSI_VARS, X_VARS
+from .leading import IDENTITY_PSI, PSI1, PSI2, PSI_IN_X, PSI_VARS, X_VARS
 from .lie import (MsfLabel, PairParams, bottom_weight, casimir_eigenvalue,
                   casimir_eigenvalue_ip, casimir_numerator, check_label,
                   degree_pair, degree_pairs, dominance_leq, dualize,
@@ -244,6 +244,7 @@ def phi_expansion(params: PairParams, label: MsfLabel) -> dict[MsfLabel, Fractio
         v = vals[p]
         for t, w in graph.moves[p]:
             vals[t] += v * w
+    # the expansion at IDENTITY_PSI, where psi1^d1 psi2^d2 is 2^d1
     total = sum(v << graph.labels[p].d1 for p, v in enumerate(vals) if v)
     if total == 0:
         raise AssertionError(f"expansion of {label} vanishes at the identity point")
@@ -332,11 +333,10 @@ def diagonal_degree_check(params: PairParams, dmax: int) -> CheckResult:
 def normalization_check(params: PairParams, dmax: int) -> CheckResult:
     """Row sums at the identity point equal 1 for every family member."""
     name = f"identity normalization {params.tag()} dmax={dmax}"
-    at_e = {"psi1": Fraction(2), "psi2": Fraction(1)}
     for d1, d2 in degree_pairs(dmax):
         P = poly_matrix_psi(params, (d1, d2))
         for i in range(params.size):
-            s = sum(P.entry(i, j).evaluate(at_e) for j in range(params.size))
+            s = sum(P.entry(i, j).evaluate(IDENTITY_PSI) for j in range(params.size))
             if s != 1:
                 return CheckResult(name, FAIL,
                                    f"d=({d1},{d2}), row {i}: sum {s}")

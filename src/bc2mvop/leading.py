@@ -21,8 +21,9 @@ which is symmetric in c1 <-> c2 entrywise and so pushes down to psi.
 The coordinate variables are built here once, as the polynomials C1, C2
 over `C_VARS`, PSI1, PSI2 over `PSI_VARS` and X1, X2 over `X_VARS`, and so
 are the two coordinate maps, as read-only constants: `PSI_IN_C`, psi in
-terms of c, and `PSI_IN_X`, psi in terms of x.  Every other module reads
-them from here, and neither map is stated again, inverted or composed.
+terms of c, and `PSI_IN_X`, psi in terms of x, and so is the identity
+point in psi, `IDENTITY_PSI`.  Every other module reads them from here,
+and neither map is stated again, inverted or composed.
 
 Q0 and S read the K-type (a, b) alone, never m.  So every builder here
 takes (a, b), not a point, and Q0 and S in c, psi and x are cached on
@@ -59,6 +60,8 @@ PSI_IN_C = MappingProxyType({"psi1": C1 * C1 + C2 * C2,
                              "psi2": C1 * C1 * C2 * C2})
 PSI_IN_X = MappingProxyType({"psi1": Fraction(1, 2) * X1 + 1,
                              "psi2": Fraction(1, 4) * (X1 + X2 + 1)})
+# the identity point, c1 = c2 = 1, in psi
+IDENTITY_PSI = MappingProxyType({"psi1": Fraction(2), "psi2": Fraction(1)})
 
 
 def _require_weight_regime(a: int, b: int):

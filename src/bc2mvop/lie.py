@@ -325,7 +325,7 @@ def degree_pair(d) -> tuple[int, int]:
     if len(pair) != 2:
         raise ValueError(f"degree pair {d} must have two entries")
     if pair[0] < 0 or pair[1] < 0:
-        raise ValueError("degree pair must be non-negative")
+        raise ValueError(f"degree pair {pair} must be non-negative")
     return pair
 
 

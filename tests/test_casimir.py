@@ -18,7 +18,7 @@ from bc2mvop.casimir import (RADIAL_DENOMINATOR, bottom_lowering_check,
 from bc2mvop.diffop import MatrixDiffOp
 from bc2mvop.expansion import xi_constants
 from bc2mvop.leading import (C1, C2, C_VARS, PSI1, PSI2, PSI_IN_C, PSI_IN_X,
-                             PSI_VARS, X_VARS)
+                             PSI_VARS, X_VARS, leading_term_matrix)
 from bc2mvop.lie import MsfLabel, PairParams, casimir_eigenvalue
 from bc2mvop.matrices import PolyMatrix
 from bc2mvop.poly import MultiPoly
@@ -90,18 +90,18 @@ def test_reference_table_comparison_reports():
 
 
 def test_radial_apply_is_linear_in_components():
-    from bc2mvop.casimir import bottom_vector
-    from bc2mvop.leading import C_VARS
     p = PairParams(3, 1, 0)
-    v0 = bottom_vector(p, 0)
-    v1 = bottom_vector(p, 1)
+    v0 = casimir.label_vector(p, MsfLabel(0, 0, 0))
+    v1 = casimir.label_vector(p, MsfLabel(1, 0, 0))
     a = radial_apply(p, v0)
     b = radial_apply(p, v1)
     both = radial_apply(p, tuple(x + y for x, y in zip(v0, v1)))
     assert all(x + y == z for x, y, z in zip(a, b, both))
-    with pytest.raises(ValueError):
+    # PolyMatrix refuses the wrong length, MatrixDiffOp.apply the wrong
+    # variables
+    with pytest.raises(ValueError, match="expected 2 entries"):
         radial_apply(p, (MultiPoly.zero(C_VARS),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="function vars"):
         radial_apply(p, (MultiPoly.zero(PSI_VARS),) * 2)
 
 
@@ -190,7 +190,7 @@ def test_radial_mismatch_residual_is_the_numerator_minus_d_want():
     # its numerator over D, is -D c1
     p = PairParams(3, 1, 0)
     c1 = MultiPoly.var(C_VARS, "c1")
-    row = casimir.bottom_vector(p, 0)
+    row = casimir.label_vector(p, MsfLabel(0, 0, 0))
     want = [casimir_eigenvalue(p, MsfLabel(0, 0, 0)) * q for q in row]
     for k in range(2):
         off = list(want)
@@ -290,6 +290,41 @@ def _radial_table(p):
             rows[k + 1][k] = rows[k][k + 1] = (k + 1) * (a - k) * hop
     return (_lifted_table(casimir._radial_scalar_c(m), n)
             + MatrixDiffOp(C_VARS, {(0, 0): _table(C_VARS, rows)}))
+
+
+def test_bottom_labels_give_the_stored_drop_and_the_leading_rows():
+    # the two facts that let one routine serve both lowering checks: at
+    # d = (0, 0) the move table is the bottom check's stored drop, and the
+    # label's vector is row i of the leading-term matrix
+    for p in _POINTS:
+        q0 = leading_term_matrix(p.a, p.b)
+        for i in range(p.size):
+            bottom = MsfLabel(i, 0, 0)
+            drop = {MsfLabel(i - 1, 0, 0): -2 * i * (p.b + i)} if i else {}
+            assert lowering_moves(p, bottom) == drop, (p, i)
+            assert casimir.label_vector(p, bottom) == tuple(q0.row(i)), (p, i)
+
+
+def test_bottom_identity_reads_its_own_stored_drop(monkeypatch, capsys):
+    # doubling the (i-1, d1, d2) weight of the table breaks the recursion
+    # check, and not the bottom check, which keeps its own drop to i-1
+    real = casimir.lowering_moves
+
+    def doubled(params, label):
+        down = (label.i - 1, label.d1, label.d2)
+        return {t: 2 * c if tuple(t) == down else c
+                for t, c in real(params, label).items()}
+
+    monkeypatch.setattr(casimir, "lowering_moves", doubled)
+    code = cli.main(["verify", "casimir", "--m", "3", "--a", "1", "--b", "0",
+                     "--dmax", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    status = {line.split()[0] for line in lines
+              if "triangular recursion table" in line}
+    assert status == {"FAIL"}
+    assert next(line for line in lines if "bottom lowering identity" in line
+                ).startswith("PASS")
 
 
 def test_operators_equal_their_zero_filled_tables():

@@ -365,13 +365,22 @@ def test_export_csv_grid_refuses_non_x_coordinates(kind, coords, tmp_path, capsy
     (["moments", "--m", "3", "--monomial", "1,2", "--d", "4,4",
       "--coords", "psi"], "unrecognized arguments: --d 4,4 --coords psi"),
     (["dims", "--m", "3"], "required: --a, --b, --label"),
-], ids=["unread-a", "unread-d-coords", "missing-label"])
+    # "--d -1,0" reads as an option to argparse, so the value is attached
+    (["polys", "--m", "3", "--a", "1", "--b", "0", "--d=-1,0"],
+     "parameter error: degree pair (-1, 0) must be non-negative"),
+    (["dims", "--m", "3", "--a", "1", "--b", "0", "--label", "1,-1,0"],
+     "parameter error: invalid label (1, -1, 0)"),
+], ids=["unread-a", "unread-d-coords", "missing-label", "negative-d",
+        "negative-label-degree"])
 def test_data_command_reads_only_its_own_options(argv, error, capsys):
-    # no option is filled in for a data command or ignored by it
+    # no option is filled in for a data command or ignored by it, and a
+    # value it cannot use is refused once, by the builder that reads it
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
-    assert error in err
+    assert error in err and "Traceback" not in err
+    if error.startswith("parameter error:"):
+        assert err == error + "\n"
 
 
 def test_main_sets_one_blas_thread_unless_the_caller_chose(monkeypatch,
