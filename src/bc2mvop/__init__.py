@@ -83,11 +83,7 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckResult", "FAIL", "L_matrix", "MsfLabel", "MultiPoly", "PASS",
-    "PairParams", "PolyMatrix", "REPORTED", "Weight", "casimir_eigenvalue",
-    "casimir_eigenvalue_ip", "d_coeffs", "dualize", "gram", "in_region",
-    "label_weight", "leading_term", "leading_term_matrix", "phi_expansion",
-    "poch", "poly_matrix_psi", "poly_matrix_x", "region_integral",
-    "weight_matrix_c", "weight_matrix_psi", "weight_matrix_x", "weyl_dim",
-]
+__all__ = sorted([*_HOME, "CheckResult", "FAIL", "MsfLabel", "PASS",
+                  "PairParams", "REPORTED", "Weight", "casimir_eigenvalue",
+                  "casimir_eigenvalue_ip", "dualize", "label_weight",
+                  "weyl_dim"])

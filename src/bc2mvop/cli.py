@@ -5,7 +5,9 @@ check.  The data subcommands (`weight`, `polys`, `dims`, `moments`) emit
 the constructed objects as JSON, or with `--format csv` as CSV: the weight
 and the polynomials as an evaluation grid in x coordinates over the
 bounding box of the support region, the others as one key-value row.  Each
-reads only its own options; any other is a usage error.
+reads only its own options; any other is a usage error.  A value that
+starts with "-" is attached with "=" (`--d=-1,0`): detached, argparse reads
+it as an option, and refuses `--d -1,0` as `--d` missing its value.
 
 Output is deterministic: polynomial terms are serialized in canonical
 monomial order, JSON keys are sorted, and CSV floats use the shortest

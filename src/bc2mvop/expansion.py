@@ -16,8 +16,9 @@ The chain implemented here:
   its a = b = 0 member, which `casimir.xi_suite` checks;
 * the eigenvalue equation for the assembled operator family, in both
   coordinate systems;
-* the dual-parameter family, realized by flip conjugation, with eigenvalues
-  cross-checked against directly computed dual weights.
+* the dual-parameter family, the flip-conjugate of this one: its weights
+  and eigenvalues computed directly and mirrored in the index, and its
+  equation checked through that mirror on the psi-side family itself.
 """
 
 from __future__ import annotations
@@ -29,15 +30,13 @@ from math import comb
 from types import MappingProxyType
 
 from . import casimir
-from .diffop import MatrixDiffOp
 from .krawtchouk import poch
 from .leading import IDENTITY_PSI, PSI1, PSI2, PSI_IN_X, PSI_VARS, X_VARS
 from .lie import (MsfLabel, PairParams, bottom_weight, casimir_eigenvalue,
                   casimir_eigenvalue_ip, casimir_numerator, check_label,
                   degree_pair, degree_pairs, dominance_leq, dualize,
                   label_weight, labels_up_to, point_cache)
-from .matrices import (PolyMatrix, conjugate_flip, frac_identity, frac_matmul,
-                       solve_linear)
+from .matrices import PolyMatrix, frac_identity, frac_matmul, solve_linear
 from .poly import MultiPoly
 from .report import CheckResult, FAIL, PASS, against_reference
 
@@ -384,12 +383,7 @@ def pde_suite(params: PairParams, dmax: int) -> list[CheckResult]:
     return out
 
 
-# ---- dual parameter family by flip conjugation ----
-
-def _conjugate_op(op: MatrixDiffOp) -> MatrixDiffOp:
-    return MatrixDiffOp(op.vars,
-                        {idx: conjugate_flip(mat) for idx, mat in op.coeffs.items()})
-
+# ---- dual parameter family, mirrored in the index ----
 
 def dual_bottom_check(params: PairParams) -> CheckResult:
     """Lowest weights of the dual family are the duals of the reversed
@@ -419,19 +413,20 @@ def dual_eigenvalue_check(params: PairParams, dmax: int) -> CheckResult:
 
 
 def dual_pde_check(params: PairParams, dmax: int) -> CheckResult:
-    """Flip-conjugated operator family: conjugating every coefficient matrix
-    and every family member gives eigenfunctions whose eigenvalues are the
-    directly computed dual-family Casimir values."""
+    """The dual family's equation, (JEJ)(JR_dJ) = L'_d JR_dJ for the flip J
+    and the directly computed dual eigenvalues L'_d.  E acts from the right
+    and J^2 = I, so it is checked as E(R_d) = (JL'_dJ) R_d: row i of R_d
+    scaled by the dual eigenvalue at index a - i.  The reduction,
+    (P^-1 E P)(F P) = E(F) P, is property-tested in tests/test_diffop.py."""
     name = f"conjugated equation with dual eigenvalues {params.tag()} dmax={dmax}"
     dual_params = dualize(params)
-    op = _conjugate_op(casimir.pde_operator_psi(params))
-    n = params.size
+    op = casimir.pde_operator_psi(params)
     for d1, d2 in degree_pairs(dmax):
-        P = conjugate_flip(poly_matrix_psi(params, (d1, d2)))
-        diag = [casimir_eigenvalue_ip(label_weight(dual_params,
-                                                   MsfLabel(i, d1, d2)))
-                for i in range(n)]
-        if op.apply(P) != P.scale_rows(diag):
+        P = poly_matrix_psi(params, (d1, d2))
+        mirrored = [casimir_eigenvalue_ip(label_weight(
+                        dual_params, MsfLabel(params.a - i, d1, d2)))
+                    for i in range(params.size)]
+        if op.apply(P) != P.scale_rows(mirrored):
             return CheckResult(name, FAIL, f"d=({d1},{d2})")
     return CheckResult(name, PASS)
 

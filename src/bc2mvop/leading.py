@@ -22,8 +22,9 @@ The coordinate variables are built here once, as the polynomials C1, C2
 over `C_VARS`, PSI1, PSI2 over `PSI_VARS` and X1, X2 over `X_VARS`, and so
 are the two coordinate maps, as read-only constants: `PSI_IN_C`, psi in
 terms of c, and `PSI_IN_X`, psi in terms of x, and so is the identity
-point in psi, `IDENTITY_PSI`.  Every other module reads them from here,
-and neither map is stated again, inverted or composed.
+point, c1 = c2 = 1, as `IDENTITY_C`; its image in psi, `IDENTITY_PSI`, is
+read off `PSI_IN_C`.  Every other module reads them from here, and neither
+map is stated again, inverted or composed.
 
 Q0 and S read the K-type (a, b) alone, never m.  So every builder here
 takes (a, b), not a point, and Q0 and S in c, psi and x are cached on
@@ -60,8 +61,10 @@ PSI_IN_C = MappingProxyType({"psi1": C1 * C1 + C2 * C2,
                              "psi2": C1 * C1 * C2 * C2})
 PSI_IN_X = MappingProxyType({"psi1": Fraction(1, 2) * X1 + 1,
                              "psi2": Fraction(1, 4) * (X1 + X2 + 1)})
-# the identity point, c1 = c2 = 1, in psi
-IDENTITY_PSI = MappingProxyType({"psi1": Fraction(2), "psi2": Fraction(1)})
+# the identity point, c1 = c2 = 1, and its image in psi, (2, 1)
+IDENTITY_C = MappingProxyType({"c1": Fraction(1), "c2": Fraction(1)})
+IDENTITY_PSI = MappingProxyType({name: f.evaluate(IDENTITY_C)
+                                 for name, f in PSI_IN_C.items()})
 
 
 def _require_weight_regime(a: int, b: int):
@@ -179,8 +182,7 @@ def x_reference_matrix(a: int) -> PolyMatrix:
 def all_ones_verdict(a: int, b: int) -> CheckResult:
     """Q0 at c1 = c2 = 1 must be the all-ones matrix."""
     name = "leading terms at identity point"
-    vals = leading_term_matrix(a, b).evaluate(
-        {"c1": Fraction(1), "c2": Fraction(1)})
+    vals = leading_term_matrix(a, b).evaluate(IDENTITY_C)
     bad = [(i, k) for i, row in enumerate(vals) for k, v in enumerate(row) if v != 1]
     if bad:
         return CheckResult(name, FAIL, f"entries {bad} differ from 1")

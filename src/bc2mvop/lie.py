@@ -309,9 +309,10 @@ def weyl_dim(w: Weight) -> int:
 
 def dualize(params: PairParams) -> PairParams:
     """Parameters of the dual family, (m, a, -a-b), whose index i matches
-    index a-i of the original. An involution between the two regimes;
-    downstream families on the b <= -a side are obtained by conjugating the
-    b >= 0 family with the anti-diagonal flip, never computed directly."""
+    index a-i of the original. An involution between the two regimes; the
+    families on the b <= -a side are the b >= 0 ones conjugated by the
+    anti-diagonal flip, never built: their checks read the b >= 0 family
+    with the index mirrored."""
     return PairParams(params.m, params.a, -params.a - params.b)
 
 

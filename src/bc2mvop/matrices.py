@@ -194,15 +194,6 @@ class PolyMatrix:
     __repr__ = __str__
 
 
-def conjugate_flip(mat: PolyMatrix) -> PolyMatrix:
-    """J M J for the anti-diagonal flip J of matching size."""
-    if mat.rows != mat.cols:
-        raise ValueError("flip conjugation needs a square matrix")
-    n = mat.rows
-    return PolyMatrix(n, n, [mat.entry(n - 1 - i, n - 1 - j)
-                             for i in range(n) for j in range(n)])
-
-
 # ---------------------------------------------------------------------------
 # Dense exact linear algebra on plain Fraction matrices (lists of lists).
 

@@ -176,8 +176,8 @@ class MultiPoly:
         return cls(vars, {exp: Fraction(1)})
 
     @classmethod
-    def monomial(cls, vars: tuple[str, ...], exp: Iterable[int], coeff=1) -> "MultiPoly":
-        return cls(vars, {tuple(exp): Fraction(coeff)})
+    def monomial(cls, vars: tuple[str, ...], exp: Iterable[int]) -> "MultiPoly":
+        return cls(vars, {tuple(exp): Fraction(1)})
 
     # ---- predicates / views ----
 

@@ -170,6 +170,20 @@ def test_verify_pde_fails_on_a_wrong_operator(monkeypatch, capsys, attr,
                 if r["identity"].endswith("d=(0,0)")) == vars[0]
 
 
+def test_verify_duality_fails_on_a_wrong_dual_triple(monkeypatch, capsys):
+    # the dual family's equation is checked on the b >= 0 family through the
+    # index mirror; dual parameters one off in b move every eigenvalue of it
+    monkeypatch.setattr(expansion, "dualize",
+                        lambda p: PairParams(p.m, p.a, -p.a - p.b - 1))
+    code, out, _ = run_cli(["verify", "duality", "--m", "3", "--a", "0,1,2",
+                            "--b", "0,1", "--dmax", "2"], capsys)
+    assert code == 1
+    lines = [line for line in out.splitlines()
+             if "conjugated equation with dual eigenvalues" in line]
+    assert len(lines) == 6
+    assert all(line.startswith("FAIL") for line in lines)
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "orthogonality", "--dmax", "-1"],
     ["verify", "casimir", "--dmax", "-1"],
@@ -365,13 +379,16 @@ def test_export_csv_grid_refuses_non_x_coordinates(kind, coords, tmp_path, capsy
     (["moments", "--m", "3", "--monomial", "1,2", "--d", "4,4",
       "--coords", "psi"], "unrecognized arguments: --d 4,4 --coords psi"),
     (["dims", "--m", "3"], "required: --a, --b, --label"),
-    # "--d -1,0" reads as an option to argparse, so the value is attached
+    # attached with "=", a value starting with "-" reaches the builder;
+    # detached, argparse reads it as an option and --d goes without one
     (["polys", "--m", "3", "--a", "1", "--b", "0", "--d=-1,0"],
      "parameter error: degree pair (-1, 0) must be non-negative"),
+    (["polys", "--m", "3", "--a", "1", "--b", "0", "--d", "-1,0"],
+     "argument --d: expected one argument"),
     (["dims", "--m", "3", "--a", "1", "--b", "0", "--label", "1,-1,0"],
      "parameter error: invalid label (1, -1, 0)"),
 ], ids=["unread-a", "unread-d-coords", "missing-label", "negative-d",
-        "negative-label-degree"])
+        "negative-d-detached", "negative-label-degree"])
 def test_data_command_reads_only_its_own_options(argv, error, capsys):
     # no option is filled in for a data command or ignored by it, and a
     # value it cannot use is refused once, by the builder that reads it

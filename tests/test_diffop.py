@@ -190,8 +190,9 @@ def _constant_invertible(draw, n):
 
 @given(_operators(), st.data())
 def test_conjugating_the_coefficients_commutes_with_the_action(op, data):
-    # (P^-1 E P)(F P) = E(F) P for a constant invertible P: with P = J this
-    # is what the dual-family equation adds to the psi-side one
+    # (P^-1 E P)(F P) = E(F) P for a constant invertible P.  With P = J it
+    # is the premise of the dual-family line: (JEJ)(JR_dJ) = L'_d JR_dJ
+    # reads E(R_d) = (JL'_dJ) R_d, which the line checks, building no JEJ
     n = op.size
     rows = data.draw(_constant_invertible(n))
     def const(A):
@@ -264,7 +265,7 @@ def _operators_and_functions(draw):
 
 
 def _mono(exp, c):
-    return MultiPoly.monomial(PSI_VARS, exp, c)
+    return c * MultiPoly.monomial(PSI_VARS, exp)
 
 
 _ZERO = MultiPoly.zero(PSI_VARS)

@@ -19,9 +19,10 @@ from bc2mvop.expansion import (L_matrix, d_coeffs, d_recursion_check,
                                phi_expansion, phi_zero_check, poly_matrix_psi,
                                poly_matrix_x, transition_inverse_check,
                                transition_suite)
-from bc2mvop.casimir import lowering_moves
-from bc2mvop.lie import (MsfLabel, PairParams, casimir_eigenvalue, degree_pair,
-                         labels_up_to)
+from bc2mvop.casimir import lowering_moves, pde_operator_psi
+from bc2mvop.lie import (MsfLabel, PairParams, casimir_eigenvalue,
+                         casimir_eigenvalue_ip, degree_pair, degree_pairs,
+                         dualize, label_weight, labels_up_to)
 from bc2mvop.matrices import frac_identity, frac_invert, frac_matmul
 from bc2mvop.poly import MultiPoly
 
@@ -308,6 +309,24 @@ def test_duality_checks():
         assert dual_eigenvalue_check(params, 2).status == "PASS"
         assert dual_involution_check(params).status == "PASS"
         assert dual_pde_check(params, 1).status == "PASS"
+
+
+@pytest.mark.parametrize("point", [(3, 1, 0), (4, 2, 1), (5, 3, 2),
+                                   (8, 6, 3)])
+def test_dual_equation_reads_the_dual_eigenvalues_mirrored(point):
+    # E(R_d) = (J L'_d J) R_d: row i takes the dual eigenvalue at index
+    # a - i, and the unmirrored list fails for some d
+    params = PairParams(*point)
+    dual, op = dualize(params), pde_operator_psi(params)
+    unmirrored_fails = False
+    for d in degree_pairs(2):
+        R = poly_matrix_psi(params, d)
+        dual_eigs = [casimir_eigenvalue_ip(label_weight(dual, MsfLabel(i, *d)))
+                     for i in range(params.size)]
+        image = op.apply(R)
+        assert image == R.scale_rows(dual_eigs[::-1]), d
+        unmirrored_fails |= image != R.scale_rows(dual_eigs)
+    assert unmirrored_fails
 
 
 def test_duality_suite_no_failures():

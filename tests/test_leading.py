@@ -183,7 +183,7 @@ def test_krawtchouk_route_catches_one_perturbed_coefficient(monkeypatch):
 
     def bump(q):
         (exp, _), *_ = q.sorted_terms()
-        return q + MultiPoly.monomial(C_VARS, exp, F(1, 7))
+        return q + F(1, 7) * MultiPoly.monomial(C_VARS, exp)
     _patch_entry(monkeypatch, (1, 2), bump)
     r = krawtchouk_route_verdict(2, 1)
     assert r.status == "FAIL"

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, strategies as st
 
-from bc2mvop.matrices import (PolyMatrix, _echelon, _primitive_row, conjugate_flip,
+from bc2mvop.matrices import (PolyMatrix, _echelon, _primitive_row,
                               frac_det, frac_identity, frac_invert, frac_matmul,
                               frac_rank, solve_linear)
 from bc2mvop.poly import MultiPoly, VariableMismatch
@@ -91,15 +91,6 @@ def test_substitute_and_evaluate():
     sw = M.substitute({"x1": x2, "x2": x1}, V)
     assert sw.entry(0, 0) == x1 + x2
     assert sw.entry(0, 1) == x1 * x2
-
-
-def test_conjugate_flip_reverses_both_indices():
-    rows = [[MultiPoly.const(V, i * 10 + j) for j in range(3)] for i in range(3)]
-    M = PolyMatrix.from_rows(rows)
-    C = conjugate_flip(M)
-    for i in range(3):
-        for j in range(3):
-            assert C.entry(i, j) == M.entry(2 - i, 2 - j)
 
 
 def test_frac_invert_known_inverse():
