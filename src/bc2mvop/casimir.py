@@ -25,16 +25,18 @@ alone, stay, since several points share them, and so do (A1, A2):
 per (a, b).
 
 The radial-action checks all compare through ``_radial_mismatch``: an
-identity A(v) = want holds when each numerator of A(v) equals D want.  Both
-lowering checks go through ``_lowering_mismatch``, which forms want from a
-label's eigenvalue and a table of moves, one integer combination per
-component: the bottom check passes its own stored drop, the recursion
-check ``lowering_moves``.  The stored lowering table and the stored xi
-constants and inversions are compared with what we derive (the xi
-constants, which ``xi_suite`` is passed, by ``expansion.xi_constants``:
-this module reads no family) by `report.against_reference`, each beside
-the one check that reads it: a disagreement is REPORTED, both sides
-printed, only while its documented relation holds; otherwise it FAILs.
+identity A(v) = want holds when each numerator of A(v) equals D want.
+``lowering_checks`` applies the radial operator once per label and judges
+that one image against two tables through ``_lowering_mismatch``, which
+forms want from the label's eigenvalue and a table of moves, one integer
+combination per component: ``lowering_moves`` at every label for the
+recursion, and the bottom identity's own stored drop at each (i, 0, 0).
+The stored lowering table and the stored xi constants and inversions are
+compared with what we derive (the xi constants, which ``xi_suite`` is
+passed, by ``expansion.xi_constants``: this module reads no family) by
+`report.against_reference`, each beside the one check that reads it: a
+disagreement is REPORTED, both sides printed, only while its documented
+relation holds; otherwise it FAILs.
 
 ``casimir_suite`` decides the two scalar radial checks once per m, on
 ``_radial_scalar_c(m)``, the whole radial operator at a = b = 0, so they
@@ -204,46 +206,45 @@ def scalar_eigen_check(m: int) -> CheckResult:
 
 
 def _lowering_mismatch(name: str, place: str, params: PairParams,
-                       label: MsfLabel, moves: dict) -> CheckResult | None:
-    """None when the radial operator sends the label's vector to its
+                       label: MsfLabel, image,
+                       moves: dict) -> CheckResult | None:
+    """None when image, the radial image of the label's vector, is its
     eigenvalue times that vector plus coeff times the target's vector for
     each move, else ``_radial_mismatch``'s FAIL at place.  The wanted
     vector is one integer combination per component."""
-    vector = label_vector(params, label)
-    terms = [(casimir_eigenvalue(params, label), vector)]
+    terms = [(casimir_eigenvalue(params, label), label_vector(params, label))]
     terms += [(coeff, label_vector(params, target))
               for target, coeff in moves.items()]
     want = [linear_combination((c, v[k]) for c, v in terms)
             for k in range(params.size)]
-    return _radial_mismatch(name, place, radial_apply(params, vector), want)
+    return _radial_mismatch(name, place, image, want)
 
 
-def bottom_lowering_check(params: PairParams) -> CheckResult:
-    """Radial operator on bottom vector i: eigenvalue c_{nu_i} plus a single
+def lowering_checks(params: PairParams, dmax: int) -> list[CheckResult]:
+    """The bottom lowering identity and the triangular recursion, judged on
+    one radial image per label.  The recursion wants, for every label, the
+    eigenvalue term plus the seven-move table; the bottom identity wants,
+    for each bottom label (i, 0, 0), the eigenvalue c_{nu_i} plus a single
     drop to i-1 with coefficient -2i(b+i), stored here apart from
-    ``lowering_moves``."""
-    name = f"bottom lowering identity {params.tag()}"
-    for i in range(params.size):
-        drop = {MsfLabel(i - 1, 0, 0): -2 * i * (params.b + i)} if i else {}
-        fail = _lowering_mismatch(name, f"i={i}", params, MsfLabel(i, 0, 0),
-                                  drop)
-        if fail:
-            return fail
-    return CheckResult(name, PASS, f"{params.size} bottom rows")
-
-
-def general_lowering_check(params: PairParams, dmax: int) -> CheckResult:
-    """Triangular recursion: radial operator on a general label equals the
-    eigenvalue term plus the seven-move table, exactly."""
-    name = f"triangular recursion table {params.tag()} dmax={dmax}"
-    count = 0
-    for label in labels_up_to(params, dmax):
-        fail = _lowering_mismatch(name, f"label {label}", params, label,
-                                  lowering_moves(params, label))
-        if fail:
-            return fail
-        count += 1
-    return CheckResult(name, PASS, f"{count} labels")
+    ``lowering_moves``.  Each line reports its own first failure."""
+    bottom_name = f"bottom lowering identity {params.tag()}"
+    table_name = f"triangular recursion table {params.tag()} dmax={dmax}"
+    labels = labels_up_to(params, dmax)
+    bottom = table = None
+    for label in labels:
+        image = radial_apply(params, label_vector(params, label))
+        if table is None:
+            table = _lowering_mismatch(table_name, f"label {label}", params,
+                                       label, image,
+                                       lowering_moves(params, label))
+        if bottom is None and label.d1 == label.d2 == 0:
+            i = label.i
+            drop = {MsfLabel(i - 1, 0, 0): -2 * i * (params.b + i)} if i else {}
+            bottom = _lowering_mismatch(bottom_name, f"i={i}", params, label,
+                                        image, drop)
+    return [bottom or CheckResult(bottom_name, PASS,
+                                  f"{params.size} bottom rows"),
+            table or CheckResult(table_name, PASS, f"{len(labels)} labels")]
 
 
 def reference_table_comparison(params: PairParams, dmax: int) -> CheckResult:
@@ -456,8 +457,7 @@ def casimir_suite(params: PairParams, dmax: int,
         decide(verdicts, scalar_eigen_check, params.m),
         decide(verdicts, scalar_radial_agreement_check, params.m),
         eigenvalue_agreement_check(params, dmax),
-        bottom_lowering_check(params),
-        general_lowering_check(params, dmax),
+        *lowering_checks(params, dmax),
         reference_table_comparison(params, dmax),
         at_point(gradient_pairing_verdict, params, verdicts),
     ]

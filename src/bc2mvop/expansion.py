@@ -124,37 +124,29 @@ def transition_rows_check(params: PairParams) -> CheckResult:
     return CheckResult(name, PASS)
 
 
-def _corrected_inverts(params: PairParams) -> bool:
-    """L times the corrected closed-form inverse is the identity, exactly."""
-    prod = frac_matmul(L_matrix(params), inverse_closed_corrected(params))
-    return prod == frac_identity(params.size)
-
-
-def transition_inverse_check(params: PairParams) -> CheckResult:
-    """The corrected closed form is L^-1: what this line proves."""
-    name = f"transition inverse exact {params.tag()}"
-    if not _corrected_inverts(params):
-        return CheckResult(name, FAIL, "product is not the identity")
-    return CheckResult(name, PASS)
-
-
-def inverse_reference_check(params: PairParams) -> CheckResult:
-    """The stored closed-form display against L^-1, read from the corrected
-    closed form: REPORTED while L times that form is the identity, and FAIL
-    once it is not."""
+def transition_inverse_checks(params: PairParams) -> list[CheckResult]:
+    """The two lines that read L times the corrected closed form, formed
+    once.  "transition inverse exact" proves that the form is L^-1: it
+    PASSes when the product is the identity.  "inverse transition closed
+    form" holds the stored display against that form: REPORTED while the
+    product is the identity, and FAIL once it is not."""
     exact = inverse_closed_corrected(params)
+    inverts = frac_matmul(L_matrix(params), exact) == frac_identity(params.size)
+    name = f"transition inverse exact {params.tag()}"
+    proof = (CheckResult(name, PASS) if inverts
+             else CheckResult(name, FAIL, "product is not the identity"))
     ref = inverse_closed_reference(params)
     # at a = 0 there is no off-diagonal entry for the display to get wrong
     i, j = next(((i, j) for i in range(params.size) for j in range(i)
                  if exact[i][j] != ref[i][j]), (0, 0))
-    return against_reference(
+    return [proof, against_reference(
         f"inverse transition closed form {params.tag()}", exact, ref,
-        _corrected_inverts(params), "",
+        inverts, "",
         f"stored display disagrees with the exact inverse, e.g. entry "
         f"({i},{j}) display {ref[i][j]} vs exact {exact[i][j]}; shifting "
         f"the base of the last Pochhammer factor from m+2j+b-1 to "
         f"m+2j+b+1 reproduces the exact inverse entrywise",
-        "L times the +2-shifted form is not the identity")
+        "L times the +2-shifted form is not the identity")]
 
 
 # ---- triangular eigenfunction expansion ----
@@ -219,9 +211,9 @@ def phi_expansion(params: PairParams, label: MsfLabel) -> dict[MsfLabel, Fractio
     coefficient is x / D for x = s (m+2) and D = N_top - N; when D does not
     divide x, every value is first multiplied by D / gcd(x, D), which keeps
     them all over one denominator, and then the coefficient x / gcd(x, D)
-    is an integer.  Rescaling to value 1 at (psi1, psi2) = (2, 1) divides
-    every numerator by the same integer, their sum at that point, so the
-    implicit denominator cancels.
+    is an integer.  Rescaling to value 1 at the identity point
+    ``IDENTITY_PSI`` divides every numerator by the same integer, their sum
+    at that point, so the implicit denominator cancels.
     """
     check_label(params, label)
     graph = _lowering_graph(params, label.d1 + label.d2)
@@ -243,8 +235,11 @@ def phi_expansion(params: PairParams, label: MsfLabel) -> dict[MsfLabel, Fractio
         v = vals[p]
         for t, w in graph.moves[p]:
             vals[t] += v * w
-    # the expansion at IDENTITY_PSI, where psi1^d1 psi2^d2 is 2^d1
-    total = sum(v << graph.labels[p].d1 for p, v in enumerate(vals) if v)
+    # the expansion at IDENTITY_PSI, summed on ints: both coordinates
+    # there have denominator 1
+    p1, p2 = (int(IDENTITY_PSI[name]) for name in PSI_VARS)
+    total = sum(v * p1 ** lab.d1 * p2 ** lab.d2
+                for lab, v in zip(graph.labels, vals) if v)
     if total == 0:
         raise AssertionError(f"expansion of {label} vanishes at the identity point")
     return {graph.labels[p]: Fraction(v, total)
@@ -369,8 +364,7 @@ def transition_suite(params: PairParams) -> list[CheckResult]:
     return [
         d_recursion_check(params),
         transition_rows_check(params),
-        transition_inverse_check(params),
-        inverse_reference_check(params),
+        *transition_inverse_checks(params),
         phi_zero_check(params),
     ]
 

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bc2mvop import casimir, cli, lie
-from bc2mvop.casimir import (RADIAL_DENOMINATOR, bottom_lowering_check,
-                             casimir_suite, eigenvalue_agreement_check,
-                             general_lowering_check,
-                             gradient_pairing_verdict, lowering_moves,
+from bc2mvop.casimir import (RADIAL_DENOMINATOR, casimir_suite,
+                             eigenvalue_agreement_check,
+                             gradient_pairing_verdict, lowering_checks,
+                             lowering_moves,
                              pde_operator_psi, pde_operator_x, radial_apply,
                              reference_table_comparison, scalar_eigen_check,
                              scalar_radial_agreement_check, scalar_radial_psi,
@@ -76,8 +76,7 @@ def test_reference_moves_differ_only_in_the_repeat_coefficient():
 
 def test_lowering_checks_green():
     for params in (PairParams(3, 1, 0), PairParams(3, 2, 1), PairParams(4, 2, 2)):
-        assert bottom_lowering_check(params).status == "PASS"
-        assert general_lowering_check(params, 2).status == "PASS"
+        assert [r.status for r in lowering_checks(params, 2)] == ["PASS"] * 2
         assert eigenvalue_agreement_check(params, 2).status == "PASS"
         assert gradient_pairing_verdict(params.a, params.b).status == "PASS"
 
@@ -325,6 +324,55 @@ def test_bottom_identity_reads_its_own_stored_drop(monkeypatch, capsys):
     assert status == {"FAIL"}
     assert next(line for line in lines if "bottom lowering identity" in line
                 ).startswith("PASS")
+
+
+def test_verify_casimir_applies_the_radial_operator_once_per_label(
+        monkeypatch, capsys):
+    # a = 2, dmax 1: 3 bottom indices times 3 degree pairs, and the bottom
+    # identity reads the recursion's images of (i, 0, 0)
+    calls = []
+    real = casimir.radial_apply
+
+    def counted(params, comps):
+        calls.append(comps)
+        return real(params, comps)
+    monkeypatch.setattr(casimir, "radial_apply", counted)
+    assert cli.main(["verify", "casimir", "--m", "3", "--a", "2", "--b", "0",
+                     "--dmax", "1"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 9
+
+
+@pytest.mark.parametrize("label", [MsfLabel(1, 0, 0), MsfLabel(0, 1, 0),
+                                   MsfLabel(2, 0, 1)], ids=str)
+def test_one_perturbed_radial_image_fails_each_line_that_reads_it(
+        label, monkeypatch, capsys):
+    # c1 added to component 0 of one label's image: the recursion fails at
+    # that label, and the bottom identity only when the label is a bottom one
+    real = casimir.radial_apply
+    c1 = MultiPoly.var(C_VARS, "c1")
+
+    def perturbed(params, comps):
+        image = real(params, comps)
+        if tuple(comps) == casimir.label_vector(params, label):
+            return (image[0] + c1, *image[1:])
+        return image
+    monkeypatch.setattr(casimir, "radial_apply", perturbed)
+    code = cli.main(["verify", "casimir", "--m", "3", "--a", "2",
+                     "--b", "0,1", "--dmax", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    table = [line for line in lines if "triangular recursion table" in line]
+    bottom = [line for line in lines if "bottom lowering identity" in line]
+    assert len(table) == len(bottom) == 2
+    for line in table:
+        assert line.startswith("FAIL")
+        assert line.endswith(f"label {label}, component 0")
+    for line in bottom:
+        if label.d1 == label.d2 == 0:
+            assert line.startswith("FAIL") and line.endswith("i=1, component 0")
+        else:
+            assert line.startswith("PASS") and line.endswith("3 bottom rows")
 
 
 def test_operators_equal_their_zero_filled_tables():

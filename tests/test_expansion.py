@@ -6,23 +6,24 @@ import sys
 import textwrap
 from fractions import Fraction as F
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
-from bc2mvop import expansion
+from bc2mvop import cli, expansion
 from bc2mvop.expansion import (L_matrix, d_coeffs, d_recursion_check,
                                diagonal_degree_check, dual_bottom_check,
                                dual_eigenvalue_check, dual_involution_check,
                                dual_pde_check, duality_suite,
-                               inverse_closed_corrected, inverse_reference_check,
-                               normalization_check, pde_check, pde_suite,
-                               phi_expansion, phi_zero_check, poly_matrix_psi,
-                               poly_matrix_x, transition_inverse_check,
-                               transition_suite)
+                               inverse_closed_corrected, normalization_check,
+                               pde_check, pde_suite, phi_expansion,
+                               phi_zero_check, poly_matrix_psi, poly_matrix_x,
+                               transition_inverse_checks, transition_suite)
 from bc2mvop.casimir import lowering_moves, pde_operator_psi
 from bc2mvop.lie import (MsfLabel, PairParams, casimir_eigenvalue,
                          casimir_eigenvalue_ip, degree_pair, degree_pairs,
-                         dualize, label_weight, labels_up_to)
+                         drop_point_caches, dualize, label_weight,
+                         labels_up_to)
 from bc2mvop.matrices import frac_identity, frac_invert, frac_matmul
 from bc2mvop.poly import MultiPoly
 
@@ -82,11 +83,11 @@ def test_transition_inverse_check_reads_the_closed_form(monkeypatch):
     # the line proves that the corrected closed form inverts L: a wrong
     # closed form fails it, while the elimination's inverse is untouched
     params = PairParams(3, 1, 0)
-    assert transition_inverse_check(params).status == "PASS"
+    assert transition_inverse_checks(params)[0].status == "PASS"
     real = expansion.inverse_closed_corrected
     monkeypatch.setattr(expansion, "inverse_closed_corrected", lambda p: [
         [2 * x for x in row] for row in real(p)])
-    assert transition_inverse_check(params).status == "FAIL"
+    assert transition_inverse_checks(params)[0].status == "FAIL"
 
 
 def test_one_perturbed_entry_of_L_fails_both_inverse_lines(monkeypatch):
@@ -107,10 +108,26 @@ def test_one_perturbed_entry_of_L_fails_both_inverse_lines(monkeypatch):
 
 
 def test_inverse_reference_reported_for_nontrivial_sizes():
-    assert inverse_reference_check(PairParams(3, 0, 0)).status == "PASS"
-    r = inverse_reference_check(PairParams(3, 1, 0))
+    assert transition_inverse_checks(PairParams(3, 0, 0))[1].status == "PASS"
+    r = transition_inverse_checks(PairParams(3, 1, 0))[1]
     assert r.status == "REPORTED"
     assert "shift" in r.detail
+
+
+def test_verify_transition_multiplies_l_by_its_inverse_once(monkeypatch,
+                                                            capsys):
+    # both inverse lines read one product L times the closed-form inverse
+    calls = []
+    real = expansion.frac_matmul
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(expansion, "frac_matmul", counted)
+    assert cli.main(["verify", "transition", "--m", "3", "--a", "2",
+                     "--b", "0"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_phi_expansion_scalar_case_by_hand():
@@ -242,6 +259,20 @@ def test_polynomials_have_unit_row_sums_at_identity():
     for params in (PairParams(3, 1, 0), PairParams(4, 2, 1)):
         assert normalization_check(params, 2).status == "PASS"
         assert diagonal_degree_check(params, 2).status == "PASS"
+
+
+def test_phi_expansion_normalizes_at_the_stated_identity_point(monkeypatch):
+    # the sweep reads both coordinates of IDENTITY_PSI, so moving the point
+    # moves the family's normalization with it
+    monkeypatch.setattr(expansion, "IDENTITY_PSI",
+                        MappingProxyType({"psi1": F(3), "psi2": F(2)}))
+    drop_point_caches()
+    try:
+        for params in (PairParams(3, 1, 0), PairParams(4, 2, 1)):
+            r = normalization_check(params, 2)
+            assert r.status == "PASS", r.detail
+    finally:
+        drop_point_caches()  # no family normalized at (3, 2) outlives the test
 
 
 def test_matrix_polynomials_degree_zero_are_transition_matrices():

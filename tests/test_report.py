@@ -53,7 +53,7 @@ BROKEN_RELATIONS = {
         (orthogonality, "gram", _doubled),
         "the ratio stored/computed is not the square of the mass constant"),
     "inverse transition": (
-        lambda: expansion.inverse_reference_check(PairParams(3, 1, 0)),
+        lambda: expansion.transition_inverse_checks(PairParams(3, 1, 0))[1],
         (expansion, "inverse_closed_corrected", _doubled),
         "L times the +2-shifted form is not the identity"),
     "total mass": (
