@@ -283,62 +283,51 @@ def gram(params: PairParams, d: tuple[int, int],
 
 
 def orthogonality_suite(params: PairParams, dmax: int) -> list[CheckResult]:
-    """Pairwise orthogonality, diagonality, and the shared norm constant."""
-    out = []
+    """Pairwise orthogonality, diagonality, and the shared norm constant.
+
+    One pass over the pairs d <= d' in `degree_pairs` order reads each Gram
+    matrix once and keeps the first failure of each check; each check then
+    prints one line, that failure or its PASS, in a fixed order."""
     degs = degree_pairs(dmax)
-    tag = params.tag()
-
-    ok = True
-    for ia, d in enumerate(degs):
-        for dp in degs[ia + 1:]:
-            G = gram(params, d, dp)
-            bad = [(i, j) for i in range(len(G)) for j in range(len(G))
-                   if G[i][j] != 0]
-            if bad:
-                i, j = bad[0]
-                out.append(CheckResult(
-                    f"orthogonality of distinct degrees {tag}", FAIL,
-                    f"d={d}, d'={dp}, entry {bad[0]}",
-                    residual=str(G[i][j])))
-                ok = False
-    if ok and len(degs) > 1:     # at dmax 0 there is no pair to compare
-        out.append(CheckResult(f"orthogonality of distinct degrees {tag}",
-                               PASS, f"{len(degs)} degrees, dmax={dmax}"))
-
+    tag, n = params.tag(), params.size
+    distinct = f"orthogonality of distinct degrees {tag}"
+    diagonal = f"diagonality of squared norms {tag}"
+    norm = f"norm constant independence {tag}"
+    failed = {}
     kappa = None
-    witness = ""
-    diag_ok = True
-    norm_ok = True
-    for d in degs:
-        G = gram(params, d, d)
-        for i in range(len(G)):
-            for j in range(len(G)):
-                if i != j and G[i][j] != 0:
-                    out.append(CheckResult(
-                        f"diagonality of squared norms {tag}", FAIL,
-                        f"d={d}, entry ({i},{j})",
-                        residual=str(G[i][j])))
-                    diag_ok = False
-        for k in range(len(G)):
-            dim = weyl_dim(label_weight(params, MsfLabel(k, d[0], d[1])))
-            val = G[k][k] * dim
-            if kappa is None:
-                kappa = val
-                witness = f"kappa = {val}"
-            elif val != kappa:
-                out.append(CheckResult(
-                    f"norm constant independence {tag}", FAIL,
-                    f"d={d}, k={k}: {val} != {kappa}"))
-                norm_ok = False
-    if diag_ok:
-        out.append(CheckResult(f"diagonality of squared norms {tag}", PASS))
-    # a single degree at a = 0 gives one value and nothing to compare
-    if norm_ok and len(degs) * params.size > 1:
-        out.append(CheckResult(
-            f"norm constant independence {tag}", PASS,
-            f"{witness} across all degrees and rows, dmax={dmax}"))
+    for ia, d in enumerate(degs):
+        for dp in degs[ia:]:
+            G = gram(params, d, dp)
+            bad = next(((i, j) for i in range(n) for j in range(n)
+                        if G[i][j] != 0 and (i != j or d != dp)), None)
+            if bad:
+                i, j = bad
+                name, detail = ((distinct, f"d={d}, d'={dp}, entry {bad}")
+                                if d != dp else
+                                (diagonal, f"d={d}, entry ({i},{j})"))
+                failed.setdefault(name, CheckResult(name, FAIL, detail,
+                                                    residual=str(G[i][j])))
+            if d != dp:
+                continue
+            for k in range(n):
+                dim = weyl_dim(label_weight(params, MsfLabel(k, d[0], d[1])))
+                val = G[k][k] * dim
+                if kappa is None:
+                    kappa = val
+                elif val != kappa:
+                    failed.setdefault(norm, CheckResult(
+                        norm, FAIL, f"d={d}, k={k}: {val} != {kappa}"))
+    # at dmax 0 there is no pair to compare, and a single degree at a = 0
+    # gives one value of kappa; neither can fail
+    out = [failed.get(name, CheckResult(name, PASS, detail))
+           for name, shown, detail in (
+               (distinct, len(degs) > 1, f"{len(degs)} degrees, dmax={dmax}"),
+               (diagonal, True, ""),
+               (norm, len(degs) * n > 1,
+                f"kappa = {kappa} across all degrees and rows, dmax={dmax}"))
+           if shown]
 
-    m, b, n = params.m, params.b, params.size
+    m, b = params.m, params.b
     derived = Fraction(n * n * 2 ** (2 * m + 2 * b), m * m * (m * m - 1))
     out.append(CheckResult(
         f"norm constant derived closed form {tag}",

@@ -21,7 +21,7 @@ that way and prints its line under the tag of each point.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .lie import PairParams, ValueTuple
 
@@ -87,6 +87,13 @@ def against_reference(name: str, derived, stored, related: bool, same: str,
     return CheckResult(name, FAIL, broken)
 
 
+def _tally(results: list[CheckResult]) -> tuple[int, int, int]:
+    """The numbers of PASS, FAIL and REPORTED results, in that order: the
+    summary of both renderings."""
+    counts = Counter(r.status for r in results)
+    return tuple(counts[s] for s in _STATUSES)
+
+
 def render_text(results: list[CheckResult]) -> str:
     lines = []
     width = max((len(r.name) for r in results), default=0)
@@ -95,9 +102,7 @@ def render_text(results: list[CheckResult]) -> str:
         if r.detail:
             line += f"  {r.detail}"
         lines.append(line.rstrip())
-    n_pass = sum(r.status == PASS for r in results)
-    n_fail = sum(r.status == FAIL for r in results)
-    n_rep = sum(r.status == REPORTED for r in results)
+    n_pass, n_fail, n_rep = _tally(results)
     lines.append(f"{n_pass} passed, {n_fail} failed, {n_rep} reported")
     return "\n".join(lines)
 
@@ -106,11 +111,7 @@ def render_json(results: list[CheckResult]) -> str:
     import json
     payload = {
         "results": [r.to_dict() for r in results],
-        "summary": {
-            "pass": sum(r.status == PASS for r in results),
-            "fail": sum(r.status == FAIL for r in results),
-            "reported": sum(r.status == REPORTED for r in results),
-        },
+        "summary": dict(zip(("pass", "fail", "reported"), _tally(results))),
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 

@@ -184,6 +184,82 @@ def test_verify_duality_fails_on_a_wrong_dual_triple(monkeypatch, capsys):
     assert all(line.startswith("FAIL") for line in lines)
 
 
+def _fresh_gram_tables():
+    """No point's tables, no moment and no Beta numerators built before a
+    mutation of the Gram integrals is read."""
+    lie.drop_point_caches()
+    orthogonality.moment.cache_clear()
+    orthogonality._beta_numerators.cache_clear()
+
+
+def _perturb_weight_entry(monkeypatch):
+    """x2 added to the entry S_00 of the weight the Gram matrices read: S
+    stays symmetric, and every pairwise orthogonality check fails."""
+    real = orthogonality.weight_matrix_x
+
+    def perturbed(a, b):
+        s = real(a, b)
+        return PolyMatrix(s.rows, s.cols, [
+            s.entries[0] + MultiPoly.var(X_VARS, "x2"), *s.entries[1:]])
+    monkeypatch.setattr(orthogonality, "weight_matrix_x", perturbed)
+
+
+def _perturb_moment(monkeypatch):
+    """The moment of x2 raised by 1 at every (m, b)."""
+    real = orthogonality.moment
+
+    def bumped(m, b, i, j):
+        return real(m, b, i, j) + ((i, j) == (0, 1))
+    monkeypatch.setattr(orthogonality, "moment", bumped)
+
+
+def test_verify_orthogonality_summary_counts_checks_not_entries(monkeypatch,
+                                                                capsys):
+    # each failing pairwise check prints its first failure alone, so the
+    # summary counts checks however many Gram entries fail
+    _fresh_gram_tables()
+    _perturb_weight_entry(monkeypatch)
+    code, out, _ = run_cli(["verify", "orthogonality", "--m", "3", "--a", "1",
+                            "--b", "0", "--dmax", "2"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-1] == "1 passed, 5 failed, 1 reported"
+    tag = "(m=3,a=1,b=0)"
+    details = {f"orthogonality of distinct degrees {tag}":
+               "d=(0, 0), d'=(0, 1), entry (0, 0)",
+               f"diagonality of squared norms {tag}": "d=(0, 0), entry (0,1)",
+               f"norm constant independence {tag}":
+               "d=(0, 1), k=0: 272/81 != 8/3"}
+    for name, detail in details.items():
+        [line] = [line for line in lines if name in line]
+        assert line.startswith("FAIL") and line.endswith(f"  {detail}")
+
+
+def test_verify_all_prints_one_line_per_check_under_a_gram_mutation(
+        monkeypatch, capsys):
+    # the same identities in the same order whether or not the Gram
+    # integrals are broken: a failing check replaces its PASS line
+    argv = ["verify", "all", "--dmax", "2", "--m", "3", "--a", "0,1,2",
+            "--b", "0,1", "--format", "json"]
+
+    def results(perturb=None):
+        _fresh_gram_tables()
+        with monkeypatch.context() as patch:
+            if perturb:
+                perturb(patch)
+            code, out, _ = run_cli(argv, capsys)
+        assert code == (1 if perturb else 0)
+        return json.loads(out)["results"]
+
+    passing = results()
+    identities = [r["identity"] for r in passing]
+    assert len(identities) == 350
+    for perturb, fails in ((_perturb_weight_entry, 28), (_perturb_moment, 20)):
+        broken = results(perturb)
+        assert [r["identity"] for r in broken] == identities
+        assert sum(r["status"] == "FAIL" for r in broken) == fails
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "orthogonality", "--dmax", "-1"],
     ["verify", "casimir", "--dmax", "-1"],

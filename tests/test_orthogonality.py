@@ -292,16 +292,24 @@ def test_perturbed_weight_entry_fails_orthogonality_at_dmax_4(monkeypatch):
         return PolyMatrix(s.rows, s.cols, [
             s.entries[0] + MultiPoly.var(X_VARS, "x2"), *s.entries[1:]])
 
+    params = PairParams(5, 3, 2)
     _clear_module_caches()
+    passing = orthogonality_suite(params, 4)
     monkeypatch.setattr(orthogonality, "weight_matrix_x", perturbed)
+    _clear_module_caches()
     try:
-        results = orthogonality_suite(PairParams(5, 3, 2), 4)
+        results = orthogonality_suite(params, 4)
     finally:
         _clear_module_caches()
     r = next(r for r in results
              if r.name.startswith("orthogonality of distinct degrees"))
     assert r.status == "FAIL"
     assert r.residual != "0"
+    # one line per check, in the passing run's order, however many Gram
+    # entries fail: the three pairwise checks each keep their first failure
+    assert [r.name for r in results] == [r.name for r in passing]
+    assert len(results) == 5
+    assert [r.status for r in results[:3]] == ["FAIL"] * 3
 
 
 @pytest.mark.parametrize("bad", [(1.5, 0), (1,), (1, 0, 0), (-1, 0),
