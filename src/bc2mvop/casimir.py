@@ -18,11 +18,12 @@ Three layers, increasingly packaged:
    ``MatrixDiffOp.change_vars_affine`` and nowhere else.  No stored
    x-coordinate coefficients are kept beside it.
 
-The operators and label vectors of one point are `point_cache`s, which
-`verify` drops when it leaves the point.  The scalar parts, which read m
-alone, stay, since several points share them, and so do (A1, A2):
-``conjugation_matrices(a, b)`` takes the K-type alone and is built once
-per (a, b).
+The operators of one point are `point_cache`s, which `verify` drops when
+it leaves the point.  The scalar parts, which read m alone, stay, since
+several points share them, and so do the parts that read the K-type
+alone: (A1, A2), ``conjugation_matrices(a, b)``, and the label vectors,
+``label_vector(a, b, label)``, each built once per (a, b) and shared by
+every m.
 
 The radial-action checks all compare through ``_radial_mismatch``: an
 identity A(v) = want holds when each numerator of A(v) equals D want.
@@ -153,14 +154,13 @@ def _psi_power_c(d1: int, d2: int) -> MultiPoly:
     return PSI_IN_C["psi1"] ** d1 * PSI_IN_C["psi2"] ** d2
 
 
-@point_cache
-def label_vector(params: PairParams, label: MsfLabel) -> tuple[MultiPoly, ...]:
+@lru_cache(maxsize=None)
+def label_vector(a: int, b: int, label: MsfLabel) -> tuple[MultiPoly, ...]:
     """psi1^d1 psi2^d2 times the bottom vector, row i of the leading-term
-    matrix, in (c1, c2)."""
-    check_label(params, label)
+    matrix of the K-type (a, b), in (c1, c2)."""
+    check_label(a, label)
     factor = _psi_power_c(label.d1, label.d2)
-    return tuple(factor * q for q in
-                 leading_term_matrix(params.a, params.b).row(label.i))
+    return tuple(factor * q for q in leading_term_matrix(a, b).row(label.i))
 
 
 def lowering_moves(params: PairParams, label: MsfLabel) -> dict[MsfLabel, int]:
@@ -212,8 +212,9 @@ def _lowering_mismatch(name: str, place: str, params: PairParams,
     eigenvalue times that vector plus coeff times the target's vector for
     each move, else ``_radial_mismatch``'s FAIL at place.  The wanted
     vector is one integer combination per component."""
-    terms = [(casimir_eigenvalue(params, label), label_vector(params, label))]
-    terms += [(coeff, label_vector(params, target))
+    a, b = params.a, params.b
+    terms = [(casimir_eigenvalue(params, label), label_vector(a, b, label))]
+    terms += [(coeff, label_vector(a, b, target))
               for target, coeff in moves.items()]
     want = [linear_combination((c, v[k]) for c, v in terms)
             for k in range(params.size)]
@@ -232,7 +233,7 @@ def lowering_checks(params: PairParams, dmax: int) -> list[CheckResult]:
     labels = labels_up_to(params, dmax)
     bottom = table = None
     for label in labels:
-        image = radial_apply(params, label_vector(params, label))
+        image = radial_apply(params, label_vector(params.a, params.b, label))
         if table is None:
             table = _lowering_mismatch(table_name, f"label {label}", params,
                                        label, image,

@@ -15,27 +15,26 @@ round-trip representation, so identical invocations give identical bytes.
 
 Exit codes: 0 when no check FAILs (REPORTED discrepancies do not fail a
 run), 1 when at least one identity check fails, 2 for usage and parameter
-errors, including degenerate `verify` input such as a negative --dmax or
---N, an empty --p list, a grid or --p value listed twice, a selection that
-runs no check or none that reads a given --N, --p, --numeric or --dmax,
-and an --out path that cannot be written.  Suites run serially.  The one
-environment variable the CLI touches is OPENBLAS_NUM_THREADS: `main` sets
-it to 1, unless the caller has set it, before numpy can load, so numpy
-starts no BLAS worker thread for the quadrature's one small eigenvalue
-problem per node count.  A process imports only what its run uses: `json`
-for JSON output and the CSV's list cells, `csv` for CSV output, and numpy
-only under `verify --numeric`.  The package's own modules load the same
-way: this module binds the others as modules (`from . import casimir`),
-which the package registers lazily, so each is compiled and run when the
-command first reads one of its names.  A built parser has loaded `cli`,
-`lie` and `report` alone; `verify casimir` never loads `expansion` or
-`orthogonality`, and `verify pde` never loads `orthogonality`.  An
-interpreter that writes no bytecode compiles every module it loads from
-source.
+errors, including degenerate `verify` input such as a negative --dmax, a
+grid value listed twice, a selection that runs no check or none that reads
+a given --numeric or --dmax, and an --out path that cannot be written.
+Suites run serially.  The one environment variable the CLI touches is
+OPENBLAS_NUM_THREADS: `main` sets it to 1, unless the caller has set it,
+before numpy can load, so numpy starts no BLAS worker thread for the
+quadrature's one small eigenvalue problem per node count.  A process
+imports only what its run uses: `json` for JSON output and the CSV's list
+cells, `csv` for CSV output, and numpy only under `verify --numeric`.  The
+package's own modules load the same way: this module binds the others as
+modules (`from . import casimir`), which the package registers lazily, so
+each is compiled and run when the command first reads one of its names.  A
+built parser has loaded `cli`, `lie` and `report` alone; `verify casimir`
+never loads `expansion` or `orthogonality`, and `verify pde` never loads
+`orthogonality`.  An interpreter that writes no bytecode compiles every
+module it loads from source.
 
-The suites' defaults live here and nowhere else: --dmax 2, --N 6 and the
-Krawtchouk parameters `STANDARD_PS`.  Every suite takes each value from its
-caller.
+The suites' one default lives here and nowhere else: --dmax 2.  Every
+suite that reads a degree bound takes it from its caller; the Krawtchouk
+sweep runs at its one fixed setting, which `krawtchouk` states.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ import argparse
 import io
 import os
 import sys
-from fractions import Fraction
 
 from . import (casimir, expansion, krawtchouk, leading, matrices,
                orthogonality)
@@ -63,13 +61,6 @@ def _int_list(s: str) -> list[int]:
         return [int(x) for x in s.split(",") if x != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {s!r}")
-
-
-def _frac_list(s: str) -> list[Fraction]:
-    try:
-        return [Fraction(x) for x in s.split(",") if x != ""]
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"expected comma-separated fractions, got {s!r}")
 
 
 def _int_tuple(n: int):
@@ -95,17 +86,13 @@ def _construction_params(m: int, a: int, b: int) -> PairParams:
     return params
 
 
-def _refuse_repeats(option: str, values: list):
-    for i, v in enumerate(values):
-        if v in values[:i]:
-            raise ValueError(f"--{option} lists {v} twice")
-
-
 def _grid(ms: list[int], as_: list[int], bs: list[int]) -> list[PairParams]:
     if not (ms and as_ and bs):
         raise ValueError("empty parameter grid")
     for axis, values in (("m", ms), ("a", as_), ("b", bs)):
-        _refuse_repeats(axis, values)
+        for i, v in enumerate(values):
+            if v in values[:i]:
+                raise ValueError(f"--{axis} lists {v} twice")
     return [_construction_params(m, a, b) for m in ms for a in as_ for b in bs]
 
 
@@ -143,9 +130,7 @@ def _verify_results(args, grid: list[PairParams]):
     verdicts = {}
     results = []
     if want("krawtchouk"):
-        results += krawtchouk.standard_suite(
-            6 if args.N is None else args.N,
-            tuple(args.p) if args.p else krawtchouk.STANDARD_PS)
+        results += krawtchouk.standard_suite()
     for q in grid:
         if want("weight"):
             results += leading.weight_suite(q, verdicts)
@@ -178,9 +163,7 @@ def _verify_results(args, grid: list[PairParams]):
 def _check_verify_args(args):
     """Refuse input that would crash a suite, pass it vacuously, or be
     ignored by the selected suites."""
-    for opt, given, suites in (("N", args.N is not None, ["krawtchouk"]),
-                               ("p", args.p is not None, ["krawtchouk"]),
-                               ("numeric", args.numeric, ["orthogonality"]),
+    for opt, given, suites in (("numeric", args.numeric, ["orthogonality"]),
                                ("dmax", args.dmax is not None, ["casimir", "pde",
                                 "orthogonality", "duality"])):
         if given and args.suite not in ["all", *suites]:
@@ -188,15 +171,6 @@ def _check_verify_args(args):
                              f" and verify all, not by verify {args.suite}")
     if args.dmax is not None and args.dmax < 0:
         raise ValueError(f"--dmax {args.dmax} must be non-negative")
-    if args.N is not None and args.N < 0:
-        raise ValueError(f"--N {args.N} must be non-negative")
-    if args.p is not None:
-        if not args.p:
-            raise ValueError("--p needs at least one Krawtchouk parameter")
-        for p in args.p:
-            if not 0 < p < 1:
-                raise ValueError(f"--p {p}: Krawtchouk parameters need 0 < p < 1")
-        _refuse_repeats("p", args.p)
 
 
 def _cmd_verify(args) -> int:
@@ -337,10 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--dmax", type=int, help="largest degree d1+d2, default 2")
     v.add_argument("--numeric", action="store_true",
                    help="add the floating-point quadrature cross-check")
-    v.add_argument("--N", type=int, default=None,
-                   help="largest Krawtchouk size, default 6")
-    v.add_argument("--p", type=_frac_list, default=None,
-                   help="Krawtchouk parameters, default 1/4,1/3,1/2,2/3")
     v.add_argument("--format", choices=("text", "json"), default="text")
     v.add_argument("--out", default=None)
     v.set_defaults(func=_cmd_verify)

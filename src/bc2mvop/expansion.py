@@ -18,7 +18,9 @@ The chain implemented here:
   coordinate systems;
 * the dual-parameter family, the flip-conjugate of this one: its weights
   and eigenvalues computed directly and mirrored in the index, and its
-  equation checked through that mirror on the psi-side family itself.
+  equation checked through that mirror on the psi-side family itself,
+  reading the one image E(R_d) per degree (``pde_image_psi``, a
+  `point_cache`) that the eigenvalue equation reads.
 """
 
 from __future__ import annotations
@@ -215,7 +217,7 @@ def phi_expansion(params: PairParams, label: MsfLabel) -> dict[MsfLabel, Fractio
     ``IDENTITY_PSI`` divides every numerator by the same integer, their sum
     at that point, so the implicit denominator cancels.
     """
-    check_label(params, label)
+    check_label(params.a, label)
     graph = _lowering_graph(params, label.d1 + label.d2)
     start, m2 = graph.position[label], params.m + 2
     top = graph.nums[start]
@@ -337,17 +339,24 @@ def normalization_check(params: PairParams, dmax: int) -> CheckResult:
     return CheckResult(name, PASS)
 
 
+@point_cache
+def pde_image_psi(params: PairParams, d: tuple[int, int]) -> PolyMatrix:
+    """E(R_d): the psi-side operator applied to the family member of degree
+    d, the one image that the family's equation and the dual family's read."""
+    return casimir.pde_operator_psi(params).apply(poly_matrix_psi(params, d))
+
+
 def pde_check(params: PairParams, d: tuple[int, int]) -> CheckResult:
     """The assembled operator has the family member as eigenfunction with the
     diagonal eigenvalue matrix, in both coordinate systems."""
     name = f"matrix differential equation {params.tag()} d=({d[0]},{d[1]})"
     eigenvalues = [casimir_eigenvalue(params, MsfLabel(i, *d))
                    for i in range(params.size)]
-    for vars, P, op in ((PSI_VARS, poly_matrix_psi(params, d),
-                         casimir.pde_operator_psi(params)),
-                        (X_VARS, poly_matrix_x(params, d),
-                         casimir.pde_operator_x(params))):
-        lhs = op.apply(P)
+    x_family = poly_matrix_x(params, d)
+    for vars, P, lhs in ((PSI_VARS, poly_matrix_psi(params, d),
+                          pde_image_psi(params, d)),
+                         (X_VARS, x_family,
+                          casimir.pde_operator_x(params).apply(x_family))):
         rhs = P.scale_rows(eigenvalues)
         if lhs != rhs:
             res = lhs - rhs
@@ -414,13 +423,12 @@ def dual_pde_check(params: PairParams, dmax: int) -> CheckResult:
     (P^-1 E P)(F P) = E(F) P, is property-tested in tests/test_diffop.py."""
     name = f"conjugated equation with dual eigenvalues {params.tag()} dmax={dmax}"
     dual_params = dualize(params)
-    op = casimir.pde_operator_psi(params)
     for d1, d2 in degree_pairs(dmax):
         P = poly_matrix_psi(params, (d1, d2))
         mirrored = [casimir_eigenvalue_ip(label_weight(
                         dual_params, MsfLabel(params.a - i, d1, d2)))
                     for i in range(params.size)]
-        if op.apply(P) != P.scale_rows(mirrored):
+        if pde_image_psi(params, (d1, d2)) != P.scale_rows(mirrored):
             return CheckResult(name, FAIL, f"d=({d1},{d2})")
     return CheckResult(name, PASS)
 

@@ -5,6 +5,10 @@ K_n(x; p, N) is evaluated by its terminating hypergeometric sum
     K_n(x;p,N) = sum_{k=0}^{min(n,x)} (-n)_k (-x)_k / (k! (-N)_k) p^{-k},
 
 never by recurrence: the finite sum is the form the leading terms take.
+
+``standard_suite`` checks four textbook identities of K_n at one fixed
+setting, stated beside it and nowhere else: every N up to ``STANDARD_NMAX``
+crossed with the parameters ``STANDARD_PS``.
 """
 
 from __future__ import annotations
@@ -123,15 +127,17 @@ def krawtchouk_suite(N: int, p: Fraction) -> list[CheckResult]:
     ]
 
 
+STANDARD_NMAX = 6
 STANDARD_PS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
 
 
-def standard_suite(nmax: int, ps) -> list[CheckResult]:
-    """The small-parameter sweep: every N up to nmax crossed with ps."""
+def standard_suite() -> list[CheckResult]:
+    """The small-parameter sweep: every N up to ``STANDARD_NMAX`` crossed
+    with ``STANDARD_PS``."""
     out = []
-    for N in range(nmax + 1):
-        for p in ps:
-            out.extend(krawtchouk_suite(N, Fraction(p)))
+    for N in range(STANDARD_NMAX + 1):
+        for p in STANDARD_PS:
+            out.extend(krawtchouk_suite(N, p))
     return out
 
 

@@ -201,9 +201,9 @@ class MsfLabel(ValueTuple, namedtuple("MsfLabel", "i d1 d2")):
         return tuple.__new__(cls, values)
 
 
-def check_label(params: PairParams, label: MsfLabel):
-    if label.i > params.a:
-        raise ValueError(f"bottom index {label.i} exceeds a={params.a}")
+def check_label(a: int, label: MsfLabel):
+    if label.i > a:
+        raise ValueError(f"bottom index {label.i} exceeds a={a}")
 
 
 @point_cache
@@ -225,7 +225,7 @@ def bottom_weight(params: PairParams, i: int) -> Weight:
 
 @point_cache
 def label_weight(params: PairParams, label: MsfLabel) -> Weight:
-    check_label(params, label)
+    check_label(params.a, label)
     m = params.m
     return (bottom_weight(params, label.i)
             + spherical_lambda1(m) * label.d1 + spherical_lambda2(m) * label.d2)
@@ -265,7 +265,7 @@ def casimir_numerator(params: PairParams, label: MsfLabel) -> int:
     (3,2,-3)); the dual regime goes through casimir_eigenvalue_ip, which is
     coordinate-free.
     """
-    check_label(params, label)
+    check_label(params.a, label)
     if params.b < 0:
         raise ValueError("closed-form eigenvalue requires b >= 0; "
                          "use casimir_eigenvalue_ip on the label weight")

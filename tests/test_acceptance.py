@@ -25,7 +25,7 @@ from bc2mvop.casimir import (casimir_suite, conjugation_matrices,
 from bc2mvop.diffop import MatrixDiffOp
 from bc2mvop.expansion import (duality_suite, pde_suite, transition_suite,
                                xi_constants)
-from bc2mvop.krawtchouk import STANDARD_PS, standard_suite
+from bc2mvop.krawtchouk import standard_suite
 from bc2mvop.leading import PSI_IN_X, PSI_VARS, X_VARS, weight_suite
 from bc2mvop.lie import PairParams
 from bc2mvop.matrices import PolyMatrix
@@ -44,7 +44,7 @@ def assert_no_fail(results):
 
 
 def test_krawtchouk_identities_exact():
-    results = standard_suite(6, STANDARD_PS)
+    results = standard_suite()
     assert results and all(r.status == PASS for r in results), \
         "\n".join(f"{r.status} {r.name}: {r.detail}" for r in results
                   if r.status != PASS)

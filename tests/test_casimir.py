@@ -90,8 +90,8 @@ def test_reference_table_comparison_reports():
 
 def test_radial_apply_is_linear_in_components():
     p = PairParams(3, 1, 0)
-    v0 = casimir.label_vector(p, MsfLabel(0, 0, 0))
-    v1 = casimir.label_vector(p, MsfLabel(1, 0, 0))
+    v0 = casimir.label_vector(p.a, p.b, MsfLabel(0, 0, 0))
+    v1 = casimir.label_vector(p.a, p.b, MsfLabel(1, 0, 0))
     a = radial_apply(p, v0)
     b = radial_apply(p, v1)
     both = radial_apply(p, tuple(x + y for x, y in zip(v0, v1)))
@@ -102,6 +102,9 @@ def test_radial_apply_is_linear_in_components():
         radial_apply(p, (MultiPoly.zero(C_VARS),))
     with pytest.raises(ValueError, match="function vars"):
         radial_apply(p, (MultiPoly.zero(PSI_VARS),) * 2)
+    # and label_vector, cached on (a, b, label), a bottom index above a
+    with pytest.raises(ValueError, match="bottom index 2 exceeds a=1"):
+        casimir.label_vector(p.a, p.b, MsfLabel(2, 0, 0))
 
 
 _PSI_EXPS = [(u, v) for u in range(6) for v in range(6 - u)]
@@ -189,7 +192,7 @@ def test_radial_mismatch_residual_is_the_numerator_minus_d_want():
     # its numerator over D, is -D c1
     p = PairParams(3, 1, 0)
     c1 = MultiPoly.var(C_VARS, "c1")
-    row = casimir.label_vector(p, MsfLabel(0, 0, 0))
+    row = casimir.label_vector(p.a, p.b, MsfLabel(0, 0, 0))
     want = [casimir_eigenvalue(p, MsfLabel(0, 0, 0)) * q for q in row]
     for k in range(2):
         off = list(want)
@@ -301,7 +304,8 @@ def test_bottom_labels_give_the_stored_drop_and_the_leading_rows():
             bottom = MsfLabel(i, 0, 0)
             drop = {MsfLabel(i - 1, 0, 0): -2 * i * (p.b + i)} if i else {}
             assert lowering_moves(p, bottom) == drop, (p, i)
-            assert casimir.label_vector(p, bottom) == tuple(q0.row(i)), (p, i)
+            assert (casimir.label_vector(p.a, p.b, bottom)
+                    == tuple(q0.row(i))), (p, i)
 
 
 def test_bottom_identity_reads_its_own_stored_drop(monkeypatch, capsys):
@@ -354,7 +358,7 @@ def test_one_perturbed_radial_image_fails_each_line_that_reads_it(
 
     def perturbed(params, comps):
         image = real(params, comps)
-        if tuple(comps) == casimir.label_vector(params, label):
+        if tuple(comps) == casimir.label_vector(params.a, params.b, label):
             return (image[0] + c1, *image[1:])
         return image
     monkeypatch.setattr(casimir, "radial_apply", perturbed)

@@ -100,12 +100,11 @@ def test_verify_xi_fails_on_a_wrong_move_weight(monkeypatch, capsys):
 
 def test_verify_json_format(capsys):
     code, out, _ = run_cli(["verify", "krawtchouk", "--m", "3", "--a", "0",
-                            "--b", "0", "--N", "2", "--p", "1/2", "--format",
-                            "json"], capsys)
+                            "--b", "0", "--format", "json"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["summary"]["fail"] == 0
-    assert payload["summary"]["pass"] == 12
+    assert payload["summary"]["pass"] == 112
     assert all("identity" in r for r in payload["results"])
 
 
@@ -264,17 +263,11 @@ def test_verify_all_prints_one_line_per_check_under_a_gram_mutation(
     ["verify", "orthogonality", "--dmax", "-1"],
     ["verify", "casimir", "--dmax", "-1"],
     ["verify", "pde", "--dmax", "-1"],
-    ["verify", "krawtchouk", "--N", "-1"],
-    ["verify", "krawtchouk", "--p", ","],
-    ["verify", "krawtchouk", "--p", "0"],
     ["verify", "weight", "--m", "3,4,3"],
-    ["verify", "weight", "--p", "1/2"],
-    ["verify", "orthogonality", "--N", "3"],
     ["verify", "casimir", "--numeric"],
     ["verify", "krawtchouk", "--numeric"],
     ["verify", "weight", "--dmax", "7"],
-], ids=["orthogonality-dmax", "casimir-dmax", "pde-dmax", "krawtchouk-N",
-        "empty-p", "zero-p", "repeated-m", "unread-p", "unread-N",
+], ids=["orthogonality-dmax", "casimir-dmax", "pde-dmax", "repeated-m",
         "unread-numeric", "krawtchouk-numeric", "unread-dmax"])
 def test_verify_degenerate_input_is_parameter_error(argv, capsys):
     # the case's own options come last, so they override the base point
@@ -300,14 +293,23 @@ def test_m_below_two_is_parameter_error(argv, capsys):
 
 
 def test_verify_repeated_grid_value_names_axis_and_value(capsys):
-    # --p is compared as fractions: 2/4 repeats 1/2
-    for suite, option, values, twice in (("weight", "--b", "2,0,2", "2"),
-                                         ("krawtchouk", "--p", "1/2,2/4", "1/2")):
-        code, out, err = run_cli(["verify", suite, "--m", "3", "--a", "0",
-                                  option, values], capsys)
-        assert code == 2
-        assert out == ""
-        assert err == f"parameter error: {option} lists {twice} twice\n"
+    code, out, err = run_cli(["verify", "weight", "--m", "3", "--a", "0",
+                              "--b", "2,0,2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "parameter error: --b lists 2 twice\n"
+
+
+@pytest.mark.parametrize("option", [["--N", "2"], ["--p", "1/2"]],
+                         ids=["N", "p"])
+def test_verify_krawtchouk_takes_no_size_or_parameter_option(option, capsys):
+    # the sweep runs at its one setting, `krawtchouk.STANDARD_NMAX` and
+    # `STANDARD_PS`: argparse refuses either knob as a usage error
+    code, out, err = run_cli(["verify", "krawtchouk", *option], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(option)}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -832,7 +834,7 @@ def test_verify_builds_each_shared_part_once_per_parameters_it_reads(
     per_m = (casimir._radial_scalar_c, casimir.scalar_radial_psi)
     per_ab = (casimir.conjugation_matrices, leading.leading_term_matrix,
               leading.weight_matrix_c, leading.weight_matrix_psi,
-              leading.weight_matrix_x)
+              leading.weight_matrix_x, casimir.label_vector)
     # start with no point's tables, and with the per-m and per-(a, b) parts,
     # which live for the whole process, empty
     lie.drop_point_caches()
@@ -879,10 +881,12 @@ def test_verify_builds_each_shared_part_once_per_parameters_it_reads(
             ("pde_operator_psi", casimir.scalar_radial_psi, points)):
         want.update((builder, p, id(scalar(p.m)), p.size) for p in at)
     assert lifts == want
-    # (A1, A2), Q0 and S in c and psi once per (a, b) of the grid, and S in
-    # x once per a: the moment tables and the stored displays read it at
-    # b = 0 alone
-    assert [cache.cache_info().misses for cache in per_ab] == [4, 4, 4, 4, 2]
+    # (A1, A2), Q0 and S in c and psi once per (a, b) of the grid, S in x
+    # once per a: the moment tables and the stored displays read it at
+    # b = 0 alone, and each label's vector once per (a, b), not per m
+    vectors = sum(len(lie.labels_up_to(p, 1)) for p in points if p.m == 3)
+    assert [cache.cache_info().misses for cache in per_ab] == [
+        4, 4, 4, 4, 2, vectors]
     # one matrix moment table per point, and each node power once per
     # (order, e) for the process: every point's lookup gives the one array.
     # The last drop ends the per-m checks, after the xi suite read the

@@ -72,9 +72,9 @@ def test_suite_shapes():
     results = krawtchouk_suite(3, F(1, 2))
     assert len(results) == 4
     assert all(r.status == "PASS" for r in results)
-    sweep = standard_suite(2, (F(1, 2),))
-    # three sizes, four identities each
-    assert len(sweep) == 12
+    sweep = standard_suite()
+    # seven sizes N = 0..6 times four parameters, four identities each
+    assert len(sweep) == 112
     assert all(r.status == "PASS" for r in sweep)
 
 

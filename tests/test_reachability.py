@@ -23,8 +23,7 @@ import run  # noqa: E402
 _GRID = ["--m", "2,3", "--a", "0,1,2", "--b", "0,1"]
 _POINT = ["--m", "4", "--a", "2", "--b", "1"]
 COMMANDS = [
-    ["verify", "all", *_GRID, "--dmax", "2", "--numeric", "--N", "4",
-     "--p", "1/3,1/2"],
+    ["verify", "all", *_GRID, "--dmax", "2", "--numeric"],
     ["verify", "xi", "--m", "2", "--format", "json"],
     *(["weight", *_POINT, "--coords", c] for c in ("c", "psi", "x")),
     ["weight", *_POINT, "--format", "csv"],
